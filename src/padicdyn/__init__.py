@@ -20,8 +20,7 @@ from .localfield import (CappedField, ExactField, ExtensionField, Valuation,
 from .newton import (NewtonPolygon, RamificationCertificate, build_polygon,
                      root_valuations, total_ramification_certificate)
 from .series import (DiskSpec, PointValue, TailSeries, agreement_order,
-                     evaluate, gauss_norm, lagrange_invert, series_invert_unit,
-                     series_mul, series_nth_root)
+                     evaluate, gauss_norm, lagrange_invert)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -160,8 +160,12 @@ class JobSpec:
             raise UsageError("--order must be at least 2")
         if self.precision < 1:
             raise UsageError("--precision must be at least 1")
-        for c in self.poly:
-            Fraction(c)  # raises ValueError on malformed input
+        point = () if self.point is None else (self.point,)
+        for flag, texts in (("--poly", self.poly), ("--point", point),
+                            ("--ext", self.ext),
+                            ("--ext-point", self.ext_point)):
+            for text in texts:
+                parse_rational(text, flag)
 
     def inputs_json(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -182,6 +186,13 @@ class JobSpec:
         return cls(**kwargs)
 
 
+def parse_rational(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{flag}: malformed rational {text!r}") from exc
+
+
 def parse_poly_arg(text: str) -> tuple:
     parts = [part.strip() for part in text.split(",") if part.strip()]
     if len(parts) < 2:
@@ -195,8 +206,12 @@ def parse_pairs(text: str) -> tuple:
         chunk = chunk.strip()
         if not chunk:
             continue
-        i, j = chunk.split(",")
-        out.append((int(i), int(j)))
+        try:
+            i, j = chunk.split(",")
+            out.append((int(i), int(j)))
+        except ValueError as exc:
+            raise UsageError(f"--generators expects pairs \"i,j;i,j\", "
+                             f"got {chunk!r}") from exc
     return tuple(out)
 
 
@@ -212,10 +227,7 @@ def _monic(job: JobSpec, field) -> MonicPoly:
 
 
 def _point(field, text: str):
-    try:
-        return field.embed(Fraction(text))
-    except ValueError as exc:
-        raise UsageError(f"malformed point {text!r}") from exc
+    return field.embed(parse_rational(text, "--point"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,22 +2,32 @@
 
 import os
 
+from .errors import UsageError
+
+
+def _budget(name: str, default: int) -> int:
+    raw = os.environ.get(name, str(default))
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"{name} must be an integer, got {raw!r}") from None
+
 
 def max_series_order() -> int:
     """Largest truncation order a series construction may request."""
-    return int(os.environ.get("PADICDYN_MAX_ORDER", "512"))
+    return _budget("PADICDYN_MAX_ORDER", 512)
 
 
 def max_tree_degree() -> int:
     """Largest d^n for which exact preimage polynomials are built."""
-    return int(os.environ.get("PADICDYN_MAX_DEGREE", "64"))
+    return _budget("PADICDYN_MAX_DEGREE", 64)
 
 
 def max_orbit_size() -> int:
     """Largest label set d^N for subgroup orbit counting."""
-    return int(os.environ.get("PADICDYN_MAX_ORBIT", "4096"))
+    return _budget("PADICDYN_MAX_ORBIT", 4096)
 
 
 def max_coeff_bits() -> int:
     """Cap on numerator/denominator bit size in exact computations."""
-    return int(os.environ.get("PADICDYN_MAX_COEFF_BITS", "200000"))
+    return _budget("PADICDYN_MAX_COEFF_BITS", 200000)

@@ -33,10 +33,14 @@ def _vp_int(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of integer zero")
     v = 0
-    n = abs(n)
     while n % p == 0:
-        n //= p
-        v += 1
+        # strip p, p^2, p^4, ... while they divide: large valuations
+        # cost O(log v) divisions, not v
+        q, k = p, 1
+        while n % q == 0:
+            n //= q
+            v += k
+            q, k = q * q, 2 * k
     return v
 
 

@@ -7,17 +7,28 @@ of 1-units are taken by Newton iteration in the series ring, reversion by
 Newton iteration on the composition identity.  Disk norms and pointwise
 evaluation come with rigorous tail bounds.
 
+Over Q_p itself (``CappedField``, ``ExactField``) products and unit
+inverses run on a flat integer kernel: coefficients become plain integers
+(units scaled by powers of p, or numerators over a common denominator),
+each output coefficient is one C-level dot product, and capped results
+get the precision the element-wise rules would give.  Series over
+extension fields use the element-by-element loops.
+
 Values are immutable; evaluating one series at many points concurrently
 needs no coordination.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, floordiv, mul
 
 from .errors import DomainError, InternalError, PrecisionError, UsageError
-from .localfield import ExtElement, Valuation
+from .localfield import (CappedField, ExactElement, ExactField, ExtElement,
+                         PadicElement, Valuation)
 
 
 @dataclass(frozen=True)
@@ -193,18 +204,9 @@ class TailSeries:
             if self.is_exact_zero or other.is_exact_zero:
                 return TailSeries.zero(self.field, trunc)
             ord_ = self.ord + other.ord
-            out = [self.field.embed(0)] * (trunc - ord_)
-            for i, a in enumerate(self.coeffs):
-                if a.is_exact_zero:
-                    continue
-                ia = self.ord + i
-                jmax = min(len(other.coeffs), trunc - ia - other.ord)
-                for j in range(jmax):
-                    b = other.coeffs[j]
-                    if b.is_exact_zero:
-                        continue
-                    out[ia + other.ord + j - ord_] = (
-                        out[ia + other.ord + j - ord_] + a * b)
+            product = _KERNELS.get(type(self.field), _GENERIC)[0]
+            out = product(self.field, self.coeffs, other.coeffs,
+                          trunc - ord_)
             return TailSeries(self.field, ord_, out, trunc)
         # scalar
         c = self.field.embed(other)
@@ -246,18 +248,9 @@ class TailSeries:
                                  - self.field.embed(1)).is_zero():
             raise UsageError("inversion needs constant term 1; "
                              "callers normalize first")
-        M = self.trunc
-        inv = [self.field.embed(1)] + [self.field.embed(0)] * (M - 1)
-        for k in range(1, M):
-            acc = self.field.embed(0)
-            jmax = min(k, len(self.coeffs) - 1)
-            for j in range(1, jmax + 1):
-                a = self.coeffs[j]
-                if a.is_exact_zero:
-                    continue
-                acc = acc + a * inv[k - j]
-            inv[k] = -acc
-        return TailSeries(self.field, 0, inv, M)
+        inverse = _KERNELS.get(type(self.field), _GENERIC)[1]
+        return TailSeries(self.field, 0, inverse(self.field, self.coeffs),
+                          self.trunc)
 
     def nth_root(self, n: int) -> "TailSeries":
         """The unique n-th root with constant term 1, by Newton iteration.
@@ -305,27 +298,171 @@ class TailSeries:
             acc = (acc * inner).truncate(target)
             if k >= self.ord:
                 c = self.coefficient(k)
-                if not c.is_exact_zero:
-                    acc = acc + TailSeries.from_polynomial(
-                        self.field, [c], target)
+                if not c.is_exact_zero and acc.trunc:
+                    # acc + c: only coefficient 0 changes
+                    coeffs = list(acc.coeffs)
+                    if acc.ord == 0:
+                        coeffs[0] = coeffs[0] + c
+                    else:
+                        coeffs[:0] = [c] + [0] * (acc.ord - 1)
+                    acc = TailSeries(self.field, 0, coeffs, acc.trunc)
         return acc.truncate(target)
+
+
+# ---------------------------------------------------------------------------
+# coefficient kernels: products and unit inverses of coefficient tuples
+# ---------------------------------------------------------------------------
+
+_INF = math.inf   # valuation and precision of an exact zero
+
+
+def _convolve(xs, ys, n):
+    """First n coefficients of the product of two integer polynomials,
+    each with at least n coefficients, as n C-level dot products."""
+    ys = ys[n - 1::-1]
+    return [sum(map(mul, xs, ys[n - 1 - k:])) for k in range(n)]
+
+
+def _capped_flat(coeffs):
+    """[A_0, v_0, A_1, v_1, ...]: absolute precision and valuation of each
+    capped coefficient.
+
+    A coefficient indistinguishable from zero has both equal to its floor;
+    an exact zero has both infinite, so it never bounds a precision.
+    """
+    out = []
+    for c in coeffs:
+        out += (_INF, _INF) if c.v is None else (c.v + c.rel, c.v)
+    return out
+
+
+def _capped_product(field, a, b, n):
+    """First n coefficients of a * b over a CappedField; a and b have at
+    least n coefficients.
+
+    Coefficient k is the exact sum of the representatives' products,
+    known to absolute precision min over i + j = k of
+    min(A_i + v_j, v_i + A_j): exactly what the chain of element adds
+    and muls yields, so results agree with it digit for digit.
+    """
+    a, b = a[:n], b[:n]
+    p = field.p
+    low_a = min((c.v for c in a if c.unit), default=None)
+    low_b = min((c.v for c in b if c.unit), default=None)
+    if low_a is None or low_b is None:
+        low, values = 0, [0] * n
+    else:
+        low = low_a + low_b
+        values = _convolve(
+            [c.unit * p ** (c.v - low_a) if c.unit else 0 for c in a],
+            [c.unit * p ** (c.v - low_b) if c.unit else 0 for c in b], n)
+    # b reversed, so that pairs (i, k - i) line up as (A_i, v_j), (v_i, A_j)
+    ends, starts = _capped_flat(a), _capped_flat(b)[::-1]
+    zero = field.zero()
+    make = PadicElement._make
+    out = []
+    for k in range(n):
+        prec = min(map(add, ends, starts[2 * (n - 1 - k):]))
+        out.append(zero if prec == _INF
+                   else make(field, low, values[k], prec - low))
+    return out
+
+
+def _capped_inverse(field, a):
+    """inv_0 = 1, inv_k = -sum_{j=1..k} a_j inv_{k-j} over a CappedField,
+    with the precision rule of ``_capped_product`` for each sum."""
+    p = field.p
+    M = len(a)
+    # v(a_j) >= j s for j >= 1, hence v(inv_k) >= k s; terms are carried
+    # as the integers unit * p^(v - k s)
+    s = min((c.v // j for j, c in enumerate(a) if j and c.unit), default=0)
+    ra = [c.unit * p ** (c.v - j * s) if c.unit else 0
+          for j, c in enumerate(a)][::-1]     # a_k .. a_1 at M-1-k .. M-2
+    flat = _capped_flat(a)[::-1]              # v, A of a_k at 2(M-1-k)
+    one = field.one()
+    zero = field.zero()
+    make = PadicElement._make
+    ri, flat_inv = [1], [one.rel, 0]          # A, v of inv_0 .. inv_{k-1}
+    out = [one]
+    for k in range(1, M):
+        lo = M - 1 - k
+        prec = min(map(add, flat[2 * lo:], flat_inv))
+        if prec == _INF:
+            x = zero
+            flat_inv += (_INF, _INF)
+        else:
+            x = make(field, k * s, -sum(map(mul, ra[lo:], ri)),
+                     prec - k * s)
+            flat_inv += (x.v + x.rel, x.v)
+        ri.append(x.unit * p ** (x.v - k * s) if x.unit else 0)
+        out.append(x)
+    return out
+
+
+def _exact_product(field, a, b, n):
+    """First n coefficients of a * b over an ExactField, each operand as
+    integer numerators over the lcm of its denominators."""
+    xs = [c.value for c in a[:n]]
+    ys = [c.value for c in b[:n]]
+    den_x = math.lcm(*(q.denominator for q in xs))
+    den_y = math.lcm(*(q.denominator for q in ys))
+    values = _convolve(
+        [q.numerator * (den_x // q.denominator) for q in xs],
+        [q.numerator * (den_y // q.denominator) for q in ys], n)
+    den = den_x * den_y
+    return [ExactElement(field, Fraction(t, den)) for t in values]
+
+
+def _exact_inverse(field, a):
+    """inv_0 = 1, inv_k = -sum_{j=1..k} a_j inv_{k-j} over an ExactField,
+    each sum taken over the lcm of its terms' denominators."""
+    M = len(a)
+    na = [c.value.numerator for c in a][::-1]     # a_k .. a_1 at M-1-k ..
+    da = [c.value.denominator for c in a][::-1]
+    ni, di = [1], [1]                             # inv_0 .. inv_{k-1}
+    for k in range(1, M):
+        dens = list(map(mul, da[M - 1 - k:], di))
+        den = math.lcm(*dens)
+        q = Fraction(-sum(map(mul, map(mul, na[M - 1 - k:], ni),
+                              map(floordiv, repeat(den), dens))), den)
+        ni.append(q.numerator)
+        di.append(q.denominator)
+    return [ExactElement(field, Fraction(n, d)) for n, d in zip(ni, di)]
+
+
+def _element_product(field, a, b, n):
+    """Schoolbook product on element objects: the extension-field path."""
+    out = [field.embed(0)] * n
+    for i, x in enumerate(a[:n]):
+        if x.is_exact_zero:
+            continue
+        for j, y in enumerate(b[:n - i]):
+            if not y.is_exact_zero:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _element_inverse(field, a):
+    """The unit-inverse recurrence on element objects (extension fields)."""
+    inv = [field.embed(1)] + [field.embed(0)] * (len(a) - 1)
+    for k in range(1, len(a)):
+        acc = field.embed(0)
+        for j in range(1, k + 1):
+            if not a[j].is_exact_zero:
+                acc = acc + a[j] * inv[k - j]
+        inv[k] = -acc
+    return inv
+
+
+# (product, inverse) by coefficient field type
+_KERNELS = {CappedField: (_capped_product, _capped_inverse),
+            ExactField: (_exact_product, _exact_inverse)}
+_GENERIC = (_element_product, _element_inverse)
 
 
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-
-def series_mul(a: TailSeries, b: TailSeries) -> TailSeries:
-    return a * b
-
-
-def series_invert_unit(a: TailSeries) -> TailSeries:
-    return a.invert_unit()
-
-
-def series_nth_root(a: TailSeries, n: int) -> TailSeries:
-    return a.nth_root(n)
 
 
 def lagrange_invert(S: TailSeries) -> TailSeries:

@@ -122,14 +122,32 @@ def test_round_trip_jobspec():
     assert json.dumps(doc2, sort_keys=True) == json.dumps(doc, sort_keys=True)
 
 
-def test_usage_errors():
+def test_usage_errors(monkeypatch, capsys):
     job = JobSpec(command="cf", prime=6, poly=("1", "1"))
     with pytest.raises(Exception):
         run(job)
     from padicdyn.cli import main
-    assert main(["cf", "--prime", "6", "--poly", "1,1"]) == EXIT_USAGE
-    assert main(["cf", "--prime", "5", "--poly", "1,2"]) == EXIT_USAGE
-    assert main([]) == EXIT_USAGE
+    cases = [  # argv, environment variable, what stderr must name
+        (["cf", "--prime", "6", "--poly", "1,1"], None, "--prime"),
+        (["cf", "--prime", "5", "--poly", "1,2"], None, "--poly"),
+        ([], None, ""),
+        (["cf", "--prime", "5", "--poly=1/0,1"], None, "--poly"),
+        (["boettcher", "--prime", "5", "--poly=abc,1"], None, "--poly"),
+        (["escape", "--prime", "5", "--poly", "3,0,1", "--point", "1/0"],
+         None, "--point"),
+        (["kummer", "--d", "2", "--N", "2", "--generators", "1"], None,
+         "--generators"),
+        (["boettcher", "--prime", "5", "--poly", "3,0,1", "--order", "8"],
+         ("PADICDYN_MAX_ORDER", "x"), "PADICDYN_MAX_ORDER"),
+    ]
+    for argv, env, named in cases:
+        with monkeypatch.context() as patch:
+            if env is not None:
+                patch.setenv(*env)
+            assert main(argv) == EXIT_USAGE, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert named in err, (argv, err)
 
 
 def test_domain_error_exit_code():
