@@ -162,11 +162,7 @@ def certify_degree(f: MonicPoly, P, n: int):
     P = f.field.embed(P)
     coeffs = f.iterate(n).full_coeffs()
     coeffs[0] = coeffs[0] - P
-    bit_cap = config.max_coeff_bits()
-    for c in coeffs:
-        if (c.value.numerator.bit_length() > bit_cap
-                or c.value.denominator.bit_length() > bit_cap):
-            raise BudgetError("coefficient size exceeds the budget")
+    config.check_coeff_bits(c.value for c in coeffs)
     cert = total_ramification_certificate(build_polygon(coeffs), coeffs)
     if cert is None:
         return None
@@ -253,7 +249,7 @@ def transport_check(B: BoettcherData, E: ExtensionField, Q, P,
     """
     Q = E.embed(Q)
     P = B.f.field.embed(P)
-    fQ = poly_in_ext(B.f, Q)
+    fQ = B.f.evaluate(Q)
     if not (fQ - E.embed(P)).is_zero():
         raise UsageError("f(Q) does not equal P at working precision")
 
@@ -274,15 +270,6 @@ def transport_check(B: BoettcherData, E: ExtensionField, Q, P,
                                  worst_residual, bound2))
     return TransportReport(passed=all(c.passed for c in checks),
                            checks=tuple(checks))
-
-
-def poly_in_ext(f: MonicPoly, x):
-    """Evaluate f at an extension element (coefficients embedded)."""
-    E = x.field
-    acc = E.embed(1)
-    for c in reversed(f.coeffs):
-        acc = acc * x + E.embed(c)
-    return acc
 
 
 def _match_multisets(left, right):

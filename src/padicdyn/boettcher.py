@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import config, newton
 from .errors import (BudgetError, DomainError, InternalError, PrecisionError,
                      UsageError)
-from .localfield import Valuation, poly_eval
+from .localfield import poly_eval, poly_mul
 from .series import (DiskSpec, PointValue, TailSeries, agreement_order,
                      evaluate, lagrange_invert)
 
@@ -67,23 +67,13 @@ class MonicPoly:
             acc = [self.field.embed(current[-1])]
             fc = self.full_coeffs()
             for c in reversed(current[:-1]):
-                acc = _poly_mul(acc, fc, self.field)
+                acc = poly_mul(acc, fc)
                 acc[0] = acc[0] + c
             current = acc
         return MonicPoly.from_list(self.field, current)
 
     def __repr__(self):
         return f"MonicPoly(d={self.degree}, p={self.field.p})"
-
-
-def _poly_mul(a, b, field):
-    out = [field.embed(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_exact_zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
 
 
 @dataclass(frozen=True)
@@ -102,10 +92,6 @@ class BoettcherData:
     omega_inverse: TailSeries
     verified_order: int
     domain: DiskSpec
-
-    @property
-    def inverse_domain(self) -> DiskSpec:
-        return DiskSpec("zero", self.domain.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +308,7 @@ def escape_test(f: MonicPoly, P, max_iter: int = 16) -> EscapeResult:
     Once v(f^n(P)) < v(C_f) the modulus grows as |f^n(P)|^(d^k), so
     escape is certified.  Under good reduction the answer at n = 0 is
     decisive: negative valuation escapes, everything else stays integral
-    forever.
+    forever.  Exact iterates must fit the coefficient-size budget.
     """
     P = f.field.embed(P)
     vcf = cf_constant(f)
@@ -343,6 +329,8 @@ def escape_test(f: MonicPoly, P, max_iter: int = 16) -> EscapeResult:
                                 f"v(f^{n}(P)) = {v} < v(C_f) = {vcf}")
         if n < max_iter:
             x = f.evaluate(x)
+            if f.field.backend == "exact":
+                config.check_coeff_bits([x.value])
     return EscapeResult("bounded-so-far", max_iter,
                         "no certified escape within the iteration budget")
 

@@ -16,13 +16,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arboreal import (KummerLevel, certify_degree, kummer_restrict,
-                       predicted_degree_step, subgroup_orbit_count,
-                       transport_check, transported_valuation)
-from .boettcher import (MonicPoly, boettcher_series, cauchy_rate_check,
-                        cf_constant, cf_sup_check, escape_test,
-                        good_reduction, omega_at, point_identity_report,
-                        rescaled_integrality_ok)
+from .arboreal import (KummerLevel, degree_chain, kummer_restrict,
+                       subgroup_orbit_count, transport_check)
+from .boettcher import (MonicPoly, boettcher_series, cf_constant,
+                        cf_sup_check, escape_test, good_reduction,
+                        point_identity_report, rescaled_integrality_ok)
 from .errors import (BudgetError, DomainError, InternalError, PrecisionError,
                      UsageError)
 from .localfield import (ExactElement, ExtensionField, PadicElement,
@@ -160,6 +158,11 @@ class JobSpec:
             raise UsageError("--order must be at least 2")
         if self.precision < 1:
             raise UsageError("--precision must be at least 1")
+        for flag, value, least in (("--points", self.points, 0),
+                                   ("--max-iter", self.max_iter, 0),
+                                   ("--levels", self.levels, 1)):
+            if value < least:
+                raise UsageError(f"{flag} must be at least {least}")
         point = () if self.point is None else (self.point,)
         for flag, texts in (("--poly", self.poly), ("--point", point),
                             ("--ext", self.ext),
@@ -337,25 +340,18 @@ def run_degrees(job: JobSpec):
     f = _monic(job, field)
     if job.point is None:
         raise UsageError("degrees needs --point")
-    P = Fraction(job.point)
-    B = boettcher_series(f, job.order)
-    v_q = transported_valuation(B, P)
+    chain = degree_chain(f, Fraction(job.point), job.levels, job.order)
     levels = []
     consistent = True
     product = 1
-    for n in range(1, job.levels + 1):
-        step = predicted_degree_step(v_q, f.degree, n - 1)
-        product *= step
-        try:
-            certified = certify_degree(f, P, n)
-        except BudgetError:
-            certified = None
+    for record in chain.levels:
+        product *= record["predicted_step"]
+        certified = record["certified_degree"]
         if certified is not None and certified != product:
             consistent = False
-        levels.append({"n": n, "predicted_step": step,
-                       "certified_degree": ("uncertified" if certified is None
-                                            else certified)})
-    results = {"v_q": v_q, "levels": levels}
+        levels.append({**record, "certified_degree": (
+            "uncertified" if certified is None else certified)})
+    results = {"v_q": chain.v_q, "levels": levels}
     checks = [{"name": "certified-matches-predicted", "passed": consistent}]
     return results, checks
 

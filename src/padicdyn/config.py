@@ -2,7 +2,7 @@
 
 import os
 
-from .errors import UsageError
+from .errors import BudgetError, UsageError
 
 
 def _budget(name: str, default: int) -> int:
@@ -31,3 +31,11 @@ def max_orbit_size() -> int:
 def max_coeff_bits() -> int:
     """Cap on numerator/denominator bit size in exact computations."""
     return _budget("PADICDYN_MAX_COEFF_BITS", 200000)
+
+
+def check_coeff_bits(values) -> None:
+    """Raise BudgetError if a rational is wider than max_coeff_bits()."""
+    cap = max_coeff_bits()
+    if any(q.numerator.bit_length() > cap or q.denominator.bit_length() > cap
+           for q in values):
+        raise BudgetError("coefficient size exceeds the budget")

@@ -77,6 +77,21 @@ class Valuation:
             raise PrecisionError("valuation is infinite")
         return self.value
 
+    @classmethod
+    def least(cls, vals) -> "Valuation":
+        """The minimum of finite valuations, infinite if there are none.
+
+        It is exact unless some lower bound lies strictly below every
+        exact value; a bound equal to the exact minimum keeps it exact.
+        """
+        exact, floors = [], []
+        for v in vals:
+            if v.value is not None:
+                (exact if v.exact else floors).append(v.value)
+        if floors and (not exact or min(floors) < min(exact)):
+            return cls(min(floors), exact=False)
+        return cls(min(exact)) if exact else cls(None)
+
     @staticmethod
     def _key(x):
         if isinstance(x, Valuation):
@@ -197,10 +212,6 @@ class ExactElement:
         return other / self
 
     def __pow__(self, n: int):
-        if n < 0:
-            if self.value == 0:
-                raise ZeroDivisionError("division by exact zero")
-            return ExactElement(self.field, self.value ** n)
         return ExactElement(self.field, self.value ** n)
 
     def __eq__(self, other):
@@ -369,12 +380,8 @@ class PadicElement:
         a, b = self, other
         if a.is_exact_zero or b.is_exact_zero:
             return PadicElement.exact_zero(self.field)
-        if a.unit == 0 and b.unit == 0:
+        if a.unit == 0 or b.unit == 0:
             return PadicElement._zero(self.field, a.v + b.v)
-        if a.unit == 0:
-            return PadicElement._zero(self.field, a.v + b.v)
-        if b.unit == 0:
-            return PadicElement._zero(self.field, b.v + a.v)
         rel = min(a.rel, b.rel)
         return PadicElement._make(self.field, a.v + b.v,
                                   a.unit * b.unit, rel)
@@ -457,36 +464,53 @@ class PadicElement:
 # ---------------------------------------------------------------------------
 
 
-def _base_residue(x) -> tuple:
-    """Residue of an integral base-field element, as a length-1 tuple."""
-    p = x.field.p
-    val = x.valuation()
-    if val < 0:
-        raise UsageError("residue of a non-integral element")
-    if val > 0 or x.is_zero():
-        return (0,)
-    if isinstance(x, ExactElement):
-        num, den = x.value.numerator, x.value.denominator
-        return ((num * _modinv(den, p)) % p,)
-    return (x.unit % p,)
+class _BaseField:
+    """Q_p itself: what ExactField and CappedField share.  The hot
+    ``embed``, ``from_rational``, ``zero`` and ``one`` stay in each."""
 
-
-class ExactField:
-    """Q_p modelled by exact rationals; valuations are always exact."""
-
-    backend = "exact"
+    e = 1
+    f_res = 1
 
     def __init__(self, p: int):
         if p < 2:
             raise UsageError(f"residue characteristic must be >= 2, got {p}")
         self.p = p
 
-    e = 1
-    f_res = 1
-
     @property
     def base_field(self):
         return self
+
+    def residue(self, x) -> tuple:
+        """Residue of an integral element, as a length-1 tuple."""
+        x = self.embed(x)
+        val = x.valuation()
+        if val < 0:
+            raise UsageError("residue of a non-integral element")
+        if val > 0 or x.is_zero():
+            return (0,)
+        if isinstance(x, ExactElement):
+            num, den = x.value.numerator, x.value.denominator
+            return ((num * _modinv(den, self.p)) % self.p,)
+        return (x.unit % self.p,)
+
+    def lift_residue(self, r: tuple):
+        return self.from_rational(int(r[0]))
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, _BaseField)
+                                 and other._key() == self._key())
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class ExactField(_BaseField):
+    """Q_p modelled by exact rationals; valuations are always exact."""
+
+    backend = "exact"
+
+    def _key(self):
+        return ("exact", self.p)
 
     def from_rational(self, q) -> ExactElement:
         if isinstance(q, str):
@@ -508,42 +532,23 @@ class ExactField:
             raise UsageError("element of a different field")
         return self.from_rational(x)
 
-    def residue(self, x) -> tuple:
-        return _base_residue(self.embed(x))
-
-    def lift_residue(self, r: tuple):
-        return self.from_rational(int(r[0]))
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, ExactField)
-                                 and other.p == self.p)
-
-    def __hash__(self):
-        return hash(("exact", self.p))
-
     def __repr__(self):
         return f"ExactField(p={self.p})"
 
 
-class CappedField:
+class CappedField(_BaseField):
     """Q_p with a relative-precision cap on every element."""
 
     backend = "capped"
 
     def __init__(self, p: int, prec: int):
-        if p < 2:
-            raise UsageError(f"residue characteristic must be >= 2, got {p}")
+        super().__init__(p)
         if prec < 1:
             raise UsageError("precision cap must be >= 1")
-        self.p = p
         self.prec = prec
 
-    e = 1
-    f_res = 1
-
-    @property
-    def base_field(self):
-        return self
+    def _key(self):
+        return ("capped", self.p, self.prec)
 
     def from_rational(self, q) -> PadicElement:
         if isinstance(q, str):
@@ -564,20 +569,6 @@ class CappedField:
         if isinstance(x, (ExactElement, ExtElement)):
             raise UsageError("element of a different field")
         return self.from_rational(x)
-
-    def residue(self, x) -> tuple:
-        return _base_residue(self.embed(x))
-
-    def lift_residue(self, r: tuple):
-        return self.from_rational(int(r[0]))
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, CappedField)
-                                 and other.p == self.p
-                                 and other.prec == self.prec)
-
-    def __hash__(self):
-        return hash(("capped", self.p, self.prec))
 
     def __repr__(self):
         return f"CappedField(p={self.p}, prec={self.prec})"
@@ -604,6 +595,25 @@ def poly_eval(coeffs, x):
     for c in reversed(coeffs[:-1]):
         acc = acc * x + ring.embed(c)
     return acc
+
+
+def poly_mul(a, b):
+    """Schoolbook product of two coefficient lists (lowest first)."""
+    out = [a[0].field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_exact_zero:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _deflate(coeffs, root):
+    """Quotient of coeffs (lowest first) by x - root, remainder dropped."""
+    quot = [coeffs[-1]]
+    for c in reversed(coeffs[1:-1]):
+        quot.append(c + quot[-1] * root)
+    return quot[::-1]
 
 
 def poly_derivative(coeffs):
@@ -695,17 +705,11 @@ class ResidueField:
         self.modulus = tuple(m % p for m in modulus)
         self.f = len(modulus) - 1
 
-    def zero(self):
-        return (0,) * self.f
-
     def elements(self):
         return itertools.product(range(self.p), repeat=self.f)
 
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
 
     def scalar(self, k, a):
         return tuple((k * x) % self.p for x in a)
@@ -809,19 +813,6 @@ class ExtensionField:
     @property
     def base_field(self):
         return self.subfield.base_field
-
-    @property
-    def stages(self):
-        sub = getattr(self.subfield, "stages", ())
-        return sub + ((self.stage_coeffs, self.kind),)
-
-    @classmethod
-    def tower(cls, base, stages):
-        """Build a tower from (coeffs, kind) pairs, innermost first."""
-        field = base
-        for coeffs, kind in stages:
-            field = cls(field, coeffs, kind)
-        return field
 
     def _validate_eisenstein(self):
         u = Fraction(1, self.subfield.e)
@@ -981,14 +972,7 @@ class ExtElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = self.field.degree
-        zero = self.field.subfield.embed(0)
-        conv = [zero] * (2 * n - 1)
-        for i, a in enumerate(self.vec):
-            if a.is_exact_zero:
-                continue
-            for j, b in enumerate(other.vec):
-                conv[i + j] = conv[i + j] + a * b
+        conv = poly_mul(self.vec, other.vec)
         return ExtElement(self.field, tuple(self._reduce(conv)))
 
     __rmul__ = __mul__
@@ -1007,15 +991,9 @@ class ExtElement:
         while _poly_degree(r1) > 0:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
-            t2 = [zero] * max(len(q) + len(t1), len(t0), 1)
-            for i, qc in enumerate(q):
-                if qc.is_exact_zero:
-                    continue
-                for j, tc in enumerate(t1):
-                    t2[i + j] = t2[i + j] - qc * tc
-            for i, tc in enumerate(t0):
-                t2[i] = t2[i] + tc
-            t0, t1 = t1, t2
+            t0, t1 = t1, [a - b for a, b in
+                          itertools.zip_longest(t0, poly_mul(q, t1),
+                                                fillvalue=zero)]
         if _poly_degree(r1) < 0:
             raise UsageError("element is a zero divisor (non-field stage?)")
         c = r1[0]
@@ -1067,22 +1045,8 @@ class ExtElement:
             step = Fraction(1, self.field.e)
         else:
             step = Fraction(0)
-        exact_vals = []
-        floors = []
-        for i, c in enumerate(self.vec):
-            val = c.valuation()
-            if val.is_infinite:
-                continue
-            shifted = val.as_fraction() + i * step
-            (exact_vals if val.exact else floors).append(shifted)
-        if not exact_vals and not floors:
-            return Valuation.infinite()
-        if not exact_vals:
-            return Valuation(min(floors), exact=False)
-        m = min(exact_vals)
-        if floors and min(floors) < m:
-            return Valuation(min(floors), exact=False)
-        return Valuation(m)
+        return Valuation.least([c.valuation() + i * step
+                                for i, c in enumerate(self.vec)])
 
     def apply_root_map(self, root: "ExtElement") -> "ExtElement":
         """Image under the automorphism sending the stage generator to root."""
@@ -1141,13 +1105,10 @@ def _roots_in_field(coeffs, E: ExtensionField, precision: int):
                 continue
             t = E.uniformizer() ** int(scaled)
             h = [c * t ** i for i, c in enumerate(work)]
-            vals = [c.valuation() for c in h]
-            finite = [v.as_fraction() for v in vals
-                      if not v.is_infinite and v.exact]
-            if not finite:
+            m = Valuation.least([c.valuation() for c in h])
+            if m.is_infinite or not m.exact:
                 raise PrecisionError("cannot normalize root candidates")
-            m = min(finite)
-            me = m * E.e
+            me = m.value * E.e
             if me.denominator != 1:
                 raise DomainError("non-normal extension")
             scale = E.uniformizer() ** int(me)
@@ -1172,13 +1133,7 @@ def _roots_in_field(coeffs, E: ExtensionField, precision: int):
         if found is None:
             raise DomainError("non-normal extension: no root in the field")
         roots.append(found)
-        # deflate by the found root
-        quot = [E.embed(0)] * deg
-        acc = work[deg]
-        for k in range(deg - 1, -1, -1):
-            quot[k] = acc
-            acc = work[k] + acc * found
-        work = quot
+        work = _deflate(work, found)
     return roots
 
 
@@ -1194,19 +1149,12 @@ def conjugates(E: ExtensionField, a, precision: int = 32):
     if E.degree > 4:
         raise UsageError("conjugates support degree <= 4 only")
     a = E.embed(a)
-    g = list(E.stage_coeffs) + [E.subfield.embed(1)]
+    g = [E.embed(c) for c in E.stage_coeffs] + [E.one()]
     gen = E.generator()
-    rem_val = poly_eval([E.embed(c) for c in g], gen)
-    if not rem_val.is_zero():
+    if not poly_eval(g, gen).is_zero():
         raise InternalError("generator does not satisfy its polynomial")
     # divide off the generator root, then hunt for the others
-    deg = len(g) - 1
-    quot = [E.embed(0)] * deg
-    acc = E.embed(g[deg])
-    for k in range(deg - 1, -1, -1):
-        quot[k] = acc
-        acc = E.embed(g[k]) + acc * gen
-    other_roots = _roots_in_field(quot, E, precision)
-    if len(other_roots) != deg - 1:
+    other_roots = _roots_in_field(_deflate(g, gen), E, precision)
+    if len(other_roots) != E.degree - 1:
         raise DomainError("non-normal extension")
     return [a.apply_root_map(r) for r in [gen] + other_roots]

@@ -27,8 +27,8 @@ from itertools import repeat
 from operator import add, floordiv, mul
 
 from .errors import DomainError, InternalError, PrecisionError, UsageError
-from .localfield import (CappedField, ExactElement, ExactField, ExtElement,
-                         PadicElement, Valuation)
+from .localfield import (CappedField, ExactElement, ExactField, PadicElement,
+                         Valuation, poly_eval)
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,6 @@ class TailSeries:
         if k < self.ord:
             return self.field.embed(0)
         return self.coeffs[k - self.ord]
-
-    def leading_coefficient(self):
-        if self.is_exact_zero:
-            raise UsageError("zero series has no leading coefficient")
-        return self.coeffs[0]
 
     def replace_coefficient(self, k: int, value) -> "TailSeries":
         """Copy with the coefficient of w^k replaced (test harness hook)."""
@@ -504,22 +499,8 @@ def gauss_norm(S: TailSeries, D: DiskSpec) -> Valuation:
     Only stored coefficients enter; an infinite result means the series
     is zero to its truncation order.
     """
-    exact_vals = []
-    floors = []
-    for i, c in enumerate(S.coeffs):
-        val = c.valuation()
-        if val.is_infinite:
-            continue
-        weighted = val.as_fraction() + (S.ord + i) * D.eps
-        (exact_vals if val.exact else floors).append(weighted)
-    if not exact_vals and not floors:
-        return Valuation.infinite()
-    if not exact_vals:
-        return Valuation(min(floors), exact=False)
-    m = min(exact_vals)
-    if floors and min(floors) < m:
-        return Valuation(min(floors), exact=False)
-    return Valuation(m)
+    return Valuation.least([c.valuation() + (S.ord + i) * D.eps
+                            for i, c in enumerate(S.coeffs)])
 
 
 @dataclass(frozen=True)
@@ -581,12 +562,7 @@ def evaluate(S: TailSeries, z, D: DiskSpec) -> PointValue:
     if S.is_exact_zero:
         zero = z - z
         return PointValue(zero, tail)
-    acc = None
-    for c in reversed(S.coeffs):
-        term = w0.field.embed(c) if isinstance(w0, ExtElement) else c
-        acc = term if acc is None else acc * w0 + term
-    acc = acc * w0 ** S.ord
-    return PointValue(acc, tail)
+    return PointValue(poly_eval(S.coeffs, w0) * w0 ** S.ord, tail)
 
 
 def agreement_order(a: TailSeries, b: TailSeries) -> int:

@@ -139,6 +139,15 @@ def test_usage_errors(monkeypatch, capsys):
          "--generators"),
         (["boettcher", "--prime", "5", "--poly", "3,0,1", "--order", "8"],
          ("PADICDYN_MAX_ORDER", "x"), "PADICDYN_MAX_ORDER"),
+        # negative counts would make their checks pass vacuously
+        (["verify", "--prime", "5", "--poly", "3,0,1", "--points", "-2"],
+         None, "--points"),
+        (["escape", "--prime", "5", "--poly", "3,0,1", "--point", "1/5",
+          "--max-iter", "-3"], None, "--max-iter"),
+        (["degrees", "--prime", "3", "--poly", "1,0,1", "--point", "1/3",
+          "--levels", "-1"], None, "--levels"),
+        (["degrees", "--prime", "3", "--poly", "1,0,1", "--point", "1/3",
+          "--levels", "0"], None, "--levels"),
     ]
     for argv, env, named in cases:
         with monkeypatch.context() as patch:
@@ -155,6 +164,10 @@ def test_domain_error_exit_code():
     # degree divisible by the residue characteristic
     assert main(["boettcher", "--prime", "5", "--poly", "1,0,0,0,0,1",
                  "--order", "8"]) == EXIT_DOMAIN
+    # an exact orbit 5^-21-close to the repelling fixed point 6/5: its
+    # iterates double in size until they pass PADICDYN_MAX_COEFF_BITS
+    assert main(["escape", "--prime", "5", "--poly=0,-1/5,1",
+                 f"--point={6 + 5 ** 21}/5", "--max-iter", "40"]) == EXIT_DOMAIN
 
 
 def test_byte_identical_output(tmp_path):

@@ -1,0 +1,46 @@
+"""Source hygiene: every name a module imports is referenced in it.
+
+``__init__.py`` is skipped, since it imports names only to re-export them.
+Parsed with ``ast`` alone, so no linter is needed.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "padicdyn"
+
+
+def _imported(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _referenced(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # quoted annotations such as "ExtElement"
+            try:
+                inner = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            yield from (n.id for n in ast.walk(inner)
+                        if isinstance(n, ast.Name))
+
+
+def unused_imports(path):
+    tree = ast.parse(path.read_text())
+    return sorted(set(_imported(tree)) - set(_referenced(tree)))
+
+
+def test_no_unused_imports():
+    unused = {path.name: unused_imports(path)
+              for path in sorted(SRC.glob("*.py"))
+              if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}

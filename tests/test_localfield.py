@@ -9,6 +9,7 @@ from padicdyn import (CappedField, DomainError, ExactField, ExtensionField,
                       PrecisionError, UsageError, Valuation, conjugates,
                       field_arith, hensel_lift, valuation_of)
 from padicdyn.localfield import poly_eval
+from padicdyn.series import DiskSpec, TailSeries, gauss_norm
 
 
 def test_capped_base_addition():
@@ -325,3 +326,48 @@ def test_concurrent_extension_arithmetic():
     with ThreadPoolExecutor(max_workers=8) as pool:
         got = list(pool.map(work, range(1, 40)))
     assert got == [((pi + k) * (pi - k)).valuation() for k in range(1, 40)]
+
+
+def test_valuation_minimum_with_lower_bounds():
+    """Gauss norms and extension valuations take the minimum of exact
+    valuations and O(p^k) lower bounds: exact unless a bound lies strictly
+    below every exact value.  ``Valuation.__eq__`` ignores exactness, so
+    ``.exact`` is asserted on its own."""
+    K = CappedField(5, 3)
+
+    def elem(spec):  # None: exact zero, ("v", k): 5^k, ("O", k): O(5^k)
+        if spec is None:
+            return K.zero()
+        kind, k = spec
+        x = K.from_rational(F(5) ** (k - 3 if kind == "O" else k))
+        return x - x if kind == "O" else x
+
+    disk = DiskSpec("zero", F(1, 2))          # coefficient k weighs k/2
+    E = ExtensionField(K, [-5, 0], "eisenstein")  # entry i weighs i/2
+    U = ExtensionField(K, [-2, 0], "unramified")  # entries weigh 0
+    cases = [  # driver, entries, expected value (None: infinite), exact
+        ("series", [("v", 2), ("O", 0)], F(1, 2), False),      # below
+        ("series", [("v", 2), None, ("O", 1)], 2, True),        # equal
+        ("series", [("v", 1), ("O", 1)], 1, True),              # above
+        ("series", [("O", 2), ("O", 0)], F(1, 2), False),      # only
+        ("series", [None, None], None, True),                   # zeros
+        ("eisenstein", [("v", 1), ("O", 0)], F(1, 2), False),
+        ("eisenstein", [("O", 2), ("v", 0)], F(1, 2), True),
+        ("eisenstein", [("O", 2), ("O", 1)], F(3, 2), False),
+        ("eisenstein", [None, None], None, True),
+        ("unramified", [("v", 1), ("O", 0)], 0, False),
+        ("unramified", [("v", 1), ("O", 1)], 1, True),
+        ("unramified", [("O", 3), ("v", 1)], 1, True),
+        ("unramified", [("O", 1), ("O", 2)], 1, False),
+    ]
+    for driver, entries, value, exact in cases:
+        coeffs = [elem(spec) for spec in entries]
+        if driver == "series":
+            got = gauss_norm(TailSeries(K, 0, coeffs, len(coeffs)), disk)
+        else:
+            got = (E if driver == "eisenstein" else U).from_vector(
+                coeffs).valuation()
+        if value is None:
+            assert got.is_infinite, (driver, entries)
+        else:
+            assert (got.value, got.exact) == (value, exact), (driver, entries)
