@@ -8,15 +8,13 @@ from .boettcher import (BoettcherData, EscapeResult, MonicPoly,
                         functional_equation_check, good_reduction, omega_at,
                         point_identity_report, rescaled_integrality_ok)
 from .arboreal import (DegreeChain, KummerLevel, TransportReport,
-                       certify_degree, degree_chain, kummer_act,
-                       kummer_restrict, predicted_degree_step,
+                       certify_degree, degree_chain, predicted_degree_step,
                        subgroup_orbit_count, transport_check,
                        transported_valuation)
 from .errors import (BudgetError, DomainError, InternalError, PadicDynError,
                      PrecisionError, UsageError)
 from .localfield import (CappedField, ExactField, ExtensionField, Valuation,
-                         conjugates, field_arith, field_for, hensel_lift,
-                         valuation_of)
+                         conjugates, field_for, hensel_lift)
 from .newton import (NewtonPolygon, RamificationCertificate, build_polygon,
                      root_valuations, total_ramification_certificate)
 from .series import (DiskSpec, PointValue, TailSeries, agreement_order,

@@ -85,24 +85,16 @@ class KummerLevel:
         return (i % m, j % m)
 
 
-def kummer_act(g, k: int, L: KummerLevel) -> int:
-    return L.act(g, k)
-
-
-def kummer_restrict(g, L: KummerLevel):
-    return L.restrict(g)
-
-
 def subgroup_orbit_count(generators, L: KummerLevel) -> int:
     """Orbits of the generated subgroup on the labels Z/d^N.
 
     Exact closure by label BFS (generators have finite order, so their
     forward action alone connects each orbit).
     """
+    gens = [L._check(g) for g in generators]
     m = L.modulus
     if m > config.max_orbit_size():
         raise BudgetError(f"label set of size {m} exceeds the budget")
-    gens = [L._check(g) for g in generators]
     seen = [False] * m
     orbits = 0
     for start in range(m):

@@ -4,7 +4,8 @@ For monic f of degree d with p not dividing d, there is a unique series
 W(w) = w + O(w^2) in w = 1/z with W(1/f(z)) = W(1/z)^d.  It arises as the
 limit of the normalized d^N-th roots of f^N(z)/z^(d^N); successive
 approximants agree to order at least d^N, so truncating at order M only
-needs the first N with d^N >= M.  The escape-radius constant C_f bounds
+needs the approximant for the first N with d^N >= M: N successive d-th
+roots of f^N(z)/z^(d^N).  The escape-radius constant C_f bounds
 the convergence disk, and for good reduction the series has integral
 coefficients and satisfies v(W(z)) = -v(z) on |z| > 1.
 """
@@ -168,27 +169,38 @@ def _beta_step(beta: TailSeries, f: MonicPoly, d_pow: int) -> TailSeries:
     return total.truncate(M)
 
 
+def _beta_series(f: MonicPoly, N: int, M: int) -> list:
+    """beta_1..beta_N, beta_n = f^n(z)/z^(d^n) as a series in w, at
+    truncation M."""
+    d = f.degree
+    beta = TailSeries.from_polynomial(
+        f.field, [1] + [f.coeffs[d - j] for j in range(1, d + 1)], M)
+    out = [beta]
+    d_pow = d
+    while len(out) < N:
+        beta = _beta_step(beta, f, d_pow)
+        out.append(beta)
+        d_pow *= d
+    return out
+
+
+def _root_chain(beta: TailSeries, d: int, n: int) -> TailSeries:
+    """The d^n-th root of beta with constant term 1, as n successive
+    d-th roots."""
+    for _ in range(n):
+        beta = beta.nth_root(d)
+    return beta
+
+
 def _xi_series(f: MonicPoly, N: int, M: int) -> list:
     """The normalized root approximants xi_1..xi_N at truncation M.
 
-    xi_N is the d^N-th root of f^N(z)/z^(d^N) with constant term 1,
-    taken as N successive d-th roots.
+    xi_n is the d^n-th root of beta_n taken as n successive d-th roots,
+    so the list costs N(N+1)/2 root extractions; ``boettcher_series``
+    needs only xi_N and takes just its N.
     """
-    d = f.degree
-    field = f.field
-    beta = TailSeries.from_polynomial(
-        field, [1] + [f.coeffs[d - j] for j in range(1, d + 1)], M)
-    out = []
-    d_pow = 1
-    for n in range(1, N + 1):
-        xi = beta
-        for _ in range(n):
-            xi = xi.nth_root(d)
-        out.append(xi)
-        d_pow *= d
-        if n < N:
-            beta = _beta_step(beta, f, d_pow)
-    return out
+    return [_root_chain(beta, f.degree, n)
+            for n, beta in enumerate(_beta_series(f, N, M), 1)]
 
 
 def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
@@ -196,7 +208,9 @@ def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
 
     Iterates until d^N >= M (the approximants are then the limit modulo
     w^M at least), extracts omega = w / xi_N, inverts it, and verifies
-    the functional equation to full order.
+    the functional equation to full order.  xi_N costs N successive
+    d-th roots of beta_N, the same operations on the same input as the
+    last entry of ``_xi_series``.
     """
     d = f.degree
     p = f.field.p
@@ -212,7 +226,7 @@ def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
     while d_pow < M:
         N += 1
         d_pow *= d
-    xi = _xi_series(f, N, M)[-1]
+    xi = _root_chain(_beta_series(f, N, M)[-1], d, N)
     omega = (xi.invert_unit().shifted(1)).truncate(M)
     omega_inverse = lagrange_invert(omega)
     cf_val = cf_constant(f)

@@ -1057,28 +1057,6 @@ class ExtElement:
         return f"ExtElement({list(self.vec)!r})"
 
 
-# ---------------------------------------------------------------------------
-# spec-level operations
-# ---------------------------------------------------------------------------
-
-
-def field_arith(a, b, op: str):
-    """Named dispatch over the arithmetic operators."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise UsageError(f"unknown operation {op!r}")
-
-
-def valuation_of(a) -> Valuation:
-    return a.valuation()
-
-
 def _roots_in_field(coeffs, E: ExtensionField, precision: int):
     """All roots of a monic polynomial in E found by residue lifting.
 

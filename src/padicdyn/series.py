@@ -282,15 +282,30 @@ class TailSeries:
         raise InternalError("series Newton iteration failed to converge")
 
     def compose(self, inner: "TailSeries") -> "TailSeries":
-        """self(inner(w)) for inner with ord >= 1, by Horner."""
+        """self(inner(w)) for inner with ord >= 1, by Horner on a shrinking
+        truncation.
+
+        After step k the accumulator acc_k = sum_{j >= k} c_j inner^(j-k)
+        is still to be multiplied by inner^k, of order >= k s with
+        s = inner.ord, so only its coefficients below target - k s reach
+        the result: acc_k is kept to that truncation, and the steps with
+        k s >= target are skipped.  This is exact, digits and precision
+        alike: coefficient j of a product depends only on the operands'
+        coefficients up to j, and each truncation is the smaller of the
+        full-order one and target - k s, so the final truncation is the
+        full-order one.  A series of order d as inner (as in
+        ``compose_through_poly``) leaves about 1/d of the steps.
+        """
         self._check_field(inner)
         if not inner.is_exact_zero and inner.ord < 1:
             raise UsageError("composition needs inner order >= 1")
         target = min(self.trunc * max(inner.ord, 1), inner.trunc
                      + max(self.ord - 1, 0) * max(inner.ord, 1))
+        s = inner.ord   # 0 only for an exact zero O(w^0): nothing shrinks
+        steps = min(self.trunc, -(-target // s)) if s else self.trunc
         acc = TailSeries.zero(self.field, target)
-        for k in range(self.trunc - 1, -1, -1):
-            acc = (acc * inner).truncate(target)
+        for k in range(steps - 1, -1, -1):
+            acc = (acc * inner).truncate(target - k * s)
             if k >= self.ord:
                 c = self.coefficient(k)
                 if not c.is_exact_zero and acc.trunc:
@@ -301,7 +316,7 @@ class TailSeries:
                     else:
                         coeffs[:0] = [c] + [0] * (acc.ord - 1)
                     acc = TailSeries(self.field, 0, coeffs, acc.trunc)
-        return acc.truncate(target)
+        return acc
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from padicdyn import (BudgetError, CappedField, DomainError, ExactField,
                       escape_test, functional_equation_check, good_reduction,
                       omega_at, point_identity_report,
                       rescaled_integrality_ok)
+from padicdyn.boettcher import _xi_series
+from padicdyn.cli import series_json
 from padicdyn.series import TailSeries, agreement_order
 
 
@@ -191,6 +193,19 @@ def test_cauchy_rate_lower_bound_random():
         f = mono(p, coeffs)
         for N, rate in enumerate(cauchy_rate_check(f, 2), start=1):
             assert rate >= d ** N
+
+
+@pytest.mark.parametrize("backend", ["exact", "capped"])
+@pytest.mark.parametrize("coeffs", [[3, F(1, 5)], [1, F(-2, 5), F(1, 5)]])
+def test_build_root_chain_matches_cauchy_approximants(backend, coeffs):
+    # the build takes N roots of beta_N alone; cauchy_rate_check chains
+    # roots for every xi_n: both must give the same xi_N, digit for digit
+    f = mono(5, coeffs, backend, prec=12)
+    M = 20
+    N = next(n for n in range(1, M) if f.degree ** n >= M)
+    xi = _xi_series(f, N, M)[-1]
+    omega = xi.invert_unit().shifted(1).truncate(M)
+    assert series_json(boettcher_series(f, M).omega) == series_json(omega)
 
 
 # -- escape tests --------------------------------------------------------------

@@ -137,6 +137,9 @@ def test_usage_errors(monkeypatch, capsys):
          None, "--point"),
         (["kummer", "--d", "2", "--N", "2", "--generators", "1"], None,
          "--generators"),
+        # a non-unit generator is a usage error even when over budget
+        (["kummer", "--d", "2", "--N", "3", "--generators", "0,2"],
+         ("PADICDYN_MAX_ORBIT", "4"), "second component 2"),
         (["boettcher", "--prime", "5", "--poly", "3,0,1", "--order", "8"],
          ("PADICDYN_MAX_ORDER", "x"), "PADICDYN_MAX_ORDER"),
         # negative counts would make their checks pass vacuously

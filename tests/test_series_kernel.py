@@ -1,5 +1,7 @@
 """The flat integer kernel behind series products and unit inverses over
-Q_p, checked against element-by-element arithmetic on random series."""
+Q_p, checked against element-by-element arithmetic on random series, and
+the shrinking-truncation Horner of ``TailSeries.compose`` checked against
+Horner at the full target order."""
 
 from fractions import Fraction
 
@@ -42,6 +44,26 @@ def recurrence_inverse(a):
                 acc = acc + c * inv[k - j]
         inv[k] = -acc
     return TailSeries(field, 0, inv, a.trunc)
+
+
+def full_horner(outer, inner):
+    """outer(inner) by Horner with every step kept to the full target."""
+    field = outer.field
+    s = max(inner.ord, 1)
+    target = min(outer.trunc * s, inner.trunc + max(outer.ord - 1, 0) * s)
+    acc = TailSeries.zero(field, target)
+    for k in range(outer.trunc - 1, -1, -1):
+        acc = (acc * inner).truncate(target)
+        if k >= outer.ord:
+            c = outer.coefficient(k)
+            if not c.is_exact_zero and acc.trunc:
+                coeffs = list(acc.coeffs)
+                if acc.ord == 0:
+                    coeffs[0] = coeffs[0] + c
+                else:
+                    coeffs[:0] = [c] + [0] * (acc.ord - 1)
+                acc = TailSeries(field, 0, coeffs, acc.trunc)
+    return acc.truncate(target)
 
 
 # -- random series ----------------------------------------------------------
@@ -91,6 +113,18 @@ def units(draw, field, elements, one):
     return TailSeries(field, 0, [one] + rest, 1 + len(rest))
 
 
+@st.composite
+def inner_series(draw, field, elements):
+    """Order 1 to 3 with a truncation often below the composition target,
+    or an exact zero (whose order is its truncation, possibly 0)."""
+    if draw(st.integers(0, 9)) == 0:
+        return TailSeries.zero(field, draw(st.integers(0, 3)))
+    ord_ = draw(st.integers(1, 3))
+    coeffs = draw(st.lists(elements(field), min_size=0, max_size=8))
+    trunc = ord_ + len(coeffs) + draw(st.integers(0, 2))
+    return TailSeries(field, ord_, coeffs, trunc)
+
+
 def same(x, y):
     assert series_json(x) == series_json(y)
 
@@ -132,3 +166,21 @@ def test_exact_inverse_matches_recurrence(data):
     field = ExactField(data.draw(PRIMES))
     a = data.draw(units(field, exact_elements, field.one()))
     same(a.invert_unit(), recurrence_inverse(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_capped_compose_matches_full_horner(data):
+    field = data.draw(capped_fields())
+    outer = data.draw(series(field, capped_elements))
+    inner = data.draw(inner_series(field, capped_elements))
+    same(outer.compose(inner), full_horner(outer, inner))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_compose_matches_full_horner(data):
+    field = ExactField(data.draw(PRIMES))
+    outer = data.draw(series(field, exact_elements))
+    inner = data.draw(inner_series(field, exact_elements))
+    same(outer.compose(inner), full_horner(outer, inner))
