@@ -196,11 +196,16 @@ def parse_rational(text: str, flag: str) -> Fraction:
         raise UsageError(f"{flag}: malformed rational {text!r}") from exc
 
 
-def parse_poly_arg(text: str) -> tuple:
-    parts = [part.strip() for part in text.split(",") if part.strip()]
-    if len(parts) < 2:
-        raise UsageError("--poly needs at least two coefficients a0,..,1")
-    return tuple(parts)
+def parse_list_arg(text: str, flag: str, least: int) -> tuple:
+    """The fields of a comma-separated list flag; an empty field is a
+    usage error, not a field to skip."""
+    parts = tuple(part.strip() for part in text.split(","))
+    if "" in parts:
+        raise UsageError(f"{flag}: empty field in {text!r}")
+    if len(parts) < least:
+        raise UsageError(f"{flag} needs at least {least} comma-separated "
+                         f"values")
+    return parts
 
 
 def parse_pairs(text: str) -> tuple:
@@ -501,8 +506,8 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
     if getattr(args, "backend", None):
         kwargs["backend"] = args.backend
         kwargs["precision"] = args.precision
-    if getattr(args, "poly", None):
-        kwargs["poly"] = parse_poly_arg(args.poly)
+    if getattr(args, "poly", None) is not None:
+        kwargs["poly"] = parse_list_arg(args.poly, "--poly", 2)
     for name in ("order", "levels", "points", "d", "N", "point"):
         if hasattr(args, name) and getattr(args, name) is not None:
             kwargs[name] = getattr(args, name)
@@ -510,11 +515,11 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
         kwargs["max_iter"] = args.max_iter
     if getattr(args, "generators", None):
         kwargs["generators"] = parse_pairs(args.generators)
-    if getattr(args, "ext", None):
-        kwargs["ext"] = parse_poly_arg(args.ext)
+    if getattr(args, "ext", None) is not None:
+        kwargs["ext"] = parse_list_arg(args.ext, "--ext", 2)
         kwargs["ext_kind"] = args.ext_kind
-        kwargs["ext_point"] = tuple(
-            part.strip() for part in args.ext_point.split(",") if part.strip())
+        kwargs["ext_point"] = parse_list_arg(args.ext_point, "--ext-point",
+                                             1)
     if getattr(args, "emit_latex", False):
         kwargs["emit_latex"] = True
     return JobSpec(**kwargs)

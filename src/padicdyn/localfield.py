@@ -546,9 +546,28 @@ class CappedField(_BaseField):
         if prec < 1:
             raise UsageError("precision cap must be >= 1")
         self.prec = prec
+        self._powers = [1]
+        self._logs = {1: 0}     # bit length of p^k -> k
 
     def _key(self):
         return ("capped", self.p, self.prec)
+
+    def powers(self, top: int) -> tuple:
+        """(pw, logs): the field's table pw = [1, p, p^2, ...] through at
+        least p^top, and logs, which maps the bit length of each p^k in it
+        to k (p >= 2, so no two powers share a bit length).
+
+        The table grows into a new list, never in place, so a caller in
+        another thread holding the old one still reads a correct table.
+        """
+        pw = self._powers
+        if len(pw) <= top:
+            pw = list(pw)
+            while len(pw) <= top:
+                pw.append(pw[-1] * self.p)
+                self._logs[pw[-1].bit_length()] = len(pw) - 1
+            self._powers = pw
+        return pw, self._logs
 
     def from_rational(self, q) -> PadicElement:
         if isinstance(q, str):

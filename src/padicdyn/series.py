@@ -7,12 +7,17 @@ of 1-units are taken by Newton iteration in the series ring, reversion by
 Newton iteration on the composition identity.  Disk norms and pointwise
 evaluation come with rigorous tail bounds.
 
-Over Q_p itself (``CappedField``, ``ExactField``) products and unit
-inverses run on a flat integer kernel: coefficients become plain integers
-(units scaled by powers of p, or numerators over a common denominator),
-each output coefficient is one C-level dot product, and capped results
-get the precision the element-wise rules would give.  Series over
-extension fields use the element-by-element loops.
+A series over ``CappedField`` is stored flat, as a triple (s, r, f): a
+shift s, the integer representatives r_i = unit_i p^(v_i - s) reduced to
+[0, p^(A_i - s)), and the interleaved list f = [A_0, v_0, A_1, v_1, ...]
+of each coefficient's absolute precision and valuation (both infinite for
+an exact zero, both the floor for an O(p^k) zero).  s is the least finite
+v_i, 0 if there is none, so each series has one triple.  Every operation
+works on triples with the precision rule of the element arithmetic, digit
+for digit; element objects are built only when ``coeffs`` is read.  Over
+``ExactField`` products and unit inverses run on integer numerators over
+a common denominator.  Series over extension fields use the
+element-by-element loops.
 
 Values are immutable; evaluating one series at many points concurrently
 needs no coordination.
@@ -24,11 +29,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import add, floordiv, mul
+from math import gcd
+from operator import add, floordiv, mul, sub
 
 from .errors import DomainError, InternalError, PrecisionError, UsageError
 from .localfield import (CappedField, ExactElement, ExactField, PadicElement,
-                         Valuation, poly_eval)
+                         Valuation, _vp_int, poly_eval)
 
 
 @dataclass(frozen=True)
@@ -53,9 +59,12 @@ class TailSeries:
 
     The leading stored coefficient is nonzero (the constructor strips
     zeros); an all-zero series has ord == trunc and no coefficients.
+    ``_flat`` holds the (s, r, f) triple of a capped series (see the
+    module docstring) and is None over other fields, where ``_coeffs``
+    holds the elements.
     """
 
-    __slots__ = ("field", "ord", "coeffs", "trunc")
+    __slots__ = ("field", "ord", "trunc", "_flat", "_coeffs")
 
     def __init__(self, field, ord: int, coeffs, trunc: int):
         coeffs = [field.embed(c) for c in coeffs]
@@ -72,10 +81,37 @@ class TailSeries:
             ord = trunc
         self.field = field
         self.ord = ord
-        self.coeffs = tuple(coeffs)
         self.trunc = trunc
+        if isinstance(field, CappedField):
+            self._flat = _capped_triple(field, coeffs)
+            self._coeffs = None
+        else:
+            self._flat = None
+            self._coeffs = tuple(coeffs)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _capped(cls, field, ord: int, flat, trunc: int) -> "TailSeries":
+        """A capped series from the triple of its trunc - ord coefficients
+        from w^ord: leading exact zeros stripped, the shift made the
+        least finite valuation."""
+        s, r, f = flat
+        i = 0
+        while i < len(r) and f[2 * i] == _INF:
+            i += 1
+        if i:
+            ord, r, f = ord + i, r[i:], f[2 * i:]
+        least = _least(f)
+        if least != s:
+            r = [_rescaled(x, s - least, field.p) for x in r]
+        self = object.__new__(cls)
+        self.field = field
+        self.ord = ord if r else trunc
+        self.trunc = trunc
+        self._flat = (least, r, f)
+        self._coeffs = None
+        return self
 
     @classmethod
     def zero(cls, field, trunc: int):
@@ -92,19 +128,30 @@ class TailSeries:
     @classmethod
     def from_polynomial(cls, field, coeffs, trunc: int):
         """A polynomial in w, truncated (or zero-padded) to order trunc."""
-        coeffs = list(coeffs)[:trunc]
-        coeffs += [0] * (trunc - len(coeffs))
-        return cls(field, 0, coeffs, trunc)
+        return cls(field, 0, list(coeffs)[:trunc], trunc)
 
     # -- inspection ----------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The stored coefficients as field elements; a capped series
+        builds them on the first read."""
+        if self._coeffs is None:
+            s, r, f = self._flat
+            self._coeffs = tuple(_element(self.field, s, x, f[2 * i],
+                                          f[2 * i + 1])
+                                 for i, x in enumerate(r))
+        return self._coeffs
+
     def is_zero(self) -> bool:
         """True when every stored coefficient is indistinguishable from 0."""
+        if self._flat is not None:
+            return not any(self._flat[1])
         return all(c.is_zero() for c in self.coeffs)
 
     @property
     def is_exact_zero(self) -> bool:
-        return not self.coeffs
+        return self.ord >= self.trunc
 
     def coefficient(self, k: int):
         """The coefficient of w^k; k must be below the truncation order."""
@@ -113,7 +160,11 @@ class TailSeries:
                              f"{self.trunc}")
         if k < self.ord:
             return self.field.embed(0)
-        return self.coeffs[k - self.ord]
+        i = k - self.ord
+        if self._coeffs is None:
+            s, r, f = self._flat
+            return _element(self.field, s, r[i], f[2 * i], f[2 * i + 1])
+        return self._coeffs[i]
 
     def replace_coefficient(self, k: int, value) -> "TailSeries":
         """Copy with the coefficient of w^k replaced (test harness hook)."""
@@ -145,8 +196,13 @@ class TailSeries:
     def truncate(self, trunc: int) -> "TailSeries":
         if trunc >= self.trunc:
             return self
-        coeffs = self.coeffs[: max(trunc - self.ord, 0)]
-        return TailSeries(self.field, min(self.ord, trunc), coeffs, trunc)
+        n = max(trunc - self.ord, 0)
+        if self._flat is not None:
+            s, r, f = self._flat
+            return TailSeries._capped(self.field, min(self.ord, trunc),
+                                      (s, r[:n], f[:2 * n]), trunc)
+        return TailSeries(self.field, min(self.ord, trunc), self.coeffs[:n],
+                          trunc)
 
     def _padded(self, trunc: int) -> "TailSeries":
         """Zero-extend the claimed truncation: iteration state only.
@@ -156,41 +212,72 @@ class TailSeries:
         """
         if trunc <= self.trunc:
             return self.truncate(trunc)
-        return TailSeries(self.field, self.ord, list(self.coeffs), trunc)
+        if self._flat is not None:
+            s, r, f = self._flat
+            k = trunc - self.trunc
+            return TailSeries._capped(self.field, self.ord,
+                                      (s, r + [0] * k, f + [_INF, _INF] * k),
+                                      trunc)
+        return TailSeries(self.field, self.ord, self.coeffs, trunc)
 
     def shifted(self, k: int) -> "TailSeries":
         """Multiplication by the exact monomial w^k."""
+        if self._flat is not None:
+            return TailSeries._capped(self.field, self.ord + k, self._flat,
+                                      self.trunc + k)
         return TailSeries(self.field, self.ord + k, self.coeffs,
                           self.trunc + k)
+
+    def _aligned(self, lo: int, trunc: int, s: int):
+        """Representatives at shift s <= own shift, and precisions, of the
+        capped coefficients of w^lo .. w^(trunc-1); lo <= ord."""
+        own, r, f = self._flat
+        front = min(self.ord, trunc) - lo
+        n = max(trunc - self.ord, 0)
+        scale = self.field.p ** (own - s)
+        r = r[:n] if scale == 1 else [x * scale for x in r[:n]]
+        return [0] * front + r, [_INF] * front + f[:2 * n:2]
+
+    def _plus(self, other, op):
+        """self + other (op = add) or self - other (op = sub)."""
+        self._check_field(other)
+        trunc = min(self.trunc, other.trunc)
+        lo = min(self.ord, other.ord, trunc)
+        if self._flat is not None:
+            # the element rule: the sum of the representatives, known to
+            # the lesser absolute precision
+            s = min(self._flat[0], other._flat[0])
+            ra, pa = self._aligned(lo, trunc, s)
+            rb, pb = other._aligned(lo, trunc, s)
+            return TailSeries._capped(
+                self.field, lo, _reduced(self.field, s, map(op, ra, rb),
+                                         map(min, pa, pb)), trunc)
+        if op is sub:
+            other = -other
+        # below its order a series adds nothing
+        return TailSeries(self.field, lo, [
+            other.coefficient(k) if k < self.ord else self.coefficient(k)
+            if k < other.ord else self.coefficient(k) + other.coefficient(k)
+            for k in range(lo, trunc)], trunc)
 
     def __add__(self, other):
         if not isinstance(other, TailSeries):
             return NotImplemented
-        self._check_field(other)
-        trunc = min(self.trunc, other.trunc)
-        lo = min(self.ord, other.ord, trunc)
-        coeffs = []
-        for k in range(lo, trunc):
-            a = self.coefficient(k) if k >= self.ord else None
-            b = other.coefficient(k) if k >= other.ord else None
-            if a is None and b is None:
-                coeffs.append(0)
-            elif a is None:
-                coeffs.append(b)
-            elif b is None:
-                coeffs.append(a)
-            else:
-                coeffs.append(a + b)
-        return TailSeries(self.field, lo, coeffs, trunc)
-
-    def __neg__(self):
-        return TailSeries(self.field, self.ord, [-c for c in self.coeffs],
-                          self.trunc)
+        return self._plus(other, add)
 
     def __sub__(self, other):
         if not isinstance(other, TailSeries):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, sub)
+
+    def __neg__(self):
+        if self._flat is not None:
+            s, r, f = self._flat
+            return TailSeries._capped(
+                self.field, self.ord,
+                _reduced(self.field, s, [-x for x in r], f[::2]), self.trunc)
+        return TailSeries(self.field, self.ord, [-c for c in self.coeffs],
+                          self.trunc)
 
     def __mul__(self, other):
         if isinstance(other, TailSeries):
@@ -199,7 +286,13 @@ class TailSeries:
             if self.is_exact_zero or other.is_exact_zero:
                 return TailSeries.zero(self.field, trunc)
             ord_ = self.ord + other.ord
-            product = _KERNELS.get(type(self.field), _GENERIC)[0]
+            if self._flat is not None:
+                return TailSeries._capped(
+                    self.field, ord_, _capped_product(
+                        self.field, self._flat, other._flat, trunc - ord_),
+                    trunc)
+            product = _exact_product if isinstance(self.field, ExactField) \
+                else _element_product
             out = product(self.field, self.coeffs, other.coeffs,
                           trunc - ord_)
             return TailSeries(self.field, ord_, out, trunc)
@@ -207,6 +300,16 @@ class TailSeries:
         c = self.field.embed(other)
         if c.is_exact_zero:
             return TailSeries.zero(self.field, self.trunc)
+        if self._flat is not None:
+            # coefficient rule of PadicElement.__mul__: precision
+            # min(A + v_c, v + A_c), the value at shift s + v_c
+            s, r, f = self._flat
+            precs = map(min, map(add, f[::2], repeat(c.v)),
+                        map(add, f[1::2], repeat(c.v + c.rel)))
+            return TailSeries._capped(
+                self.field, self.ord, _reduced(
+                    self.field, s + c.v, [x * c.unit for x in r], precs),
+                self.trunc)
         return TailSeries(self.field, self.ord,
                           [a * c for a in self.coeffs], self.trunc)
 
@@ -215,11 +318,15 @@ class TailSeries:
     def __pow__(self, n: int):
         if n < 0:
             raise UsageError("negative series powers are not supported")
-        result = TailSeries.one(self.field, self.trunc + self.ord * max(n - 1, 0))
+        if n == 0:
+            return TailSeries.one(self.field, self.trunc)
+        # the first factor is taken as it is: no coefficient has more
+        # relative precision than 1, so 1 * x is x, truncation included
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
@@ -229,11 +336,21 @@ class TailSeries:
         """Formal d/dw."""
         if self.is_exact_zero:
             return TailSeries.zero(self.field, max(self.trunc - 1, 0))
-        coeffs = [(self.ord + i) * c for i, c in enumerate(self.coeffs)]
-        if self.ord == 0:
-            coeffs = coeffs[1:]
-        return TailSeries(self.field, max(self.ord - 1, 0), coeffs,
-                          self.trunc - 1)
+        start = max(self.ord, 1)
+        skip = start - self.ord           # the constant term drops out
+        ord_, trunc = max(self.ord - 1, 0), self.trunc - 1
+        if self._flat is not None:
+            # m * c, m = k embedded with relative precision prec: as no
+            # coefficient has more, the precision is A + vp(m)
+            s, r, f = self._flat
+            p = self.field.p
+            ms = range(start, self.trunc)
+            precs = [A + _vp_int(m, p) for m, A in zip(ms, f[2 * skip::2])]
+            return TailSeries._capped(
+                self.field, ord_, _reduced(self.field, s, map(
+                    mul, r[skip:], ms), precs), trunc)
+        coeffs = [k * c for k, c in enumerate(self.coeffs[skip:], start)]
+        return TailSeries(self.field, ord_, coeffs, trunc)
 
     # -- unit operations -----------------------------------------------------
 
@@ -243,7 +360,11 @@ class TailSeries:
                                  - self.field.embed(1)).is_zero():
             raise UsageError("inversion needs constant term 1; "
                              "callers normalize first")
-        inverse = _KERNELS.get(type(self.field), _GENERIC)[1]
+        if self._flat is not None:
+            return TailSeries._capped(self.field, 0, _capped_inverse(
+                self.field, self._flat), self.trunc)
+        inverse = _exact_inverse if isinstance(self.field, ExactField) \
+            else _element_inverse
         return TailSeries(self.field, 0, inverse(self.field, self.coeffs),
                           self.trunc)
 
@@ -266,11 +387,13 @@ class TailSeries:
         x = TailSeries.one(self.field, min(2, M))
         t = x.trunc
         # agreement with the root doubles per step, so refine at doubling
-        # truncations; cost concentrates in the final full-order step
+        # truncations; cost concentrates in the final full-order step.  A
+        # residual that is only indistinguishable from zero still corrects
+        # x: it replaces the exact zeros of the padding by O(p^k) zeros
         while True:
             xpow = (x ** (n - 1)).truncate(t)
             residual = (xpow * x).truncate(t) - self.truncate(t)
-            if not residual.is_zero():
+            if not residual.is_exact_zero:
                 x = (x - residual * xpow.invert_unit() * inv_n).truncate(t)
             if t == M:
                 break
@@ -280,6 +403,35 @@ class TailSeries:
         if residual.is_zero():
             return x
         raise InternalError("series Newton iteration failed to converge")
+
+    def _plus_constant(self, outer: "TailSeries", k: int) -> "TailSeries":
+        """self + (outer's coefficient of w^k) w^0, for self.trunc > 0:
+        only coefficient 0 changes (an exact zero below ord)."""
+        if self._flat is None:
+            c = outer.coefficient(k)
+            if c.is_exact_zero:
+                return self
+            coeffs = list(self.coeffs)
+            if self.ord == 0:
+                coeffs[0] = coeffs[0] + c
+            else:
+                coeffs[:0] = [c] + [0] * (self.ord - 1)
+            return TailSeries(self.field, 0, coeffs, self.trunc)
+        so, ro, fo = outer._flat
+        i = k - outer.ord
+        if fo[2 * i] == _INF:
+            return self
+        s, r, f = self._flat
+        low, p = min(s, so), self.field.p
+        if s != low:
+            r = [x * p ** (s - low) for x in r]
+        r, f = [0] * self.ord + r, [_INF, _INF] * self.ord + f
+        _, head, head_f = _reduced(self.field, low,
+                                   [r[0] + ro[i] * p ** (so - low)],
+                                   [min(f[0], fo[2 * i])])
+        return TailSeries._capped(self.field, 0,
+                                  (low, head + r[1:], head_f + f[2:]),
+                                  self.trunc)
 
     def compose(self, inner: "TailSeries") -> "TailSeries":
         """self(inner(w)) for inner with ord >= 1, by Horner on a shrinking
@@ -306,16 +458,8 @@ class TailSeries:
         acc = TailSeries.zero(self.field, target)
         for k in range(steps - 1, -1, -1):
             acc = (acc * inner).truncate(target - k * s)
-            if k >= self.ord:
-                c = self.coefficient(k)
-                if not c.is_exact_zero and acc.trunc:
-                    # acc + c: only coefficient 0 changes
-                    coeffs = list(acc.coeffs)
-                    if acc.ord == 0:
-                        coeffs[0] = coeffs[0] + c
-                    else:
-                        coeffs[:0] = [c] + [0] * (acc.ord - 1)
-                    acc = TailSeries(self.field, 0, coeffs, acc.trunc)
+            if k >= self.ord and acc.trunc:
+                acc = acc._plus_constant(self, k)
         return acc
 
 
@@ -323,7 +467,68 @@ class TailSeries:
 # coefficient kernels: products and unit inverses of coefficient tuples
 # ---------------------------------------------------------------------------
 
-_INF = math.inf   # valuation and precision of an exact zero
+_INF = math.inf   # precision and valuation of an exact zero
+
+
+def _least(f) -> int:
+    """The shift of a capped triple: the least finite valuation in its
+    [A, v] list (an O(p^k) zero's floor counts), 0 if there is none."""
+    v = min(f[1::2], default=_INF)
+    return 0 if v == _INF else v
+
+
+def _rescaled(x: int, k: int, p: int) -> int:
+    """x p^k; for k < 0, p^-k must divide x."""
+    return x * p ** k if k >= 0 else x // p ** -k
+
+
+def _reduced(field, s, values, precs):
+    """The triple of the cosets values[k] p^s + O(p^precs[k]).
+
+    Each value is reduced mod p^(A - s) and its valuation found; a value
+    that vanishes there is an O(p^A) zero, and an infinite precision
+    (whose value is always 0) an exact zero.  This is what
+    ``PadicElement._make`` does per element.  A reduced value x != 0 has
+    valuation below A - s, so gcd(x, p^(A - s)) is p^v(x), and its bit
+    length gives v(x) (``CappedField.powers``).
+    """
+    p = field.p
+    pw, logs = field.powers(0)
+    r, f = [], []
+    for x, A in zip(values, precs):
+        if A != _INF and A > s:
+            e = A - s
+            if e >= len(pw):
+                pw, logs = field.powers(e)
+            x %= pw[e]
+            if x:
+                r.append(x)
+                f += (A, s + logs[gcd(x, pw[e]).bit_length()] if x % p == 0
+                      else s)
+                continue
+        r.append(0)
+        f += (A, A)
+    return s, r, f
+
+
+def _capped_triple(field, coeffs):
+    """The (s, r, f) triple of a list of capped elements."""
+    f = []
+    for c in coeffs:
+        f += (_INF, _INF) if c.v is None else (c.v + c.rel, c.v)
+    s, p = _least(f), field.p
+    return s, [c.unit * p ** (c.v - s) % p ** (c.v + c.rel - s) if c.unit
+               else 0 for c in coeffs], f
+
+
+def _element(field, s, x, A, v):
+    """The capped element with representative x at shift s, absolute
+    precision A and valuation v."""
+    if A == _INF:
+        return PadicElement.exact_zero(field)
+    if not x:
+        return PadicElement._zero(field, A)
+    return PadicElement(field, v, x // field.p ** (v - s), A - v)
 
 
 def _convolve(xs, ys, n):
@@ -333,80 +538,44 @@ def _convolve(xs, ys, n):
     return [sum(map(mul, xs, ys[n - 1 - k:])) for k in range(n)]
 
 
-def _capped_flat(coeffs):
-    """[A_0, v_0, A_1, v_1, ...]: absolute precision and valuation of each
-    capped coefficient.
-
-    A coefficient indistinguishable from zero has both equal to its floor;
-    an exact zero has both infinite, so it never bounds a precision.
-    """
-    out = []
-    for c in coeffs:
-        out += (_INF, _INF) if c.v is None else (c.v + c.rel, c.v)
-    return out
-
-
 def _capped_product(field, a, b, n):
-    """First n coefficients of a * b over a CappedField; a and b have at
-    least n coefficients.
+    """The triple of the first n coefficients of a * b over a CappedField,
+    from the triples a and b, each of at least n coefficients.
 
-    Coefficient k is the exact sum of the representatives' products,
-    known to absolute precision min over i + j = k of
+    Coefficient k is the exact sum of the representatives' products at
+    shift s_a + s_b, known to absolute precision min over i + j = k of
     min(A_i + v_j, v_i + A_j): exactly what the chain of element adds
     and muls yields, so results agree with it digit for digit.
     """
-    a, b = a[:n], b[:n]
-    p = field.p
-    low_a = min((c.v for c in a if c.unit), default=None)
-    low_b = min((c.v for c in b if c.unit), default=None)
-    if low_a is None or low_b is None:
-        low, values = 0, [0] * n
-    else:
-        low = low_a + low_b
-        values = _convolve(
-            [c.unit * p ** (c.v - low_a) if c.unit else 0 for c in a],
-            [c.unit * p ** (c.v - low_b) if c.unit else 0 for c in b], n)
-    # b reversed, so that pairs (i, k - i) line up as (A_i, v_j), (v_i, A_j)
-    ends, starts = _capped_flat(a), _capped_flat(b)[::-1]
-    zero = field.zero()
-    make = PadicElement._make
-    out = []
-    for k in range(n):
-        prec = min(map(add, ends, starts[2 * (n - 1 - k):]))
-        out.append(zero if prec == _INF
-                   else make(field, low, values[k], prec - low))
-    return out
+    (sa, ra, fa), (sb, rb, fb) = a, b
+    # b's first n [A, v] pairs reversed, so that pairs (i, k - i) line up
+    # as (A_i, v_j), (v_i, A_j)
+    starts = fb[2 * n - 1::-1]
+    precs = [min(map(add, fa, starts[2 * (n - 1 - k):])) for k in range(n)]
+    return _reduced(field, sa + sb, _convolve(ra, rb, n), precs)
 
 
 def _capped_inverse(field, a):
     """inv_0 = 1, inv_k = -sum_{j=1..k} a_j inv_{k-j} over a CappedField,
-    with the precision rule of ``_capped_product`` for each sum."""
-    p = field.p
-    M = len(a)
-    # v(a_j) >= j s for j >= 1, hence v(inv_k) >= k s; terms are carried
-    # as the integers unit * p^(v - k s)
-    s = min((c.v // j for j, c in enumerate(a) if j and c.unit), default=0)
-    ra = [c.unit * p ** (c.v - j * s) if c.unit else 0
-          for j, c in enumerate(a)][::-1]     # a_k .. a_1 at M-1-k .. M-2
-    flat = _capped_flat(a)[::-1]              # v, A of a_k at 2(M-1-k)
-    one = field.one()
-    zero = field.zero()
-    make = PadicElement._make
-    ri, flat_inv = [1], [one.rel, 0]          # A, v of inv_0 .. inv_{k-1}
-    out = [one]
+    triple in and out, with the precision rule of ``_capped_product`` for
+    each sum."""
+    s_a, r_a, f_a = a
+    p, M = field.p, len(r_a)
+    # v(a_j) >= j t for j >= 1, hence v(inv_k) >= k t; terms are carried
+    # as the integers unit * p^(v - j t)
+    t = min((f_a[2 * j + 1] // j for j in range(1, M) if r_a[j]), default=0)
+    ra = [_rescaled(x, s_a - j * t, p)
+          for j, x in enumerate(r_a)][::-1]   # a_k .. a_1 at M-1-k .. M-2
+    flat = f_a[::-1]                          # v, A of a_k at 2(M-1-k)
+    ri, f = [1], [field.prec, 0]              # inv_0 .. inv_{k-1}
     for k in range(1, M):
         lo = M - 1 - k
-        prec = min(map(add, flat[2 * lo:], flat_inv))
-        if prec == _INF:
-            x = zero
-            flat_inv += (_INF, _INF)
-        else:
-            x = make(field, k * s, -sum(map(mul, ra[lo:], ri)),
-                     prec - k * s)
-            flat_inv += (x.v + x.rel, x.v)
-        ri.append(x.unit * p ** (x.v - k * s) if x.unit else 0)
-        out.append(x)
-    return out
+        _, x, fk = _reduced(field, k * t, [-sum(map(mul, ra[lo:], ri))],
+                            [min(map(add, flat[2 * lo:], f))])
+        ri += x
+        f += fk
+    s = min(0, (M - 1) * t)
+    return s, [x * p ** (k * t - s) for k, x in enumerate(ri)], f
 
 
 def _exact_product(field, a, b, n):
@@ -464,12 +633,6 @@ def _element_inverse(field, a):
     return inv
 
 
-# (product, inverse) by coefficient field type
-_KERNELS = {CappedField: (_capped_product, _capped_inverse),
-            ExactField: (_exact_product, _exact_inverse)}
-_GENERIC = (_element_product, _element_inverse)
-
-
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
@@ -495,7 +658,7 @@ def lagrange_invert(S: TailSeries) -> TailSeries:
     while True:
         w_t = TailSeries.w_power(S.field, 1, t)
         residual = S.truncate(t).compose(B).truncate(t) - w_t
-        if not residual.is_zero():
+        if not residual.is_exact_zero:   # see TailSeries.nth_root
             unit = deriv.truncate(t - 1).compose(B).truncate(t - 1)
             B = (B - residual * unit.invert_unit()).truncate(t)
         if t == M:

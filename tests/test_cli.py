@@ -151,6 +151,23 @@ def test_usage_errors(monkeypatch, capsys):
           "--levels", "-1"], None, "--levels"),
         (["degrees", "--prime", "3", "--poly", "1,0,1", "--point", "1/3",
           "--levels", "0"], None, "--levels"),
+        # an empty field is malformed, never skipped or read as absent
+        (["cf", "--prime", "5", "--poly="], None, "--poly"),
+        (["boettcher", "--prime", "5", "--poly="], None, "--poly"),
+        (["verify", "--prime", "5", "--poly="], None, "--poly"),
+        (["escape", "--prime", "5", "--poly=", "--point", "1/5"], None,
+         "--poly"),
+        (["degrees", "--prime", "3", "--poly=", "--point", "1/3"], None,
+         "--poly"),
+        (["cf", "--prime", "5", "--poly=1,,0,1"], None, "--poly"),
+        (["transport", "--prime", "5", "--poly=", "--point", "1/5",
+          "--ext=-5,0,1", "--ext-point", "0,1/5"], None, "--poly"),
+        (["transport", "--prime", "5", "--poly", "0,0,1", "--point", "1/5",
+          "--ext=1", "--ext-point", "0,1/5"], None, "--ext needs"),
+        (["transport", "--prime", "5", "--poly", "0,0,1", "--point", "1/5",
+          "--ext=-5,0,1", "--ext-point", "0,,1/5"], None, "--ext-point"),
+        (["transport", "--prime", "5", "--poly", "0,0,1", "--point", "1/5",
+          "--ext=-5,0,1", "--ext-point="], None, "--ext-point"),
     ]
     for argv, env, named in cases:
         with monkeypatch.context() as patch:

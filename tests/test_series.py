@@ -214,6 +214,36 @@ def test_lagrange_integral_coefficients_stay_integral():
         assert all(c.valuation() >= 0 for c in b.coeffs)
 
 
+def known_modulo_precision(capped, exact):
+    """Each capped coefficient p^v u + O(p^A) agrees with the exact one
+    modulo p^A, and is an exact zero only where the exact one is 0."""
+    assert capped.trunc == exact.trunc
+    p = capped.field.p
+    for k in range(min(capped.ord, exact.ord), capped.trunc):
+        c, e = capped.coefficient(k), exact.coefficient(k)
+        if c.is_exact_zero:
+            assert e.is_exact_zero, (k, e)
+        else:   # an O(p^A) zero has u = 0 and v = A
+            err = e - F(c.unit) * F(p) ** c.v
+            assert err.valuation() >= c.v + c.rel, (k, c, e)
+
+
+@pytest.mark.parametrize("op, p, cap, ord_, coeffs, last", [
+    (lambda s: s.nth_root(5), 2, 3, 0, [1, F(-5, 3), 0, 1, -3], F(-16, 27)),
+    (lagrange_invert, 3, 2, 1,
+     [1, -1, F(-27, 2), 18, 27, F(-54, 5), 54, 6], F(12415023, 40)),
+], ids=["nth_root", "lagrange_invert"])
+def test_capped_newton_padding_never_stays_exact(op, p, cap, ord_, coeffs,
+                                                 last):
+    # the padded exact zeros of the Newton iterate must not survive a
+    # residual that is only indistinguishable from zero
+    capped, exact = (op(S(K, ord_, coeffs, ord_ + len(coeffs)))
+                     for K in (CappedField(p, cap), ExactField(p)))
+    assert exact.coeffs[-1].value == last
+    assert not capped.coeffs[-1].is_exact_zero
+    known_modulo_precision(capped, exact)
+
+
 # -- norms and evaluation ------------------------------------------------------
 
 
@@ -340,3 +370,40 @@ def test_concurrent_evaluation_of_one_series():
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(pool.map(at, points))
     assert parallel == [at(z) for z in points]
+
+
+def test_concurrent_capped_products_on_one_fresh_field():
+    # the field's power table grows while several threads read it; each
+    # must still get the serial digits
+    import sys
+    import threading
+    from padicdyn.cli import series_json
+
+    def square(K):
+        # valuations 0, 2, 4, ...: each output coefficient needs a power
+        # of 5 beyond the last one's
+        s = S(K, 0, [2 * 5 ** (2 * k) for k in range(40)], 40)
+        return series_json(s * s)
+
+    expected = square(CappedField(5, 20))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            K = CappedField(5, 20)
+            start = threading.Barrier(6)
+            results = []
+
+            def work():
+                start.wait(timeout=10)
+                results.append(square(K))
+
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [expected] * 6
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,69 +1,202 @@
-"""The flat integer kernel behind series products and unit inverses over
-Q_p, checked against element-by-element arithmetic on random series, and
-the shrinking-truncation Horner of ``TailSeries.compose`` checked against
-Horner at the full target order."""
+"""The series kernels checked against element-by-element arithmetic.
+
+Capped series are stored flat (a shift, integer representatives and an
+[A, v] precision list); every capped operation is compared, digit and
+precision alike, with ``Ref``, a series that stores one element per
+coefficient and runs the element loops.  The flat integer products and
+inverses over ExactField, and the shrinking-truncation Horner of
+``TailSeries.compose``, are compared with the same oracle.  Capped results
+are also checked against exact rational arithmetic: no coefficient may
+claim more precision than it has.
+"""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn import CappedField, ExactField, TailSeries
-from padicdyn.cli import series_json
+from padicdyn import (CappedField, ExactField, InternalError, PrecisionError,
+                      TailSeries, agreement_order, lagrange_invert)
+from padicdyn.cli import element_json, series_json
 from padicdyn.localfield import PadicElement
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 
 
-# -- oracles: the element loops ---------------------------------------------
+# -- the oracle: one element per coefficient ----------------------------------
 
 
-def schoolbook_mul(a, b):
-    """Product by one element add and mul per pair of coefficients."""
-    trunc = min(a.trunc + b.ord, b.trunc + a.ord)
-    if a.is_exact_zero or b.is_exact_zero:
-        return TailSeries.zero(a.field, trunc)
-    ord_ = a.ord + b.ord
-    out = [a.field.embed(0)] * (trunc - ord_)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            if i + j < len(out) and not (x.is_exact_zero or y.is_exact_zero):
-                out[i + j] = out[i + j] + x * y
-    return TailSeries(a.field, ord_, out, trunc)
+class Ref:
+    """A truncated series as a tuple of elements, with the element loops
+    for every ring operation; method names follow ``TailSeries``."""
 
+    def __init__(self, field, ord_, coeffs, trunc):
+        coeffs = [field.embed(c) for c in coeffs]
+        coeffs += [field.embed(0)] * (trunc - ord_ - len(coeffs))
+        while coeffs and coeffs[0].is_exact_zero:
+            coeffs.pop(0)
+            ord_ += 1
+        self.field, self.trunc = field, trunc
+        self.ord = ord_ if coeffs else trunc
+        self.coeffs = tuple(coeffs)
 
-def recurrence_inverse(a):
-    """inv_0 = 1, inv_k = -sum_{j=1..k} a_j inv_{k-j}, on elements."""
-    field = a.field
-    inv = [field.embed(1)] + [field.embed(0)] * (a.trunc - 1)
-    for k in range(1, a.trunc):
-        acc = field.embed(0)
-        for j in range(1, k + 1):
-            c = a.coefficient(j)
-            if not c.is_exact_zero:
-                acc = acc + c * inv[k - j]
-        inv[k] = -acc
-    return TailSeries(field, 0, inv, a.trunc)
+    @classmethod
+    def of(cls, s):
+        return cls(s.field, s.ord, s.coeffs, s.trunc)
 
+    @property
+    def is_exact_zero(self):
+        return not self.coeffs
 
-def full_horner(outer, inner):
-    """outer(inner) by Horner with every step kept to the full target."""
-    field = outer.field
-    s = max(inner.ord, 1)
-    target = min(outer.trunc * s, inner.trunc + max(outer.ord - 1, 0) * s)
-    acc = TailSeries.zero(field, target)
-    for k in range(outer.trunc - 1, -1, -1):
-        acc = (acc * inner).truncate(target)
-        if k >= outer.ord:
-            c = outer.coefficient(k)
-            if not c.is_exact_zero and acc.trunc:
-                coeffs = list(acc.coeffs)
-                if acc.ord == 0:
-                    coeffs[0] = coeffs[0] + c
-                else:
-                    coeffs[:0] = [c] + [0] * (acc.ord - 1)
-                acc = TailSeries(field, 0, coeffs, acc.trunc)
-    return acc.truncate(target)
+    def is_zero(self):
+        return all(c.is_zero() for c in self.coeffs)
+
+    def coefficient(self, k):
+        return (self.coeffs[k - self.ord] if k >= self.ord
+                else self.field.embed(0))
+
+    def truncate(self, trunc):
+        if trunc >= self.trunc:
+            return self
+        return Ref(self.field, min(self.ord, trunc),
+                   self.coeffs[:max(trunc - self.ord, 0)], trunc)
+
+    def _padded(self, trunc):
+        if trunc <= self.trunc:
+            return self.truncate(trunc)
+        return Ref(self.field, self.ord, self.coeffs, trunc)
+
+    def shifted(self, k):
+        return Ref(self.field, self.ord + k, self.coeffs, self.trunc + k)
+
+    def __add__(self, other):
+        # below its order a series contributes an exact zero, and an
+        # exact zero added to an element leaves it unchanged
+        trunc = min(self.trunc, other.trunc)
+        lo = min(self.ord, other.ord, trunc)
+        return Ref(self.field, lo, [self.coefficient(k) + other.coefficient(k)
+                                    for k in range(lo, trunc)], trunc)
+
+    def __neg__(self):
+        return Ref(self.field, self.ord, [-c for c in self.coeffs],
+                   self.trunc)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, Ref):
+            c = self.field.embed(other)
+            if c.is_exact_zero:
+                return Ref(self.field, self.trunc, [], self.trunc)
+            return Ref(self.field, self.ord, [a * c for a in self.coeffs],
+                       self.trunc)
+        trunc = min(self.trunc + other.ord, other.trunc + self.ord)
+        ord_ = self.ord + other.ord
+        out = [self.field.embed(0)] * max(trunc - ord_, 0)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                if i + j < len(out) and not (x.is_exact_zero
+                                             or y.is_exact_zero):
+                    out[i + j] = out[i + j] + x * y
+        return Ref(self.field, min(ord_, trunc), out, trunc)
+
+    def __pow__(self, n):
+        result = Ref(self.field, 0, [1],
+                     self.trunc + self.ord * max(n - 1, 0))
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def derivative(self):
+        if self.is_exact_zero:
+            return Ref(self.field, 0, [], max(self.trunc - 1, 0))
+        coeffs = [(self.ord + i) * c for i, c in enumerate(self.coeffs)]
+        return Ref(self.field, max(self.ord - 1, 0),
+                   coeffs[1:] if self.ord == 0 else coeffs, self.trunc - 1)
+
+    def invert_unit(self):
+        """inv_0 = 1, inv_k = -sum_{j=1..k} a_j inv_{k-j}."""
+        field = self.field
+        inv = [field.embed(1)] + [field.embed(0)] * (self.trunc - 1)
+        for k in range(1, self.trunc):
+            acc = field.embed(0)
+            for j in range(1, k + 1):
+                c = self.coefficient(j)
+                if not c.is_exact_zero:
+                    acc = acc + c * inv[k - j]
+            inv[k] = -acc
+        return Ref(field, 0, inv, self.trunc)
+
+    def compose(self, inner):
+        """Horner with every step kept to the full target order."""
+        field = self.field
+        s = max(inner.ord, 1)
+        target = min(self.trunc * s, inner.trunc + max(self.ord - 1, 0) * s)
+        acc = Ref(field, target, [], target)
+        for k in range(self.trunc - 1, -1, -1):
+            acc = (acc * inner).truncate(target)
+            if k >= self.ord:
+                c = self.coefficient(k)
+                if not c.is_exact_zero and acc.trunc:
+                    coeffs = list(acc.coeffs)
+                    if acc.ord == 0:
+                        coeffs[0] = coeffs[0] + c
+                    else:
+                        coeffs[:0] = [c] + [0] * (acc.ord - 1)
+                    acc = Ref(field, 0, coeffs, acc.trunc)
+        return acc.truncate(target)
+
+    def nth_root(self, n):
+        M = self.trunc
+        x = Ref(self.field, 0, [1], min(2, M))
+        t = x.trunc
+        while True:
+            xpow = (x ** (n - 1)).truncate(t)
+            residual = (xpow * x).truncate(t) - self.truncate(t)
+            if not residual.is_exact_zero:
+                x = (x - residual * xpow.invert_unit()
+                     * Fraction(1, n)).truncate(t)
+            if t == M:
+                break
+            t = min(2 * t, M)
+            x = x._padded(t)
+        if not ((x ** n).truncate(M) - self).is_zero():
+            raise InternalError("no convergence")
+        return x
+
+    def reverted(self):
+        M = self.trunc
+        w = Ref(self.field, 1, [1], M)
+        if M <= 2:
+            return w
+        deriv = self.derivative()
+        B = w.truncate(2)
+        t = 2
+        while True:
+            residual = self.truncate(t).compose(B).truncate(t) - w.truncate(t)
+            if not residual.is_exact_zero:
+                unit = deriv.truncate(t - 1).compose(B).truncate(t - 1)
+                B = (B - residual * unit.invert_unit()).truncate(t)
+            if t == M:
+                break
+            t = min(2 * t, M)
+            B = B._padded(t)
+        if not (self.compose(B).truncate(M) - w).is_zero():
+            raise InternalError("no convergence")
+        return B
+
+    def agreement(self, other):
+        limit = min(self.trunc, other.trunc)
+        for k in range(min(self.ord, other.ord, limit), limit):
+            if not (self.coefficient(k) - other.coefficient(k)).is_zero():
+                return k
+        return limit
 
 
 # -- random series ----------------------------------------------------------
@@ -107,10 +240,11 @@ def series(draw, field, elements, max_ord=3):
 
 
 @st.composite
-def units(draw, field, elements, one):
-    """Constant term indistinguishable from 1, then arbitrary terms."""
-    rest = draw(st.lists(elements(field), min_size=0, max_size=11))
-    return TailSeries(field, 0, [one] + rest, 1 + len(rest))
+def units(draw, field, elements, one, ord_=0, max_size=11):
+    """w^ord_ times (a term indistinguishable from 1, then arbitrary
+    terms)."""
+    rest = draw(st.lists(elements(field), min_size=0, max_size=max_size))
+    return TailSeries(field, ord_, [one] + rest, ord_ + 1 + len(rest))
 
 
 @st.composite
@@ -125,11 +259,38 @@ def inner_series(draw, field, elements):
     return TailSeries(field, ord_, coeffs, trunc)
 
 
+def capped_one(data, field):
+    """1 + O(p^rel) for a drawn rel."""
+    return PadicElement._make(field, 0, 1, data.draw(st.integers(
+        1, field.prec)))
+
+
 def same(x, y):
+    """x (a TailSeries) encodes as the oracle's y; a capped x holds the one
+    triple its own coefficients give: least shift, reduced
+    representatives."""
     assert series_json(x) == series_json(y)
+    if isinstance(x.field, CappedField):
+        rebuilt = TailSeries(x.field, x.ord, x.coeffs, x.trunc)
+        assert x._flat == rebuilt._flat
 
 
-# -- properties -------------------------------------------------------------
+def outcome(op, *args):
+    """op(*args), or the kind of error it raised."""
+    try:
+        return op(*args)
+    except (InternalError, PrecisionError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def same_outcome(x, y):
+    if isinstance(x, type) or isinstance(y, type):
+        assert x is y
+    else:
+        same(x, y)
+
+
+# -- the flat capped form against the element loops ---------------------------
 
 
 @settings(max_examples=300, deadline=None)
@@ -138,34 +299,45 @@ def test_capped_product_matches_element_loop(data):
     field = data.draw(capped_fields())
     a = data.draw(series(field, capped_elements))
     b = data.draw(series(field, capped_elements))
-    same(a * b, schoolbook_mul(a, b))
+    same(a * b, Ref.of(a) * Ref.of(b))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_capped_inverse_matches_recurrence(data):
     field = data.draw(capped_fields())
-    rel = data.draw(st.integers(1, field.prec))
-    one = PadicElement._make(field, 0, 1, rel)   # 1 + O(p^rel)
-    a = data.draw(units(field, capped_elements, one))
-    same(a.invert_unit(), recurrence_inverse(a))
+    a = data.draw(units(field, capped_elements, capped_one(data, field)))
+    same(a.invert_unit(), Ref.of(a).invert_unit())
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_exact_product_matches_element_loop(data):
-    field = ExactField(data.draw(PRIMES))
-    a = data.draw(series(field, exact_elements))
-    b = data.draw(series(field, exact_elements))
-    same(a * b, schoolbook_mul(a, b))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_exact_inverse_matches_recurrence(data):
-    field = ExactField(data.draw(PRIMES))
-    a = data.draw(units(field, exact_elements, field.one()))
-    same(a.invert_unit(), recurrence_inverse(a))
+def test_capped_ring_operations_match_element_loops(data):
+    field = data.draw(capped_fields())
+    a = data.draw(series(field, capped_elements))
+    b = data.draw(series(field, capped_elements))
+    c = data.draw(capped_elements(field))
+    k = data.draw(st.integers(0, 14))
+    ra, rb = Ref.of(a), Ref.of(b)
+    same(a, ra)
+    same(a + b, ra + rb)
+    same(a - b, ra - rb)
+    same(-a, -ra)
+    same(a * c, ra * c)
+    same(c * a, ra * c)
+    same(a * 3, ra * 3)
+    same(a ** 3, ra ** 3)
+    same(a.truncate(k), ra.truncate(k))
+    same(a._padded(k), ra._padded(k))
+    same(a.shifted(k), ra.shifted(k))
+    same(a.derivative(), ra.derivative())
+    assert agreement_order(a, b) == ra.agreement(rb)
+    assert agreement_order(a, a + b) == ra.agreement(ra + rb)
+    assert a.is_zero() == ra.is_zero()
+    assert (a - a).is_zero() == (ra - ra).is_zero()
+    fresh = a.shifted(0)    # no elements built yet
+    assert [element_json(fresh.coefficient(j)) for j in range(a.trunc)] \
+        == [element_json(ra.coefficient(j)) for j in range(a.trunc)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -174,7 +346,40 @@ def test_capped_compose_matches_full_horner(data):
     field = data.draw(capped_fields())
     outer = data.draw(series(field, capped_elements))
     inner = data.draw(inner_series(field, capped_elements))
-    same(outer.compose(inner), full_horner(outer, inner))
+    same(outer.compose(inner), Ref.of(outer).compose(Ref.of(inner)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_capped_newton_iterations_match_element_loops(data):
+    field = data.draw(capped_fields())
+    n = data.draw(st.integers(2, 7).filter(lambda n: n % field.p))
+    a = data.draw(units(field, capped_elements, capped_one(data, field),
+                        max_size=9))
+    same_outcome(outcome(a.nth_root, n), outcome(Ref.of(a).nth_root, n))
+    s = data.draw(units(field, capped_elements, capped_one(data, field),
+                        ord_=1, max_size=7))
+    same_outcome(outcome(lagrange_invert, s), outcome(Ref.of(s).reverted))
+
+
+# -- over ExactField ----------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_product_matches_element_loop(data):
+    field = ExactField(data.draw(PRIMES))
+    a = data.draw(series(field, exact_elements))
+    b = data.draw(series(field, exact_elements))
+    same(a * b, Ref.of(a) * Ref.of(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_inverse_matches_recurrence(data):
+    field = ExactField(data.draw(PRIMES))
+    a = data.draw(units(field, exact_elements, field.one()))
+    same(a.invert_unit(), Ref.of(a).invert_unit())
 
 
 @settings(max_examples=150, deadline=None)
@@ -183,4 +388,50 @@ def test_exact_compose_matches_full_horner(data):
     field = ExactField(data.draw(PRIMES))
     outer = data.draw(series(field, exact_elements))
     inner = data.draw(inner_series(field, exact_elements))
-    same(outer.compose(inner), full_horner(outer, inner))
+    same(outer.compose(inner), Ref.of(outer).compose(Ref.of(inner)))
+
+
+# -- capped results never claim more than the exact ones give ----------------
+
+
+def rationals(p):
+    return st.builds(Fraction, st.integers(-40, 40),
+                     st.sampled_from([1, 2, 3, p, p * p, 5 * p]))
+
+
+def known_modulo_precision(capped, exact):
+    """Each capped coefficient p^v u + O(p^A) agrees with the exact one
+    modulo p^A, and is an exact zero only where the exact one is 0."""
+    assert capped.trunc == exact.trunc
+    p = capped.field.p
+    for k in range(min(capped.ord, exact.ord), capped.trunc):
+        c, e = capped.coefficient(k), exact.coefficient(k)
+        if c.is_exact_zero:
+            assert e.is_exact_zero, (k, e)
+        else:   # an O(p^A) zero has u = 0 and v = A
+            err = e - Fraction(c.unit) * Fraction(p) ** c.v
+            assert err.valuation() >= c.v + c.rel, (k, c, e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_capped_never_overclaims_precision(data):
+    p = data.draw(PRIMES)
+    cap = data.draw(st.integers(1, 8))
+    q = rationals(p)
+    ord_a, ord_b = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 2))
+    a = data.draw(st.lists(q, max_size=8))
+    b = data.draw(st.lists(q, max_size=8))
+    n = data.draw(st.integers(2, 7).filter(lambda n: n % p))
+    results = []
+    for field in (CappedField(p, cap), ExactField(p)):
+        A = TailSeries(field, ord_a, a, ord_a + len(a))
+        B = TailSeries(field, ord_b, b, ord_b + len(b))
+        U = TailSeries(field, 0, [1] + a, 1 + len(a))
+        S = TailSeries(field, 1, [1] + b, 2 + len(b))
+        results.append([outcome(lambda: A * B), outcome(U.invert_unit),
+                        outcome(A.compose, B), outcome(U.nth_root, n),
+                        outcome(lagrange_invert, S)])
+    for capped, exact in zip(*results):
+        if not isinstance(capped, type):   # capped may run out of digits
+            known_modulo_precision(capped, exact)
