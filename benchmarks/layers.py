@@ -6,15 +6,24 @@ Run from anywhere; the package is imported from this checkout's ``src/``.
 On the reference map z^2 + z/5 + 3 over Q_5, for the exact backend and
 the capped one at precision 20, and for each truncation order M in 32,
 64, 128 and 256, it times the four series operations the build is made
-of and the build's three stages:
+of, the build's three stages, and general reversion for comparison:
 
 - ``mul_s``: xi * xi, xi the normalized root approximant (a unit series);
 - ``nth_root_s``: one square root of beta_N = f^N(z)/z^(2^N);
 - ``invert_unit_s``: the inverse of xi;
 - ``compose_s``: omega(omega^-1);
 - ``roots_s``: N successive square roots of beta_N, then omega = w / xi;
-- ``reversion_s``: omega^-1 by ``lagrange_invert``;
+- ``reversion_s``: omega^-1 from its own functional equation, as the
+  build computes it;
+- ``lagrange_invert_s``: omega^-1 by ``lagrange_invert`` (Newton on the
+  composition identity), which the build no longer uses;
 - ``equation_s``: the functional-equation check omega(f) = omega^2.
+
+``builds`` times the three stages of whole capped builds at M = 256 and
+512 and gives the digest of omega and omega^-1 as ``perfbench`` records
+it, so a change that claims equal outputs can be checked at orders the
+benchmark pools do not reach.  ``jobs`` times one ``padicdyn verify`` job
+and one degree certificate at d^n = 64 (z^2 + 1 over Q_3, P = 1/3).
 
 Each time is the least of up to five runs that fit in half a second (one
 run when a single run takes longer), in wall-clock seconds.  The script
@@ -22,6 +31,9 @@ prints one JSON document with the machine, the Python version and the
 git commit; each row also goes to stderr as it is done.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import platform
@@ -35,12 +47,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from padicdyn import (CappedField, ExactField, MonicPoly,  # noqa: E402
-                      lagrange_invert)
+                      certify_degree, lagrange_invert)
 from padicdyn.boettcher import (_beta_series, _equation_order,  # noqa: E402
-                                _root_chain)
+                                _omega_inverse, _root_chain)
+from padicdyn.cli import main as cli_main, series_json  # noqa: E402
 
 PRECISION = 20
 ORDERS = (32, 64, 128, 256)
+BUILDS = (256, 512)
+VERIFY_JOB = ["verify", "--prime", "7", "--poly", "2,1,0,1", "--order", "32",
+              "--points", "5", "--seed", "1"]
 
 
 def best_of(fn, budget=0.5, most=5):
@@ -53,28 +69,68 @@ def best_of(fn, budget=0.5, most=5):
     return min(times), out
 
 
-def layers(field, M: int) -> dict:
-    f = MonicPoly(field, [Fraction(3), Fraction(1, 5)])
+def reference_map(field) -> MonicPoly:
+    return MonicPoly(field, [Fraction(3), Fraction(1, 5)])
+
+
+def stages(f, M: int) -> tuple:
+    """(row of the three stage times, omega, omega^-1, beta_N, N)."""
     d, N = f.degree, 1
     while d ** N < M:
         N += 1
     beta = _beta_series(f, N, M)[-1]
-    row = {}
 
     def build_omega():
         return _root_chain(beta, d, N).invert_unit().shifted(1).truncate(M)
 
+    row = {}
     row["roots_s"], omega = best_of(build_omega)
-    row["reversion_s"], omega_inverse = best_of(lambda: lagrange_invert(omega))
+    row["reversion_s"], omega_inverse = best_of(
+        lambda: _omega_inverse(f, M))
     row["equation_s"], order = best_of(lambda: _equation_order(omega, f, M))
     if order != M:
-        raise SystemExit(f"{field} M={M}: functional equation holds to "
+        raise SystemExit(f"{f.field} M={M}: functional equation holds to "
                          f"{order} only")
-    xi = _root_chain(beta, d, N)
+    return row, omega, omega_inverse, beta, N
+
+
+def layers(field, M: int) -> dict:
+    f = reference_map(field)
+    row, omega, omega_inverse, beta, N = stages(f, M)
+    row["lagrange_invert_s"], _ = best_of(lambda: lagrange_invert(omega))
+    xi = _root_chain(beta, f.degree, N)
     row["mul_s"], _ = best_of(lambda: xi * xi)
-    row["nth_root_s"], _ = best_of(lambda: beta.nth_root(d))
+    row["nth_root_s"], _ = best_of(lambda: beta.nth_root(f.degree))
     row["invert_unit_s"], _ = best_of(xi.invert_unit)
     row["compose_s"], _ = best_of(lambda: omega.compose(omega_inverse))
+    return row
+
+
+def build(M: int) -> dict:
+    """Stage times and the perfbench digest of one capped build."""
+    row, omega, omega_inverse, _, _ = stages(reference_map(CappedField(
+        5, PRECISION)), M)
+    doc = [series_json(omega), series_json(omega_inverse)]
+    row["digest"] = hashlib.sha256(json.dumps(
+        doc, sort_keys=True).encode()).hexdigest()[:16]
+    return row
+
+
+def verify_job() -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli_main(VERIFY_JOB)
+
+
+def jobs() -> dict:
+    row = {}
+    row["verify_job_s"], code = best_of(verify_job)
+    if code != 0:
+        raise SystemExit(f"{' '.join(VERIFY_JOB)} exited {code}")
+    f = MonicPoly(ExactField(3), [1, 0])
+    row["certify_degree_64_s"], degree = best_of(
+        lambda: certify_degree(f, Fraction(1, 3), 6))
+    if degree != 64:
+        raise SystemExit(f"certify_degree gave {degree}, not 64")
     return row
 
 
@@ -109,10 +165,17 @@ def main() -> int:
             row = {"backend": backend, "M": M, **layers(field, M)}
             rows.append(row)
             print(json.dumps(row), file=sys.stderr)
+    builds = []
+    for M in BUILDS:
+        row = {"backend": "capped", "M": M, **build(M)}
+        builds.append(row)
+        print(json.dumps(row), file=sys.stderr)
+    job_row = jobs()
+    print(json.dumps(job_row), file=sys.stderr)
     doc = {"map": "z^2 + z/5 + 3 over Q_5", "capped_precision": PRECISION,
            "unit": "s", "machine": machine(),
            "python": platform.python_version(), "git": git_sha(),
-           "rows": rows}
+           "rows": rows, "builds": builds, "jobs": job_row}
     print(json.dumps(doc, indent=1))
     return 0
 

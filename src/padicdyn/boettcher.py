@@ -5,7 +5,11 @@ W(w) = w + O(w^2) in w = 1/z with W(1/f(z)) = W(1/z)^d.  It arises as the
 limit of the normalized d^N-th roots of f^N(z)/z^(d^N); successive
 approximants agree to order at least d^N, so truncating at order M only
 needs the approximant for the first N with d^N >= M: N successive d-th
-roots of f^N(z)/z^(d^N).  The escape-radius constant C_f bounds
+roots of f^N(z)/z^(d^N).  The inverse series needs no reversion: the
+conjugacy read backwards says that phi = W^-1 solves
+phi(u^d) = phi(u)^d / P(phi(u)), P(x) = 1 + a_{d-1} x + ... + a_0 x^d,
+and Newton iteration on that equation takes products and one unit
+inverse per step, no composition.  The escape-radius constant C_f bounds
 the convergence disk, and for good reduction the series has integral
 coefficients and satisfies v(W(z)) = -v(z) on |z| > 1.
 """
@@ -20,7 +24,7 @@ from .errors import (BudgetError, DomainError, InternalError, PrecisionError,
                      UsageError)
 from .localfield import poly_eval, poly_mul
 from .series import (DiskSpec, PointValue, TailSeries, agreement_order,
-                     evaluate, lagrange_invert)
+                     evaluate, weighted_sum)
 
 
 class MonicPoly:
@@ -81,9 +85,10 @@ class MonicPoly:
 class BoettcherData:
     """The conjugacy data for one polynomial.
 
-    ``omega`` is the series in w = 1/z with linear coefficient 1;
-    ``omega_inverse`` its compositional inverse; both are verified
-    against the multiplicative model to ``verified_order``.
+    ``omega`` is the series in w = 1/z with linear coefficient 1,
+    verified against omega(f(z)) = omega(z)^d to ``verified_order``;
+    ``omega_inverse`` its compositional inverse, verified against its own
+    functional equation (see ``boettcher_series``).
     """
 
     f: MonicPoly
@@ -203,14 +208,40 @@ def _xi_series(f: MonicPoly, N: int, M: int) -> list:
             for n, beta in enumerate(_beta_series(f, N, M), 1)]
 
 
+def _omega_series(f: MonicPoly, M: int) -> TailSeries:
+    """omega = w / xi_N modulo w^M, for the least N with d^N >= M.
+
+    xi_N costs N successive d-th roots of beta_N, the same operations on
+    the same input as the last entry of ``_xi_series``.
+    """
+    d, N, d_pow = f.degree, 1, f.degree
+    while d_pow < M:
+        N += 1
+        d_pow *= d
+    xi = _root_chain(_beta_series(f, N, M)[-1], d, N)
+    return xi.invert_unit().shifted(1).truncate(M)
+
+
 def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
     """Construct the conjugacy to prescribed truncation order M.
 
     Iterates until d^N >= M (the approximants are then the limit modulo
-    w^M at least), extracts omega = w / xi_N, inverts it, and verifies
-    the functional equation to full order.  xi_N costs N successive
-    d-th roots of beta_N, the same operations on the same input as the
-    last entry of ``_xi_series``.
+    w^M at least), extracts omega = w / xi_N and verifies
+    omega(f(z)) = omega(z)^d to full order.  The inverse phi comes from
+    f alone (``_omega_inverse``) and is verified against
+    G(phi) = phi^d - phi(u^d) P(phi) = 0 modulo u^(M + d - 1).
+
+    Why omega(phi) = w follows.  G = 0 to that order fixes phi modulo
+    u^M: a change at u^k first moves G at u^(k + d - 1), by d times the
+    change, and p does not divide d.  So phi, like omega, is the
+    truncation of the exact series, and the exact phi satisfies
+    phi(u^d) = 1 / f(1 / phi(u)).  Then h = omega(phi) has
+    h(u^d) = omega(1 / f(1 / phi(u))) = omega(phi(u))^d = h(u)^d and
+    h = u + O(u^2).  Were h - u = e u^m + ... with e != 0, m >= 2, the
+    right side would differ from u^d by d e u^(m + d - 1), the left side
+    by nothing below u^(d m), a higher power; so h = u, and
+    omega(phi) = w modulo w^M.  The tests check that composition
+    directly.
     """
     d = f.degree
     p = f.field.p
@@ -221,14 +252,8 @@ def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
         raise UsageError("truncation order must be at least 2")
     if M > config.max_series_order():
         raise BudgetError(f"truncation order {M} exceeds the budget")
-    N = 1
-    d_pow = d
-    while d_pow < M:
-        N += 1
-        d_pow *= d
-    xi = _root_chain(_beta_series(f, N, M)[-1], d, N)
-    omega = (xi.invert_unit().shifted(1)).truncate(M)
-    omega_inverse = lagrange_invert(omega)
+    omega = _omega_series(f, M)
+    omega_inverse = _omega_inverse(f, M)
     cf_val = cf_constant(f)
     verified = _equation_order(omega, f, M)
     if verified < M:
@@ -243,6 +268,64 @@ def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
         verified_order=verified,
         domain=DiskSpec("inf", -cf_val),
     )
+
+
+def _powers(phi: TailSeries, d: int) -> list:
+    """[1, phi, phi^2, ..., phi^d]: d - 1 products."""
+    out = [TailSeries.one(phi.field, phi.trunc), phi]
+    for _ in range(d - 1):
+        out.append(out[-1] * phi)
+    return out
+
+
+def _inverse_residual(phi: TailSeries, f: MonicPoly, powers=None):
+    """(G, phi(u^d)) with G = phi^d - phi(u^d) P(phi), both to order
+    phi.trunc + d - 1; P(x) = 1 + a_{d-1} x + ... + a_0 x^d.
+
+    Coefficient k of G involves phi's coefficients up to k - d + 1 only,
+    the last of them as d phi_(k-d+1), so for phi = u + O(u^2) known
+    modulo u^t, G vanishes to order t + d - 1 exactly when phi solves
+    the equation modulo u^t.  ``powers`` is ``_powers(phi, d)``.
+    """
+    d = f.degree
+    if powers is None:
+        powers = _powers(phi, d)
+    spread = phi.spread(d).truncate(phi.trunc + d - 1)
+    P = [f.field.embed(1)] + list(reversed(f.coeffs))
+    return powers[d] - spread * weighted_sum(P, powers), spread
+
+
+def _omega_inverse(f: MonicPoly, M: int) -> TailSeries:
+    """omega^-1 modulo u^M from f alone, with no series composition.
+
+    Read backwards at u = omega(w), omega(f(z)) = omega(z)^d says that
+    phi = omega^-1 is the root of G(phi) = phi^d - phi(u^d) P(phi) with
+    phi = u + O(u^2).  Newton iteration takes phi(u^d) as known: if phi
+    is right modulo u^t, its spread is right modulo u^(d t), more than
+    a step needs.  G' = d phi^(d-1) - phi(u^d) P'(phi) is u^(d-1) times
+    a unit with constant term d, so a step costs d + 2 products and one
+    unit inverse, P(phi) and P'(phi) being weighted sums of the powers,
+    and takes phi from modulo u^t to modulo u^(2t - 1).
+    """
+    d = f.degree
+    inv_d = Fraction(1, d)
+    # P'(x) / d as weights on 1, x, ..., x^(d-1)
+    slopes = [a * ((d - i) * inv_d) for i, a in enumerate(f.coeffs)][::-1]
+    phi = TailSeries.w_power(f.field, 1, min(2, M))
+    t = phi.trunc
+    while t < M:
+        t = min(2 * t - 1, M)
+        phi = phi._padded(t)
+        powers = _powers(phi, d)
+        G, spread = _inverse_residual(phi, f, powers)
+        if not G.is_exact_zero:   # see TailSeries.nth_root
+            slope = powers[d - 1] - spread * weighted_sum(slopes, powers[:d])
+            unit = slope.shifted(1 - d).truncate(t - 1)
+            phi = (phi - G.shifted(1 - d) * unit.invert_unit()
+                   * inv_d).truncate(t)
+    if not _inverse_residual(phi, f)[0].is_zero():
+        raise InternalError("omega^-1 fails its functional equation")
+    return phi
 
 
 def compose_through_poly(S: TailSeries, f: MonicPoly) -> TailSeries:

@@ -3,9 +3,11 @@
 Every series carries an explicit truncation order M ("known modulo w^M"),
 and every ring operation computes the tightest sound truncation for its
 result: min rule for sums, ord-shifted min rule for products.  n-th roots
-of 1-units are taken by Newton iteration in the series ring, reversion by
-Newton iteration on the composition identity.  Disk norms and pointwise
-evaluation come with rigorous tail bounds.
+of 1-units are taken by Newton iteration in the series ring.  General
+reversion (``lagrange_invert``) is Newton iteration on the composition
+identity; the Böttcher build does not use it, since its inverse series
+solves a functional equation of its own (``boettcher``).  Disk norms and
+pointwise evaluation come with rigorous tail bounds.
 
 A series over ``CappedField`` is stored flat, as a triple (s, r, f): a
 shift s, the integer representatives r_i = unit_i p^(v_i - s) reduced to
@@ -16,8 +18,9 @@ v_i, 0 if there is none, so each series has one triple.  Every operation
 works on triples with the precision rule of the element arithmetic, digit
 for digit; element objects are built only when ``coeffs`` is read.  Over
 ``ExactField`` products and unit inverses run on integer numerators over
-a common denominator.  Series over extension fields use the
-element-by-element loops.
+a common denominator.  Coefficients lie in one of these two fields: no
+construction needs series over an extension (points in extensions are
+handled by ``evaluate``), so ``TailSeries`` refuses other fields.
 
 Values are immutable; evaluating one series at many points concurrently
 needs no coordination.
@@ -60,13 +63,16 @@ class TailSeries:
     The leading stored coefficient is nonzero (the constructor strips
     zeros); an all-zero series has ord == trunc and no coefficients.
     ``_flat`` holds the (s, r, f) triple of a capped series (see the
-    module docstring) and is None over other fields, where ``_coeffs``
+    module docstring) and is None over ``ExactField``, where ``_coeffs``
     holds the elements.
     """
 
     __slots__ = ("field", "ord", "trunc", "_flat", "_coeffs")
 
     def __init__(self, field, ord: int, coeffs, trunc: int):
+        if not isinstance(field, (CappedField, ExactField)):
+            raise UsageError("series coefficients must lie in an "
+                             "ExactField or a CappedField")
         coeffs = [field.embed(c) for c in coeffs]
         if len(coeffs) > max(trunc - ord, 0):
             raise UsageError("more coefficients than the truncation allows")
@@ -228,6 +234,27 @@ class TailSeries:
         return TailSeries(self.field, self.ord + k, self.coeffs,
                           self.trunc + k)
 
+    def spread(self, d: int) -> "TailSeries":
+        """S(w^d): coefficient k moves to index d k, exact zeros between.
+
+        S known modulo w^M makes S(w^d) known modulo w^(d M); each
+        coefficient keeps its value and precision, so no product runs.
+        """
+        if d < 1:
+            raise UsageError("spread needs d >= 1")
+        if self._flat is not None:
+            s, r, f = self._flat
+            rr = [0] * (d * len(r))
+            rr[::d] = r
+            ff = [_INF] * (2 * d * len(r))
+            ff[::2 * d] = f[::2]
+            ff[1::2 * d] = f[1::2]
+            return TailSeries._capped(self.field, d * self.ord, (s, rr, ff),
+                                      d * self.trunc)
+        coeffs = [self.field.embed(0)] * (d * len(self.coeffs))
+        coeffs[::d] = self.coeffs
+        return TailSeries(self.field, d * self.ord, coeffs, d * self.trunc)
+
     def _aligned(self, lo: int, trunc: int, s: int):
         """Representatives at shift s <= own shift, and precisions, of the
         capped coefficients of w^lo .. w^(trunc-1); lo <= ord."""
@@ -291,27 +318,10 @@ class TailSeries:
                     self.field, ord_, _capped_product(
                         self.field, self._flat, other._flat, trunc - ord_),
                     trunc)
-            product = _exact_product if isinstance(self.field, ExactField) \
-                else _element_product
-            out = product(self.field, self.coeffs, other.coeffs,
-                          trunc - ord_)
+            out = _exact_product(self.field, self.coeffs, other.coeffs,
+                                 trunc - ord_)
             return TailSeries(self.field, ord_, out, trunc)
-        # scalar
-        c = self.field.embed(other)
-        if c.is_exact_zero:
-            return TailSeries.zero(self.field, self.trunc)
-        if self._flat is not None:
-            # coefficient rule of PadicElement.__mul__: precision
-            # min(A + v_c, v + A_c), the value at shift s + v_c
-            s, r, f = self._flat
-            precs = map(min, map(add, f[::2], repeat(c.v)),
-                        map(add, f[1::2], repeat(c.v + c.rel)))
-            return TailSeries._capped(
-                self.field, self.ord, _reduced(
-                    self.field, s + c.v, [x * c.unit for x in r], precs),
-                self.trunc)
-        return TailSeries(self.field, self.ord,
-                          [a * c for a in self.coeffs], self.trunc)
+        return weighted_sum((self.field.embed(other),), (self,))
 
     __rmul__ = __mul__
 
@@ -363,10 +373,8 @@ class TailSeries:
         if self._flat is not None:
             return TailSeries._capped(self.field, 0, _capped_inverse(
                 self.field, self._flat), self.trunc)
-        inverse = _exact_inverse if isinstance(self.field, ExactField) \
-            else _element_inverse
-        return TailSeries(self.field, 0, inverse(self.field, self.coeffs),
-                          self.trunc)
+        inverse = _exact_inverse(self.field, self.coeffs)
+        return TailSeries(self.field, 0, inverse, self.trunc)
 
     def nth_root(self, n: int) -> "TailSeries":
         """The unique n-th root with constant term 1, by Newton iteration.
@@ -609,33 +617,55 @@ def _exact_inverse(field, a):
     return [ExactElement(field, Fraction(n, d)) for n, d in zip(ni, di)]
 
 
-def _element_product(field, a, b, n):
-    """Schoolbook product on element objects: the extension-field path."""
-    out = [field.embed(0)] * n
-    for i, x in enumerate(a[:n]):
-        if x.is_exact_zero:
-            continue
-        for j, y in enumerate(b[:n - i]):
-            if not y.is_exact_zero:
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _element_inverse(field, a):
-    """The unit-inverse recurrence on element objects (extension fields)."""
-    inv = [field.embed(1)] + [field.embed(0)] * (len(a) - 1)
-    for k in range(1, len(a)):
-        acc = field.embed(0)
-        for j in range(1, k + 1):
-            if not a[j].is_exact_zero:
-                acc = acc + a[j] * inv[k - j]
-        inv[k] = -acc
-    return inv
-
-
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
+
+
+def weighted_sum(weights, terms) -> TailSeries:
+    """sum_j weights[j] terms[j] in one pass, to the least truncation of
+    the terms.
+
+    Digit for digit (precision included) the chain of scalar products and
+    sums: each coefficient is the exact sum of the scaled values, known to
+    the least of the scalar rule's precisions min(A + v_c, v + A_c), and
+    is reduced once instead of once per operation.
+    """
+    field = terms[0].field
+    trunc = min(x.trunc for x in terms)
+    pairs = [(c, x) for c, x in zip(weights, terms)
+             if not c.is_exact_zero and x.ord < trunc]
+    lo = min([x.ord for _, x in pairs] + [trunc])
+    n = trunc - lo
+    if not isinstance(field, CappedField):
+        # integer numerators over one common denominator
+        rows = [(c.value, x.ord - lo,
+                 [y.value for y in x.coeffs[:trunc - x.ord]])
+                for c, x in pairs]
+        lcms = [math.lcm(*(y.denominator for y in row)) for _, _, row in rows]
+        den = math.lcm(*(c.denominator * m for (c, _, _), m in zip(rows,
+                                                                   lcms)))
+        values = [0] * n
+        for (c, k, row), m in zip(rows, lcms):
+            scale = c.numerator * (den // (c.denominator * m))
+            values[k:] = map(add, values[k:], [
+                y.numerator * (m // y.denominator) * scale for y in row])
+        return TailSeries(field, lo, [ExactElement(field, Fraction(y, den))
+                                      for y in values], trunc)
+    p = field.p
+    shift = min((x._flat[0] + c.v for c, x in pairs), default=0)
+    values, precs = [0] * n, [_INF] * n
+    for c, x in pairs:
+        s, r, f = x._flat
+        k = x.ord - lo
+        m = 2 * (n - k)
+        scale = c.unit * p ** (s + c.v - shift)
+        values[k:] = map(add, values[k:], map(mul, r, repeat(scale)))
+        precs[k:] = map(min, precs[k:], map(
+            min, map(add, f[:m:2], repeat(c.v)),
+            map(add, f[1:m:2], repeat(c.v + c.rel))))
+    return TailSeries._capped(field, lo, _reduced(field, shift, values,
+                                                  precs), trunc)
 
 
 def lagrange_invert(S: TailSeries) -> TailSeries:

@@ -6,15 +6,19 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdyn import (BudgetError, CappedField, DomainError, ExactField,
                       MonicPoly, boettcher_series, cauchy_rate_check,
                       cf_constant, cf_sup_check, compose_through_poly,
                       escape_test, functional_equation_check, good_reduction,
-                      omega_at, point_identity_report,
+                      lagrange_invert, omega_at, point_identity_report,
                       rescaled_integrality_ok)
-from padicdyn.boettcher import _xi_series
+from padicdyn.boettcher import (_inverse_residual, _omega_inverse,
+                                _omega_series, _xi_series)
 from padicdyn.cli import series_json
+from padicdyn.errors import InternalError, PrecisionError
 from padicdyn.series import TailSeries, agreement_order
 
 
@@ -374,3 +378,62 @@ def test_omega_pair_mutually_inverse():
         >= B.verified_order
     assert agreement_order(B.omega_inverse.compose(B.omega), w) \
         >= B.verified_order
+
+
+# -- the inverse series from its own functional equation ----------------------
+
+
+def encoded(op, *args):
+    """series_json of op(*args), or the kind of error it raised."""
+    try:
+        return series_json(op(*args))
+    except (InternalError, PrecisionError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_omega_inverse_matches_lagrange_invert(data):
+    # bad reduction included: denominators carry p and p^2
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    d = data.draw(st.sampled_from([d for d in range(2, 6) if d % p]))
+    coeffs = data.draw(st.lists(st.builds(
+        F, st.integers(-30, 30), st.sampled_from([1, 2, p, p * p])),
+        min_size=d, max_size=d))
+    M = data.draw(st.integers(2, 24))
+    cap = data.draw(st.integers(1, 12))
+    for field in (ExactField(p), CappedField(p, cap)):
+        f = MonicPoly(field, coeffs)
+        try:
+            omega = _omega_series(f, M)
+        except PrecisionError:
+            continue        # the capped roots ran out of digits
+        assert encoded(_omega_inverse, f, M) == encoded(lagrange_invert,
+                                                        omega)
+
+
+@pytest.mark.parametrize("backend", ["exact", "capped"])
+@pytest.mark.parametrize("p, coeffs", [
+    (5, [3, F(1, 5)]),                   # the reference map, bad reduction
+    (5, [F(2, 5), 1, -1]),               # cubic
+    (7, [1, 0, F(-3, 7), 2]),            # quartic
+])
+def test_inverse_residual_locates_corruption(backend, p, coeffs):
+    """A wrong coefficient k >= 2 of omega^-1 first shows in G at
+    k + d - 1 and in omega(omega^-1) - w at k: both checks catch every
+    index below M."""
+    M = 16
+    f = mono(p, coeffs, backend)
+    d = f.degree
+    B = boettcher_series(f, M)
+    G = _inverse_residual(B.omega_inverse, f)[0]
+    none = TailSeries.zero(f.field, G.trunc)
+    assert G.trunc == M + d - 1 and agreement_order(G, none) == G.trunc
+    w = TailSeries.w_power(f.field, 1, M)
+    for k in range(2, M):
+        # far below any digit the coefficients carry
+        c = B.omega_inverse.coefficient(k) + F(1, p ** 100)
+        bad = B.omega_inverse.replace_coefficient(k, c)
+        assert agreement_order(_inverse_residual(bad, f)[0], none) \
+            == k + d - 1
+        assert agreement_order(B.omega.compose(bad), w) == k

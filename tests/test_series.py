@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from padicdyn import (CappedField, DiskSpec, DomainError, ExactField,
-                      TailSeries, UsageError, agreement_order, evaluate,
-                      gauss_norm, lagrange_invert)
+                      ExtensionField, TailSeries, UsageError, agreement_order,
+                      evaluate, gauss_norm, lagrange_invert)
 
 
 def S(field, ord_, coeffs, trunc):
@@ -53,6 +53,30 @@ def brute_revert(s, n):
 
 
 # -- ring operations -----------------------------------------------------------
+
+
+def test_series_refuse_extension_fields():
+    for base in (K3, CappedField(3, 10)):
+        E = ExtensionField(base, [-3, 0], "eisenstein")
+        with pytest.raises(UsageError, match="ExactField or a CappedField"):
+            S(E, 0, [1, 1], 3)
+        with pytest.raises(UsageError):
+            TailSeries.zero(E, 4)
+        with pytest.raises(UsageError):
+            TailSeries.one(E, 4)
+
+
+def test_spread_examples():
+    s = S(K5, 1, [1, 2, 3], 4)         # w + 2w^2 + 3w^3 + O(w^4)
+    out = s.spread(3)
+    assert (out.ord, out.trunc) == (3, 12)
+    assert [out.coefficient(k) for k in range(12)] == [
+        0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0]
+    assert s.spread(1) == s
+    zero = TailSeries.zero(K5, 3).spread(2)
+    assert zero.is_exact_zero and zero.trunc == 6
+    with pytest.raises(UsageError):
+        s.spread(0)
 
 
 def test_mul_monomials():

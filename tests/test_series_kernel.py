@@ -5,9 +5,10 @@ Capped series are stored flat (a shift, integer representatives and an
 precision alike, with ``Ref``, a series that stores one element per
 coefficient and runs the element loops.  The flat integer products and
 inverses over ExactField, and the shrinking-truncation Horner of
-``TailSeries.compose``, are compared with the same oracle.  Capped results
-are also checked against exact rational arithmetic: no coefficient may
-claim more precision than it has.
+``TailSeries.compose``, ``TailSeries.spread`` and ``weighted_sum`` are
+compared with the same oracle.  Capped results, the Böttcher inverse
+series included, are also checked against exact rational arithmetic: no
+coefficient may claim more precision than it has.
 """
 
 from fractions import Fraction
@@ -15,10 +16,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn import (CappedField, ExactField, InternalError, PrecisionError,
-                      TailSeries, agreement_order, lagrange_invert)
+from padicdyn import (CappedField, ExactField, InternalError, MonicPoly,
+                      PrecisionError, TailSeries, agreement_order,
+                      lagrange_invert)
+from padicdyn.boettcher import _omega_inverse
 from padicdyn.cli import element_json, series_json
 from padicdyn.localfield import PadicElement
+from padicdyn.series import weighted_sum
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 
@@ -362,6 +366,37 @@ def test_capped_newton_iterations_match_element_loops(data):
     same_outcome(outcome(lagrange_invert, s), outcome(Ref.of(s).reverted))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_capped_spread_matches_composition_with_power(data):
+    field = data.draw(capped_fields())
+    a = data.draw(series(field, capped_elements))
+    d = data.draw(st.integers(1, 4))
+    power = Ref(field, d, [1], d * a.trunc + 1)
+    same(a.spread(d), Ref.of(a).compose(power))
+
+
+def weighted_chain(weights, terms):
+    """sum_j weights[j] terms[j] as one scalar product and one sum per
+    term, from an exact zero at the least truncation."""
+    trunc = min(x.trunc for x in terms)
+    total = Ref(terms[0].field, trunc, [], trunc)
+    for c, x in zip(weights, terms):
+        if not c.is_exact_zero:
+            total = total + Ref.of(x) * c
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_capped_weighted_sum_matches_chain(data):
+    field = data.draw(capped_fields())
+    terms = data.draw(st.lists(series(field, capped_elements), min_size=1,
+                               max_size=4))
+    weights = [data.draw(capped_elements(field)) for _ in terms]
+    same(weighted_sum(weights, terms), weighted_chain(weights, terms))
+
+
 # -- over ExactField ----------------------------------------------------------
 
 
@@ -380,6 +415,22 @@ def test_exact_inverse_matches_recurrence(data):
     field = ExactField(data.draw(PRIMES))
     a = data.draw(units(field, exact_elements, field.one()))
     same(a.invert_unit(), Ref.of(a).invert_unit())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_spread_and_weighted_sum_match_element_loops(data):
+    field = ExactField(data.draw(PRIMES))
+    terms = data.draw(st.lists(series(field, exact_elements), min_size=1,
+                               max_size=4))
+    weights = [data.draw(st.sampled_from([0, 1, -3, Fraction(2, field.p)]))
+               for _ in terms]
+    weights = [field.embed(c) for c in weights]
+    same(weighted_sum(weights, terms), weighted_chain(weights, terms))
+    d = data.draw(st.integers(1, 4))
+    a = terms[0]
+    same(a.spread(d), Ref.of(a).compose(Ref(field, d, [1],
+                                            d * a.trunc + 1)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -423,15 +474,19 @@ def test_capped_never_overclaims_precision(data):
     a = data.draw(st.lists(q, max_size=8))
     b = data.draw(st.lists(q, max_size=8))
     n = data.draw(st.integers(2, 7).filter(lambda n: n % p))
+    poly = data.draw(st.lists(q, min_size=n, max_size=n))
+    M = data.draw(st.integers(2, 16))
     results = []
     for field in (CappedField(p, cap), ExactField(p)):
         A = TailSeries(field, ord_a, a, ord_a + len(a))
         B = TailSeries(field, ord_b, b, ord_b + len(b))
         U = TailSeries(field, 0, [1] + a, 1 + len(a))
         S = TailSeries(field, 1, [1] + b, 2 + len(b))
+        f = MonicPoly(field, poly)
         results.append([outcome(lambda: A * B), outcome(U.invert_unit),
                         outcome(A.compose, B), outcome(U.nth_root, n),
-                        outcome(lagrange_invert, S)])
+                        outcome(lagrange_invert, S),
+                        outcome(_omega_inverse, f, M)])
     for capped, exact in zip(*results):
         if not isinstance(capped, type):   # capped may run out of digits
             known_modulo_precision(capped, exact)
