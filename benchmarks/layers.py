@@ -6,7 +6,8 @@ Run from anywhere; the package is imported from this checkout's ``src/``.
 On the reference map z^2 + z/5 + 3 over Q_5, for the exact backend and
 the capped one at precision 20, and for each truncation order M in 32,
 64, 128 and 256, it times the four series operations the build is made
-of, the build's three stages, and general reversion for comparison:
+of, the build's three stages, and general reversion and composition for
+comparison:
 
 - ``mul_s``: xi * xi, xi the normalized root approximant (a unit series);
 - ``nth_root_s``: one square root of beta_N = f^N(z)/z^(2^N);
@@ -17,7 +18,10 @@ of, the build's three stages, and general reversion for comparison:
   build computes it;
 - ``lagrange_invert_s``: omega^-1 by ``lagrange_invert`` (Newton on the
   composition identity), which the build no longer uses;
-- ``equation_s``: the functional-equation check omega(f) = omega^2.
+- ``equation_s``: the functional-equation check omega(f) = omega^2, whose
+  composition through f runs by baby and giant steps;
+- ``compose_horner_s``: that composition as ``TailSeries.compose`` sums it,
+  by Horner in W = 1/f(z), which the check no longer uses.
 
 ``builds`` times the three stages of whole capped builds at M = 256 and
 512 and gives the digest of omega and omega^-1 as ``perfbench`` records
@@ -49,7 +53,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from padicdyn import (CappedField, ExactField, MonicPoly,  # noqa: E402
                       certify_degree, lagrange_invert)
 from padicdyn.boettcher import (_beta_series, _equation_order,  # noqa: E402
-                                _omega_inverse, _root_chain)
+                                _omega_inverse, _reciprocal, _root_chain)
 from padicdyn.cli import main as cli_main, series_json  # noqa: E402
 
 PRECISION = 20
@@ -98,6 +102,9 @@ def layers(field, M: int) -> dict:
     f = reference_map(field)
     row, omega, omega_inverse, beta, N = stages(f, M)
     row["lagrange_invert_s"], _ = best_of(lambda: lagrange_invert(omega))
+    W = _reciprocal(f, M)
+    row["compose_horner_s"], _ = best_of(
+        lambda: omega.compose(W).truncate(M))
     xi = _root_chain(beta, f.degree, N)
     row["mul_s"], _ = best_of(lambda: xi * xi)
     row["nth_root_s"], _ = best_of(lambda: beta.nth_root(f.degree))

@@ -16,6 +16,7 @@ coefficients and satisfies v(W(z)) = -v(z) on |z| > 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -328,23 +329,48 @@ def _omega_inverse(f: MonicPoly, M: int) -> TailSeries:
     return phi
 
 
-def compose_through_poly(S: TailSeries, f: MonicPoly) -> TailSeries:
-    """S(f(z)) expanded as a series in w = 1/z, truncated at S's order.
+def _reciprocal(f: MonicPoly, T: int) -> TailSeries:
+    """W = 1/f(z) = w^d / (f(z)/z^d) as a series in w, to order T + d.
 
-    Uses 1/f(z) = w^d / (f(z)/z^d): the unit part is a polynomial in w,
-    inverted to the working order, so the substitution is exact up to the
-    claimed truncation.
+    The unit part is a polynomial in w, inverted to order T, so the
+    substitution is exact up to the claimed truncation.
+    """
+    d = f.degree
+    unit = TailSeries.from_polynomial(
+        f.field, [1] + [f.coeffs[d - j] for j in range(1, d + 1)], T)
+    return unit.invert_unit().shifted(d)
+
+
+def compose_through_poly(S: TailSeries, f: MonicPoly) -> TailSeries:
+    """S(f(z)) expanded as a series in w = 1/z, truncated at S's order T.
+
+    S(W), W = 1/f(z) of order d, by baby steps and giant steps (Brent and
+    Kung): W^0 .. W^m are formed once, each block of m coefficients of S
+    is one weighted sum of them, and Horner runs in W^m over the blocks.
+    Block b's partial sum is still to be multiplied by W^(m b), of order
+    m b d, so it is kept to order T - m b d only.  Of S's coefficients only
+    the first K = ceil(T / d) reach w^T, so with m near sqrt(K) this takes
+    about m + K / m products, where Horner in W takes K.
     """
     if S.ord < 1:
         raise UsageError("composition through f needs series order >= 1")
     if S.field != f.field:
         raise UsageError("series and polynomial over different fields")
-    d = f.degree
-    T = S.trunc
-    unit = TailSeries.from_polynomial(
-        S.field, [1] + [f.coeffs[d - j] for j in range(1, d + 1)], T)
-    W = unit.invert_unit().shifted(d)
-    return S.compose(W).truncate(T)
+    d, T = f.degree, S.trunc
+    K = -(-T // d)
+    m = max(1, math.isqrt(K))
+    W = _reciprocal(f, T).truncate(T)
+    powers = [TailSeries.one(S.field, T), W]
+    while len(powers) <= m:
+        powers.append((powers[-1] * W).truncate(T))
+    giant = powers.pop()
+    acc = None
+    for b in range(-(-K // m) - 1, -1, -1):
+        t = T - m * b * d
+        block = weighted_sum([S.coefficient(k) for k in range(
+            m * b, min(m * b + m, K))], powers).truncate(t)
+        acc = block if acc is None else (acc * giant).truncate(t) + block
+    return acc
 
 
 def _equation_order(omega: TailSeries, f: MonicPoly, M: int) -> int:

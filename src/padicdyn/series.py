@@ -16,11 +16,17 @@ of each coefficient's absolute precision and valuation (both infinite for
 an exact zero, both the floor for an O(p^k) zero).  s is the least finite
 v_i, 0 if there is none, so each series has one triple.  Every operation
 works on triples with the precision rule of the element arithmetic, digit
-for digit; element objects are built only when ``coeffs`` is read.  Over
-``ExactField`` products and unit inverses run on integer numerators over
-a common denominator.  Coefficients lie in one of these two fields: no
-construction needs series over an extension (points in extensions are
-handled by ``evaluate``), so ``TailSeries`` refuses other fields.
+for digit; element objects are built only when ``coeffs`` is read.
+Unit inverses, and products of at least ``_SLOPED`` terms, take their dot
+products on a line of integer slope t under the valuations,
+v_i >= c + i t: each representative is carried as u_i p^(v_i - c - i t),
+about as many digits as the precision where u_i p^(v_i - s) grows with
+i, and the sums are mapped back exactly, so digits and precisions do not
+change.  Over ``ExactField`` products and unit inverses run on integer
+numerators over a common denominator.  Coefficients lie in one of these
+two fields: no construction needs series over an extension (points in
+extensions are handled by ``evaluate``), so ``TailSeries`` refuses other
+fields.
 
 Values are immutable; evaluating one series at many points concurrently
 needs no coordination.
@@ -110,7 +116,7 @@ class TailSeries:
             ord, r, f = ord + i, r[i:], f[2 * i:]
         least = _least(f)
         if least != s:
-            r = [_rescaled(x, s - least, field.p) for x in r]
+            r = _scaled(field, r, s - least, 0)
         self = object.__new__(cls)
         self.field = field
         self.ord = ord if r else trunc
@@ -453,8 +459,10 @@ class TailSeries:
         alike: coefficient j of a product depends only on the operands'
         coefficients up to j, and each truncation is the smaller of the
         full-order one and target - k s, so the final truncation is the
-        full-order one.  A series of order d as inner (as in
-        ``compose_through_poly``) leaves about 1/d of the steps.
+        full-order one.  A series of order d as inner leaves about 1/d of
+        the steps.  General composition stays Horner: summed by baby and
+        giant steps (as ``boettcher.compose_through_poly`` sums through f)
+        random capped compositions come out with other precisions.
         """
         self._check_field(inner)
         if not inner.is_exact_zero and inner.ord < 1:
@@ -485,9 +493,13 @@ def _least(f) -> int:
     return 0 if v == _INF else v
 
 
-def _rescaled(x: int, k: int, p: int) -> int:
-    """x p^k; for k < 0, p^-k must divide x."""
-    return x * p ** k if k >= 0 else x // p ** -k
+def _scaled(field, xs, e: int, t: int) -> list:
+    """The integers x_i p^(e + i t); each negative power must divide its
+    x_i."""
+    n = len(xs)
+    pw, _ = field.powers(max(abs(e), abs(e + t * (n - 1))))
+    ks = range(e, e + t * n, t) if t else repeat(e, n)
+    return [x * pw[k] if k >= 0 else x // pw[-k] for x, k in zip(xs, ks)]
 
 
 def _reduced(field, s, values, precs):
@@ -546,6 +558,20 @@ def _convolve(xs, ys, n):
     return [sum(map(mul, xs, ys[n - 1 - k:])) for k in range(n)]
 
 
+# products of at least this many terms run on a valuation line (see
+# ``_capped_product``); for shorter ones finding the line costs more than
+# the smaller integers save
+_SLOPED = 96
+
+
+def _slope(r, f, i0: int, v0) -> int:
+    """The greatest integer t with v_i >= v0 + (i - i0) t for every
+    nonzero r_i with i > i0, 0 if there is none: the steepest line of
+    integer slope through (i0, v0) that stays under the valuations."""
+    return min(((f[2 * i + 1] - v0) // (i - i0)
+                for i in range(i0 + 1, len(r)) if r[i]), default=0)
+
+
 def _capped_product(field, a, b, n):
     """The triple of the first n coefficients of a * b over a CappedField,
     from the triples a and b, each of at least n coefficients.
@@ -554,13 +580,39 @@ def _capped_product(field, a, b, n):
     shift s_a + s_b, known to absolute precision min over i + j = k of
     min(A_i + v_j, v_i + A_j): exactly what the chain of element adds
     and muls yields, so results agree with it digit for digit.
+
+    The series of the Böttcher build have valuations that fall (or rise)
+    linearly, so at one shift s the representatives r_i = u_i p^(v_i - s)
+    of a long series grow to p^(A_i - s), far more digits than the
+    precision.  From ``_SLOPED`` terms on, both operands are put on one
+    line of integer slope t under their valuations, v_i >= c + i t (each
+    its own c, from ``_slope`` at its first nonzero coefficient, t the
+    lesser of the two slopes), and carried as the integers
+    x_i = r_i p^(s - c - i t) = u_i p^(v_i - c - i t).  Then
+    sum_{i+j=k} r_i r'_j = p^(c + c' + k t - s - s') sum_{i+j=k} x_i x'_j,
+    an exact identity, so digits and precisions are those of the plain
+    convolution.
     """
     (sa, ra, fa), (sb, rb, fb) = a, b
     # b's first n [A, v] pairs reversed, so that pairs (i, k - i) line up
     # as (A_i, v_j), (v_i, A_j)
     starts = fb[2 * n - 1::-1]
     precs = [min(map(add, fa, starts[2 * (n - 1 - k):])) for k in range(n)]
-    return _reduced(field, sa + sb, _convolve(ra, rb, n), precs)
+    s = sa + sb
+    ra, rb = ra[:n], rb[:n]
+    if n >= _SLOPED and any(ra) and any(rb):
+        # each operand's line through its first nonzero coefficient
+        ia = next(i for i, x in enumerate(ra) if x)
+        ib = next(i for i, x in enumerate(rb) if x)
+        va, vb = fa[2 * ia + 1], fb[2 * ib + 1]
+        t = min(_slope(ra, fa, ia, va), _slope(rb, fb, ib, vb))
+        if t:
+            ca, cb = va - ia * t, vb - ib * t
+            xa = _scaled(field, ra, sa - ca, -t)
+            xb = _scaled(field, rb, sb - cb, -t)
+            return _reduced(field, s, _scaled(
+                field, _convolve(xa, xb, n), ca + cb - s, t), precs)
+    return _reduced(field, s, _convolve(ra, rb, n), precs)
 
 
 def _capped_inverse(field, a):
@@ -568,12 +620,11 @@ def _capped_inverse(field, a):
     triple in and out, with the precision rule of ``_capped_product`` for
     each sum."""
     s_a, r_a, f_a = a
-    p, M = field.p, len(r_a)
+    M = len(r_a)
     # v(a_j) >= j t for j >= 1, hence v(inv_k) >= k t; terms are carried
     # as the integers unit * p^(v - j t)
-    t = min((f_a[2 * j + 1] // j for j in range(1, M) if r_a[j]), default=0)
-    ra = [_rescaled(x, s_a - j * t, p)
-          for j, x in enumerate(r_a)][::-1]   # a_k .. a_1 at M-1-k .. M-2
+    t = _slope(r_a, f_a, 0, 0)
+    ra = _scaled(field, r_a, s_a, -t)[::-1]   # a_k .. a_1 at M-1-k .. M-2
     flat = f_a[::-1]                          # v, A of a_k at 2(M-1-k)
     ri, f = [1], [field.prec, 0]              # inv_0 .. inv_{k-1}
     for k in range(1, M):
@@ -583,7 +634,7 @@ def _capped_inverse(field, a):
         ri += x
         f += fk
     s = min(0, (M - 1) * t)
-    return s, [x * p ** (k * t - s) for k, x in enumerate(ri)], f
+    return s, _scaled(field, ri, -s, t), f
 
 
 def _exact_product(field, a, b, n):

@@ -1,6 +1,8 @@
 """Escape radius, conjugacy construction, functional equation, escape tests."""
 
 import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -16,7 +18,7 @@ from padicdyn import (BudgetError, CappedField, DomainError, ExactField,
                       lagrange_invert, omega_at, point_identity_report,
                       rescaled_integrality_ok)
 from padicdyn.boettcher import (_inverse_residual, _omega_inverse,
-                                _omega_series, _xi_series)
+                                _omega_series, _reciprocal, _xi_series)
 from padicdyn.cli import series_json
 from padicdyn.errors import InternalError, PrecisionError
 from padicdyn.series import TailSeries, agreement_order
@@ -156,6 +158,44 @@ def test_functional_equation_detects_corruption():
         got = functional_equation_check(corrupted, 16)
         # the first bad index of the two recomputed sides
         assert got == min(2 * k, k + f.degree - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equation_check_locates_corruption_like_horner(data):
+    """compose_through_poly sums omega(W) by baby and giant steps, whose
+    capped precisions differ from Horner's; a corrupted omega must still
+    fail the check at the index Horner's omega.compose(W) gives."""
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    d = data.draw(st.sampled_from([d for d in range(2, 5) if d % p]))
+    coeffs = data.draw(st.lists(st.builds(
+        F, st.integers(-30, 30), st.sampled_from([1, 2, p])),
+        min_size=d, max_size=d))
+    M = data.draw(st.integers(8, 40))
+    k = data.draw(st.integers(1, M - 1))
+    place = data.draw(st.integers(-3, 12))   # of the wrong digit
+    for backend in ("exact", "capped"):
+        f = mono(p, coeffs, backend, prec=12)
+        try:
+            B = boettcher_series(f, M)
+        except PrecisionError:
+            continue        # the capped roots ran out of digits
+        bad = B.omega.replace_coefficient(
+            k, B.omega.coefficient(k) + F(p) ** place)
+        horner = agreement_order(bad.compose(_reciprocal(f, M)).truncate(M),
+                                 (bad ** d).truncate(M))
+        assert functional_equation_check(dataclasses.replace(
+            B, omega=bad), M) == horner
+
+
+def test_capped_order_256_digest():
+    """A capped build at an order the benchmark pools do not reach, where
+    the long products run on valuation lines: omega and omega^-1 keep
+    their recorded digits and precisions."""
+    B = boettcher_series(mono(5, [3, F(1, 5)], "capped"), 256)
+    doc = json.dumps([series_json(B.omega), series_json(B.omega_inverse)],
+                     sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest()[:16] == "8ee06c19c2143208"
 
 
 def test_verify_order_on_verify_style_example():

@@ -22,7 +22,7 @@ from padicdyn import (CappedField, ExactField, InternalError, MonicPoly,
 from padicdyn.boettcher import _omega_inverse
 from padicdyn.cli import element_json, series_json
 from padicdyn.localfield import PadicElement
-from padicdyn.series import weighted_sum
+from padicdyn.series import _SLOPED, weighted_sum
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 
@@ -395,6 +395,51 @@ def test_capped_weighted_sum_matches_chain(data):
                                max_size=4))
     weights = [data.draw(capped_elements(field)) for _ in terms]
     same(weighted_sum(weights, terms), weighted_chain(weights, terms))
+
+
+# -- long products on a valuation line ----------------------------------------
+
+
+@st.composite
+def lined_series(draw, field, n):
+    """n coefficients whose valuations follow one or two lines of integer
+    slope (coefficients like p^(-k) or p^k, a kink between), some
+    coefficients a few digits above the line, with O(p^k) zeros and exact
+    zeros among them."""
+    slopes = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=2))
+    kink = draw(st.integers(0, n))
+    v = draw(st.integers(-5, 5))
+    coeffs = []
+    for i in range(n):
+        # the first stays nonzero, so that the product has n terms
+        kind = draw(st.sampled_from(["line"] * 8 + ["zero", "exact-zero"]
+                                    if i else ["line"]))
+        if kind == "exact-zero":
+            coeffs.append(PadicElement.exact_zero(field))
+        elif kind == "zero":
+            coeffs.append(PadicElement._zero(field, v + draw(st.integers(
+                0, field.prec))))
+        else:
+            rel = draw(st.integers(1, field.prec))
+            coeffs.append(PadicElement._make(
+                field, v + draw(st.sampled_from([0, 0, 0, 1, 2])),
+                draw(st.integers(1, field.p ** rel - 1)), rel))
+        v += slopes[-1] if i >= kink else slopes[0]
+    ord_ = draw(st.integers(0, 2))
+    return TailSeries(field, ord_, coeffs, ord_ + n + draw(st.integers(0, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_long_capped_product_matches_element_loop(data):
+    """Products of _SLOPED terms and more run on the operands' valuation
+    line (``series._capped_product``); digits and precisions must still be
+    those of the element loop."""
+    field = CappedField(data.draw(PRIMES), data.draw(st.integers(1, 8)))
+    n = data.draw(st.integers(_SLOPED, _SLOPED + 8))
+    a = data.draw(lined_series(field, n))
+    b = data.draw(lined_series(field, n))
+    same(a * b, Ref.of(a) * Ref.of(b))
 
 
 # -- over ExactField ----------------------------------------------------------
