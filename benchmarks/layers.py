@@ -26,8 +26,10 @@ comparison:
 ``builds`` times the three stages of whole capped builds at M = 256 and
 512 and gives the digest of omega and omega^-1 as ``perfbench`` records
 it, so a change that claims equal outputs can be checked at orders the
-benchmark pools do not reach.  ``jobs`` times one ``padicdyn verify`` job
-and one degree certificate at d^n = 64 (z^2 + 1 over Q_3, P = 1/3).
+benchmark pools do not reach.  ``jobs`` times one ``padicdyn verify`` job,
+one degree certificate at d^n = 64 (z^2 + 1 over Q_3, P = 1/3) and one
+six-level degree chain (z^2 over Q_3, P = 1/3); both degree rows take a
+new polynomial on every run, so no iterate is reused from the run before.
 
 Each time is the least of up to five runs that fit in half a second (one
 run when a single run takes longer), in wall-clock seconds.  The script
@@ -51,7 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from padicdyn import (CappedField, ExactField, MonicPoly,  # noqa: E402
-                      certify_degree, lagrange_invert)
+                      certify_degree, degree_chain, lagrange_invert)
 from padicdyn.boettcher import (_beta_series, _equation_order,  # noqa: E402
                                 _omega_inverse, _reciprocal, _root_chain)
 from padicdyn.cli import main as cli_main, series_json  # noqa: E402
@@ -133,11 +135,15 @@ def jobs() -> dict:
     row["verify_job_s"], code = best_of(verify_job)
     if code != 0:
         raise SystemExit(f"{' '.join(VERIFY_JOB)} exited {code}")
-    f = MonicPoly(ExactField(3), [1, 0])
-    row["certify_degree_64_s"], degree = best_of(
-        lambda: certify_degree(f, Fraction(1, 3), 6))
+    row["certify_degree_64_s"], degree = best_of(lambda: certify_degree(
+        MonicPoly(ExactField(3), [1, 0]), Fraction(1, 3), 6))
     if degree != 64:
         raise SystemExit(f"certify_degree gave {degree}, not 64")
+    row["degree_chain_s"], chain = best_of(lambda: degree_chain(
+        MonicPoly(ExactField(3), [0, 0]), Fraction(1, 3), 6))
+    degrees = [r["certified_degree"] for r in chain.levels]
+    if degrees != [2, 4, 8, 16, 32, 64]:
+        raise SystemExit(f"degree_chain gave {degrees}")
     return row
 
 

@@ -15,7 +15,8 @@ from itertools import permutations
 from math import gcd
 
 from . import config
-from .boettcher import BoettcherData, MonicPoly, boettcher_series, omega_at
+from .boettcher import (BoettcherData, MonicPoly, boettcher_series,
+                        check_build, good_reduction, omega_at)
 from .errors import BudgetError, DomainError, UsageError
 from .localfield import ExtensionField, conjugates
 from .newton import build_polygon, total_ramification_certificate
@@ -155,6 +156,8 @@ def certify_degree(f: MonicPoly, P, n: int):
     coeffs = f.iterate(n).full_coeffs()
     coeffs[0] = coeffs[0] - P
     config.check_coeff_bits(c.value for c in coeffs)
+    if all(c.is_zero() for c in coeffs[:-1]):
+        return None   # f^n - P = x^(d^n): every root is 0, none ramifies
     cert = total_ramification_certificate(build_polygon(coeffs), coeffs)
     if cert is None:
         return None
@@ -178,12 +181,18 @@ def transported_valuation(B: BoettcherData, P) -> int:
     off a pointwise evaluation and must be certain at the reported error
     bound.
     """
-    P = B.f.field.embed(P)
+    return _transported(B.f, P, B.good_reduction, lambda: B)
+
+
+def _transported(f: MonicPoly, P, good: bool, series) -> int:
+    """``transported_valuation``; ``series()`` is called for the
+    conjugacy only when the valuation reads omega."""
+    P = f.field.embed(P)
     vP = P.valuation()
-    if B.good_reduction and vP.exact and vP < 0:
+    if good and vP.exact and vP < 0:
         v_q = -vP.as_fraction()
     else:
-        pv = omega_at(B, P)
+        pv = omega_at(series(), P)
         val = pv.value.valuation()
         if not val.exact or val.is_infinite or not (val < pv.err):
             raise DomainError(
@@ -195,9 +204,13 @@ def transported_valuation(B: BoettcherData, P) -> int:
 
 
 def degree_chain(f: MonicPoly, P, levels: int, order: int = 16) -> DegreeChain:
-    """Assemble predictions and certificates for n = 1..levels."""
-    B = boettcher_series(f, order)
-    v_q = transported_valuation(B, P)
+    """Assemble predictions and certificates for n = 1..levels.
+
+    The conjugacy is built only if the transported valuation reads it,
+    but an order the build refuses is refused either way."""
+    check_build(f, order)
+    v_q = _transported(f, P, good_reduction(f),
+                       lambda: boettcher_series(f, order))
     records = []
     for n in range(1, levels + 1):
         step = predicted_degree_step(v_q, f.degree, n - 1)

@@ -24,8 +24,8 @@ from . import config, newton
 from .errors import (BudgetError, DomainError, InternalError, PrecisionError,
                      UsageError)
 from .localfield import poly_eval, poly_mul
-from .series import (DiskSpec, PointValue, TailSeries, agreement_order,
-                     evaluate, weighted_sum)
+from .series import (DiskSpec, PointValue, TailSeries, _convolve,
+                     _over_common, agreement_order, evaluate, weighted_sum)
 
 
 class MonicPoly:
@@ -35,7 +35,7 @@ class MonicPoly:
     degrees divisible by the residue characteristic at call time.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_chain")
 
     def __init__(self, field, coeffs):
         coeffs = [field.embed(c) for c in coeffs]
@@ -43,15 +43,7 @@ class MonicPoly:
             raise UsageError("degree must be at least 2")
         self.field = field
         self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def from_list(cls, field, all_coeffs):
-        """From a full coefficient list a_0..a_d; the leading term must be 1."""
-        all_coeffs = list(all_coeffs)
-        lead = field.embed(all_coeffs[-1])
-        if not (lead - field.embed(1)).is_zero():
-            raise UsageError("polynomial must be monic")
-        return cls(field, all_coeffs[:-1])
+        self._chain = ()
 
     @property
     def degree(self) -> int:
@@ -64,22 +56,51 @@ class MonicPoly:
         return poly_eval(self.full_coeffs(), x)
 
     def iterate(self, N: int) -> "MonicPoly":
-        """The N-fold composition f^N as a MonicPoly (exact lists)."""
+        """The N-fold composition f^N as a MonicPoly.
+
+        Over ``ExactField`` f keeps the chain f, f^2, ... as integer
+        numerators over a common denominator, each level made once from
+        the one before and read as rationals only when returned; it grows
+        into a new tuple, never in place, so threads sharing f read a
+        whole one.  Other fields substitute f into element lists by Horner.
+        """
         if N < 1:
             raise UsageError("iterate needs N >= 1")
-        current = self.full_coeffs()
+        if self.field.backend == "exact":
+            chain = self._chain or (_over_common(self.full_coeffs()),)
+            while len(chain) < N:
+                chain += (_compose_flat(chain[0], chain[-1]),)
+            self._chain = chain
+            nums, den = chain[N - 1]
+            return MonicPoly(self.field,
+                             [Fraction(x, den) for x in nums[:-1]])
+        current = fc = self.full_coeffs()
         for _ in range(N - 1):
-            # substitute f into the current coefficient list
-            acc = [self.field.embed(current[-1])]
-            fc = self.full_coeffs()
+            acc = [current[-1]]
             for c in reversed(current[:-1]):
                 acc = poly_mul(acc, fc)
                 acc[0] = acc[0] + c
             current = acc
-        return MonicPoly.from_list(self.field, current)
+        return MonicPoly(self.field, current[:-1])
 
     def __repr__(self):
         return f"MonicPoly(d={self.degree}, p={self.field.p})"
+
+
+def _compose_flat(f, g) -> tuple:
+    """f o g from flat f = F / E and g = G / D (see ``_over_common``):
+    sum_i F_i G^i D^(d - i) / (E D^d), by Horner in G, reduced by the gcd
+    so that the denominator is the least common one."""
+    (F, E), (G, D) = f, g
+    acc, power = [F[-1]], 1
+    for c in reversed(F[:-1]):
+        n = len(acc) + len(G) - 1
+        acc = _convolve(acc + [0] * (len(G) - 1),
+                        list(G) + [0] * (len(acc) - 1), n)
+        power *= D
+        acc[0] += c * power
+    common = math.gcd(E * power, *acc)
+    return tuple(x // common for x in acc), E * power // common
 
 
 @dataclass(frozen=True)
@@ -223,6 +244,18 @@ def _omega_series(f: MonicPoly, M: int) -> TailSeries:
     return xi.invert_unit().shifted(1).truncate(M)
 
 
+def check_build(f: MonicPoly, M: int) -> None:
+    """Raise what a build to order M refuses before any work: p | d
+    (DomainError), M < 2 (UsageError), M over budget (BudgetError)."""
+    if f.degree % f.field.p == 0:
+        raise DomainError(
+            "residue characteristic divides the degree; no conjugacy series")
+    if M < 2:
+        raise UsageError("truncation order must be at least 2")
+    if M > config.max_series_order():
+        raise BudgetError(f"truncation order {M} exceeds the budget")
+
+
 def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
     """Construct the conjugacy to prescribed truncation order M.
 
@@ -244,15 +277,7 @@ def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
     omega(phi) = w modulo w^M.  The tests check that composition
     directly.
     """
-    d = f.degree
-    p = f.field.p
-    if d % p == 0:
-        raise DomainError(
-            "residue characteristic divides the degree; no conjugacy series")
-    if M < 2:
-        raise UsageError("truncation order must be at least 2")
-    if M > config.max_series_order():
-        raise BudgetError(f"truncation order {M} exceeds the budget")
+    check_build(f, M)
     omega = _omega_series(f, M)
     omega_inverse = _omega_inverse(f, M)
     cf_val = cf_constant(f)
@@ -394,14 +419,9 @@ def cauchy_rate_check(f: MonicPoly, N_max: int, trunc: int | None = None):
     unit, and only improves when low coefficients vanish.  The default
     truncation is the smallest that can certify both directions.
     """
-    d = f.degree
-    if d % f.field.p == 0:
-        raise DomainError(
-            "residue characteristic divides the degree; no conjugacy series")
     if trunc is None:
-        trunc = d ** N_max + 2
-    if trunc > config.max_series_order():
-        raise BudgetError(f"truncation order {trunc} exceeds the budget")
+        trunc = f.degree ** N_max + 2
+    check_build(f, trunc)
     xs = _xi_series(f, N_max + 1, trunc)
     return [agreement_order(xs[n], xs[n + 1]) for n in range(N_max)]
 

@@ -234,10 +234,6 @@ def _monic(job: JobSpec, field) -> MonicPoly:
     return MonicPoly(field, coeffs[:-1])
 
 
-def _point(field, text: str):
-    return field.embed(parse_rational(text, "--point"))
-
-
 # ---------------------------------------------------------------------------
 # command runners: each returns (results, checks)
 # ---------------------------------------------------------------------------
@@ -330,7 +326,7 @@ def run_escape(job: JobSpec):
     f = _monic(job, field)
     if job.point is None:
         raise UsageError("escape needs --point")
-    P = _point(field, job.point)
+    P = field.embed(parse_rational(job.point, "--point"))
     res = escape_test(f, P, job.max_iter)
     results = {"status": res.status, "iterations": res.iterations,
                "certified": res.certified, "reason": res.reason,

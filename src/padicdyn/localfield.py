@@ -44,8 +44,14 @@ def _vp_int(n: int, p: int) -> int:
     return v
 
 
-def _modinv(a: int, m: int) -> int:
-    return pow(a, -1, m)
+def _power(base, n: int, result):
+    """result * base^n for n >= 0, by squaring and multiplying."""
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
 
 
 class Valuation:
@@ -153,7 +159,30 @@ class Valuation:
 # ---------------------------------------------------------------------------
 
 
-class ExactElement:
+class _Element:
+    """Subtraction and equality as every element class derives them from
+    its own +, unary - and ``_coerce``; ExactElement overrides some."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return (self - other).is_zero()
+
+
+class ExactElement(_Element):
     """An exact rational viewed inside Q_p.  The oracle backend."""
 
     __slots__ = ("field", "value")
@@ -184,9 +213,6 @@ class ExactElement:
         if other is None:
             return NotImplemented
         return ExactElement(self.field, self.value - other.value)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return ExactElement(self.field, -self.value)
@@ -241,7 +267,7 @@ class ExactElement:
         return f"{self.value} (p={self.field.p})"
 
 
-class PadicElement:
+class PadicElement(_Element):
     """A coset ``p^v * unit + O(p^(v+rel))`` in Q_p.
 
     ``unit == 0`` encodes a zero: exactly zero when ``v is None``, or
@@ -294,7 +320,7 @@ class PadicElement:
         rel = field.prec
         num_unit = q.numerator // p ** vn
         den_unit = q.denominator // p ** vd
-        unit = (num_unit * _modinv(den_unit, p ** rel)) % (p ** rel)
+        unit = (num_unit * pow(den_unit, -1, p ** rel)) % (p ** rel)
         return cls._make(field, vn - vd, unit, rel)
 
     # -- predicates --------------------------------------------------------
@@ -364,15 +390,6 @@ class PadicElement:
         return PadicElement(self.field, self.v,
                             self.field.p ** self.rel - self.unit, self.rel)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -403,7 +420,7 @@ class PadicElement:
             return PadicElement._zero(self.field, self.v - other.v)
         rel = min(self.rel, other.rel)
         p = self.field.p
-        unit = (self.unit * _modinv(other.unit, p ** rel)) % (p ** rel)
+        unit = (self.unit * pow(other.unit, -1, p ** rel)) % (p ** rel)
         return PadicElement._make(self.field, self.v - other.v, unit, rel)
 
     def __rtruediv__(self, other):
@@ -411,25 +428,8 @@ class PadicElement:
         return other / self
 
     def __pow__(self, n: int):
-        if n < 0:
-            one = PadicElement.from_rational(self.field, 1)
-            return (one / self) ** (-n)
-        result = PadicElement.from_rational(self.field, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
+        one = PadicElement.from_rational(self.field, 1)
+        return _power(one / self if n < 0 else self, abs(n), one)
 
     # -- inspection --------------------------------------------------------
 
@@ -490,7 +490,7 @@ class _BaseField:
             return (0,)
         if isinstance(x, ExactElement):
             num, den = x.value.numerator, x.value.denominator
-            return ((num * _modinv(den, self.p)) % self.p,)
+            return ((num * pow(den, -1, self.p)) % self.p,)
         return (x.unit % self.p,)
 
     def lift_residue(self, r: tuple):
@@ -513,8 +513,6 @@ class ExactField(_BaseField):
         return ("exact", self.p)
 
     def from_rational(self, q) -> ExactElement:
-        if isinstance(q, str):
-            q = Fraction(q)
         return ExactElement(self, q)
 
     def zero(self):
@@ -570,8 +568,6 @@ class CappedField(_BaseField):
         return pw, self._logs
 
     def from_rational(self, q) -> PadicElement:
-        if isinstance(q, str):
-            q = Fraction(q)
         return PadicElement.from_rational(self, q)
 
     def zero(self):
@@ -934,7 +930,7 @@ class ExtensionField:
                 f"{self.kind})")
 
 
-class ExtElement:
+class ExtElement(_Element):
     """Element of an ExtensionField: a coefficient vector over the subfield."""
 
     __slots__ = ("field", "vec")
@@ -965,15 +961,6 @@ class ExtElement:
 
     def __neg__(self):
         return ExtElement(self.field, tuple(-a for a in self.vec))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def _reduce(self, conv):
         """Reduce a long coefficient list modulo the defining polynomial."""
@@ -1032,24 +1019,8 @@ class ExtElement:
         return other / self
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
+        return _power(self.inverse() if n < 0 else self, abs(n),
+                      self.field.one())
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.vec)

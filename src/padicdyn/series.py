@@ -637,18 +637,21 @@ def _capped_inverse(field, a):
     return s, _scaled(field, ri, -s, t), f
 
 
+def _over_common(coeffs) -> tuple:
+    """(integer numerators, the lcm of the denominators) of a list of
+    ExactField elements."""
+    den = math.lcm(*(c.value.denominator for c in coeffs))
+    return [c.value.numerator * (den // c.value.denominator)
+            for c in coeffs], den
+
+
 def _exact_product(field, a, b, n):
     """First n coefficients of a * b over an ExactField, each operand as
     integer numerators over the lcm of its denominators."""
-    xs = [c.value for c in a[:n]]
-    ys = [c.value for c in b[:n]]
-    den_x = math.lcm(*(q.denominator for q in xs))
-    den_y = math.lcm(*(q.denominator for q in ys))
-    values = _convolve(
-        [q.numerator * (den_x // q.denominator) for q in xs],
-        [q.numerator * (den_y // q.denominator) for q in ys], n)
+    (xs, den_x), (ys, den_y) = _over_common(a[:n]), _over_common(b[:n])
     den = den_x * den_y
-    return [ExactElement(field, Fraction(t, den)) for t in values]
+    return [ExactElement(field, Fraction(t, den))
+            for t in _convolve(xs, ys, n)]
 
 
 def _exact_inverse(field, a):
@@ -691,16 +694,12 @@ def weighted_sum(weights, terms) -> TailSeries:
     if not isinstance(field, CappedField):
         # integer numerators over one common denominator
         rows = [(c.value, x.ord - lo,
-                 [y.value for y in x.coeffs[:trunc - x.ord]])
-                for c, x in pairs]
-        lcms = [math.lcm(*(y.denominator for y in row)) for _, _, row in rows]
-        den = math.lcm(*(c.denominator * m for (c, _, _), m in zip(rows,
-                                                                   lcms)))
+                 *_over_common(x.coeffs[:trunc - x.ord])) for c, x in pairs]
+        den = math.lcm(*(c.denominator * m for c, _, _, m in rows))
         values = [0] * n
-        for (c, k, row), m in zip(rows, lcms):
+        for c, k, row, m in rows:
             scale = c.numerator * (den // (c.denominator * m))
-            values[k:] = map(add, values[k:], [
-                y.numerator * (m // y.denominator) * scale for y in row])
+            values[k:] = map(add, values[k:], [y * scale for y in row])
         return TailSeries(field, lo, [ExactElement(field, Fraction(y, den))
                                       for y in values], trunc)
     p = field.p

@@ -7,11 +7,13 @@ from math import gcd
 
 import pytest
 
+from padicdyn import boettcher
 from padicdyn import (DomainError, ExactField, ExtensionField, KummerLevel,
                       MonicPoly, UsageError, boettcher_series, certify_degree,
                       degree_chain, predicted_degree_step,
                       subgroup_orbit_count, transport_check,
                       transported_valuation)
+from padicdyn.localfield import poly_mul
 
 
 def mono(p, coeffs):
@@ -269,3 +271,145 @@ def test_orbit_count_budget():
     from padicdyn import BudgetError
     with pytest.raises(BudgetError):
         subgroup_orbit_count([(1, 1)], KummerLevel(2, 13))
+
+
+# -- flat iterates and the degree chain -----------------------------------------
+
+
+def iterate_by_elements(f, N):
+    """f^N by substituting f into element coefficient lists with
+    ``poly_mul`` (Horner), as rationals: the oracle for the flat chain."""
+    current = f.full_coeffs()
+    for _ in range(N - 1):
+        acc = [current[-1]]
+        for c in reversed(current[:-1]):
+            acc = poly_mul(acc, f.full_coeffs())
+            acc[0] = acc[0] + c
+        current = acc
+    return [c.value for c in current]
+
+
+def random_exact_map(rng, p, d):
+    """Coefficients over denominators p^k, prime to p, mixed, or 1."""
+    dens = [1, p, p ** 2, p ** 3, 2 if p != 2 else 3, 7 * p, 11]
+    return mono(p, [F(rng.randrange(-20, 21), rng.choice(dens))
+                    for _ in range(d)])
+
+
+def test_flat_iterates_match_element_horner():
+    rng = random.Random(8)
+    for trial in range(24):
+        p = (2, 3, 5, 7)[trial % 4]
+        d = 2 + trial % 4
+        f = random_exact_map(rng, p, d)
+        # levels asked in a scrambled order must come out of one chain
+        for N in rng.sample([1, 2, 3], 3):
+            got = [c.value for c in f.iterate(N).full_coeffs()]
+            assert got == iterate_by_elements(f, N), (trial, N)
+            assert all(type(q) is F for q in got)
+        assert len(f._chain) == 3
+
+
+def test_degree_chain_matches_level_by_level_recomputation():
+    rng = random.Random(9)
+    for trial in range(30):
+        p = (3, 5, 7)[trial % 3]
+        d = (2, 2, 3, 4)[trial % 4]
+        if d % p == 0:
+            d = 2
+        f = random_exact_map(rng, p, d)
+        P = F(rng.randrange(1, 4 * p), p ** rng.randrange(1, 4))
+        levels = {2: 6, 3: 3, 4: 3}[d]
+        try:
+            v_q = transported_valuation(boettcher_series(f, 8), P)
+        except DomainError:
+            with pytest.raises(DomainError):
+                degree_chain(f, P, levels, order=8)
+            continue
+        chain = degree_chain(f, P, levels, order=8)
+        assert chain.v_q == v_q
+        for n, rec in enumerate(chain.levels, 1):
+            fresh = mono(p, f.coeffs)   # no chain carried over
+            assert rec == {"n": n,
+                           "predicted_step": predicted_degree_step(
+                               v_q, d, n - 1),
+                           "certified_degree": certify_degree(fresh, P, n)}
+
+
+def test_degree_chain_builds_no_iterate_past_the_budget(monkeypatch):
+    steps = []
+    compose = boettcher._compose_flat
+
+    def counted(f, g):
+        steps.append(len(g[0]) - 1)   # degree of the level composed into
+        return compose(f, g)
+
+    monkeypatch.setattr(boettcher, "_compose_flat", counted)
+    for budget, certified in ((None, 6), ("16", 4)):
+        if budget is not None:
+            monkeypatch.setenv("PADICDYN_MAX_DEGREE", budget)
+        steps.clear()
+        chain = degree_chain(mono(3, [0, 0]), F(1, 3), levels=8)
+        assert [r["certified_degree"] for r in chain.levels] == (
+            [2 ** n for n in range(1, certified + 1)]
+            + [None] * (8 - certified))
+        # each of f^2 .. f^certified composed once, nothing beyond
+        assert steps == [2 ** n for n in range(1, certified)]
+
+
+def test_low_coeff_bits_budget_leaves_the_same_levels_uncertified(
+        monkeypatch):
+    f = mono(3, [2, 2])          # z^2 + 2z + 2: iterates grow fast
+    P = F(1, 3)
+    for cap in (4, 12, 40, 200):
+        monkeypatch.setenv("PADICDYN_MAX_COEFF_BITS", str(cap))
+        expected = []
+        for n in range(1, 7):
+            coeffs = iterate_by_elements(f, n)
+            coeffs[0] -= P
+            wide = any(q.numerator.bit_length() > cap
+                       or q.denominator.bit_length() > cap for q in coeffs)
+            expected.append(None if wide else 2 ** n)
+        assert [r["certified_degree"] for r in degree_chain(
+            f, P, levels=6).levels] == expected, cap
+        assert None in expected or cap == 200
+
+
+def test_single_term_polygon_is_uncertified():
+    # f(x) - P = x^2 and f^2(x) - P = (x^2 + 1/3)^2: the first has one
+    # nonzero coefficient, so every root is 0 and nothing is certified
+    f = mono(3, [F(1, 3), 0])
+    assert certify_degree(f, F(1, 3), 1) is None
+    assert certify_degree(mono(5, [0, 0]), 0, 2) is None
+
+
+def test_iterate_chain_shared_across_threads():
+    import sys
+    import threading
+
+    f = mono(5, [F(3, 25), F(-2, 7), 1])
+    want = {n: iterate_by_elements(f, n) for n in range(1, 4)}
+    shared = mono(5, f.coeffs)
+    wrong = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            n = rng.randrange(1, 4)
+            if [c.value for c in shared.iterate(n).full_coeffs()] != want[n]:
+                wrong.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    # a lost update only shortens the chain; no value may be wrong
+    assert wrong == []

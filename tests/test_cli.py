@@ -2,10 +2,12 @@
 
 import json
 import pathlib
+from fractions import Fraction as F
 
 import jsonschema
 import pytest
 
+from padicdyn import ExactField, MonicPoly
 from padicdyn.cli import (EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE,
                           JobSpec, build_parser, is_prime, job_from_args, run)
 
@@ -224,3 +226,62 @@ def test_check_failure_exit_code(monkeypatch):
     doc, status = run(JobSpec(command="cf", prime=5, poly=("1", "0", "1")))
     assert status == EXIT_CHECK_FAILED
     assert doc["checks"][0]["passed"] is False
+
+
+def test_degrees_single_term_polygon_reads_uncertified():
+    # f(x) - P = x^2 has one nonzero coefficient: every root is 0, so no
+    # certificate, and the job still exits 0
+    doc, status = run_cli(["degrees", "--prime", "3", "--poly", "1/3,0,1",
+                           "--point", "1/3", "--levels", "2"])
+    assert status == EXIT_OK
+    assert [r["certified_degree"] for r in doc["results"]["levels"]] == [
+        "uncertified", "uncertified"]
+    validate(doc)
+    # the polygon of a single term stays a usage error on its own
+    from padicdyn.cli import main
+    assert main(["newton-polygon", "--prime", "3", "--poly", "0,0,1"]) == \
+        EXIT_USAGE
+
+
+def test_degrees_exit_codes_with_and_without_the_series(monkeypatch, capsys):
+    import padicdyn.arboreal as arboreal
+    from padicdyn import boettcher_series, transported_valuation
+    from padicdyn.cli import main
+
+    builds = []
+    build = arboreal.boettcher_series
+
+    def counted(f, order):
+        builds.append(order)
+        return build(f, order)
+
+    monkeypatch.setattr(arboreal, "boettcher_series", counted)
+    good = ["degrees", "--prime", "3", "--poly", "1,0,1", "--point", "1/3"]
+    cases = [  # argv, environment variable, exit code
+        (["degrees", "--prime", "2", "--poly", "1,0,1", "--point", "1/2"],
+         None, EXIT_DOMAIN),                         # p divides d
+        (good + ["--order", "1"], None, EXIT_USAGE),
+        (good + ["--order", "600"], None, EXIT_DOMAIN),   # over the budget
+        (good + ["--order", "8"], ("PADICDYN_MAX_ORDER", "4"), EXIT_DOMAIN),
+        (good[:-1] + ["3", "--order", "8"], None, EXIT_DOMAIN),  # unit disk
+        (good + ["--order", "8"], None, EXIT_OK),
+    ]
+    for argv, env, code in cases:
+        with monkeypatch.context() as patch:
+            if env is not None:
+                patch.setenv(*env)
+            assert main(argv) == code, argv
+    capsys.readouterr()
+    # only the unit-disk point reads omega: good reduction with v(P) < 0
+    # gives v_q = -v(P) without a series
+    assert builds == [8]
+
+    # bad reduction: omega is built, and v_q is what it transports
+    builds.clear()
+    doc, status = run_cli(["degrees", "--prime", "5", "--poly=-1/5,0,1",
+                           "--point", "1/25", "--levels", "2",
+                           "--order", "16"])
+    assert status == EXIT_OK and builds == [16]
+    f = MonicPoly(ExactField(5), [F(-1, 5), 0])
+    assert doc["results"]["v_q"] == transported_valuation(
+        boettcher_series(f, 16), F(1, 25)) == 2
