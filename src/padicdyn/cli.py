@@ -524,8 +524,11 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
 def emit(doc: dict, output: str | None) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if output:
-        with open(output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"--output: {exc.strerror}: {output}") from exc
     else:
         sys.stdout.write(text)
 
@@ -539,6 +542,7 @@ def main(argv=None) -> int:
     try:
         job = job_from_args(args)
         doc, status = run(job)
+        emit(doc, getattr(args, "output", None))
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
@@ -548,7 +552,6 @@ def main(argv=None) -> int:
     except InternalError as exc:
         sys.stderr.write(f"check failure: {exc}\n")
         return EXIT_CHECK_FAILED
-    emit(doc, getattr(args, "output", None))
     if status == EXIT_CHECK_FAILED:
         sys.stderr.write("one or more checks failed\n")
     return status

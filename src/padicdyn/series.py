@@ -9,24 +9,27 @@ identity; the Böttcher build does not use it, since its inverse series
 solves a functional equation of its own (``boettcher``).  Disk norms and
 pointwise evaluation come with rigorous tail bounds.
 
-A series over ``CappedField`` is stored flat, as a triple (s, r, f): a
-shift s, the integer representatives r_i = unit_i p^(v_i - s) reduced to
-[0, p^(A_i - s)), and the interleaved list f = [A_0, v_0, A_1, v_1, ...]
-of each coefficient's absolute precision and valuation (both infinite for
-an exact zero, both the floor for an O(p^k) zero).  s is the least finite
-v_i, 0 if there is none, so each series has one triple.  Every operation
-works on triples with the precision rule of the element arithmetic, digit
-for digit; element objects are built only when ``coeffs`` is read.
-Unit inverses, and products of at least ``_SLOPED`` terms, take their dot
-products on a line of integer slope t under the valuations,
+Every series is stored flat: an integer vector r with one scale for the
+whole series, (r, s, f) over ``CappedField`` and (r, D) over
+``ExactField``.  A capped form has the scale p^s, s the least finite v_i
+(0 if there is none), the representatives r_i = unit_i p^(v_i - s)
+reduced to [0, p^(A_i - s)), and the interleaved list
+f = [A_0, v_0, A_1, v_1, ...] of each coefficient's absolute precision
+and valuation (both infinite for an exact zero, both the floor for an
+O(p^k) zero).  An exact form holds coefficient i as r_i / D, D the least
+common denominator, as ``boettcher.MonicPoly`` keeps its iterates.  So
+each series has one form.  The methods of ``TailSeries`` are written
+once over a kernel of functions per backend (below); capped operations
+keep the precision rule of the element arithmetic digit for digit, and
+elements are built only when ``coeffs`` or ``coefficient`` is read.
+Capped unit inverses, and products of at least ``_SLOPED`` terms, take
+their dot products on a line of integer slope t under the valuations,
 v_i >= c + i t: each representative is carried as u_i p^(v_i - c - i t),
 about as many digits as the precision where u_i p^(v_i - s) grows with
 i, and the sums are mapped back exactly, so digits and precisions do not
-change.  Over ``ExactField`` products and unit inverses run on integer
-numerators over a common denominator.  Coefficients lie in one of these
-two fields: no construction needs series over an extension (points in
-extensions are handled by ``evaluate``), so ``TailSeries`` refuses other
-fields.
+change.  Coefficients lie in one of these two fields: no construction
+needs series over an extension (points in extensions are handled by
+``evaluate``), so ``TailSeries`` refuses other fields.
 
 Values are immutable; evaluating one series at many points concurrently
 needs no coordination.
@@ -35,11 +38,12 @@ needs no coordination.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
-from operator import add, floordiv, mul, sub
+from operator import add, floordiv, mul
 
 from .errors import DomainError, InternalError, PrecisionError, UsageError
 from .localfield import (CappedField, ExactElement, ExactField, PadicElement,
@@ -66,64 +70,50 @@ class DiskSpec:
 class TailSeries:
     """c_ord w^ord + ... + c_{M-1} w^{M-1} + O(w^M).
 
-    The leading stored coefficient is nonzero (the constructor strips
-    zeros); an all-zero series has ord == trunc and no coefficients.
-    ``_flat`` holds the (s, r, f) triple of a capped series (see the
-    module docstring) and is None over ``ExactField``, where ``_coeffs``
-    holds the elements.
+    The leading stored coefficient is not an exact zero (those are
+    stripped); an all-zero series has ord == trunc and no coefficients.
+    ``_flat`` holds the flat form of the trunc - ord stored coefficients,
+    (r, s, f) over ``CappedField`` and (r, D) over ``ExactField``
+    (see the module docstring), and ``_kernel`` the backend's functions
+    on that form, which every method calls; ``_coeffs`` caches the
+    elements once ``coeffs`` is read.
     """
 
-    __slots__ = ("field", "ord", "trunc", "_flat", "_coeffs")
+    __slots__ = ("field", "ord", "trunc", "_kernel", "_flat", "_coeffs")
 
     def __init__(self, field, ord: int, coeffs, trunc: int):
-        if not isinstance(field, (CappedField, ExactField)):
+        if isinstance(field, CappedField):
+            kernel = _CAPPED
+        elif isinstance(field, ExactField):
+            kernel = _EXACT
+        else:
             raise UsageError("series coefficients must lie in an "
                              "ExactField or a CappedField")
         coeffs = [field.embed(c) for c in coeffs]
-        if len(coeffs) > max(trunc - ord, 0):
+        n = max(trunc - ord, 0)
+        if len(coeffs) > n:
             raise UsageError("more coefficients than the truncation allows")
-        coeffs += [field.embed(0)] * (trunc - ord - len(coeffs))
-        # only exactly-zero leading terms may be stripped; a capped
-        # coefficient indistinguishable from zero stays stored, since
-        # raising ord would overclaim precision downstream
-        while coeffs and coeffs[0].is_exact_zero:
-            coeffs.pop(0)
-            ord += 1
-        if not coeffs:
-            ord = trunc
-        self.field = field
-        self.ord = ord
+        self._set(kernel, field, ord,
+                  kernel.window(kernel.flat(field, coeffs), 0, n), trunc)
+
+    def _set(self, kernel, field, ord: int, flat, trunc: int) -> None:
+        # only exact-zero leading terms are stripped; a capped coefficient
+        # indistinguishable from zero stays stored, since raising ord
+        # would overclaim precision downstream
+        lead, flat = kernel.normal(field, flat)
+        self.field, self._kernel, self._flat = field, kernel, flat
+        self.ord = ord + lead if flat[0] else trunc
         self.trunc = trunc
-        if isinstance(field, CappedField):
-            self._flat = _capped_triple(field, coeffs)
-            self._coeffs = None
-        else:
-            self._flat = None
-            self._coeffs = tuple(coeffs)
+        self._coeffs = None
+
+    def _new(self, ord: int, flat, trunc: int) -> "TailSeries":
+        """A series over self's field from the flat form of its trunc - ord
+        coefficients from w^ord, in any scale."""
+        out = object.__new__(TailSeries)
+        out._set(self._kernel, self.field, ord, flat, trunc)
+        return out
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def _capped(cls, field, ord: int, flat, trunc: int) -> "TailSeries":
-        """A capped series from the triple of its trunc - ord coefficients
-        from w^ord: leading exact zeros stripped, the shift made the
-        least finite valuation."""
-        s, r, f = flat
-        i = 0
-        while i < len(r) and f[2 * i] == _INF:
-            i += 1
-        if i:
-            ord, r, f = ord + i, r[i:], f[2 * i:]
-        least = _least(f)
-        if least != s:
-            r = _scaled(field, r, s - least, 0)
-        self = object.__new__(cls)
-        self.field = field
-        self.ord = ord if r else trunc
-        self.trunc = trunc
-        self._flat = (least, r, f)
-        self._coeffs = None
-        return self
 
     @classmethod
     def zero(cls, field, trunc: int):
@@ -131,11 +121,14 @@ class TailSeries:
 
     @classmethod
     def one(cls, field, trunc: int):
-        return cls.from_polynomial(field, [1], trunc)
+        return cls.w_power(field, 0, trunc)
 
     @classmethod
     def w_power(cls, field, k: int, trunc: int):
-        return cls.from_polynomial(field, [0] * k + [1], trunc)
+        zero = cls.zero(field, trunc)
+        kernel = zero._kernel
+        return zero._new(min(k, trunc), kernel.window(
+            kernel.one(field), 0, max(trunc - k, 0)), trunc)
 
     @classmethod
     def from_polynomial(cls, field, coeffs, trunc: int):
@@ -146,20 +139,17 @@ class TailSeries:
 
     @property
     def coeffs(self) -> tuple:
-        """The stored coefficients as field elements; a capped series
-        builds them on the first read."""
+        """The stored coefficients as field elements, built on the first
+        read."""
         if self._coeffs is None:
-            s, r, f = self._flat
-            self._coeffs = tuple(_element(self.field, s, x, f[2 * i],
-                                          f[2 * i + 1])
-                                 for i, x in enumerate(r))
+            self._coeffs = tuple(
+                self._kernel.element(self.field, self._flat, i)
+                for i in range(self.trunc - self.ord))
         return self._coeffs
 
     def is_zero(self) -> bool:
         """True when every stored coefficient is indistinguishable from 0."""
-        if self._flat is not None:
-            return not any(self._flat[1])
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self._flat[0])
 
     @property
     def is_exact_zero(self) -> bool:
@@ -172,11 +162,16 @@ class TailSeries:
                              f"{self.trunc}")
         if k < self.ord:
             return self.field.embed(0)
-        i = k - self.ord
-        if self._coeffs is None:
-            s, r, f = self._flat
-            return _element(self.field, s, r[i], f[2 * i], f[2 * i + 1])
-        return self._coeffs[i]
+        return self._kernel.element(self.field, self._flat, k - self.ord)
+
+    def _has_constant_one(self) -> bool:
+        """Order 0 and constant term 1: c_0 - 1 is zero to its precision."""
+        if self.ord or not self.trunc:
+            return False
+        kernel = self._kernel
+        terms = [(kernel.sign(1), 0, kernel.window(self._flat, 0, 1)),
+                 (kernel.sign(-1), 0, kernel.one(self.field))]
+        return not any(kernel.linear(self.field, terms, 1)[0])
 
     def replace_coefficient(self, k: int, value) -> "TailSeries":
         """Copy with the coefficient of w^k replaced (test harness hook)."""
@@ -206,39 +201,21 @@ class TailSeries:
             raise UsageError("series over different coefficient fields")
 
     def truncate(self, trunc: int) -> "TailSeries":
-        if trunc >= self.trunc:
-            return self
-        n = max(trunc - self.ord, 0)
-        if self._flat is not None:
-            s, r, f = self._flat
-            return TailSeries._capped(self.field, min(self.ord, trunc),
-                                      (s, r[:n], f[:2 * n]), trunc)
-        return TailSeries(self.field, min(self.ord, trunc), self.coeffs[:n],
-                          trunc)
+        return self if trunc >= self.trunc else self._padded(trunc)
 
     def _padded(self, trunc: int) -> "TailSeries":
-        """Zero-extend the claimed truncation: iteration state only.
+        """Cut, or zero-extend, the claimed truncation to trunc.
 
-        Newton-style loops refine a candidate whose high terms are not yet
-        meaningful, so the inflated claim never escapes those loops.
+        Zero-extension is iteration state only: Newton-style loops refine a
+        candidate whose high terms are not yet meaningful, so the inflated
+        claim never escapes those loops.
         """
-        if trunc <= self.trunc:
-            return self.truncate(trunc)
-        if self._flat is not None:
-            s, r, f = self._flat
-            k = trunc - self.trunc
-            return TailSeries._capped(self.field, self.ord,
-                                      (s, r + [0] * k, f + [_INF, _INF] * k),
-                                      trunc)
-        return TailSeries(self.field, self.ord, self.coeffs, trunc)
+        return self._new(min(self.ord, trunc), self._kernel.window(
+            self._flat, 0, max(trunc - self.ord, 0)), trunc)
 
     def shifted(self, k: int) -> "TailSeries":
         """Multiplication by the exact monomial w^k."""
-        if self._flat is not None:
-            return TailSeries._capped(self.field, self.ord + k, self._flat,
-                                      self.trunc + k)
-        return TailSeries(self.field, self.ord + k, self.coeffs,
-                          self.trunc + k)
+        return self._new(self.ord + k, self._flat, self.trunc + k)
 
     def spread(self, d: int) -> "TailSeries":
         """S(w^d): coefficient k moves to index d k, exact zeros between.
@@ -248,69 +225,38 @@ class TailSeries:
         """
         if d < 1:
             raise UsageError("spread needs d >= 1")
-        if self._flat is not None:
-            s, r, f = self._flat
-            rr = [0] * (d * len(r))
-            rr[::d] = r
-            ff = [_INF] * (2 * d * len(r))
-            ff[::2 * d] = f[::2]
-            ff[1::2 * d] = f[1::2]
-            return TailSeries._capped(self.field, d * self.ord, (s, rr, ff),
-                                      d * self.trunc)
-        coeffs = [self.field.embed(0)] * (d * len(self.coeffs))
-        coeffs[::d] = self.coeffs
-        return TailSeries(self.field, d * self.ord, coeffs, d * self.trunc)
+        n = self.trunc - self.ord
+        return self._new(d * self.ord, self._kernel.window(
+            self._flat, 0, d * n, d), d * self.trunc)
 
-    def _aligned(self, lo: int, trunc: int, s: int):
-        """Representatives at shift s <= own shift, and precisions, of the
-        capped coefficients of w^lo .. w^(trunc-1); lo <= ord."""
-        own, r, f = self._flat
-        front = min(self.ord, trunc) - lo
-        n = max(trunc - self.ord, 0)
-        scale = self.field.p ** (own - s)
-        r = r[:n] if scale == 1 else [x * scale for x in r[:n]]
-        return [0] * front + r, [_INF] * front + f[:2 * n:2]
+    def _linear(self, pairs, trunc: int) -> "TailSeries":
+        """sum c x over the pairs (c a kernel weight, x a series over self's
+        field, truncated at trunc or later), to truncation trunc, in one
+        pass; below its order a series adds nothing."""
+        lo = min([x.ord for _, x in pairs] + [trunc])
+        terms = [(c, x.ord - lo, x._flat) for c, x in pairs if x.ord < trunc]
+        return self._new(lo, self._kernel.linear(self.field, terms,
+                                                 trunc - lo), trunc)
 
-    def _plus(self, other, op):
-        """self + other (op = add) or self - other (op = sub)."""
+    def _plus(self, other, sign: int):
+        """self + other (sign 1) or self - other (sign -1)."""
         self._check_field(other)
-        trunc = min(self.trunc, other.trunc)
-        lo = min(self.ord, other.ord, trunc)
-        if self._flat is not None:
-            # the element rule: the sum of the representatives, known to
-            # the lesser absolute precision
-            s = min(self._flat[0], other._flat[0])
-            ra, pa = self._aligned(lo, trunc, s)
-            rb, pb = other._aligned(lo, trunc, s)
-            return TailSeries._capped(
-                self.field, lo, _reduced(self.field, s, map(op, ra, rb),
-                                         map(min, pa, pb)), trunc)
-        if op is sub:
-            other = -other
-        # below its order a series adds nothing
-        return TailSeries(self.field, lo, [
-            other.coefficient(k) if k < self.ord else self.coefficient(k)
-            if k < other.ord else self.coefficient(k) + other.coefficient(k)
-            for k in range(lo, trunc)], trunc)
+        weight = self._kernel.sign
+        return self._linear([(weight(1), self), (weight(sign), other)],
+                            min(self.trunc, other.trunc))
 
     def __add__(self, other):
         if not isinstance(other, TailSeries):
             return NotImplemented
-        return self._plus(other, add)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, TailSeries):
             return NotImplemented
-        return self._plus(other, sub)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        if self._flat is not None:
-            s, r, f = self._flat
-            return TailSeries._capped(
-                self.field, self.ord,
-                _reduced(self.field, s, [-x for x in r], f[::2]), self.trunc)
-        return TailSeries(self.field, self.ord, [-c for c in self.coeffs],
-                          self.trunc)
+        return self._linear([(self._kernel.sign(-1), self)], self.trunc)
 
     def __mul__(self, other):
         if isinstance(other, TailSeries):
@@ -319,14 +265,8 @@ class TailSeries:
             if self.is_exact_zero or other.is_exact_zero:
                 return TailSeries.zero(self.field, trunc)
             ord_ = self.ord + other.ord
-            if self._flat is not None:
-                return TailSeries._capped(
-                    self.field, ord_, _capped_product(
-                        self.field, self._flat, other._flat, trunc - ord_),
-                    trunc)
-            out = _exact_product(self.field, self.coeffs, other.coeffs,
-                                 trunc - ord_)
-            return TailSeries(self.field, ord_, out, trunc)
+            return self._new(ord_, self._kernel.product(
+                self.field, self._flat, other._flat, trunc - ord_), trunc)
         return weighted_sum((self.field.embed(other),), (self,))
 
     __rmul__ = __mul__
@@ -352,35 +292,21 @@ class TailSeries:
         """Formal d/dw."""
         if self.is_exact_zero:
             return TailSeries.zero(self.field, max(self.trunc - 1, 0))
-        start = max(self.ord, 1)
-        skip = start - self.ord           # the constant term drops out
-        ord_, trunc = max(self.ord - 1, 0), self.trunc - 1
-        if self._flat is not None:
-            # m * c, m = k embedded with relative precision prec: as no
-            # coefficient has more, the precision is A + vp(m)
-            s, r, f = self._flat
-            p = self.field.p
-            ms = range(start, self.trunc)
-            precs = [A + _vp_int(m, p) for m, A in zip(ms, f[2 * skip::2])]
-            return TailSeries._capped(
-                self.field, ord_, _reduced(self.field, s, map(
-                    mul, r[skip:], ms), precs), trunc)
-        coeffs = [k * c for k, c in enumerate(self.coeffs[skip:], start)]
-        return TailSeries(self.field, ord_, coeffs, trunc)
+        start = max(self.ord, 1)          # the constant term drops out
+        kernel = self._kernel
+        flat = kernel.window(self._flat, start - self.ord, self.trunc - start)
+        return self._new(max(self.ord - 1, 0), kernel.times(
+            self.field, flat, range(start, self.trunc)), self.trunc - 1)
 
     # -- unit operations -----------------------------------------------------
 
     def invert_unit(self) -> "TailSeries":
         """Inverse of a series with constant term exactly 1."""
-        if self.ord != 0 or not (self.coefficient(0)
-                                 - self.field.embed(1)).is_zero():
+        if not self._has_constant_one():
             raise UsageError("inversion needs constant term 1; "
                              "callers normalize first")
-        if self._flat is not None:
-            return TailSeries._capped(self.field, 0, _capped_inverse(
-                self.field, self._flat), self.trunc)
-        inverse = _exact_inverse(self.field, self.coeffs)
-        return TailSeries(self.field, 0, inverse, self.trunc)
+        return self._new(0, self._kernel.inverse(self.field, self._flat),
+                         self.trunc)
 
     def nth_root(self, n: int) -> "TailSeries":
         """The unique n-th root with constant term 1, by Newton iteration.
@@ -393,8 +319,7 @@ class TailSeries:
         if n % self.field.p == 0:
             raise DomainError("root not available: residue characteristic "
                               "divides index")
-        if self.ord != 0 or not (self.coefficient(0)
-                                 - self.field.embed(1)).is_zero():
+        if not self._has_constant_one():
             raise UsageError("n-th roots need constant term 1")
         M = self.trunc
         inv_n = Fraction(1, n)
@@ -417,35 +342,6 @@ class TailSeries:
         if residual.is_zero():
             return x
         raise InternalError("series Newton iteration failed to converge")
-
-    def _plus_constant(self, outer: "TailSeries", k: int) -> "TailSeries":
-        """self + (outer's coefficient of w^k) w^0, for self.trunc > 0:
-        only coefficient 0 changes (an exact zero below ord)."""
-        if self._flat is None:
-            c = outer.coefficient(k)
-            if c.is_exact_zero:
-                return self
-            coeffs = list(self.coeffs)
-            if self.ord == 0:
-                coeffs[0] = coeffs[0] + c
-            else:
-                coeffs[:0] = [c] + [0] * (self.ord - 1)
-            return TailSeries(self.field, 0, coeffs, self.trunc)
-        so, ro, fo = outer._flat
-        i = k - outer.ord
-        if fo[2 * i] == _INF:
-            return self
-        s, r, f = self._flat
-        low, p = min(s, so), self.field.p
-        if s != low:
-            r = [x * p ** (s - low) for x in r]
-        r, f = [0] * self.ord + r, [_INF, _INF] * self.ord + f
-        _, head, head_f = _reduced(self.field, low,
-                                   [r[0] + ro[i] * p ** (so - low)],
-                                   [min(f[0], fo[2 * i])])
-        return TailSeries._capped(self.field, 0,
-                                  (low, head + r[1:], head_f + f[2:]),
-                                  self.trunc)
 
     def compose(self, inner: "TailSeries") -> "TailSeries":
         """self(inner(w)) for inner with ord >= 1, by Horner on a shrinking
@@ -472,22 +368,26 @@ class TailSeries:
         s = inner.ord   # 0 only for an exact zero O(w^0): nothing shrinks
         steps = min(self.trunc, -(-target // s)) if s else self.trunc
         acc = TailSeries.zero(self.field, target)
+        kernel = self._kernel
         for k in range(steps - 1, -1, -1):
             acc = (acc * inner).truncate(target - k * s)
             if k >= self.ord and acc.trunc:
-                acc = acc._plus_constant(self, k)
+                # plus c_k w^0: c_k alone, padded with exact zeros
+                c = kernel.window(self._flat, k - self.ord, 1)
+                acc = acc + acc._new(0, kernel.window(c, 0, acc.trunc),
+                                     acc.trunc)
         return acc
 
 
 # ---------------------------------------------------------------------------
-# coefficient kernels: products and unit inverses of coefficient tuples
+# kernels: the flat form of each backend
 # ---------------------------------------------------------------------------
 
 _INF = math.inf   # precision and valuation of an exact zero
 
 
 def _least(f) -> int:
-    """The shift of a capped triple: the least finite valuation in its
+    """The shift of a capped form: the least finite valuation in its
     [A, v] list (an O(p^k) zero's floor counts), 0 if there is none."""
     v = min(f[1::2], default=_INF)
     return 0 if v == _INF else v
@@ -503,7 +403,7 @@ def _scaled(field, xs, e: int, t: int) -> list:
 
 
 def _reduced(field, s, values, precs):
-    """The triple of the cosets values[k] p^s + O(p^precs[k]).
+    """The capped form of the cosets values[k] p^s + O(p^precs[k]).
 
     Each value is reduced mod p^(A - s) and its valuation found; a value
     that vanishes there is an O(p^A) zero, and an infinite precision
@@ -528,27 +428,90 @@ def _reduced(field, s, values, precs):
                 continue
         r.append(0)
         f += (A, A)
-    return s, r, f
+    return r, s, f
 
 
-def _capped_triple(field, coeffs):
-    """The (s, r, f) triple of a list of capped elements."""
+def _capped_flat(field, coeffs):
+    """The (r, s, f) form of a list of capped elements."""
     f = []
     for c in coeffs:
         f += (_INF, _INF) if c.v is None else (c.v + c.rel, c.v)
     s, p = _least(f), field.p
-    return s, [c.unit * p ** (c.v - s) % p ** (c.v + c.rel - s) if c.unit
-               else 0 for c in coeffs], f
+    return [c.unit * p ** (c.v - s) % p ** (c.v + c.rel - s) if c.unit
+            else 0 for c in coeffs], s, f
 
 
-def _element(field, s, x, A, v):
-    """The capped element with representative x at shift s, absolute
-    precision A and valuation v."""
+def _capped_element(field, flat, i):
+    """Coefficient i of a capped form as an element."""
+    r, s, f = flat
+    A, v = f[2 * i], f[2 * i + 1]
     if A == _INF:
         return PadicElement.exact_zero(field)
-    if not x:
-        return PadicElement._zero(field, A)
-    return PadicElement(field, v, x // field.p ** (v - s), A - v)
+    # an O(p^A) zero has r_i = 0 and v = A: unit 0, rel 0
+    return PadicElement(field, v, r[i] // field.p ** (v - s), A - v)
+
+
+def _capped_normal(field, flat):
+    """(the number of leading exact zeros, the form without them at the
+    least shift)."""
+    r, s, f = flat
+    i = 0
+    while i < len(r) and f[2 * i] == _INF:
+        i += 1
+    if i:
+        r, f = r[i:], f[2 * i:]
+    least = _least(f)
+    if least != s:
+        r = _scaled(field, r, s - least, 0)
+    return i, (r, least, f)
+
+
+def _capped_window(flat, lo: int, n: int, d: int = 1):
+    """n coefficients: those of the form from index lo, d apart, with exact
+    zeros between them and past the end."""
+    r, s, f = flat
+    m = -(-n // d)
+    r, f = r[lo:lo + m], f[2 * lo:2 * (lo + m)]
+    rr, ff, k = [0] * n, [_INF] * (2 * n), d * len(r)
+    rr[:k:d] = r
+    ff[:2 * k:2 * d], ff[1:2 * k:2 * d] = f[::2], f[1::2]
+    return rr, s, ff
+
+
+def _capped_linear(field, terms, n: int):
+    """The n coefficients of sum c x over the terms (c, k, x): x a capped
+    form placed k coefficients up, c = (v, unit, A) the weight p^v unit
+    + O(p^A) (A infinite for an exact integer).
+
+    Each coefficient is the exact sum of the scaled values, known to the
+    least of the scalar rule's precisions min(A_i + v, v_i + A).
+    """
+    p = field.p
+    shift = min((s + c[0] for c, _, (_, s, _) in terms), default=0)
+    values, precs = [], []
+    for (v, unit, A), k, (r, s, f) in terms:
+        r, m = r[:n - k], 2 * (n - k)
+        scale = unit * p ** (s + v - shift)
+        scaled = r if scale == 1 else [x * scale for x in r]
+        known = f[:m:2] if not v else [A_i + v for A_i in f[:m:2]]
+        if A != _INF:    # an exact weight leaves A_i + v
+            known = list(map(min, known, map(add, f[1:m:2], repeat(A))))
+        if values:
+            values[k:] = map(add, values[k:], scaled)
+            precs[k:] = map(min, precs[k:], known)
+        else:       # the first term: below it, exact zeros
+            values, precs = [0] * k + scaled, [_INF] * k + known
+    return _reduced(field, shift, values, precs)
+
+
+def _capped_times(field, flat, ms):
+    """Coefficient i times the integer ms[i].  m embedded with relative
+    precision prec: as no coefficient has more, the precision is
+    A + vp(m)."""
+    r, s, f = flat
+    p = field.p
+    return _reduced(field, s, map(mul, r, ms),
+                    [A + _vp_int(m, p) for m, A in zip(ms, f[::2])])
 
 
 def _convolve(xs, ys, n):
@@ -570,11 +533,9 @@ def _slope(r, f, i0: int, v0) -> int:
     integer slope through (i0, v0) that stays under the valuations."""
     return min(((f[2 * i + 1] - v0) // (i - i0)
                 for i in range(i0 + 1, len(r)) if r[i]), default=0)
-
-
 def _capped_product(field, a, b, n):
-    """The triple of the first n coefficients of a * b over a CappedField,
-    from the triples a and b, each of at least n coefficients.
+    """The form of the first n coefficients of a * b over a CappedField,
+    from the forms a and b, each of at least n coefficients.
 
     Coefficient k is the exact sum of the representatives' products at
     shift s_a + s_b, known to absolute precision min over i + j = k of
@@ -593,7 +554,7 @@ def _capped_product(field, a, b, n):
     an exact identity, so digits and precisions are those of the plain
     convolution.
     """
-    (sa, ra, fa), (sb, rb, fb) = a, b
+    (ra, sa, fa), (rb, sb, fb) = a, b
     # b's first n [A, v] pairs reversed, so that pairs (i, k - i) line up
     # as (A_i, v_j), (v_i, A_j)
     starts = fb[2 * n - 1::-1]
@@ -617,9 +578,9 @@ def _capped_product(field, a, b, n):
 
 def _capped_inverse(field, a):
     """inv_0 = 1, inv_k = -sum_{j=1..k} a_j inv_{k-j} over a CappedField,
-    triple in and out, with the precision rule of ``_capped_product`` for
+    form in and out, with the precision rule of ``_capped_product`` for
     each sum."""
-    s_a, r_a, f_a = a
+    r_a, s_a, f_a = a
     M = len(r_a)
     # v(a_j) >= j t for j >= 1, hence v(inv_k) >= k t; terms are carried
     # as the integers unit * p^(v - j t)
@@ -629,46 +590,112 @@ def _capped_inverse(field, a):
     ri, f = [1], [field.prec, 0]              # inv_0 .. inv_{k-1}
     for k in range(1, M):
         lo = M - 1 - k
-        _, x, fk = _reduced(field, k * t, [-sum(map(mul, ra[lo:], ri))],
+        x, _, fk = _reduced(field, k * t, [-sum(map(mul, ra[lo:], ri))],
                             [min(map(add, flat[2 * lo:], f))])
         ri += x
         f += fk
     s = min(0, (M - 1) * t)
-    return s, _scaled(field, ri, -s, t), f
+    return _scaled(field, ri, -s, t), s, f
 
 
 def _over_common(coeffs) -> tuple:
-    """(integer numerators, the lcm of the denominators) of a list of
-    ExactField elements."""
+    """The exact form (r, D) of a list of ExactField elements: integer
+    numerators over D, the lcm of the denominators."""
     den = math.lcm(*(c.value.denominator for c in coeffs))
     return [c.value.numerator * (den // c.value.denominator)
             for c in coeffs], den
 
 
+def _exact_element(field, flat, i):
+    """Coefficient i of an exact form as an element."""
+    r, den = flat
+    return ExactElement(field, Fraction(r[i], den))
+
+
+def _exact_normal(field, flat):
+    """(the number of leading zeros, the form without them)."""
+    r = flat[0]
+    i = next((i for i, x in enumerate(r) if x), len(r))
+    return i, _exact_window(flat, i, len(r) - i)
+
+
+def _exact_window(flat, lo: int, n: int, d: int = 1):
+    """n coefficients: those of the form from index lo, d apart, with zeros
+    between them and past the end, over their least common denominator
+    (the coefficients left out can only inflate the form's)."""
+    r, den = flat
+    r = r[lo:lo - (-n // d)]
+    g = gcd(den, *r)
+    rr = [0] * n
+    rr[:d * len(r):d] = [x // g for x in r] if g != 1 else r
+    return rr, den // g
+
+
+def _exact_linear(field, terms, n: int):
+    """The n coefficients of sum c x over the terms (c, k, x): x an exact
+    form placed k coefficients up, c = (numerator, denominator) the
+    weight; numerators over one common denominator."""
+    terms = [(c, k, _exact_window(x, 0, n - k)) for c, k, x in terms]
+    den = math.lcm(*(c_den * d for (_, c_den), _, (_, d) in terms))
+    values = [0] * n
+    for (c_num, c_den), k, (r, d) in terms:
+        scale = c_num * (den // (c_den * d))
+        values[k:] = map(add, values[k:], map(mul, r, repeat(scale)))
+    return values, den
+
+
+def _exact_times(field, flat, ms):
+    """Coefficient i times the integer ms[i]."""
+    r, den = flat
+    return list(map(mul, r, ms)), den
+
+
 def _exact_product(field, a, b, n):
-    """First n coefficients of a * b over an ExactField, each operand as
-    integer numerators over the lcm of its denominators."""
-    (xs, den_x), (ys, den_y) = _over_common(a[:n]), _over_common(b[:n])
-    den = den_x * den_y
-    return [ExactElement(field, Fraction(t, den))
-            for t in _convolve(xs, ys, n)]
+    """The first n coefficients of a * b, from exact forms a and b, each of
+    at least n coefficients."""
+    (ra, da), (rb, db) = _exact_window(a, 0, n), _exact_window(b, 0, n)
+    return _convolve(ra, rb, n), da * db
 
 
 def _exact_inverse(field, a):
-    """inv_0 = 1, inv_k = -sum_{j=1..k} a_j inv_{k-j} over an ExactField,
+    """inv_0 = 1, inv_k = -sum_{j=1..k} a_j inv_{k-j} from an exact form,
     each sum taken over the lcm of its terms' denominators."""
-    M = len(a)
-    na = [c.value.numerator for c in a][::-1]     # a_k .. a_1 at M-1-k ..
-    da = [c.value.denominator for c in a][::-1]
+    r, den = a
+    M = len(r)
+    g = [gcd(x, den) for x in r]
+    na = [x // c for x, c in zip(r, g)][::-1]     # a_k .. a_1 at M-1-k ..
+    da = [den // c for c in g][::-1]
     ni, di = [1], [1]                             # inv_0 .. inv_{k-1}
     for k in range(1, M):
         dens = list(map(mul, da[M - 1 - k:], di))
-        den = math.lcm(*dens)
-        q = Fraction(-sum(map(mul, map(mul, na[M - 1 - k:], ni),
-                              map(floordiv, repeat(den), dens))), den)
-        ni.append(q.numerator)
-        di.append(q.denominator)
-    return [ExactElement(field, Fraction(n, d)) for n, d in zip(ni, di)]
+        common = math.lcm(*dens)
+        num = -sum(map(mul, map(mul, na[M - 1 - k:], ni),
+                       map(floordiv, repeat(common), dens)))
+        c = gcd(num, common)
+        ni.append(num // c)
+        di.append(common // c)
+    common = math.lcm(*di)
+    return [x * (common // y) for x, y in zip(ni, di)], common
+
+
+# what the methods of ``TailSeries`` call on a backend's flat form
+_Kernel = namedtuple("_Kernel", "flat one element normal window weight "
+                     "sign linear times product inverse")
+
+_CAPPED = _Kernel(
+    flat=_capped_flat, one=lambda field: ([1], 0, [field.prec, 0]),
+    element=_capped_element, normal=_capped_normal, window=_capped_window,
+    weight=lambda c: (c.v, c.unit, c.v + c.rel),
+    sign=lambda n: (0, n, _INF), linear=_capped_linear,
+    times=_capped_times, product=_capped_product, inverse=_capped_inverse)
+
+_EXACT = _Kernel(
+    flat=lambda field, coeffs: _over_common(coeffs),
+    one=lambda field: ([1], 1), element=_exact_element,
+    normal=_exact_normal, window=_exact_window,
+    weight=lambda c: (c.value.numerator, c.value.denominator),
+    sign=lambda n: (n, 1), linear=_exact_linear, times=_exact_times,
+    product=_exact_product, inverse=_exact_inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -678,44 +705,15 @@ def _exact_inverse(field, a):
 
 def weighted_sum(weights, terms) -> TailSeries:
     """sum_j weights[j] terms[j] in one pass, to the least truncation of
-    the terms.
-
-    Digit for digit (precision included) the chain of scalar products and
-    sums: each coefficient is the exact sum of the scaled values, known to
-    the least of the scalar rule's precisions min(A + v_c, v + A_c), and
-    is reduced once instead of once per operation.
+    the terms: digit for digit (precision included) the chain of scalar
+    products and sums, each coefficient reduced once instead of once per
+    operation (``_capped_linear``).
     """
-    field = terms[0].field
-    trunc = min(x.trunc for x in terms)
-    pairs = [(c, x) for c, x in zip(weights, terms)
-             if not c.is_exact_zero and x.ord < trunc]
-    lo = min([x.ord for _, x in pairs] + [trunc])
-    n = trunc - lo
-    if not isinstance(field, CappedField):
-        # integer numerators over one common denominator
-        rows = [(c.value, x.ord - lo,
-                 *_over_common(x.coeffs[:trunc - x.ord])) for c, x in pairs]
-        den = math.lcm(*(c.denominator * m for c, _, _, m in rows))
-        values = [0] * n
-        for c, k, row, m in rows:
-            scale = c.numerator * (den // (c.denominator * m))
-            values[k:] = map(add, values[k:], [y * scale for y in row])
-        return TailSeries(field, lo, [ExactElement(field, Fraction(y, den))
-                                      for y in values], trunc)
-    p = field.p
-    shift = min((x._flat[0] + c.v for c, x in pairs), default=0)
-    values, precs = [0] * n, [_INF] * n
-    for c, x in pairs:
-        s, r, f = x._flat
-        k = x.ord - lo
-        m = 2 * (n - k)
-        scale = c.unit * p ** (s + c.v - shift)
-        values[k:] = map(add, values[k:], map(mul, r, repeat(scale)))
-        precs[k:] = map(min, precs[k:], map(
-            min, map(add, f[:m:2], repeat(c.v)),
-            map(add, f[1:m:2], repeat(c.v + c.rel))))
-    return TailSeries._capped(field, lo, _reduced(field, shift, values,
-                                                  precs), trunc)
+    first = terms[0]
+    weight = first._kernel.weight
+    return first._linear([(weight(c), x) for c, x in zip(weights, terms)
+                          if not c.is_exact_zero],
+                         min(x.trunc for x in terms))
 
 
 def lagrange_invert(S: TailSeries) -> TailSeries:
@@ -726,7 +724,7 @@ def lagrange_invert(S: TailSeries) -> TailSeries:
     coefficients, so does B (only the linear coefficient 1 is ever
     inverted).
     """
-    if S.ord != 1 or not (S.coefficient(1) - S.field.embed(1)).is_zero():
+    if not S.shifted(-1)._has_constant_one():
         raise UsageError("reversion needs leading term exactly w")
     M = S.trunc
     if M <= 2:
@@ -824,13 +822,7 @@ def evaluate(S: TailSeries, z, D: DiskSpec) -> PointValue:
 
 
 def agreement_order(a: TailSeries, b: TailSeries) -> int:
-    """Smallest index with distinguishable coefficients, else min trunc."""
-    if a.field != b.field:
-        raise UsageError("series over different coefficient fields")
-    limit = min(a.trunc, b.trunc)
-    for k in range(min(a.ord, b.ord, limit), limit):
-        ca = a.coefficient(k)
-        cb = b.coefficient(k)
-        if not (ca - cb).is_zero():
-            return k
-    return limit
+    """Smallest index with distinguishable coefficients, else min trunc:
+    the first coefficient of a - b that is not zero."""
+    d = a - b
+    return next((d.ord + i for i, x in enumerate(d._flat[0]) if x), d.trunc)

@@ -477,3 +477,23 @@ def test_inverse_residual_locates_corruption(backend, p, coeffs):
         assert agreement_order(_inverse_residual(bad, f)[0], none) \
             == k + d - 1
         assert agreement_order(B.omega.compose(bad), w) == k
+
+
+@pytest.mark.parametrize("prec", [2, 3, 5, 20])
+@pytest.mark.parametrize("p, coeffs, M", [
+    (3, [-6, -6], 4),                    # z^2 - 6z - 6
+    (3, [-2, -4], 4),                    # z^2 - 4z - 2
+    (7, [-2, -4], 4),
+    (3, [-2, -2], 6),                    # z^2 - 2z - 2
+])
+def test_omega_inverse_padding_never_stays_exact(p, coeffs, M, prec):
+    """The last coefficient of omega^-1 is 0 for these maps.  The Newton
+    step that fills it sees a residual G that is only indistinguishable
+    from zero, and must still correct the zero-padded iterate, so the
+    capped coefficient is an O(p^k) zero, not an exact one (README: a
+    capped coefficient is an exact zero only when exact arithmetic made
+    it one)."""
+    assert _omega_inverse(mono(p, coeffs), M).coefficient(M - 1) == 0
+    last = _omega_inverse(mono(p, coeffs, "capped", prec), M).coefficient(
+        M - 1)
+    assert last.is_zero() and not last.is_exact_zero

@@ -124,7 +124,7 @@ def test_round_trip_jobspec():
     assert json.dumps(doc2, sort_keys=True) == json.dumps(doc, sort_keys=True)
 
 
-def test_usage_errors(monkeypatch, capsys):
+def test_usage_errors(monkeypatch, capsys, tmp_path):
     job = JobSpec(command="cf", prime=6, poly=("1", "1"))
     with pytest.raises(Exception):
         run(job)
@@ -170,6 +170,11 @@ def test_usage_errors(monkeypatch, capsys):
           "--ext=-5,0,1", "--ext-point", "0,,1/5"], None, "--ext-point"),
         (["transport", "--prime", "5", "--poly", "0,0,1", "--point", "1/5",
           "--ext=-5,0,1", "--ext-point="], None, "--ext-point"),
+        # an output file that cannot be opened, never a traceback
+        (["cf", "--prime", "5", "--poly", "3,0,1", "--output",
+          str(tmp_path / "missing" / "x.json")], None, "--output"),
+        (["cf", "--prime", "5", "--poly", "3,0,1", "--output",
+          str(tmp_path)], None, "--output"),
     ]
     for argv, env, named in cases:
         with monkeypatch.context() as patch:

@@ -1,7 +1,9 @@
-"""Source hygiene: every name a module imports is referenced in it.
+"""Source hygiene: every name a module imports is referenced in it, and
+only ``series.py`` reads the storage of a ``TailSeries``.
 
-``__init__.py`` is skipped, since it imports names only to re-export them.
-Parsed with ``ast`` alone, so no linter is needed.
+``__init__.py`` is skipped by the import check, since it imports names
+only to re-export them.  Parsed with ``ast`` alone, so no linter is
+needed.
 """
 
 import ast
@@ -44,3 +46,17 @@ def test_no_unused_imports():
               for path in sorted(SRC.glob("*.py"))
               if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+# the flat form of a series, its backend kernel and its element cache
+SERIES_STORAGE = {"_flat", "_kernel", "_coeffs"}
+
+
+def test_only_series_reads_series_storage():
+    readers = {path.name: sorted({node.attr for node in ast.walk(
+                   ast.parse(path.read_text()))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in SERIES_STORAGE})
+               for path in sorted(SRC.glob("*.py"))
+               if path.name != "series.py"}
+    assert {name: attrs for name, attrs in readers.items() if attrs} == {}

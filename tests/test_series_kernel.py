@@ -1,18 +1,20 @@
 """The series kernels checked against element-by-element arithmetic.
 
-Capped series are stored flat (a shift, integer representatives and an
-[A, v] precision list); every capped operation is compared, digit and
-precision alike, with ``Ref``, a series that stores one element per
-coefficient and runs the element loops.  The flat integer products and
-inverses over ExactField, and the shrinking-truncation Horner of
-``TailSeries.compose``, ``TailSeries.spread`` and ``weighted_sum`` are
-compared with the same oracle.  Capped results, the Böttcher inverse
-series included, are also checked against exact rational arithmetic: no
-coefficient may claim more precision than it has.
+Series are stored flat: capped ones as integer representatives, a shift
+and an [A, v] precision list, exact ones as integer numerators over their
+least common denominator.  Every operation on either backend is compared,
+digit and precision alike, with ``Ref``, a series that stores one element
+per coefficient and runs the element loops, and every result must hold
+the one flat form its own coefficients give.  The shrinking-truncation
+Horner of ``TailSeries.compose``, ``TailSeries.spread`` and
+``weighted_sum`` are compared with the same oracle.  Capped results, the
+Böttcher inverse series included, are also checked against exact rational
+arithmetic: no coefficient may claim more precision than it has.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +23,7 @@ from padicdyn import (CappedField, ExactField, InternalError, MonicPoly,
                       lagrange_invert)
 from padicdyn.boettcher import _omega_inverse
 from padicdyn.cli import element_json, series_json
-from padicdyn.localfield import PadicElement
+from padicdyn.localfield import ExactElement, PadicElement
 from padicdyn.series import _SLOPED, weighted_sum
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
@@ -270,13 +272,21 @@ def capped_one(data, field):
 
 
 def same(x, y):
-    """x (a TailSeries) encodes as the oracle's y; a capped x holds the one
-    triple its own coefficients give: least shift, reduced
-    representatives."""
+    """x (a TailSeries) encodes as the oracle's y and holds the one flat
+    form its own coefficients give: capped, the least shift and reduced
+    representatives; exact, the least common denominator."""
     assert series_json(x) == series_json(y)
-    if isinstance(x.field, CappedField):
-        rebuilt = TailSeries(x.field, x.ord, x.coeffs, x.trunc)
-        assert x._flat == rebuilt._flat
+    rebuilt = TailSeries(x.field, x.ord, x.coeffs, x.trunc)
+    assert x._flat == rebuilt._flat
+
+
+def backend_draws(data, backend):
+    """(field, element strategy, a function drawing 1) of a backend."""
+    if backend == "capped":
+        field = data.draw(capped_fields())
+        return field, capped_elements, lambda: capped_one(data, field)
+    field = ExactField(data.draw(PRIMES))
+    return field, exact_elements, field.one
 
 
 def outcome(op, *args):
@@ -314,13 +324,14 @@ def test_capped_inverse_matches_recurrence(data):
     same(a.invert_unit(), Ref.of(a).invert_unit())
 
 
+@pytest.mark.parametrize("backend", ["capped", "exact"])
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_capped_ring_operations_match_element_loops(data):
-    field = data.draw(capped_fields())
-    a = data.draw(series(field, capped_elements))
-    b = data.draw(series(field, capped_elements))
-    c = data.draw(capped_elements(field))
+def test_ring_operations_match_element_loops(backend, data):
+    field, elements, _ = backend_draws(data, backend)
+    a = data.draw(series(field, elements))
+    b = data.draw(series(field, elements))
+    c = data.draw(elements(field))
     k = data.draw(st.integers(0, 14))
     ra, rb = Ref.of(a), Ref.of(b)
     same(a, ra)
@@ -353,16 +364,15 @@ def test_capped_compose_matches_full_horner(data):
     same(outer.compose(inner), Ref.of(outer).compose(Ref.of(inner)))
 
 
+@pytest.mark.parametrize("backend", ["capped", "exact"])
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_capped_newton_iterations_match_element_loops(data):
-    field = data.draw(capped_fields())
+def test_newton_iterations_match_element_loops(backend, data):
+    field, elements, one = backend_draws(data, backend)
     n = data.draw(st.integers(2, 7).filter(lambda n: n % field.p))
-    a = data.draw(units(field, capped_elements, capped_one(data, field),
-                        max_size=9))
+    a = data.draw(units(field, elements, one(), max_size=9))
     same_outcome(outcome(a.nth_root, n), outcome(Ref.of(a).nth_root, n))
-    s = data.draw(units(field, capped_elements, capped_one(data, field),
-                        ord_=1, max_size=7))
+    s = data.draw(units(field, elements, one(), ord_=1, max_size=7))
     same_outcome(outcome(lagrange_invert, s), outcome(Ref.of(s).reverted))
 
 
@@ -443,6 +453,47 @@ def test_long_capped_product_matches_element_loop(data):
 
 
 # -- over ExactField ----------------------------------------------------------
+
+
+def created_rationals(monkeypatch):
+    """A one-item list counting the ExactElements and Fractions made from
+    now on."""
+    count = [0]
+    init, new = ExactElement.__init__, Fraction.__new__
+
+    def counted_init(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    def counted_new(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ExactElement, "__init__", counted_init)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    return count
+
+
+def test_exact_operations_make_no_rationals(monkeypatch):
+    """Exact series work on integer numerators: no operation makes an
+    element or a Fraction until coefficients are read, and a Newton
+    iteration makes only its scalar 1/n, once per step."""
+    field = ExactField(5)
+    a = TailSeries(field, 0, [1, Fraction(2, 5), -3, Fraction(1, 7), 4], 5)
+    b = TailSeries(field, 1, [Fraction(3, 25), 0, 6, Fraction(-1, 2)], 6)
+    weights = [field.embed(2), field.embed(Fraction(1, 5))]
+    count = created_rationals(monkeypatch)
+    results = [a + b, a - b, -a, a * b, a.invert_unit(), a.truncate(3),
+               a._padded(8), a.shifted(2), a.spread(3), a.derivative(),
+               weighted_sum(weights, [a, b]), a.compose(b), a ** 3,
+               TailSeries.one(field, 4), TailSeries.w_power(field, 2, 6)]
+    assert agreement_order(a, a + b) == 1 and not a.is_zero()
+    assert count[0] == 0
+    M = 64
+    a._padded(M).nth_root(3)
+    assert count[0] <= 2 * M.bit_length()
+    assert all(c is not None for r in results for c in r.coeffs)
+    assert count[0] > 2 * M.bit_length()
 
 
 @settings(max_examples=150, deadline=None)
