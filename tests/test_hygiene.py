@@ -52,11 +52,15 @@ def test_no_unused_imports():
 SERIES_STORAGE = {"_flat", "_kernel", "_coeffs"}
 
 
-def test_only_series_reads_series_storage():
-    readers = {path.name: sorted({node.attr for node in ast.walk(
-                   ast.parse(path.read_text()))
+def storage_reads(path):
+    tree = ast.parse(path.read_text())
+    return sorted({node.attr for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute)
                    and node.attr in SERIES_STORAGE})
-               for path in sorted(SRC.glob("*.py"))
-               if path.name != "series.py"}
-    assert {name: attrs for name, attrs in readers.items() if attrs} == {}
+
+
+def test_only_series_reads_series_storage():
+    reads = {path.name: storage_reads(path)
+             for path in sorted(SRC.glob("*.py"))
+             if path.name != "series.py"}
+    assert {name: attrs for name, attrs in reads.items() if attrs} == {}
