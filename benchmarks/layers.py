@@ -27,9 +27,13 @@ comparison:
 512 and gives the digest of omega and omega^-1 as ``perfbench`` records
 it, so a change that claims equal outputs can be checked at orders the
 benchmark pools do not reach.  ``jobs`` times one ``padicdyn verify`` job,
-one degree certificate at d^n = 64 (z^2 + 1 over Q_3, P = 1/3) and one
-six-level degree chain (z^2 over Q_3, P = 1/3); both degree rows take a
-new polynomial on every run, so no iterate is reused from the run before.
+one ``padicdyn transport`` job in the cubic extension Q_7((-14)^(1/3))
+(its conjugates need Hensel lifting), twenty ``padicdyn kummer --d 2 --N 2``
+jobs (``kummer_20_s``: almost all of a small job is fixed cost such as
+argument parsing), one degree certificate at d^n = 64 (z^2 + 1 over Q_3,
+P = 1/3) and one six-level degree chain (z^2 over Q_3, P = 1/3); both
+degree rows take a new polynomial on every run, so no iterate is reused
+from the run before.
 
 Each time is the least of up to five runs that fit in half a second (one
 run when a single run takes longer), in wall-clock seconds.  The script
@@ -63,6 +67,12 @@ ORDERS = (32, 64, 128, 256)
 BUILDS = (256, 512)
 VERIFY_JOB = ["verify", "--prime", "7", "--poly", "2,1,0,1", "--order", "32",
               "--points", "5", "--seed", "1"]
+# the cli-jobs pool's job transport:32:0: f = z^3 - 2 over Q_7 and
+# Q = 1/pi with pi^3 = -14, so f(Q) = P = -1/14 - 2
+TRANSPORT_JOB = ["transport", "--prime", "7", "--poly=-2,0,0,1",
+                 "--point=-29/14", "--ext=14,0,0,1", "--ext-point=0,0,-1/14",
+                 "--order", "12", "--backend", "capped", "--precision", "20"]
+KUMMER_JOB = ["kummer", "--d", "2", "--N", "2"]
 
 
 def best_of(fn, budget=0.5, most=5):
@@ -125,16 +135,20 @@ def build(M: int) -> dict:
     return row
 
 
-def verify_job() -> int:
+def cli_job(argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
-        return cli_main(VERIFY_JOB)
+        return cli_main(argv)
 
 
 def jobs() -> dict:
     row = {}
-    row["verify_job_s"], code = best_of(verify_job)
-    if code != 0:
-        raise SystemExit(f"{' '.join(VERIFY_JOB)} exited {code}")
+    for name, argv, runs in (("verify_job_s", VERIFY_JOB, 1),
+                             ("transport_job_s", TRANSPORT_JOB, 1),
+                             ("kummer_20_s", KUMMER_JOB, 20)):
+        row[name], codes = best_of(lambda: [cli_job(argv)
+                                            for _ in range(runs)])
+        if any(codes):
+            raise SystemExit(f"{' '.join(argv)} exited {max(codes)}")
     row["certify_degree_64_s"], degree = best_of(lambda: certify_degree(
         MonicPoly(ExactField(3), [1, 0]), Fraction(1, 3), 6))
     if degree != 64:

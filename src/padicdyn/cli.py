@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import random
 import sys
@@ -426,7 +427,14 @@ def run(job: JobSpec) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The padicdyn parser, built on the first call and shared after it.
+
+    Parsing reads the parser and changes nothing in it: each call gets a
+    new namespace, defaults included, and help and errors go to the
+    sys.stdout and sys.stderr of that moment.
+    """
     parser = argparse.ArgumentParser(
         prog="padicdyn",
         description="Conjugacy series, Newton polygons, escape tests, and "

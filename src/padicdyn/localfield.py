@@ -235,6 +235,8 @@ class ExactElement(_Element):
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return other / self
 
     def __pow__(self, n: int):
@@ -425,6 +427,8 @@ class PadicElement(_Element):
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return other / self
 
     def __pow__(self, n: int):
@@ -812,6 +816,7 @@ class ExtensionField:
         if self.tower_degree > MAX_TOWER_DEGREE:
             raise UsageError(
                 f"tower degree {self.tower_degree} exceeds {MAX_TOWER_DEGREE}")
+        self._images = {}   # precision -> generator images (``conjugates``)
         if kind == "eisenstein":
             self.e = subfield.e * self.degree
             self.f_res = subfield.f_res
@@ -916,11 +921,13 @@ class ExtensionField:
         return self.embed(int(r[0]))
 
     def __eq__(self, other):
-        return (isinstance(other, ExtensionField)
-                and other.kind == self.kind
-                and other.subfield == self.subfield
-                and all((a - b).is_zero() for a, b in
-                        zip(other.stage_coeffs, self.stage_coeffs)))
+        return self is other or (
+            isinstance(other, ExtensionField)
+            and other.kind == self.kind
+            and other.degree == self.degree
+            and other.subfield == self.subfield
+            and all((a - b).is_zero() for a, b in
+                    zip(other.stage_coeffs, self.stage_coeffs)))
 
     def __hash__(self):
         return hash((self.kind, self.degree, self.subfield))
@@ -1016,6 +1023,8 @@ class ExtElement(_Element):
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return other / self
 
     def __pow__(self, n: int):
@@ -1110,19 +1119,25 @@ def conjugates(E: ExtensionField, a, precision: int = 32):
 
     E must be a single-stage extension of degree <= 4 whose defining
     polynomial splits in E; the conjugates are obtained by sending the
-    generator to each root.
+    generator to each root.  Those roots, the generator's images, are
+    found once per precision and kept on E.
     """
     if isinstance(E.subfield, ExtensionField):
         raise UsageError("conjugates need a single-stage extension")
     if E.degree > 4:
         raise UsageError("conjugates support degree <= 4 only")
     a = E.embed(a)
-    g = [E.embed(c) for c in E.stage_coeffs] + [E.one()]
-    gen = E.generator()
-    if not poly_eval(g, gen).is_zero():
-        raise InternalError("generator does not satisfy its polynomial")
-    # divide off the generator root, then hunt for the others
-    other_roots = _roots_in_field(_deflate(g, gen), E, precision)
-    if len(other_roots) != E.degree - 1:
-        raise DomainError("non-normal extension")
-    return [a.apply_root_map(r) for r in [gen] + other_roots]
+    images = E._images.get(precision)
+    if images is None:
+        g = [E.embed(c) for c in E.stage_coeffs] + [E.one()]
+        gen = E.generator()
+        if not poly_eval(g, gen).is_zero():
+            raise InternalError("generator does not satisfy its polynomial")
+        # divide off the generator root, then hunt for the others
+        other_roots = _roots_in_field(_deflate(g, gen), E, precision)
+        if len(other_roots) != E.degree - 1:
+            raise DomainError("non-normal extension")
+        images = (gen, *other_roots)
+        # a new dict with the complete tuple, never one changed in place
+        E._images = {**E._images, precision: images}
+    return [a.apply_root_map(r) for r in images]

@@ -1,7 +1,10 @@
 """CLI dispatch, JSON output shape, determinism, and exit codes."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import jsonschema
@@ -11,9 +14,8 @@ from padicdyn import ExactField, MonicPoly
 from padicdyn.cli import (EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE,
                           JobSpec, build_parser, is_prime, job_from_args, run)
 
-SCHEMA = json.loads(
-    (pathlib.Path(__file__).parent.parent / "docs" / "schema.json")
-    .read_text())
+ROOT = pathlib.Path(__file__).parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "schema.json").read_text())
 
 
 def run_cli(argv):
@@ -290,3 +292,62 @@ def test_degrees_exit_codes_with_and_without_the_series(monkeypatch, capsys):
     f = MonicPoly(ExactField(5), [F(-1, 5), 0])
     assert doc["results"]["v_q"] == transported_valuation(
         boettcher_series(f, 16), F(1, 25)) == 2
+
+
+def test_parser_is_built_once_and_not_at_import():
+    assert build_parser() is build_parser()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import padicdyn.cli as cli; "
+         "print(cli.build_parser.cache_info().currsize)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert probe.stdout.strip() == "0"
+
+
+def test_shared_parser_leaks_nothing_between_jobs(monkeypatch, capsys):
+    """Jobs run one after another in one process give, job by job, the
+    exit code and stdout that each gives in a process of its own."""
+    from padicdyn.cli import main
+
+    monkeypatch.setenv("COLUMNS", "80")   # one help width on both sides
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    boettcher = ["boettcher", "--prime", "5", "--poly", "3,0,1",
+                 "--order", "6"]
+    jobs = [
+        boettcher + ["--emit-latex"],
+        boettcher,                                     # no latex leaks in
+        ["--help"],
+        ["cf", "--prime", "5", "--poly=abc,1"],        # malformed: exit 2
+        ["cf", "--prime", "5", "--poly", "1/5,0,1"],
+        ["verify", "--prime", "5", "--poly", "3,0,1", "--order", "8",
+         "--points", "2", "--seed", "3"],
+        boettcher + ["--backend", "capped", "--precision", "12"],
+        ["kummer", "--d", "2", "--N", "2", "--generators", "1,1"],
+        ["boettcher", "--prime", "5", "--order", "6"],  # no --poly: exit 2
+        ["degrees", "--prime", "3", "--poly", "1,0,1", "--point", "1/3",
+         "--levels", "2"],
+        ["--help"],
+        ["newton-polygon", "--prime", "3", "--poly", "3,1,1"],
+        boettcher,
+        ["transport", "--prime", "5", "--poly", "0,0,1", "--point", "1/5",
+         "--ext=-5,0,1", "--ext-point", "0,1/5", "--order", "8"],
+    ]
+    together = []
+    for argv in jobs:
+        code = main(argv)
+        together.append((code, capsys.readouterr().out))
+    alone = []
+    for argv in jobs:
+        proc = subprocess.run([sys.executable, "-m", "padicdyn.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        alone.append((proc.returncode, proc.stdout))
+    for argv, got, want in zip(jobs, together, alone):
+        assert got == want, argv
+    codes = [code for code, _ in together]
+    assert codes == [0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
+    assert "omega_latex" in together[0][1]
+    assert "omega_latex" not in together[1][1]
+    assert together[2] == together[10] and "usage: padicdyn" in together[2][1]
+    assert together[1] == together[12]

@@ -370,3 +370,88 @@ def test_valuation_minimum_with_lower_bounds():
             assert got.is_infinite, (driver, entries)
         else:
             assert (got.value, got.exact) == (value, exact), (driver, entries)
+
+
+# -- generator images, field equality, reflected division ---------------------
+
+
+def test_conjugates_lift_the_generator_images_once_per_precision(
+        monkeypatch):
+    from padicdyn import localfield
+
+    lifts = []
+
+    def counted(*args):
+        lifts.append(args[-1])
+        return hensel_lift(*args)
+
+    monkeypatch.setattr(localfield, "hensel_lift", counted)
+    E = ExtensionField(ExactField(7), [-7, 0, 0], "eisenstein")
+    pi = E.generator()
+    x = E.from_vector([F(1, 2), 3, -1])
+    first = conjugates(E, pi, precision=20)
+    once = len(lifts)
+    assert once > 0
+    second = conjugates(E, x, precision=20)
+    assert len(lifts) == once
+    third = conjugates(E, pi, precision=25)
+    assert len(lifts) == 2 * once and lifts[-1] == 25
+    assert conjugates(E, pi, precision=20) == first
+    assert len(lifts) == 2 * once
+
+    fresh = ExtensionField(ExactField(7), [-7, 0, 0], "eisenstein")
+    assert fresh is not E and fresh == E
+    assert conjugates(fresh, fresh.generator(), precision=20) == first
+    assert conjugates(fresh, x, precision=20) == second
+    assert conjugates(fresh, fresh.generator(), precision=25) == third
+
+
+def test_conjugates_shared_across_threads():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    K = CappedField(5, 20)
+    x = [F(1, 2), 3, -1]
+    expected = {}
+    for prec in (12, 16):
+        fresh = ExtensionField(K, [1, 1, 0], "unramified")
+        expected[prec] = conjugates(fresh, fresh.from_vector(x), prec)
+    E = ExtensionField(K, [1, 1, 0], "unramified")
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(conjugates, E, E.from_vector(x), prec)
+                       for prec in (12, 16) * 6]
+            got = [(prec, future.result(timeout=60))
+                   for prec, future in zip((12, 16) * 6, futures)]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(roots == expected[prec] for prec, roots in got)
+
+
+def test_extension_field_equality():
+    for base in (ExactField(7), CappedField(7, 10)):
+        E = ExtensionField(base, [-7, 0, 0], "eisenstein")
+        assert E == E
+        assert E == ExtensionField(base, [-7, 0, 0], "eisenstein")
+        assert ExtensionField(base, [-7, 0, 0], "eisenstein") == E
+        assert E != ExtensionField(base, [-7, 7, 0], "eisenstein")
+        assert E != ExtensionField(base, [-14, 0, 0], "eisenstein")
+        assert E != ExtensionField(base, [-7, 0, 0, 0], "eisenstein")
+        assert E != base
+
+
+@pytest.mark.parametrize("kind", ["exact", "capped", "extension"])
+def test_reflected_division_by_an_unsupported_operand(kind):
+    x = {"exact": lambda: ExactField(5).from_rational(2),
+         "capped": lambda: CappedField(5, 6).from_rational(2),
+         "extension": lambda: ExtensionField(
+             ExactField(3), [-3, 0], "eisenstein").generator()}[kind]()
+    for other in ("s", 2.5, None):
+        with pytest.raises(TypeError):
+            other / x
+        with pytest.raises(TypeError):
+            x / other
+    assert (1 / x) * x == 1
+    assert (F(3, 2) / x) * x == F(3, 2)
