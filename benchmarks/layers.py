@@ -5,26 +5,30 @@
 Run from anywhere; the package is imported from this checkout's ``src/``.
 On the reference map z^2 + z/5 + 3 over Q_5, for the exact backend and
 the capped one at precision 20, and for each truncation order M in 32,
-64, 128 and 256, it times the four series operations the build is made
-of, the build's three stages, and general reversion and composition for
-comparison:
+64, 128 and 256, it times four series operations on the root
+approximants of ``cauchy_rate_check``, the build's three stages, the
+whole build, and general reversion and composition for comparison:
 
-- ``mul_s``: xi * xi, xi the normalized root approximant (a unit series);
+- ``mul_s``: xi * xi, xi the normalized root approximant (a unit series)
+  for the least N with 2^N >= M;
 - ``nth_root_s``: one square root of beta_N = f^N(z)/z^(2^N);
 - ``invert_unit_s``: the inverse of xi;
 - ``compose_s``: omega(omega^-1);
-- ``roots_s``: N successive square roots of beta_N, then omega = w / xi;
+- ``roots_s``: omega from its own functional equation, as the build
+  computes it: one composition through f and one square root per step;
 - ``reversion_s``: omega^-1 from its own functional equation, as the
   build computes it;
 - ``lagrange_invert_s``: omega^-1 by ``lagrange_invert`` (Newton on the
   composition identity), which the build no longer uses;
-- ``equation_s``: the functional-equation check omega(f) = omega^2, whose
-  composition through f runs by baby and giant steps;
+- ``equation_s``: the full functional-equation check omega(f) = omega^2,
+  whose composition through f runs by baby and giant steps;
+- ``build_s``: the whole ``boettcher_series``, whose check reuses the
+  last composition of ``roots_s`` instead of composing again;
 - ``compose_horner_s``: that composition as ``TailSeries.compose`` sums it,
   by Horner in W = 1/f(z), which the check no longer uses.
 
-``builds`` times the three stages of whole capped builds at M = 256 and
-512 and gives the digest of omega and omega^-1 as ``perfbench`` records
+``builds`` times the stages and the whole of capped builds at M = 256
+and 512 and gives the digest of omega and omega^-1 as ``perfbench`` records
 it, so a change that claims equal outputs can be checked at orders the
 benchmark pools do not reach.  ``jobs`` times one ``padicdyn verify`` job,
 one ``padicdyn transport`` job in the cubic extension Q_7((-14)^(1/3))
@@ -57,9 +61,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from padicdyn import (CappedField, ExactField, MonicPoly,  # noqa: E402
-                      certify_degree, degree_chain, lagrange_invert)
+                      boettcher_series, certify_degree, degree_chain,
+                      lagrange_invert)
 from padicdyn.boettcher import (_beta_series, _equation_order,  # noqa: E402
-                                _omega_inverse, _reciprocal, _root_chain)
+                                _omega_inverse, _omega_series, _reciprocal,
+                                _root_chain)
 from padicdyn.cli import main as cli_main, series_json  # noqa: E402
 
 PRECISION = 20
@@ -90,29 +96,24 @@ def reference_map(field) -> MonicPoly:
 
 
 def stages(f, M: int) -> tuple:
-    """(row of the three stage times, omega, omega^-1, beta_N, N)."""
-    d, N = f.degree, 1
-    while d ** N < M:
-        N += 1
-    beta = _beta_series(f, N, M)[-1]
-
-    def build_omega():
-        return _root_chain(beta, d, N).invert_unit().shifted(1).truncate(M)
-
+    """(row of the three stage times and the build's, omega, omega^-1)."""
     row = {}
-    row["roots_s"], omega = best_of(build_omega)
+    row["roots_s"], (omega, _) = best_of(lambda: _omega_series(f, M))
     row["reversion_s"], omega_inverse = best_of(
         lambda: _omega_inverse(f, M))
     row["equation_s"], order = best_of(lambda: _equation_order(omega, f, M))
     if order != M:
         raise SystemExit(f"{f.field} M={M}: functional equation holds to "
                          f"{order} only")
-    return row, omega, omega_inverse, beta, N
+    row["build_s"], _ = best_of(lambda: boettcher_series(f, M))
+    return row, omega, omega_inverse
 
 
 def layers(field, M: int) -> dict:
     f = reference_map(field)
-    row, omega, omega_inverse, beta, N = stages(f, M)
+    row, omega, omega_inverse = stages(f, M)
+    N = next(n for n in range(1, M + 1) if f.degree ** n >= M)
+    beta = _beta_series(f, N, M)[-1]
     row["lagrange_invert_s"], _ = best_of(lambda: lagrange_invert(omega))
     W = _reciprocal(f, M)
     row["compose_horner_s"], _ = best_of(
@@ -127,7 +128,7 @@ def layers(field, M: int) -> dict:
 
 def build(M: int) -> dict:
     """Stage times and the perfbench digest of one capped build."""
-    row, omega, omega_inverse, _, _ = stages(reference_map(CappedField(
+    row, omega, omega_inverse = stages(reference_map(CappedField(
         5, PRECISION)), M)
     doc = [series_json(omega), series_json(omega_inverse)]
     row["digest"] = hashlib.sha256(json.dumps(

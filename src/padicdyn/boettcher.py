@@ -1,17 +1,20 @@
 """Conjugating a monic polynomial to z -> z^d near infinity.
 
 For monic f of degree d with p not dividing d, there is a unique series
-W(w) = w + O(w^2) in w = 1/z with W(1/f(z)) = W(1/z)^d.  It arises as the
-limit of the normalized d^N-th roots of f^N(z)/z^(d^N); successive
-approximants agree to order at least d^N, so truncating at order M only
-needs the approximant for the first N with d^N >= M: N successive d-th
-roots of f^N(z)/z^(d^N).  The inverse series needs no reversion: the
-conjugacy read backwards says that phi = W^-1 solves
+omega(w) = w + O(w^2) in w = 1/z with omega(1/f(z)) = omega(1/z)^d.  It
+is the limit of the normalized d^N-th roots of f^N(z)/z^(d^N), and
+successive approximants agree to order at least d^N
+(``cauchy_rate_check``).  The build iterates the equation instead of f:
+omega = w (omega(W) / w^d)^(1/d) with W = 1/f(1/w), one composition
+through f and one d-th root per step, each step taking the known order
+from t to about d t, and the last composition is also the image the
+build's check of the equation needs.  The inverse series needs no
+reversion: the conjugacy read backwards says that phi = omega^-1 solves
 phi(u^d) = phi(u)^d / P(phi(u)), P(x) = 1 + a_{d-1} x + ... + a_0 x^d,
 and Newton iteration on that equation takes products and one unit
 inverse per step, no composition.  The escape-radius constant C_f bounds
 the convergence disk, and for good reduction the series has integral
-coefficients and satisfies v(W(z)) = -v(z) on |z| > 1.
+coefficients and satisfies v(omega(z)) = -v(z) on |z| > 1.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from . import config, newton
 from .errors import (BudgetError, DomainError, InternalError, PrecisionError,
                      UsageError)
-from .localfield import poly_eval, poly_mul
+from .localfield import ExactField, poly_eval
 from .series import (DiskSpec, PointValue, TailSeries, _convolve,
                      _over_common, agreement_order, evaluate, weighted_sum)
 
@@ -62,26 +65,20 @@ class MonicPoly:
         numerators over a common denominator, each level made once from
         the one before and read as rationals only when returned; it grows
         into a new tuple, never in place, so threads sharing f read a
-        whole one.  Other fields substitute f into element lists by Horner.
+        whole one.  Other fields, extensions of Q_p included, are refused:
+        no construction iterates over them (degree certificates need the
+        exact backend).
         """
         if N < 1:
             raise UsageError("iterate needs N >= 1")
-        if self.field.backend == "exact":
-            chain = self._chain or (_over_common(self.full_coeffs()),)
-            while len(chain) < N:
-                chain += (_compose_flat(chain[0], chain[-1]),)
-            self._chain = chain
-            nums, den = chain[N - 1]
-            return MonicPoly(self.field,
-                             [Fraction(x, den) for x in nums[:-1]])
-        current = fc = self.full_coeffs()
-        for _ in range(N - 1):
-            acc = [current[-1]]
-            for c in reversed(current[:-1]):
-                acc = poly_mul(acc, fc)
-                acc[0] = acc[0] + c
-            current = acc
-        return MonicPoly(self.field, current[:-1])
+        if not isinstance(self.field, ExactField):
+            raise UsageError("iterating f needs an ExactField")
+        chain = self._chain or (_over_common(self.full_coeffs()),)
+        while len(chain) < N:
+            chain += (_compose_flat(chain[0], chain[-1]),)
+        self._chain = chain
+        nums, den = chain[N - 1]
+        return MonicPoly(self.field, [Fraction(x, den) for x in nums[:-1]])
 
     def __repr__(self):
         return f"MonicPoly(d={self.degree}, p={self.field.p})"
@@ -223,25 +220,53 @@ def _xi_series(f: MonicPoly, N: int, M: int) -> list:
     """The normalized root approximants xi_1..xi_N at truncation M.
 
     xi_n is the d^n-th root of beta_n taken as n successive d-th roots,
-    so the list costs N(N+1)/2 root extractions; ``boettcher_series``
-    needs only xi_N and takes just its N.
+    so the list costs N(N+1)/2 root extractions.  The build does not use
+    them (``_omega_series``); w / xi_N for the least N with d^N >= M is
+    omega modulo w^M, which the tests hold the build to.
     """
     return [_root_chain(beta, f.degree, n)
             for n, beta in enumerate(_beta_series(f, N, M), 1)]
 
 
-def _omega_series(f: MonicPoly, M: int) -> TailSeries:
-    """omega = w / xi_N modulo w^M, for the least N with d^N >= M.
+def _omega_series(f: MonicPoly, M: int) -> tuple:
+    """(omega modulo w^M, omega(W) modulo w^M or None), from omega's own
+    functional equation.
 
-    xi_N costs N successive d-th roots of beta_N, the same operations on
-    the same input as the last entry of ``_xi_series``.
+    With omega = w u and W = 1/f(1/w) = w^d / P(w), omega(W) = omega^d
+    reads omega = w (omega(W) / w^d)^(1/d).  Coefficient k of omega
+    reaches omega(W) only at w^(d k) and above, so omega right modulo
+    w^t makes omega(W) right modulo w^(d t): each step composes the
+    zero-padded omega through f to T = min(d t, M + d - 1), takes the
+    d-th root with constant term 1 of omega(W) / w^d and multiplies by w,
+    which gives omega modulo w^(T - d + 1).
+
+    Over a capped field the padding claims exact zeros that omega does
+    not have, and no digit or precision comes from them: composing to
+    order T reads only omega's first ceil(T / d) <= t coefficients
+    (``compose_through_poly``), the ones already known.  So each digit
+    of the image, and of its root, is claimed by the precision rules of
+    those two operations alone, as if omega had been given to order t
+    without padding, and the capped omega claims no digit it does not
+    have.
+
+    The last step's image is omega_prev(W) to order M + d - 1, where
+    omega_prev is the omega it started from.  Cut to w^M it reads only
+    the first ceil(M / d) coefficients, so when those of omega_prev and
+    omega are the same elements (``TailSeries.identical_to``) it is
+    omega(W) modulo w^M, and it is returned for the build's check;
+    otherwise the second entry is None.
     """
-    d, N, d_pow = f.degree, 1, f.degree
-    while d_pow < M:
-        N += 1
-        d_pow *= d
-    xi = _root_chain(_beta_series(f, N, M)[-1], d, N)
-    return xi.invert_unit().shifted(1).truncate(M)
+    d = f.degree
+    omega = TailSeries.w_power(f.field, 1, min(2, M))
+    image = None
+    while omega.trunc < M:
+        T = min(d * omega.trunc, M + d - 1)
+        previous = omega
+        image = compose_through_poly(omega._padded(T), f)
+        omega = image.shifted(-d).nth_root(d).shifted(1)
+    if image is None or not previous.identical_to(omega, -(-M // d)):
+        return omega, None
+    return omega, image.truncate(M)
 
 
 def check_build(f: MonicPoly, M: int) -> None:
@@ -259,11 +284,13 @@ def check_build(f: MonicPoly, M: int) -> None:
 def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
     """Construct the conjugacy to prescribed truncation order M.
 
-    Iterates until d^N >= M (the approximants are then the limit modulo
-    w^M at least), extracts omega = w / xi_N and verifies
-    omega(f(z)) = omega(z)^d to full order.  The inverse phi comes from
-    f alone (``_omega_inverse``) and is verified against
-    G(phi) = phi^d - phi(u^d) P(phi) = 0 modulo u^(M + d - 1).
+    omega comes from its own functional equation (``_omega_series``)
+    and is verified against omega(f(z)) = omega(z)^d to full order.  The
+    left side is the fixed point's last image when that step shows it to
+    be omega(W) modulo w^M, so the check adds only omega^d; otherwise it
+    composes afresh, as ``functional_equation_check`` always does.  The
+    inverse phi comes from f alone (``_omega_inverse``) and is verified
+    against G(phi) = phi^d - phi(u^d) P(phi) = 0 modulo u^(M + d - 1).
 
     Why omega(phi) = w follows.  G = 0 to that order fixes phi modulo
     u^M: a change at u^k first moves G at u^(k + d - 1), by d times the
@@ -278,10 +305,13 @@ def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
     directly.
     """
     check_build(f, M)
-    omega = _omega_series(f, M)
+    omega, image = _omega_series(f, M)
     omega_inverse = _omega_inverse(f, M)
     cf_val = cf_constant(f)
-    verified = _equation_order(omega, f, M)
+    if image is None:
+        verified = _equation_order(omega, f, M)
+    else:
+        verified = agreement_order(image, (omega ** f.degree).truncate(M))
     if verified < M:
         raise InternalError(
             f"functional equation fails at index {verified}")

@@ -173,6 +173,16 @@ class TailSeries:
                  (kernel.sign(-1), 0, kernel.one(self.field))]
         return not any(kernel.linear(self.field, terms, 1)[0])
 
+    def identical_to(self, other: "TailSeries", n: int) -> bool:
+        """True when both are known to order n and their coefficients
+        below w^n are the same elements, digit for digit and in precision
+        (indistinguishable is not enough): their flat forms cut to n are
+        equal."""
+        if self.field != other.field or min(self.trunc, other.trunc) < n:
+            return False
+        a, b = self._padded(n), other._padded(n)
+        return a.ord == b.ord and a._flat == b._flat
+
     def replace_coefficient(self, k: int, value) -> "TailSeries":
         """Copy with the coefficient of w^k replaced (test harness hook)."""
         lo = min(self.ord, k)

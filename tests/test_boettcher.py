@@ -20,7 +20,7 @@ from padicdyn import (BudgetError, CappedField, DomainError, ExactField,
 from padicdyn.boettcher import (_inverse_residual, _omega_inverse,
                                 _omega_series, _reciprocal, _xi_series)
 from padicdyn.cli import series_json
-from padicdyn.errors import InternalError, PrecisionError
+from padicdyn.errors import InternalError, PrecisionError, UsageError
 from padicdyn.series import TailSeries, agreement_order
 
 
@@ -198,6 +198,20 @@ def test_capped_order_256_digest():
     assert hashlib.sha256(doc.encode()).hexdigest()[:16] == "8ee06c19c2143208"
 
 
+def test_capped_order_512_digest():
+    """The capped build at the full order budget keeps its recorded
+    digits and precisions."""
+    B = boettcher_series(mono(5, [3, F(1, 5)], "capped"), 512)
+    doc = json.dumps([series_json(B.omega), series_json(B.omega_inverse)],
+                     sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest()[:16] == "d7b69ba9b6741b73"
+
+
+def test_iterate_refuses_capped_maps():
+    with pytest.raises(UsageError):
+        mono(5, [3, 0], "capped").iterate(2)
+
+
 def test_verify_order_on_verify_style_example():
     f = mono(7, [2, 1, 0])  # z^3 + z + 2 over Q_7
     B = boettcher_series(f, 32)
@@ -250,6 +264,86 @@ def test_build_root_chain_matches_cauchy_approximants(backend, coeffs):
     xi = _xi_series(f, N, M)[-1]
     omega = xi.invert_unit().shifted(1).truncate(M)
     assert series_json(boettcher_series(f, M).omega) == series_json(omega)
+
+
+# -- omega from its own functional equation -----------------------------------
+
+
+@st.composite
+def random_maps(draw):
+    """(f over Q_p exactly, f capped at 1 to 20 digits, M in 2..40); bad
+    reduction included, denominators carry p and p^2."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.sampled_from([d for d in range(2, 6) if d % p]))
+    coeffs = draw(st.lists(st.builds(
+        F, st.integers(-30, 30), st.sampled_from([1, 2, p, p * p])),
+        min_size=d, max_size=d))
+    cap = draw(st.integers(1, 20))
+    return (MonicPoly(ExactField(p), coeffs),
+            MonicPoly(CappedField(p, cap), coeffs), draw(st.integers(2, 40)))
+
+
+def root_approximant_omega(f, M):
+    """w / xi_N for the least N with d^N >= M: the route by iterating f."""
+    N = next(n for n in range(1, M + 1) if f.degree ** n >= M)
+    return _xi_series(f, N, M)[-1].invert_unit().shifted(1).truncate(M)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_maps())
+def test_omega_fixed_point_matches_root_approximants(case):
+    """Digit for digit and in precision, or the same error."""
+    *maps, M = case
+    for f in maps:
+        assert encoded(lambda: _omega_series(f, M)[0]) \
+            == encoded(root_approximant_omega, f, M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_maps())
+def test_shared_image_is_a_fresh_composition(case):
+    """The fixed point's last image, when it returns one, is what the
+    full check composes, and the build verifies what the full check
+    does."""
+    *maps, M = case
+    for f in maps:
+        try:
+            omega, image = _omega_series(f, M)
+            B = boettcher_series(f, M)
+        except PrecisionError:
+            continue        # the capped roots ran out of digits
+        if image is not None:
+            fresh = compose_through_poly(omega.truncate(M), f)
+            assert series_json(image) == series_json(fresh)
+        assert B.verified_order == functional_equation_check(B, M) == M
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_maps())
+def test_fallback_check_gives_the_same_build(case):
+    *maps, M = case
+    for f in maps:
+        try:
+            B = boettcher_series(f, M)
+        except PrecisionError:
+            continue
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(TailSeries, "identical_to",
+                          lambda self, other, n: False)
+            assert _omega_series(f, M)[1] is None
+            fallback = boettcher_series(f, M)
+        assert fallback.verified_order == B.verified_order
+        assert [series_json(fallback.omega),
+                series_json(fallback.omega_inverse)] \
+            == [series_json(B.omega), series_json(B.omega_inverse)]
+
+
+def test_shared_image_serves_the_reference_builds():
+    """The shared check is the one the reference map's builds take."""
+    for backend in ("exact", "capped"):
+        f = mono(5, [3, F(1, 5)], backend)
+        for M in (16, 64):
+            assert _omega_series(f, M)[1] is not None
 
 
 # -- escape tests --------------------------------------------------------------
@@ -445,7 +539,7 @@ def test_omega_inverse_matches_lagrange_invert(data):
     for field in (ExactField(p), CappedField(p, cap)):
         f = MonicPoly(field, coeffs)
         try:
-            omega = _omega_series(f, M)
+            omega = _omega_series(f, M)[0]
         except PrecisionError:
             continue        # the capped roots ran out of digits
         assert encoded(_omega_inverse, f, M) == encoded(lagrange_invert,

@@ -8,6 +8,7 @@ import pytest
 from padicdyn import (CappedField, DiskSpec, DomainError, ExactField,
                       ExtensionField, TailSeries, UsageError, agreement_order,
                       evaluate, gauss_norm, lagrange_invert)
+from padicdyn.localfield import PadicElement
 
 
 def S(field, ord_, coeffs, trunc):
@@ -369,6 +370,22 @@ def test_agreement_order_cases():
     w = TailSeries.w_power(K5, 1, 6)
     w_plus = S(K5, 1, [1, 0, 0, 0, 1], 6)
     assert agreement_order(w, w_plus) == 5
+
+
+def test_identical_to_asks_for_the_same_elements():
+    C = CappedField(5, 10)
+    a = S(C, 0, [1, 7, 3], 6)
+    coarse = S(C, 0, [1, PadicElement(C, 0, 7, 4), 3], 6)
+    assert a == coarse                   # indistinguishable, not identical
+    assert a.identical_to(coarse, 1) and not a.identical_to(coarse, 2)
+    assert a.identical_to(a.truncate(3), 3)
+    assert not a.identical_to(a.truncate(3), 4)     # not known to order 4
+    assert not S(C, 1, [1], 4).identical_to(
+        S(C, 1, [1, PadicElement._zero(C, 3)], 4), 3)
+    assert S(K5, 1, [1, F(1, 5)], 6).identical_to(
+        S(K5, 1, [1, F(1, 5), 2], 6), 3)
+    assert not S(K5, 1, [1, F(1, 5)], 6).identical_to(
+        S(K5, 1, [1, F(2, 5)], 6), 3)
 
 
 def test_capped_backend_series_roundtrip():
