@@ -27,6 +27,13 @@ whole build, and general reversion and composition for comparison:
 - ``compose_horner_s``: that composition as ``TailSeries.compose`` sums it,
   by Horner in W = 1/f(z), which the check no longer uses.
 
+``degrees`` times ``roots_s`` and ``build_s`` on both backends at
+M = 32 and 64 for a cubic map, z^3 + z^2 + z/5 + 3 over Q_5, and a
+quintic one, z^5 - z^4 + z^3 + z/7 + 2 over Q_7 (precision 20 when
+capped): the conjugacy-batch workload draws degrees 2 to 5, and above 2
+each step of the fixed point takes more than one Newton step for its
+root.
+
 ``builds`` times the stages and the whole of capped builds at M = 256
 and 512 and gives the digest of omega and omega^-1 as ``perfbench`` records
 it, so a change that claims equal outputs can be checked at orders the
@@ -71,6 +78,11 @@ from padicdyn.cli import main as cli_main, series_json  # noqa: E402
 PRECISION = 20
 ORDERS = (32, 64, 128, 256)
 BUILDS = (256, 512)
+# (map, p, coefficients a_0 .. a_{d-1}) of the ``degrees`` rows
+DEGREE_MAPS = (("z^3 + z^2 + z/5 + 3 over Q_5", 5, (3, Fraction(1, 5), 1)),
+               ("z^5 - z^4 + z^3 + z/7 + 2 over Q_7", 7,
+                (2, Fraction(1, 7), 0, 1, -1)))
+DEGREE_ORDERS = (32, 64)
 VERIFY_JOB = ["verify", "--prime", "7", "--poly", "2,1,0,1", "--order", "32",
               "--points", "5", "--seed", "1"]
 # the cli-jobs pool's job transport:32:0: f = z^3 - 2 over Q_7 and
@@ -123,6 +135,19 @@ def layers(field, M: int) -> dict:
     row["nth_root_s"], _ = best_of(lambda: beta.nth_root(f.degree))
     row["invert_unit_s"], _ = best_of(xi.invert_unit)
     row["compose_s"], _ = best_of(lambda: omega.compose(omega_inverse))
+    return row
+
+
+def degree_row(p: int, coeffs, backend: str, M: int) -> dict:
+    """roots_s and build_s of one map of degree above 2."""
+    field = ExactField(p) if backend == "exact" else CappedField(
+        p, PRECISION)
+    f = MonicPoly(field, coeffs)
+    row = {}
+    row["roots_s"], _ = best_of(lambda: _omega_series(f, M))
+    row["build_s"], B = best_of(lambda: boettcher_series(f, M))
+    if B.verified_order != M:
+        raise SystemExit(f"{field} M={M}: verified to {B.verified_order}")
     return row
 
 
@@ -193,6 +218,14 @@ def main() -> int:
             row = {"backend": backend, "M": M, **layers(field, M)}
             rows.append(row)
             print(json.dumps(row), file=sys.stderr)
+    degrees = []
+    for text, p, coeffs in DEGREE_MAPS:
+        for backend in ("exact", "capped"):
+            for M in DEGREE_ORDERS:
+                row = {"map": text, "backend": backend, "M": M,
+                       **degree_row(p, coeffs, backend, M)}
+                degrees.append(row)
+                print(json.dumps(row), file=sys.stderr)
     builds = []
     for M in BUILDS:
         row = {"backend": "capped", "M": M, **build(M)}
@@ -203,7 +236,7 @@ def main() -> int:
     doc = {"map": "z^2 + z/5 + 3 over Q_5", "capped_precision": PRECISION,
            "unit": "s", "machine": machine(),
            "python": platform.python_version(), "git": git_sha(),
-           "rows": rows, "builds": builds, "jobs": job_row}
+           "rows": rows, "degrees": degrees, "builds": builds, "jobs": job_row}
     print(json.dumps(doc, indent=1))
     return 0
 

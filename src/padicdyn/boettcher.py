@@ -8,13 +8,16 @@ successive approximants agree to order at least d^N
 omega = w (omega(W) / w^d)^(1/d) with W = 1/f(1/w), one composition
 through f and one d-th root per step, each step taking the known order
 from t to about d t, and the last composition is also the image the
-build's check of the equation needs.  The inverse series needs no
-reversion: the conjugacy read backwards says that phi = omega^-1 solves
-phi(u^d) = phi(u)^d / P(phi(u)), P(x) = 1 + a_{d-1} x + ... + a_0 x^d,
-and Newton iteration on that equation takes products and one unit
-inverse per step, no composition.  The escape-radius constant C_f bounds
-the convergence disk, and for good reduction the series has integral
-coefficients and satisfies v(omega(z)) = -v(z) on |z| > 1.
+build's check of the equation needs.  No step redoes the one before:
+the powers of W the compositions sum over are formed once per build,
+and each root's Newton iteration starts from the previous omega.  The
+inverse series needs no reversion: the conjugacy read backwards says
+that phi = omega^-1 solves phi(u^d) = phi(u)^d / P(phi(u)),
+P(x) = 1 + a_{d-1} x + ... + a_0 x^d, and Newton iteration on that
+equation takes products and one unit inverse per step, no composition.
+The escape-radius constant C_f bounds the convergence disk, and for good
+reduction the series has integral coefficients and satisfies
+v(omega(z)) = -v(z) on |z| > 1.
 """
 
 from __future__ import annotations
@@ -240,6 +243,18 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     d-th root with constant term 1 of omega(W) / w^d and multiplies by w,
     which gives omega modulo w^(T - d + 1).
 
+    No step starts from nothing.  The powers 1, W, ..., W^m that the
+    compositions sum over are formed once, to the last step's order
+    M + d - 1 with its m, and each step reads the first m + 1 of them
+    cut to its own T (``_compose_with``); a cut power is the same
+    element, digits and precision alike, as one formed at T, since
+    coefficient j of a product or a unit inverse reads only operand
+    coefficients up to j.  The table lives for one build only.  Each
+    root starts from the previous omega / w, known modulo w^(t - 1), and
+    Newton iteration goes from there to twice that truncation and on to
+    T - d (``TailSeries._root_from``) instead of climbing from 1 modulo
+    w; for d = 2 that is one Newton step per fixed-point step.
+
     Over a capped field the padding claims exact zeros that omega does
     not have, and no digit or precision comes from them: composing to
     order T reads only omega's first ceil(T / d) <= t coefficients
@@ -247,7 +262,11 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     of the image, and of its root, is claimed by the precision rules of
     those two operations alone, as if omega had been given to order t
     without padding, and the capped omega claims no digit it does not
-    have.
+    have.  The warm start claims no more: it carries only the digits
+    the previous omega itself claimed, each Newton step propagates them
+    by the same precision rules as a start from 1, and the root's final
+    check, its d-th power against omega(W) / w^d to full order, binds
+    the result whatever the start was.
 
     The last step's image is omega_prev(W) to order M + d - 1, where
     omega_prev is the omega it started from.  Cut to w^M it reads only
@@ -257,13 +276,16 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     otherwise the second entry is None.
     """
     d = f.degree
+    last = M + d - 1
+    powers = _w_powers(f, last, _baby_steps(last, d))
     omega = TailSeries.w_power(f.field, 1, min(2, M))
     image = None
     while omega.trunc < M:
-        T = min(d * omega.trunc, M + d - 1)
+        T = min(d * omega.trunc, last)
         previous = omega
-        image = compose_through_poly(omega._padded(T), f)
-        omega = image.shifted(-d).nth_root(d).shifted(1)
+        image = _compose_with(omega._padded(T), powers, d)
+        omega = image.shifted(-d)._root_from(
+            d, previous.shifted(-1)).shifted(1)
     if image is None or not previous.identical_to(omega, -(-M // d)):
         return omega, None
     return omega, image.truncate(M)
@@ -396,28 +418,52 @@ def _reciprocal(f: MonicPoly, T: int) -> TailSeries:
     return unit.invert_unit().shifted(d)
 
 
+def _baby_steps(T: int, d: int) -> int:
+    """m for a composition through f of degree d to order T: near the
+    square root of the K = ceil(T / d) coefficients that reach w^T."""
+    return max(1, math.isqrt(-(-T // d)))
+
+
+def _w_powers(f: MonicPoly, T: int, m: int) -> list:
+    """[1, W, W^2, ..., W^m] to order T, W = 1/f(z) (``_reciprocal``)."""
+    W = _reciprocal(f, T).truncate(T)
+    powers = [TailSeries.one(f.field, T), W]
+    while len(powers) <= m:
+        powers.append((powers[-1] * W).truncate(T))
+    return powers
+
+
 def compose_through_poly(S: TailSeries, f: MonicPoly) -> TailSeries:
     """S(f(z)) expanded as a series in w = 1/z, truncated at S's order T.
 
     S(W), W = 1/f(z) of order d, by baby steps and giant steps (Brent and
-    Kung): W^0 .. W^m are formed once, each block of m coefficients of S
-    is one weighted sum of them, and Horner runs in W^m over the blocks.
-    Block b's partial sum is still to be multiplied by W^(m b), of order
-    m b d, so it is kept to order T - m b d only.  Of S's coefficients only
-    the first K = ceil(T / d) reach w^T, so with m near sqrt(K) this takes
-    about m + K / m products, where Horner in W takes K.
+    Kung): W^0 .. W^m are formed once (``_w_powers``), each block of m
+    coefficients of S is one weighted sum of them, and Horner runs in W^m
+    over the blocks (``_compose_with``).  Block b's partial sum is still
+    to be multiplied by W^(m b), of order m b d, so it is kept to order
+    T - m b d only.  Of S's coefficients only the first K = ceil(T / d)
+    reach w^T, so with m near sqrt(K) this takes about m + K / m
+    products, where Horner in W takes K.  Each call forms its own powers;
+    the Böttcher fixed point forms them once per build and composes with
+    them cut to each step's order.
     """
     if S.ord < 1:
         raise UsageError("composition through f needs series order >= 1")
     if S.field != f.field:
         raise UsageError("series and polynomial over different fields")
-    d, T = f.degree, S.trunc
+    T = S.trunc
+    return _compose_with(S, _w_powers(f, T, _baby_steps(T, f.degree)),
+                         f.degree)
+
+
+def _compose_with(S: TailSeries, powers: list, d: int) -> TailSeries:
+    """S(W) to S's order T from a table of ``_w_powers`` to order T or
+    more: its first m + 1 entries, m = ``_baby_steps(T, d)``, are read,
+    cut to T, so the table needs at least that many."""
+    T = S.trunc
     K = -(-T // d)
-    m = max(1, math.isqrt(K))
-    W = _reciprocal(f, T).truncate(T)
-    powers = [TailSeries.one(S.field, T), W]
-    while len(powers) <= m:
-        powers.append((powers[-1] * W).truncate(T))
+    m = _baby_steps(T, d)
+    powers = [x.truncate(T) for x in powers[:m + 1]]
     giant = powers.pop()
     acc = None
     for b in range(-(-K // m) - 1, -1, -1):

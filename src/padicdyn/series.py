@@ -3,7 +3,8 @@
 Every series carries an explicit truncation order M ("known modulo w^M"),
 and every ring operation computes the tightest sound truncation for its
 result: min rule for sums, ord-shifted min rule for products.  n-th roots
-of 1-units are taken by Newton iteration in the series ring.  General
+of 1-units are taken by Newton iteration in the series ring, from 1 or
+from a start the caller already has, and checked to full order.  General
 reversion (``lagrange_invert``) is Newton iteration on the composition
 identity; the Böttcher build does not use it, since its inverse series
 solves a functional equation of its own (``boettcher``).  Disk norms and
@@ -319,10 +320,26 @@ class TailSeries:
                          self.trunc)
 
     def nth_root(self, n: int) -> "TailSeries":
-        """The unique n-th root with constant term 1, by Newton iteration.
+        """The unique n-th root with constant term 1, by Newton iteration
+        from 1 (``_root_from``).
 
         Requires constant term exactly 1 and n not divisible by the
         residue characteristic.
+        """
+        return self._root_from(n, TailSeries.one(self.field, 1))
+
+    def _root_from(self, n: int, x: "TailSeries") -> "TailSeries":
+        """The n-th root with constant term 1, by Newton iteration from x,
+        a start with constant term 1 taken as known modulo w^x.trunc.
+
+        Agreement with the root doubles per step, so x is refined at
+        truncations 2 x.trunc, 4 x.trunc, ... up to self's; cost
+        concentrates in the final full-order step.  ``nth_root`` starts
+        from 1 modulo w; the Böttcher fixed point starts each root from the
+        one before (``boettcher._omega_series``).  The steps trust the
+        start, so what binds the result is the final check, x^n = self to
+        full order: a start wrong below its truncation fails it and raises
+        InternalError.
         """
         if n <= 0:
             raise UsageError("root index must be positive")
@@ -331,23 +348,23 @@ class TailSeries:
                               "divides index")
         if not self._has_constant_one():
             raise UsageError("n-th roots need constant term 1")
+        if not x._has_constant_one():
+            raise InternalError("a Newton start needs constant term 1")
         M = self.trunc
         inv_n = Fraction(1, n)
-        x = TailSeries.one(self.field, min(2, M))
         t = x.trunc
-        # agreement with the root doubles per step, so refine at doubling
-        # truncations; cost concentrates in the final full-order step.  A
-        # residual that is only indistinguishable from zero still corrects
-        # x: it replaces the exact zeros of the padding by O(p^k) zeros
+        # a residual that is only indistinguishable from zero still
+        # corrects x: it replaces the exact zeros of the padding by O(p^k)
+        # zeros
         while True:
+            t = min(2 * t, M)
+            x = x._padded(t)
             xpow = (x ** (n - 1)).truncate(t)
             residual = (xpow * x).truncate(t) - self.truncate(t)
             if not residual.is_exact_zero:
                 x = (x - residual * xpow.invert_unit() * inv_n).truncate(t)
             if t == M:
                 break
-            t = min(2 * t, M)
-            x = x._padded(t)
         residual = (x ** n).truncate(M) - self
         if residual.is_zero():
             return x

@@ -17,8 +17,9 @@ from padicdyn import (BudgetError, CappedField, DomainError, ExactField,
                       escape_test, functional_equation_check, good_reduction,
                       lagrange_invert, omega_at, point_identity_report,
                       rescaled_integrality_ok)
-from padicdyn.boettcher import (_inverse_residual, _omega_inverse,
-                                _omega_series, _reciprocal, _xi_series)
+from padicdyn.boettcher import (_baby_steps, _inverse_residual,
+                                _omega_inverse, _omega_series, _reciprocal,
+                                _w_powers, _xi_series)
 from padicdyn.cli import series_json
 from padicdyn.errors import InternalError, PrecisionError, UsageError
 from padicdyn.series import TailSeries, agreement_order
@@ -336,6 +337,62 @@ def test_fallback_check_gives_the_same_build(case):
         assert [series_json(fallback.omega),
                 series_json(fallback.omega_inverse)] \
             == [series_json(B.omega), series_json(B.omega_inverse)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_maps(), st.data())
+def test_cut_w_powers_are_fresh_powers(case, data):
+    """The fixed point forms 1, W, ..., W^m once to its last order and
+    reads them cut to each step's T: every entry cut to a smaller T is
+    the element-for-element power formed at T."""
+    *maps, _ = case
+    top = data.draw(st.integers(2, 200))
+    T = data.draw(st.integers(1, top))
+    for f in maps:
+        table = _w_powers(f, top, _baby_steps(top, f.degree))
+        fresh = _w_powers(f, T, len(table) - 1)
+        assert len(fresh) == len(table)
+        for cut, power in zip(table, fresh):
+            assert cut.truncate(T).identical_to(power, T)
+
+
+def built(f, M):
+    """Omega, Omega^-1 and the verified order of a build, or the kind of
+    error it raised."""
+    try:
+        B = boettcher_series(f, M)
+    except (InternalError, PrecisionError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+    return [series_json(B.omega), series_json(B.omega_inverse),
+            B.verified_order]
+
+
+def cold_roots_give_the_same_build(f, M):
+    """Each root of the fixed point taken from 1, as ``nth_root`` does,
+    instead of from the previous omega, changes no output."""
+    warm = built(f, M)
+    from_start = TailSeries._root_from
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TailSeries, "_root_from",
+                      lambda self, n, start: from_start(
+                          self, n, TailSeries.one(self.field, 1)))
+        cold = built(f, M)
+    assert warm == cold
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_maps())
+def test_warm_roots_give_the_cold_build(case):
+    *maps, M = case
+    for f in maps:
+        cold_roots_give_the_same_build(f, M)
+
+
+@settings(max_examples=8, deadline=None)
+@given(random_maps(), st.integers(41, 200))
+def test_warm_roots_give_the_cold_build_at_higher_orders(case, M):
+    # capped only: an exact root is the one root, however it is reached
+    cold_roots_give_the_same_build(case[1], M)
 
 
 def test_shared_image_serves_the_reference_builds():

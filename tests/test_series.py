@@ -8,6 +8,7 @@ import pytest
 from padicdyn import (CappedField, DiskSpec, DomainError, ExactField,
                       ExtensionField, TailSeries, UsageError, agreement_order,
                       evaluate, gauss_norm, lagrange_invert)
+from padicdyn.errors import InternalError
 from padicdyn.localfield import PadicElement
 
 
@@ -172,6 +173,30 @@ def test_nth_root_integrality_transport():
         a = S(K, 0, coeffs, M)
         x = a.nth_root(n)
         assert all(c.valuation() >= 0 for c in x.coeffs)
+
+
+@pytest.mark.parametrize("field", [ExactField(5), CappedField(5, 20)],
+                         ids=["exact", "capped"])
+def test_corrupted_warm_start_raises(field):
+    """A Newton start is trusted below its truncation, and the final check
+    x^n = a binds the result: a start that is wrong there raises
+    InternalError instead of returning a root."""
+    rng = random.Random(2003)
+    M, known = 16, 4
+    a = S(field, 0, [1] + [F(rng.randrange(-9, 10), rng.choice([1, 2, 5]))
+                           for _ in range(M - 1)], M)
+    root = a.nth_root(3)
+    start = root.truncate(known)
+    assert a._root_from(3, start) == root
+    for k in range(known):
+        bad = start.replace_coefficient(k, start.coefficient(k) + 1)
+        with pytest.raises(InternalError):
+            a._root_from(3, bad)
+    # the same refusals as a start from 1
+    with pytest.raises(UsageError):
+        S(field, 0, [2, 1], M)._root_from(3, start)
+    with pytest.raises(DomainError):
+        a._root_from(5, start)
 
 
 # -- reversion -----------------------------------------------------------------
