@@ -20,8 +20,9 @@ whole build, and general reversion and composition for comparison:
   build computes it;
 - ``lagrange_invert_s``: omega^-1 by ``lagrange_invert`` (Newton on the
   composition identity), which the build no longer uses;
-- ``equation_s``: the full functional-equation check omega(f) = omega^2,
-  whose composition through f runs by baby and giant steps;
+- ``equation_s``: ``functional_equation_check`` on the build, the full
+  recomputation of omega(f) = omega^2, whose composition through f runs
+  by baby and giant steps;
 - ``build_s``: the whole ``boettcher_series``, whose check reuses the
   last composition of ``roots_s`` instead of composing again;
 - ``compose_horner_s``: that composition as ``TailSeries.compose`` sums it,
@@ -69,10 +70,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from padicdyn import (CappedField, ExactField, MonicPoly,  # noqa: E402
                       boettcher_series, certify_degree, degree_chain,
-                      lagrange_invert)
-from padicdyn.boettcher import (_beta_series, _equation_order,  # noqa: E402
-                                _omega_inverse, _omega_series, _reciprocal,
-                                _root_chain)
+                      functional_equation_check, lagrange_invert)
+from padicdyn.boettcher import (_beta_series, _omega_inverse,  # noqa: E402
+                                _omega_series, _reciprocal, _root_chain)
 from padicdyn.cli import main as cli_main, series_json  # noqa: E402
 
 PRECISION = 20
@@ -113,11 +113,12 @@ def stages(f, M: int) -> tuple:
     row["roots_s"], (omega, _) = best_of(lambda: _omega_series(f, M))
     row["reversion_s"], omega_inverse = best_of(
         lambda: _omega_inverse(f, M))
-    row["equation_s"], order = best_of(lambda: _equation_order(omega, f, M))
+    row["build_s"], B = best_of(lambda: boettcher_series(f, M))
+    row["equation_s"], order = best_of(
+        lambda: functional_equation_check(B, M))
     if order != M:
         raise SystemExit(f"{f.field} M={M}: functional equation holds to "
                          f"{order} only")
-    row["build_s"], _ = best_of(lambda: boettcher_series(f, M))
     return row, omega, omega_inverse
 
 

@@ -58,6 +58,10 @@ class MonicPoly:
     def full_coeffs(self):
         return list(self.coeffs) + [self.field.embed(1)]
 
+    def w_coeffs(self):
+        """[1, a_{d-1}, ..., a_0]: f(z)/z^d as a polynomial in w = 1/z."""
+        return self.full_coeffs()[::-1]
+
     def evaluate(self, x):
         return poly_eval(self.full_coeffs(), x)
 
@@ -153,8 +157,7 @@ def cf_sup_check(f: MonicPoly, cf_valuation: Fraction | None = None) -> bool:
     """
     if cf_valuation is None:
         cf_valuation = cf_constant(f)
-    d = f.degree
-    coeffs_w = [f.field.embed(1)] + [f.coeffs[d - j] for j in range(1, d + 1)]
+    coeffs_w = f.w_coeffs()
     if all(c.is_zero() for c in coeffs_w[1:]):
         return cf_valuation == 0
     polygon = newton.build_polygon(coeffs_w)
@@ -200,8 +203,7 @@ def _beta_series(f: MonicPoly, N: int, M: int) -> list:
     """beta_1..beta_N, beta_n = f^n(z)/z^(d^n) as a series in w, at
     truncation M."""
     d = f.degree
-    beta = TailSeries.from_polynomial(
-        f.field, [1] + [f.coeffs[d - j] for j in range(1, d + 1)], M)
+    beta = TailSeries.from_polynomial(f.field, f.w_coeffs(), M)
     out = [beta]
     d_pow = d
     while len(out) < N:
@@ -268,12 +270,18 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     check, its d-th power against omega(W) / w^d to full order, binds
     the result whatever the start was.
 
-    The last step's image is omega_prev(W) to order M + d - 1, where
-    omega_prev is the omega it started from.  Cut to w^M it reads only
-    the first ceil(M / d) coefficients, so when those of omega_prev and
-    omega are the same elements (``TailSeries.identical_to``) it is
-    omega(W) modulo w^M, and it is returned for the build's check;
-    otherwise the second entry is None.
+    The image returned encloses omega(W) modulo w^M, for the build's
+    check.  The last step's image is omega_prev(W) to order M + d - 1,
+    where omega_prev is the omega it started from.  Cut to w^M it reads
+    only the first ceil(M / d) coefficients, so when those of omega_prev
+    and omega are the same elements (``TailSeries.identical_to``) it is
+    omega(W) modulo w^M and is returned; otherwise, or when no step ran
+    (M = 2), the final omega is composed with the same table.  Either way
+    each digit is claimed by the rules of products and sums, but over a
+    capped field the shared image was summed at order M + d - 1, whose
+    blocks of m coefficients may be longer than those of a composition
+    at M, so its precisions may differ from those of
+    ``compose_through_poly``'s grouping.
     """
     d = f.degree
     last = M + d - 1
@@ -286,9 +294,9 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
         image = _compose_with(omega._padded(T), powers, d)
         omega = image.shifted(-d)._root_from(
             d, previous.shifted(-1)).shifted(1)
-    if image is None or not previous.identical_to(omega, -(-M // d)):
-        return omega, None
-    return omega, image.truncate(M)
+    if image is not None and previous.identical_to(omega, -(-M // d)):
+        return omega, image.truncate(M)
+    return omega, _compose_with(omega, powers, d)
 
 
 def check_build(f: MonicPoly, M: int) -> None:
@@ -307,12 +315,11 @@ def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
     """Construct the conjugacy to prescribed truncation order M.
 
     omega comes from its own functional equation (``_omega_series``)
-    and is verified against omega(f(z)) = omega(z)^d to full order.  The
-    left side is the fixed point's last image when that step shows it to
-    be omega(W) modulo w^M, so the check adds only omega^d; otherwise it
-    composes afresh, as ``functional_equation_check`` always does.  The
-    inverse phi comes from f alone (``_omega_inverse``) and is verified
-    against G(phi) = phi^d - phi(u^d) P(phi) = 0 modulo u^(M + d - 1).
+    and is verified against omega(f(z)) = omega(z)^d to full order: the
+    left side is the image the fixed point returns, so the check adds
+    only omega^d.  The inverse phi comes from f alone (``_omega_inverse``)
+    and is verified against G(phi) = phi^d - phi(u^d) P(phi) = 0 modulo
+    u^(M + d - 1).
 
     Why omega(phi) = w follows.  G = 0 to that order fixes phi modulo
     u^M: a change at u^k first moves G at u^(k + d - 1), by d times the
@@ -330,10 +337,7 @@ def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
     omega, image = _omega_series(f, M)
     omega_inverse = _omega_inverse(f, M)
     cf_val = cf_constant(f)
-    if image is None:
-        verified = _equation_order(omega, f, M)
-    else:
-        verified = agreement_order(image, (omega ** f.degree).truncate(M))
+    verified = agreement_order(image, (omega ** f.degree).truncate(M))
     if verified < M:
         raise InternalError(
             f"functional equation fails at index {verified}")
@@ -369,8 +373,7 @@ def _inverse_residual(phi: TailSeries, f: MonicPoly, powers=None):
     if powers is None:
         powers = _powers(phi, d)
     spread = phi.spread(d).truncate(phi.trunc + d - 1)
-    P = [f.field.embed(1)] + list(reversed(f.coeffs))
-    return powers[d] - spread * weighted_sum(P, powers), spread
+    return powers[d] - spread * weighted_sum(f.w_coeffs(), powers), spread
 
 
 def _omega_inverse(f: MonicPoly, M: int) -> TailSeries:
@@ -412,10 +415,8 @@ def _reciprocal(f: MonicPoly, T: int) -> TailSeries:
     The unit part is a polynomial in w, inverted to order T, so the
     substitution is exact up to the claimed truncation.
     """
-    d = f.degree
-    unit = TailSeries.from_polynomial(
-        f.field, [1] + [f.coeffs[d - j] for j in range(1, d + 1)], T)
-    return unit.invert_unit().shifted(d)
+    unit = TailSeries.from_polynomial(f.field, f.w_coeffs(), T)
+    return unit.invert_unit().shifted(f.degree)
 
 
 def _baby_steps(T: int, d: int) -> int:
@@ -474,18 +475,12 @@ def _compose_with(S: TailSeries, powers: list, d: int) -> TailSeries:
     return acc
 
 
-def _equation_order(omega: TailSeries, f: MonicPoly, M: int) -> int:
-    M = min(M, omega.trunc)
-    lhs = compose_through_poly(omega.truncate(M), f)
-    rhs = (omega.truncate(M) ** f.degree).truncate(M)
-    return agreement_order(lhs, rhs)
-
-
 def functional_equation_check(B: BoettcherData, M: int | None = None) -> int:
-    """Agreement order of omega(f(z)) with omega(z)^d; M means verified."""
-    if M is None:
-        M = B.omega.trunc
-    return _equation_order(B.omega, B.f, M)
+    """Agreement order of omega(f(z)) with omega(z)^d, both recomputed
+    from f and omega cut to M; M means verified."""
+    omega = B.omega if M is None else B.omega.truncate(M)
+    return agreement_order(compose_through_poly(omega, B.f),
+                           (omega ** B.f.degree).truncate(omega.trunc))
 
 
 def cauchy_rate_check(f: MonicPoly, N_max: int, trunc: int | None = None):

@@ -399,12 +399,10 @@ class TailSeries:
         for k in range(steps - 1, -1, -1):
             acc = (acc * inner).truncate(target - k * s)
             if k >= self.ord and acc.trunc:
-                # plus c_k w^0; acc * inner has order >= s >= 1, or is
-                # an exact zero of order acc.trunc, so c_k is joined below
-                # acc's coefficients and none of them is reduced again
+                # plus c_k w^0: c_k alone, padded with exact zeros
                 c = kernel.window(self._flat, k - self.ord, 1)
-                acc = acc._new(0, kernel.join(self.field, c, acc.ord,
-                                              acc._flat), acc.trunc)
+                acc = acc + acc._new(0, kernel.window(c, 0, acc.trunc),
+                                     acc.trunc)
         return acc
 
 
@@ -531,19 +529,6 @@ def _capped_linear(field, terms, n: int):
         else:       # the first term: below it, exact zeros
             values, precs = [0] * k + scaled, [_INF] * k + known
     return _reduced(field, shift, values, precs)
-
-
-def _capped_join(field, c, k: int, flat):
-    """The form of c + w^k x for k >= 1, c a one-coefficient form, x the
-    form flat: the two at the lesser shift, k - 1 exact zeros between.
-    No value is reduced: a representative keeps its digits at any lower
-    shift."""
-    (rc, sc, fc), (r, s, f) = c, flat
-    low = min(s, fc[1])     # c's valuation; an exact zero's is infinite
-    if s != low:
-        r = _scaled(field, r, s - low, 0)
-    return (_scaled(field, rc, sc - low, 0) + [0] * (k - 1) + r, low,
-            fc + [_INF, _INF] * (k - 1) + f)
 
 
 def _capped_times(field, flat, ms):
@@ -686,17 +671,6 @@ def _exact_linear(field, terms, n: int):
     return values, den
 
 
-def _exact_join(field, c, k: int, flat):
-    """The form of c + w^k x for k >= 1, c a one-coefficient form, x the
-    form flat: the two over their common denominator, k - 1 zeros
-    between."""
-    ((n,), d), (r, den) = c, flat
-    common = math.lcm(d, den)
-    if common != den:
-        r = [x * (common // den) for x in r]
-    return [n * (common // d)] + [0] * (k - 1) + r, common
-
-
 def _exact_times(field, flat, ms):
     """Coefficient i times the integer ms[i]."""
     r, den = flat
@@ -733,23 +707,21 @@ def _exact_inverse(field, a):
 
 # what the methods of ``TailSeries`` call on a backend's flat form
 _Kernel = namedtuple("_Kernel", "flat one element normal window weight "
-                     "sign linear join times product inverse")
+                     "sign linear times product inverse")
 
 _CAPPED = _Kernel(
     flat=_capped_flat, one=lambda field: ([1], 0, [field.prec, 0]),
     element=_capped_element, normal=_capped_normal, window=_capped_window,
     weight=lambda c: (c.v, c.unit, c.v + c.rel),
     sign=lambda n: (0, n, _INF), linear=_capped_linear,
-    join=_capped_join, times=_capped_times,
-    product=_capped_product, inverse=_capped_inverse)
+    times=_capped_times, product=_capped_product, inverse=_capped_inverse)
 
 _EXACT = _Kernel(
     flat=lambda field, coeffs: _over_common(coeffs),
     one=lambda field: ([1], 1), element=_exact_element,
     normal=_exact_normal, window=_exact_window,
     weight=lambda c: (c.value.numerator, c.value.denominator),
-    sign=lambda n: (n, 1), linear=_exact_linear,
-    join=_exact_join, times=_exact_times,
+    sign=lambda n: (n, 1), linear=_exact_linear, times=_exact_times,
     product=_exact_product, inverse=_exact_inverse)
 
 
@@ -856,6 +828,8 @@ def evaluate(S: TailSeries, z, D: DiskSpec) -> PointValue:
     unstored tail, which holds for series produced by the conjugacy
     constructions (their rescaled coefficients are integral).
     """
+    if D.center == "inf" and z.is_zero():
+        raise DomainError("outside certified domain")
     w0 = z.field.embed(1) / z if D.center == "inf" else z
     v0 = w0.valuation()
     if v0.is_infinite or not v0.exact:

@@ -294,6 +294,20 @@ def test_degrees_exit_codes_with_and_without_the_series(monkeypatch, capsys):
         boettcher_series(f, 16), F(1, 25)) == 2
 
 
+def test_degrees_at_point_zero_exits_domain(capsys):
+    # omega is read at P = 0, that is w = infinity: refused as outside
+    # the certified domain, not a ZeroDivisionError traceback
+    from padicdyn.cli import main
+    for argv in (["degrees", "--prime", "5", "--poly=2,1/2,0,1", "--order",
+                  "3", "--point=0"],
+                 ["degrees", "--prime", "3", "--poly", "1,0,1", "--point",
+                  "0"]):
+        assert main(argv) == EXIT_DOMAIN, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "outside certified domain" in err
+        assert "Traceback" not in err
+
+
 def test_parser_is_built_once_and_not_at_import():
     assert build_parser() is build_parser()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -351,6 +351,15 @@ def test_evaluate_outside_domain_rejected():
         evaluate(w, K5.from_rational(2), DiskSpec("inf", F(0)))
 
 
+def test_evaluate_refuses_zero_about_infinity():
+    # z = 0 is w = infinity: outside every disk about infinity, refused
+    # before 1 / z is formed
+    for field in (K5, CappedField(5, 10)):
+        with pytest.raises(DomainError, match="outside certified domain"):
+            evaluate(TailSeries.w_power(field, 1, 6), field.embed(0),
+                     DiskSpec("inf", F(0)))
+
+
 def test_evaluate_linearity_within_bounds():
     rng = random.Random(2007)
     K = ExactField(5)

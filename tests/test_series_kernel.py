@@ -8,8 +8,9 @@ per coefficient and runs the element loops, and every result must hold
 the one flat form its own coefficients give.  The shrinking-truncation
 Horner of ``TailSeries.compose``, ``TailSeries.spread`` and
 ``weighted_sum`` are compared with the same oracle.  Capped results, the
-Böttcher inverse series included, are also checked against exact rational
-arithmetic: no coefficient may claim more precision than it has.
+Böttcher series, the image omega(W) its build checks and the inverse
+series included, are also checked against exact rational arithmetic: no
+coefficient may claim more precision than it has.
 """
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from padicdyn import (CappedField, ExactField, InternalError, MonicPoly,
                       PrecisionError, TailSeries, agreement_order,
                       lagrange_invert)
-from padicdyn.boettcher import _omega_inverse
+from padicdyn.boettcher import _omega_inverse, _omega_series
 from padicdyn.cli import element_json, series_json
 from padicdyn.localfield import ExactElement, PadicElement
 from padicdyn.series import _SLOPED, weighted_sum
@@ -579,10 +580,22 @@ def test_capped_never_overclaims_precision(data):
         U = TailSeries(field, 0, [1] + a, 1 + len(a))
         S = TailSeries(field, 1, [1] + b, 2 + len(b))
         f = MonicPoly(field, poly)
+        built = outcome(_omega_series, f, M)
         results.append([outcome(lambda: A * B), outcome(U.invert_unit),
                         outcome(A.compose, B), outcome(U.nth_root, n),
                         outcome(lagrange_invert, S),
-                        outcome(_omega_inverse, f, M)])
+                        outcome(_omega_inverse, f, M),
+                        *(built if isinstance(built, tuple) else [built] * 2)])
     for capped, exact in zip(*results):
         if not isinstance(capped, type):   # capped may run out of digits
             known_modulo_precision(capped, exact)
+
+
+def test_regrouped_build_image_never_overclaims_precision():
+    """z^5 + 9 z^4 over Q_3 capped at one digit, M = 37: the build's image
+    has other precisions than a fresh composition (see
+    ``tests/test_boettcher.py``), and each is still sound."""
+    capped, exact = (_omega_series(MonicPoly(field, [0, 0, 0, 0, 9]), 37)
+                     for field in (CappedField(3, 1), ExactField(3)))
+    for c, e in zip(capped, exact):
+        known_modulo_precision(c, e)
