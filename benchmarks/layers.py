@@ -35,6 +35,13 @@ capped): the conjugacy-batch workload draws degrees 2 to 5, and above 2
 each step of the fixed point takes more than one Newton step for its
 root.
 
+``products`` times capped products of n = 8, 16, 32, 64 and 128 terms,
+once with the coefficient sums packed into one big-integer product and
+once as n dot products (``series._PACKED`` set below or above n), to
+record the crossover: ``mul_s`` is omega * omega^-1 and ``square_s`` is
+omega * omega, both cut to w^(n + 1) from a capped M = 129 build.  From
+``series._SLOPED`` terms on, both sum on the operands' valuation line.
+
 ``builds`` times the stages and the whole of capped builds at M = 256
 and 512 and gives the digest of omega and omega^-1 as ``perfbench`` records
 it, so a change that claims equal outputs can be checked at orders the
@@ -62,6 +69,7 @@ import platform
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,10 +82,12 @@ from padicdyn import (CappedField, ExactField, MonicPoly,  # noqa: E402
 from padicdyn.boettcher import (_beta_series, _omega_inverse,  # noqa: E402
                                 _omega_series, _reciprocal, _root_chain)
 from padicdyn.cli import main as cli_main, series_json  # noqa: E402
+from padicdyn import series  # noqa: E402
 
 PRECISION = 20
 ORDERS = (32, 64, 128, 256)
 BUILDS = (256, 512)
+PRODUCT_TERMS = (8, 16, 32, 64, 128)
 # (map, p, coefficients a_0 .. a_{d-1}) of the ``degrees`` rows
 DEGREE_MAPS = (("z^3 + z^2 + z/5 + 3 over Q_5", 5, (3, Fraction(1, 5), 1)),
                ("z^5 - z^4 + z^3 + z/7 + 2 over Q_7", 7,
@@ -150,6 +160,39 @@ def degree_row(p: int, coeffs, backend: str, M: int) -> dict:
     if B.verified_order != M:
         raise SystemExit(f"{field} M={M}: verified to {B.verified_order}")
     return row
+
+
+@contextmanager
+def sums_by(kind: str, n: int):
+    """Products of n terms take their sums packed or as dot products."""
+    crossover = series._PACKED
+    series._PACKED = n if kind == "packed" else n + 1
+    try:
+        yield
+    finally:
+        series._PACKED = crossover
+
+
+def products() -> list:
+    """mul_s and square_s rows of n-term capped products, both ways."""
+    f = reference_map(CappedField(5, PRECISION))
+    M = max(PRODUCT_TERMS) + 1
+    omega, _ = _omega_series(f, M)
+    omega_inverse = _omega_inverse(f, M)
+    rows = []
+    for n in PRODUCT_TERMS:
+        a, b = omega.truncate(n + 1), omega_inverse.truncate(n + 1)
+        for kind in ("dot", "packed"):
+            with sums_by(kind, n):
+                row = {"backend": "capped", "n": n, "sums": kind}
+                row["mul_s"], ab = best_of(lambda: a * b)
+                row["square_s"], aa = best_of(lambda: a * a)
+            if (ab.trunc - ab.ord, aa.trunc - aa.ord) != (n, n):
+                raise SystemExit(f"n={n}: the products have "
+                                 f"{ab.trunc - ab.ord} and "
+                                 f"{aa.trunc - aa.ord} terms")
+            rows.append(row)
+    return rows
 
 
 def build(M: int) -> dict:
@@ -227,6 +270,9 @@ def main() -> int:
                        **degree_row(p, coeffs, backend, M)}
                 degrees.append(row)
                 print(json.dumps(row), file=sys.stderr)
+    product_rows = products()
+    for row in product_rows:
+        print(json.dumps(row), file=sys.stderr)
     builds = []
     for M in BUILDS:
         row = {"backend": "capped", "M": M, **build(M)}
@@ -237,7 +283,8 @@ def main() -> int:
     doc = {"map": "z^2 + z/5 + 3 over Q_5", "capped_precision": PRECISION,
            "unit": "s", "machine": machine(),
            "python": platform.python_version(), "git": git_sha(),
-           "rows": rows, "degrees": degrees, "builds": builds, "jobs": job_row}
+           "rows": rows, "degrees": degrees, "products": product_rows,
+           "builds": builds, "jobs": job_row}
     print(json.dumps(doc, indent=1))
     return 0
 

@@ -67,7 +67,10 @@ class Valuation:
     __slots__ = ("value", "exact")
 
     def __init__(self, value, exact: bool = True):
-        self.value = None if value is None else Fraction(value)
+        # a Fraction is kept as it is: ``value`` is always a Fraction, so
+        # that the callers' ``/`` stays exact
+        self.value = (value if value is None or type(value) is Fraction
+                      else Fraction(value))
         self.exact = bool(exact)
 
     @classmethod
@@ -104,7 +107,7 @@ class Valuation:
             x = x.value
         if x is None:
             return (1, 0)
-        return (0, Fraction(x))
+        return (0, x)
 
     def __lt__(self, other):
         return self._key(self) < self._key(other)
@@ -133,14 +136,18 @@ class Valuation:
             other = other.value
         if self.value is None or other is None:
             return Valuation(None)
-        return Valuation(self.value + Fraction(other), exact)
+        if not isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+        return Valuation(self.value + other, exact)
 
     __radd__ = __add__
 
     def __mul__(self, k):
         if self.value is None:
             return Valuation(None)
-        return Valuation(self.value * Fraction(k), self.exact)
+        if not isinstance(k, (int, Fraction)):
+            k = Fraction(k)
+        return Valuation(self.value * k, self.exact)
 
     __rmul__ = __mul__
 

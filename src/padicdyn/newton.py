@@ -9,6 +9,7 @@ be exactly known, so the exact-rational backend is the natural home.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,15 +61,20 @@ def build_polygon(coeffs) -> NewtonPolygon:
     if len(points) < 2:
         raise UsageError("polygon needs at least two nonzero coefficients")
 
-    hull = []
-    for pt in points:  # monotone chain, lower hull only
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (pt[1] - y1) <= (pt[0] - x1) * (y2 - y1):
-                hull.pop()
+    # the chain runs on integers: valuations times the lcm of their
+    # denominators (1 over Q_p), which keeps every orientation test
+    den = math.lcm(*(y.denominator for _, y in points))
+    scaled = [(x, y.numerator * (den // y.denominator)) for x, y in points]
+    chain = []   # indices of the hull vertices
+    for k, (x, y) in enumerate(scaled):  # monotone chain, lower hull only
+        while len(chain) >= 2:
+            (x1, y1), (x2, y2) = scaled[chain[-2]], scaled[chain[-1]]
+            if (x2 - x1) * (y - y1) <= (x - x1) * (y2 - y1):
+                chain.pop()
             else:
                 break
-        hull.append(pt)
+        chain.append(k)
+    hull = [points[k] for k in chain]
 
     segments = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):

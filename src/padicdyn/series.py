@@ -28,7 +28,14 @@ their dot products on a line of integer slope t under the valuations,
 v_i >= c + i t: each representative is carried as u_i p^(v_i - c - i t),
 about as many digits as the precision where u_i p^(v_i - s) grows with
 i, and the sums are mapped back exactly, so digits and precisions do not
-change.  Coefficients lie in one of these two fields: no construction
+change.  Capped products of at least ``_PACKED`` terms take their n
+coefficient sums from one big-integer product (Kronecker substitution):
+the vectors, never negative, are packed into one integer each with a
+byte slot per coefficient wide enough that no sum carries, and a square
+(x * x) is packed once and takes its precision list over half the pairs.
+Both are exact integer identities, so they change no digit and no
+precision either.  The exact backend, the oracle, keeps its plain dot
+products.  Coefficients lie in one of these two fields: no construction
 needs series over an extension (points in extensions are handled by
 ``evaluate``), so ``TailSeries`` refuses other fields.
 
@@ -548,6 +555,42 @@ def _convolve(xs, ys, n):
     return [sum(map(mul, xs, ys[n - 1 - k:])) for k in range(n)]
 
 
+# capped products of at least this many terms take their coefficient sums
+# from one big-integer product (``_packed``); for shorter ones the n dot
+# products of ``_convolve`` cost less than packing and unpacking
+_PACKED = 16
+
+
+def _packed(xs, ys, n):
+    """First n coefficients of the product of two polynomials with
+    nonnegative integer coefficients, each with at least n, from one
+    big-integer product (Kronecker substitution; Harvey, arXiv:0712.4046).
+
+    Each vector becomes one integer with a slot of w whole bytes per
+    coefficient.  A coefficient of the product sums at most n products
+    below 2^(bits(max x) + bits(max y)), so w bytes of
+    bits(max x) + bits(max y) + bits(n) hold it and no slot carries into
+    the next; ``int.to_bytes`` raises OverflowError on a negative entry,
+    which would borrow, instead of giving wrong sums.  When ys is xs the
+    vector is packed once and squared.
+    """
+    square = ys is xs
+    xs = xs[:n]
+    ys = xs if square else ys[:n]
+    w = (max(xs).bit_length() + max(ys).bit_length()
+         + n.bit_length() + 7) // 8
+
+    def pack(zs):
+        return int.from_bytes(b"".join(map(int.to_bytes, zs, repeat(w),
+                                           repeat("little"))), "little")
+
+    X = pack(xs)
+    buf = (X * (X if square else pack(ys))).to_bytes(w * (2 * n - 1),
+                                                      "little")
+    return [int.from_bytes(buf[i:i + w], "little")
+            for i in range(0, n * w, w)]
+
+
 # products of at least this many terms run on a valuation line (see
 # ``_capped_product``); for shorter ones finding the line costs more than
 # the smaller integers save
@@ -560,6 +603,8 @@ def _slope(r, f, i0: int, v0) -> int:
     integer slope through (i0, v0) that stays under the valuations."""
     return min(((f[2 * i + 1] - v0) // (i - i0)
                 for i in range(i0 + 1, len(r)) if r[i]), default=0)
+
+
 def _capped_product(field, a, b, n):
     """The form of the first n coefficients of a * b over a CappedField,
     from the forms a and b, each of at least n coefficients.
@@ -580,27 +625,41 @@ def _capped_product(field, a, b, n):
     sum_{i+j=k} r_i r'_j = p^(c + c' + k t - s - s') sum_{i+j=k} x_i x'_j,
     an exact identity, so digits and precisions are those of the plain
     convolution.
+
+    From ``_PACKED`` terms on, the sums are read from one big-integer
+    product (``_packed``): representatives and line-scaled x are never
+    negative.  A square (a is b, as ``TailSeries.__mul__`` passes x * x)
+    finds its line, scales and packs once, and takes its precisions over
+    i <= k - i only: the pairs (i, k - i) and (k - i, i) give the same
+    min(A_i + v_j, v_i + A_j).
     """
+    square = a is b
     (ra, sa, fa), (rb, sb, fb) = a, b
     # b's first n [A, v] pairs reversed, so that pairs (i, k - i) line up
-    # as (A_i, v_j), (v_i, A_j)
+    # as (A_i, v_j), (v_i, A_j); a square stops at i = k // 2
     starts = fb[2 * n - 1::-1]
-    precs = [min(map(add, fa, starts[2 * (n - 1 - k):])) for k in range(n)]
+    precs = [min(map(add, fa, starts[2 * (n - 1 - k):2 * (n - k + k // 2)
+                                     if square else None]))
+             for k in range(n)]
     s = sa + sb
-    ra, rb = ra[:n], rb[:n]
+    ra = ra[:n]
+    rb = ra if square else rb[:n]
+    sums = _packed if n >= _PACKED else _convolve
     if n >= _SLOPED and any(ra) and any(rb):
         # each operand's line through its first nonzero coefficient
         ia = next(i for i, x in enumerate(ra) if x)
-        ib = next(i for i, x in enumerate(rb) if x)
+        ib = ia if square else next(i for i, x in enumerate(rb) if x)
         va, vb = fa[2 * ia + 1], fb[2 * ib + 1]
-        t = min(_slope(ra, fa, ia, va), _slope(rb, fb, ib, vb))
+        t = _slope(ra, fa, ia, va)
+        if not square:
+            t = min(t, _slope(rb, fb, ib, vb))
         if t:
             ca, cb = va - ia * t, vb - ib * t
             xa = _scaled(field, ra, sa - ca, -t)
-            xb = _scaled(field, rb, sb - cb, -t)
+            xb = xa if square else _scaled(field, rb, sb - cb, -t)
             return _reduced(field, s, _scaled(
-                field, _convolve(xa, xb, n), ca + cb - s, t), precs)
-    return _reduced(field, s, _convolve(ra, rb, n), precs)
+                field, sums(xa, xb, n), ca + cb - s, t), precs)
+    return _reduced(field, s, sums(ra, rb, n), precs)
 
 
 def _capped_inverse(field, a):
@@ -826,12 +885,16 @@ def evaluate(S: TailSeries, z, D: DiskSpec) -> PointValue:
     for center "zero" the series is summed at w = z directly.  The tail
     bound assumes the stored-coefficient Gauss bound extends to the
     unstored tail, which holds for series produced by the conjugacy
-    constructions (their rescaled coefficients are integral).
+    constructions (their rescaled coefficients are integral).  At an
+    exact zero w (the center of a disk about zero) the value is the
+    constant term, exactly, with an infinite tail.
     """
     if D.center == "inf" and z.is_zero():
         raise DomainError("outside certified domain")
     w0 = z.field.embed(1) / z if D.center == "inf" else z
     v0 = w0.valuation()
+    if v0.is_infinite and v0.exact:
+        return PointValue(w0.field.embed(S.coefficient(0)), Valuation(None))
     if v0.is_infinite or not v0.exact:
         raise DomainError("outside certified domain: point valuation unknown")
     if not v0.as_fraction() > D.eps:

@@ -286,6 +286,16 @@ def test_valuation_ordering_and_infinity():
     assert ExactField(5).from_rational(0).valuation().is_infinite
 
 
+def test_valuation_arithmetic_keeps_fractions():
+    # a value left as an int would turn a caller's / into float division
+    for v in (Valuation(3), Valuation(F(1, 2)), Valuation(F(4, 2))):
+        for out in (v + 2, 2 + v, v * 3, 3 * v, v + Valuation(1),
+                    v + F(1, 3), v * F(2, 3)):
+            assert type(out.value) is F
+        assert (v + 2).value / 3 == F(v.value + 2, 3)
+    assert type(Valuation(7).value) is F
+
+
 def test_conjugates_non_normal_cubic_rejected():
     # Q_3 lacks the cube roots of unity, so x^3 - 3 is not normal
     E = ExtensionField(ExactField(3), [-3, 0, 0], "eisenstein")

@@ -7,7 +7,7 @@ import pytest
 
 from padicdyn import (ExactField, PrecisionError, UsageError, build_polygon,
                       root_valuations, total_ramification_certificate)
-from padicdyn.localfield import CappedField
+from padicdyn.localfield import CappedField, Valuation
 
 
 def poly(field, rationals):
@@ -131,3 +131,39 @@ def test_certified_polynomials_never_split_in_small_search():
         for r in candidates:
             value = (r * r + F(rationals[1]) * r + F(rationals[0]))
             assert value != 0
+
+
+class Valued:
+    """A coefficient that only reports a valuation."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def valuation(self):
+        return Valuation(self.v)
+
+
+def test_hull_with_fractional_valuations_matches_rational_chain():
+    # the hull runs on valuations scaled to integers; it must pick the
+    # vertices the chain on the rationals themselves picks
+    rng = random.Random(3003)
+    for _ in range(200):
+        points = [(i, F(rng.randrange(-12, 13), rng.choice([1, 2, 3, 4, 6])))
+                  for i in range(rng.randrange(2, 9))
+                  if i in (0, 1) or rng.random() < 0.7]
+        coeffs = [Valued(None)] * (points[-1][0] + 1)
+        for i, v in points:
+            coeffs[i] = Valued(v)
+        hull = []
+        for pt in points:
+            while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0])
+                                      * (pt[1] - hull[-2][1])
+                                      <= (pt[0] - hull[-2][0])
+                                      * (hull[-1][1] - hull[-2][1])):
+                hull.pop()
+            hull.append(pt)
+        P = build_polygon(coeffs)
+        assert P.points == tuple(points) and P.hull == tuple(hull)
+        assert all(type(v) is F for _, v in P.points + P.hull)
+        assert [s.slope for s in P.segments] == [
+            F(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]

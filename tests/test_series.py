@@ -360,6 +360,23 @@ def test_evaluate_refuses_zero_about_infinity():
                      DiskSpec("inf", F(0)))
 
 
+def test_evaluate_at_the_center_of_a_disk_about_zero():
+    # w = 0 exactly: every term past the constant vanishes, so the value is
+    # the constant term (an exact zero when ord >= 1) with no tail
+    disk = DiskSpec("zero", F(1, 2))
+    for field in (K5, CappedField(5, 10)):
+        zero = field.embed(0)
+        pv = evaluate(S(field, 0, [3, 2, F(1, 5)], 4), zero, disk)
+        assert pv.value == 3 and pv.err.is_infinite
+        pv = evaluate(S(field, 1, [3, 2], 4), zero, disk)
+        assert pv.value.is_exact_zero and pv.err.is_infinite
+        # an O(p^k) zero is not the center: its valuation is unknown
+        fuzzy = field.embed(2) - field.embed(2)
+        if not fuzzy.is_exact_zero:
+            with pytest.raises(DomainError, match="valuation unknown"):
+                evaluate(S(field, 1, [3, 2], 4), fuzzy, disk)
+
+
 def test_evaluate_linearity_within_bounds():
     rng = random.Random(2007)
     K = ExactField(5)

@@ -25,7 +25,8 @@ from padicdyn import (CappedField, ExactField, InternalError, MonicPoly,
 from padicdyn.boettcher import _omega_inverse, _omega_series
 from padicdyn.cli import element_json, series_json
 from padicdyn.localfield import ExactElement, PadicElement
-from padicdyn.series import _SLOPED, weighted_sum
+from padicdyn.series import (_PACKED, _SLOPED, _convolve, _packed,
+                             weighted_sum)
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 
@@ -451,6 +452,61 @@ def test_long_capped_product_matches_element_loop(data):
     a = data.draw(lined_series(field, n))
     b = data.draw(lined_series(field, n))
     same(a * b, Ref.of(a) * Ref.of(b))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_long_capped_square_matches_element_loop(data):
+    """A square (a is b) finds its line once and takes its precisions over
+    half the pairs; digits and precisions are the element loop's."""
+    field = CappedField(data.draw(PRIMES), data.draw(st.integers(1, 8)))
+    a = data.draw(lined_series(field, data.draw(st.integers(
+        _SLOPED, _SLOPED + 8))))
+    same(a * a, Ref.of(a) * Ref.of(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_capped_products_about_the_packing_crossover(data):
+    """From _PACKED terms on, the sums come from one big-integer product;
+    products and squares on either side of that match the element loop."""
+    field = CappedField(data.draw(PRIMES), data.draw(st.integers(1, 8)))
+    n = data.draw(st.integers(_PACKED - 2, _PACKED + 8))
+    a = data.draw(lined_series(field, n))
+    b = data.draw(lined_series(field, n))
+    ra, rb = Ref.of(a), Ref.of(b)
+    same(a * b, ra * rb)
+    same(a * a, ra * ra)
+    same(a ** 3, ra ** 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_sums_equal_dot_products(data):
+    """The Kronecker-packed sums are the dot products of ``_convolve`` on
+    nonnegative vectors of any widths, zeros anywhere, squares included."""
+    m = data.draw(st.integers(1, 40))
+    bits = st.sampled_from([0, 1, 7, 8, 9, 60, 200])
+    entries = st.one_of(st.just(0), bits.flatmap(
+        lambda b: st.integers(0, 2 ** b)))
+    xs = data.draw(st.lists(entries, min_size=m, max_size=m + 3))
+    ys = data.draw(st.lists(entries, min_size=m, max_size=m + 3))
+    n = data.draw(st.integers(1, m))
+    assert _packed(xs, ys, n) == _convolve(xs, ys, n)
+    assert _packed(xs, xs, n) == _convolve(xs, xs, n)
+
+
+def test_packed_sums_edge_cases():
+    assert _packed([5], [7], 1) == [35]
+    assert _packed([0] * 9, [0] * 9, 9) == [0] * 9
+    assert _packed([0] * 4, [3, 1, 4, 1], 4) == [0] * 4
+    xs = [2 ** 70, 0, 0, 1, 0, 2 ** 8 - 1]
+    assert _packed(xs, xs, 6) == _convolve(xs, xs, 6)
+    assert _packed(xs, [0, 1, 0, 0, 2 ** 90, 0], 6) == _convolve(
+        xs, [0, 1, 0, 0, 2 ** 90, 0], 6)
+    # a negative entry would borrow from its neighbour: refused
+    with pytest.raises(OverflowError):
+        _packed([3, -1, 2], [1, 1, 1], 3)
 
 
 # -- over ExactField ----------------------------------------------------------
