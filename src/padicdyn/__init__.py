@@ -2,11 +2,12 @@
 polygons, and preimage-tree degree growth, over exact-rational or
 capped-precision coefficient backends."""
 
-from .boettcher import (BoettcherData, EscapeResult, MonicPoly,
+from .boettcher import (BoettcherData, Conjugacy, EscapeResult, MonicPoly,
                         boettcher_series, cauchy_rate_check, cf_constant,
-                        cf_sup_check, compose_through_poly, escape_test,
-                        functional_equation_check, good_reduction, omega_at,
-                        point_identity_report, rescaled_integrality_ok)
+                        cf_sup_check, compose_through_poly, conjugacy,
+                        escape_test, functional_equation_check,
+                        good_reduction, omega_at, point_identity_report,
+                        rescaled_integrality_ok)
 from .arboreal import (DegreeChain, KummerLevel, TransportReport,
                        certify_degree, degree_chain, predicted_degree_step,
                        subgroup_orbit_count, transport_check,

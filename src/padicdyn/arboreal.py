@@ -15,8 +15,8 @@ from itertools import permutations
 from math import gcd
 
 from . import config
-from .boettcher import (BoettcherData, MonicPoly, boettcher_series,
-                        check_build, good_reduction, omega_at)
+from .boettcher import (Conjugacy, MonicPoly, check_build, conjugacy,
+                        good_reduction, omega_at)
 from .errors import BudgetError, DomainError, UsageError
 from .localfield import ExtensionField, conjugates
 from .newton import build_polygon, total_ramification_certificate
@@ -174,7 +174,7 @@ class DegreeChain:
     levels: tuple  # records {"n", "predicted_step", "certified_degree"}
 
 
-def transported_valuation(B: BoettcherData, P) -> int:
+def transported_valuation(B: Conjugacy, P) -> int:
     """v of the transported base point, exactly determined or refused.
 
     For good reduction with v(P) < 0 this is -v(P); otherwise it is read
@@ -206,11 +206,12 @@ def _transported(f: MonicPoly, P, good: bool, series) -> int:
 def degree_chain(f: MonicPoly, P, levels: int, order: int = 16) -> DegreeChain:
     """Assemble predictions and certificates for n = 1..levels.
 
-    The conjugacy is built only if the transported valuation reads it,
-    but an order the build refuses is refused either way."""
+    omega is built, without its inverse, only if the transported
+    valuation reads it, but an order the build refuses is refused either
+    way."""
     check_build(f, order)
     v_q = _transported(f, P, good_reduction(f),
-                       lambda: boettcher_series(f, order))
+                       lambda: conjugacy(f, order))
     records = []
     for n in range(1, levels + 1):
         step = predicted_degree_step(v_q, f.degree, n - 1)
@@ -243,7 +244,7 @@ class TransportReport:
     checks: tuple
 
 
-def transport_check(B: BoettcherData, E: ExtensionField, Q, P,
+def transport_check(B: Conjugacy, E: ExtensionField, Q, P,
                     precision: int = 32) -> TransportReport:
     """Check the conjugacy respects powers and conjugation at a preimage.
 

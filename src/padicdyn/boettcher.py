@@ -15,6 +15,8 @@ inverse series needs no reversion: the conjugacy read backwards says
 that phi = omega^-1 solves phi(u^d) = phi(u)^d / P(phi(u)),
 P(x) = 1 + a_{d-1} x + ... + a_0 x^d, and Newton iteration on that
 equation takes products and one unit inverse per step, no composition.
+``conjugacy`` builds omega alone, for everything that reads only omega;
+``boettcher_series`` adds the inverse.
 The escape-radius constant C_f bounds the convergence disk, and for good
 reduction the series has integral coefficients and satisfies
 v(omega(z)) = -v(z) on |z| > 1.
@@ -30,7 +32,7 @@ from . import config, newton
 from .errors import (BudgetError, DomainError, InternalError, PrecisionError,
                      UsageError)
 from .localfield import ExactField, poly_eval
-from .series import (DiskSpec, PointValue, TailSeries, _convolve,
+from .series import (DiskSpec, PointValue, TailSeries, _as_point, _convolve,
                      _over_common, agreement_order, evaluate, weighted_sum)
 
 
@@ -108,22 +110,30 @@ def _compose_flat(f, g) -> tuple:
 
 
 @dataclass(frozen=True)
-class BoettcherData:
-    """The conjugacy data for one polynomial.
+class Conjugacy:
+    """The conjugacy omega for one polynomial, without its inverse.
 
     ``omega`` is the series in w = 1/z with linear coefficient 1,
-    verified against omega(f(z)) = omega(z)^d to ``verified_order``;
-    ``omega_inverse`` its compositional inverse, verified against its own
-    functional equation (see ``boettcher_series``).
+    verified against omega(f(z)) = omega(z)^d to ``verified_order``
+    (see ``conjugacy``).  Everything that reads omega alone, pointwise
+    evaluation and the transport checks included, takes this.
     """
 
     f: MonicPoly
     cf_valuation: Fraction
     good_reduction: bool
     omega: TailSeries
-    omega_inverse: TailSeries
     verified_order: int
     domain: DiskSpec
+
+
+@dataclass(frozen=True)
+class BoettcherData(Conjugacy):
+    """The conjugacy and ``omega_inverse``, omega's compositional
+    inverse, verified against its own functional equation (see
+    ``boettcher_series``)."""
+
+    omega_inverse: TailSeries
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +321,38 @@ def check_build(f: MonicPoly, M: int) -> None:
         raise BudgetError(f"truncation order {M} exceeds the budget")
 
 
-def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
-    """Construct the conjugacy to prescribed truncation order M.
+def conjugacy(f: MonicPoly, M: int) -> Conjugacy:
+    """Construct omega to prescribed truncation order M, without its
+    inverse.
 
     omega comes from its own functional equation (``_omega_series``)
     and is verified against omega(f(z)) = omega(z)^d to full order: the
     left side is the image the fixed point returns, so the check adds
-    only omega^d.  The inverse phi comes from f alone (``_omega_inverse``)
-    and is verified against G(phi) = phi^d - phi(u^d) P(phi) = 0 modulo
-    u^(M + d - 1).
+    only omega^d.
+    """
+    check_build(f, M)
+    omega, image = _omega_series(f, M)
+    cf_val = cf_constant(f)
+    verified = agreement_order(image, (omega ** f.degree).truncate(M))
+    if verified < M:
+        raise InternalError(
+            f"functional equation fails at index {verified}")
+    return Conjugacy(
+        f=f,
+        cf_valuation=cf_val,
+        good_reduction=good_reduction(f),
+        omega=omega,
+        verified_order=verified,
+        domain=DiskSpec("inf", -cf_val),
+    )
+
+
+def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
+    """Construct the conjugacy and its inverse to truncation order M.
+
+    omega and its check are ``conjugacy``'s.  The inverse phi comes from
+    f alone (``_omega_inverse``) and is verified against
+    G(phi) = phi^d - phi(u^d) P(phi) = 0 modulo u^(M + d - 1).
 
     Why omega(phi) = w follows.  G = 0 to that order fixes phi modulo
     u^M: a change at u^k first moves G at u^(k + d - 1), by d times the
@@ -333,23 +366,8 @@ def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
     omega(phi) = w modulo w^M.  The tests check that composition
     directly.
     """
-    check_build(f, M)
-    omega, image = _omega_series(f, M)
-    omega_inverse = _omega_inverse(f, M)
-    cf_val = cf_constant(f)
-    verified = agreement_order(image, (omega ** f.degree).truncate(M))
-    if verified < M:
-        raise InternalError(
-            f"functional equation fails at index {verified}")
-    return BoettcherData(
-        f=f,
-        cf_valuation=cf_val,
-        good_reduction=good_reduction(f),
-        omega=omega,
-        omega_inverse=omega_inverse,
-        verified_order=verified,
-        domain=DiskSpec("inf", -cf_val),
-    )
+    C = conjugacy(f, M)
+    return BoettcherData(**vars(C), omega_inverse=_omega_inverse(f, M))
 
 
 def _powers(phi: TailSeries, d: int) -> list:
@@ -475,7 +493,7 @@ def _compose_with(S: TailSeries, powers: list, d: int) -> TailSeries:
     return acc
 
 
-def functional_equation_check(B: BoettcherData, M: int | None = None) -> int:
+def functional_equation_check(B: Conjugacy, M: int | None = None) -> int:
     """Agreement order of omega(f(z)) with omega(z)^d, both recomputed
     from f and omega cut to M; M means verified."""
     omega = B.omega if M is None else B.omega.truncate(M)
@@ -524,6 +542,8 @@ def escape_test(f: MonicPoly, P, max_iter: int = 16) -> EscapeResult:
     decisive: negative valuation escapes, everything else stays integral
     forever.  Exact iterates must fit the coefficient-size budget.
     """
+    if max_iter < 0:
+        raise UsageError(f"max_iter must be at least 0, got {max_iter}")
     P = f.field.embed(P)
     vcf = cf_constant(f)
     if good_reduction(f):
@@ -554,8 +574,10 @@ def escape_test(f: MonicPoly, P, max_iter: int = 16) -> EscapeResult:
 # ---------------------------------------------------------------------------
 
 
-def omega_at(B: BoettcherData, z) -> PointValue:
-    """Evaluate omega at a point strictly inside the certified disk."""
+def omega_at(B: Conjugacy, z) -> PointValue:
+    """Evaluate omega at a point strictly inside the certified disk; an
+    int or Fraction point is embedded in the base field."""
+    z = _as_point(B.omega, z)
     result = evaluate(B.omega, z, B.domain)
     if B.good_reduction:
         vz = z.valuation()
@@ -566,7 +588,7 @@ def omega_at(B: BoettcherData, z) -> PointValue:
     return result
 
 
-def point_identity_report(B: BoettcherData, P):
+def point_identity_report(B: Conjugacy, P):
     """Check omega(f(P)) = omega(P)^d within reported error bounds."""
     P = B.f.field.embed(P)
     lhs = omega_at(B, B.f.evaluate(P))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .arboreal import (KummerLevel, degree_chain, subgroup_orbit_count,
                        transport_check)
 from .boettcher import (MonicPoly, boettcher_series, cf_constant,
-                        cf_sup_check, escape_test, good_reduction,
+                        cf_sup_check, conjugacy, escape_test, good_reduction,
                         point_identity_report, rescaled_integrality_ok)
 from .errors import (BudgetError, DomainError, InternalError, PrecisionError,
                      UsageError)
@@ -279,7 +279,7 @@ def run_boettcher(job: JobSpec):
 def run_verify(job: JobSpec):
     field = _field(job)
     f = _monic(job, field)
-    B = boettcher_series(f, job.order)
+    B = conjugacy(f, job.order)
     results = {"verified_order": B.verified_order}
     checks = [{"name": "functional-equation",
                "passed": B.verified_order >= job.order,
@@ -385,7 +385,7 @@ def run_transport(job: JobSpec):
         raise UsageError("--ext lists c0,...,1 and must be monic")
     E = ExtensionField(field, ext_coeffs[:-1], job.ext_kind)
     Q = E.from_vector([Fraction(c) for c in job.ext_point])
-    B = boettcher_series(f, job.order)
+    B = conjugacy(f, job.order)
     report = transport_check(B, E, Q, Fraction(job.point),
                              precision=max(job.precision, 16))
     results = {"passed": report.passed,

@@ -878,6 +878,12 @@ class PointValue:
         return residual >= bound, residual, bound
 
 
+def _as_point(S: TailSeries, z):
+    """z as an element: an int or Fraction embedded in S's field, any
+    other value (a base-field or extension element) as it is."""
+    return S.field.embed(z) if isinstance(z, (int, Fraction)) else z
+
+
 def evaluate(S: TailSeries, z, D: DiskSpec) -> PointValue:
     """Sum the stored terms at a point strictly inside the disk.
 
@@ -887,8 +893,11 @@ def evaluate(S: TailSeries, z, D: DiskSpec) -> PointValue:
     unstored tail, which holds for series produced by the conjugacy
     constructions (their rescaled coefficients are integral).  At an
     exact zero w (the center of a disk about zero) the value is the
-    constant term, exactly, with an infinite tail.
+    constant term, exactly, with an infinite tail.  An int or Fraction
+    point is embedded in S's field; field and extension elements are
+    taken as they are.
     """
+    z = _as_point(S, z)
     if D.center == "inf" and z.is_zero():
         raise DomainError("outside certified domain")
     w0 = z.field.embed(1) / z if D.center == "inf" else z

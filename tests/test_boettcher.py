@@ -11,10 +11,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn import (BudgetError, CappedField, DomainError, ExactField,
-                      MonicPoly, boettcher_series, cauchy_rate_check,
-                      cf_constant, cf_sup_check, compose_through_poly,
-                      escape_test, functional_equation_check, good_reduction,
+from padicdyn import (BudgetError, CappedField, Conjugacy, DomainError,
+                      ExactField, MonicPoly, boettcher_series,
+                      cauchy_rate_check, cf_constant, cf_sup_check,
+                      compose_through_poly, conjugacy, escape_test,
+                      functional_equation_check, good_reduction,
                       lagrange_invert, omega_at, point_identity_report,
                       rescaled_integrality_ok)
 from padicdyn.boettcher import (_baby_steps, _inverse_residual,
@@ -132,14 +133,16 @@ def test_cubic_plus_pz_closed_form():
 
 def test_construction_refuses_residue_characteristic():
     f = mono(5, [1, 0, 0, 0, 0])  # degree 5 over Q_5
-    with pytest.raises(DomainError):
-        boettcher_series(f, 8)
+    for build in (boettcher_series, conjugacy):
+        with pytest.raises(DomainError):
+            build(f, 8)
 
 
 def test_construction_budget():
     f = mono(5, [3, 0])
-    with pytest.raises(BudgetError):
-        boettcher_series(f, 100000)
+    for build in (boettcher_series, conjugacy):
+        with pytest.raises(BudgetError):
+            build(f, 100000)
 
 
 def test_functional_equation_order_32():
@@ -464,7 +467,52 @@ def test_escape_bad_reduction_immediate():
     assert r.status == "escapes" and r.iterations == 0
 
 
+def test_escape_refuses_a_negative_iteration_budget():
+    # refused before the good-reduction shortcut, which reads no budget
+    for f in (mono(5, [3, 0]), mono(5, [F(1, 5), 0])):
+        with pytest.raises(UsageError, match="max_iter"):
+            escape_test(f, F(1, 25), max_iter=-1)
+    assert escape_test(mono(5, [F(1, 5), 0]), F(1, 5),
+                       max_iter=0).iterations == 0
+
+
+# -- omega without its inverse -------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["exact", "capped"])
+@pytest.mark.parametrize("p,coeffs,M", [
+    (5, [3, F(1, 5)], 16),        # bad reduction, the order-scaling map
+    (3, [1, 1], 12),
+    (7, [F(2, 7), 0, 1], 10),     # cubic, bad reduction
+    (5, [3, 0], 2),               # no fixed-point step
+])
+def test_conjugacy_is_the_build_without_its_inverse(backend, p, coeffs, M):
+    f = mono(p, coeffs, backend)
+    C, B = conjugacy(f, M), boettcher_series(f, M)
+    assert type(C) is Conjugacy and isinstance(B, Conjugacy)
+    assert not hasattr(C, "omega_inverse")
+    assert C.omega.identical_to(B.omega, M)
+    assert C.verified_order == B.verified_order == M
+    assert (C.f, C.cf_valuation, C.good_reduction, C.domain) == (
+        B.f, B.cf_valuation, B.good_reduction, B.domain)
+    assert functional_equation_check(C) == M
+
+
 # -- pointwise evaluation ------------------------------------------------------
+
+
+def test_omega_at_rational_points():
+    # an int or Fraction point is embedded, as point_identity_report does
+    for backend in ("exact", "capped"):
+        for coeffs, z in (([3, F(1, 5)], F(1, 25)), ([3, 0], F(2, 5))):
+            f = mono(5, coeffs, backend)
+            for B in (boettcher_series(f, 8), conjugacy(f, 8)):
+                pv = omega_at(B, z)
+                ref = omega_at(B, f.field.embed(z))
+                assert pv.value == ref.value and pv.err == ref.err
+                assert pv.value.field is f.field
+                with pytest.raises(DomainError):
+                    omega_at(B, 2)     # an int is never in the disk
 
 
 def test_omega_at_power_map():

@@ -256,13 +256,13 @@ def test_degrees_exit_codes_with_and_without_the_series(monkeypatch, capsys):
     from padicdyn.cli import main
 
     builds = []
-    build = arboreal.boettcher_series
+    build = arboreal.conjugacy
 
     def counted(f, order):
         builds.append(order)
         return build(f, order)
 
-    monkeypatch.setattr(arboreal, "boettcher_series", counted)
+    monkeypatch.setattr(arboreal, "conjugacy", counted)
     good = ["degrees", "--prime", "3", "--poly", "1,0,1", "--point", "1/3"]
     cases = [  # argv, environment variable, exit code
         (["degrees", "--prime", "2", "--poly", "1,0,1", "--point", "1/2"],
@@ -292,6 +292,48 @@ def test_degrees_exit_codes_with_and_without_the_series(monkeypatch, capsys):
     f = MonicPoly(ExactField(5), [F(-1, 5), 0])
     assert doc["results"]["v_q"] == transported_valuation(
         boettcher_series(f, 16), F(1, 25)) == 2
+
+
+def test_only_boettcher_builds_the_inverse(monkeypatch):
+    import padicdyn.boettcher as boettcher
+
+    inverses = []
+    build = boettcher._omega_inverse
+
+    def counted(f, order):
+        inverses.append(order)
+        return build(f, order)
+
+    monkeypatch.setattr(boettcher, "_omega_inverse", counted)
+    jobs = [  # argv, _omega_inverse calls
+        (["transport", "--prime", "5", "--poly", "0,0,1", "--point", "1/5",
+          "--ext=-5,0,1", "--ext-point", "0,1/5", "--order", "12"], []),
+        (["verify", "--prime", "5", "--poly", "3,1/5,1", "--order", "12",
+          "--points", "2"], []),
+        (["degrees", "--prime", "5", "--poly=-1/5,0,1", "--point", "1/25",
+          "--levels", "2", "--order", "16"], []),     # bad reduction
+        (["boettcher", "--prime", "5", "--poly", "3,0,1", "--order", "10"],
+         [10]),
+    ]
+    for argv, calls in jobs:
+        inverses.clear()
+        doc, status = run_cli(argv)
+        assert status == EXIT_OK, argv
+        assert inverses == calls, argv
+    assert "omega_inverse" in doc["results"]
+
+
+def test_recorded_cli_and_order_scaling_outputs_are_reproduced():
+    # every cli-jobs and order-scaling entry of perfbench/expected.json,
+    # rebuilt and compared byte for byte; the script writes nothing
+    probe = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "check_expected.py"),
+         "cli-jobs", "order-scaling"],
+        capture_output=True, text=True, timeout=300)
+    assert probe.returncode == 0, probe.stderr[-2000:]
+    summary = json.loads(probe.stdout)
+    assert summary["cli-jobs"]["entries"] == 663
+    assert summary["order-scaling"]["entries"] == 9
 
 
 def test_degrees_at_point_zero_exits_domain(capsys):

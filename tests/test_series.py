@@ -377,6 +377,25 @@ def test_evaluate_at_the_center_of_a_disk_about_zero():
                 evaluate(S(field, 1, [3, 2], 4), fuzzy, disk)
 
 
+def test_evaluate_embeds_int_and_fraction_points():
+    for field in (K5, CappedField(5, 10)):
+        s = S(field, 1, [1, 2, F(1, 5)], 5)
+        for z, disk in ((F(1, 25), DiskSpec("inf", F(1))),
+                        (5, DiskSpec("zero", F(0))),
+                        (F(10, 3), DiskSpec("zero", F(1, 2)))):
+            pv = evaluate(s, z, disk)
+            ref = evaluate(s, field.embed(z), disk)
+            assert pv.value == ref.value and pv.err == ref.err
+            assert pv.value.field is field
+        with pytest.raises(DomainError):
+            evaluate(s, 2, DiskSpec("inf", F(0)))
+    # extension elements are taken as they are
+    E = ExtensionField(K5, [-5, 0], "eisenstein")
+    pi = E.generator()
+    pv = evaluate(S(K5, 1, [1, 1], 4), pi, DiskSpec("zero", F(0)))
+    assert pv.value == pi + pi * pi
+
+
 def test_evaluate_linearity_within_bounds():
     rng = random.Random(2007)
     K = ExactField(5)
