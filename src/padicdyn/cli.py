@@ -9,12 +9,12 @@ domain/precision errors (3), and failed mathematical checks (4).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
+import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .arboreal import (KummerLevel, degree_chain, subgroup_orbit_count,
@@ -34,33 +34,10 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_CHECK_FAILED = 4
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the sizes this tool accepts."""
-    if n < 2:
-        return False
-    for small in _MR_BASES:
-        if n == small:
-            return True
-        if n % small == 0:
-            return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division, quick enough below 2^31, the bound of --prime."""
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +127,7 @@ class JobSpec:
     emit_latex: bool = False
 
     def validate(self):
-        if self.command in ("kummer",):
+        if self.command == "kummer":
             return
         if self.prime < 2 or self.prime > 2 ** 31 or not is_prime(self.prime):
             raise UsageError(f"--prime must be a prime below 2^31, "
@@ -170,24 +147,26 @@ class JobSpec:
                             ("--ext-point", self.ext_point)):
             for text in texts:
                 parse_rational(text, flag)
+        if self.ext and self.ext_point and \
+                len(self.ext_point) != len(self.ext) - 1:
+            raise UsageError(f"--ext-point needs {len(self.ext) - 1} "
+                             f"coordinates (the degree of --ext), got "
+                             f"{len(self.ext_point)}")
 
     def inputs_json(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["poly"] = list(self.poly)
-        doc["generators"] = [list(g) for g in self.generators]
-        doc["ext"] = list(self.ext)
-        doc["ext_point"] = list(self.ext_point)
-        return doc
+        """Every field, tuples as JSON lists."""
+        return {key: _nested(list, value) for key, value in vars(self).items()}
 
     @classmethod
     def from_json(cls, doc: dict) -> "JobSpec":
-        kwargs = dict(doc)
-        kwargs["poly"] = tuple(doc.get("poly", ()))
-        kwargs["generators"] = tuple(tuple(g) for g in
-                                     doc.get("generators", ()))
-        kwargs["ext"] = tuple(doc.get("ext", ()))
-        kwargs["ext_point"] = tuple(doc.get("ext_point", ()))
-        return cls(**kwargs)
+        return cls(**{key: _nested(tuple, doc[key]) for key in doc})
+
+
+def _nested(kind, value):
+    """value with each list or tuple in it, at any depth, made a kind."""
+    if isinstance(value, (list, tuple)):
+        return kind(_nested(kind, item) for item in value)
+    return value
 
 
 def parse_rational(text: str, flag: str) -> Fraction:
@@ -211,10 +190,7 @@ def parse_list_arg(text: str, flag: str, least: int) -> tuple:
 
 def parse_pairs(text: str) -> tuple:
     out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, text.split(";"))):
         try:
             i, j = chunk.split(",")
             out.append((int(i), int(j)))
@@ -224,14 +200,12 @@ def parse_pairs(text: str) -> tuple:
     return tuple(out)
 
 
-def _field(job: JobSpec):
-    return field_for(job.prime, job.backend, job.precision)
-
-
-def _monic(job: JobSpec, field) -> MonicPoly:
+def _monic(job: JobSpec) -> MonicPoly:
+    """The job's map over the field of its --prime, --backend, --precision."""
     coeffs = [Fraction(c) for c in job.poly]
     if coeffs[-1] != 1:
         raise UsageError("--poly lists a0,...,a_{d-1},1 and must be monic")
+    field = field_for(job.prime, job.backend, job.precision)
     return MonicPoly(field, coeffs[:-1])
 
 
@@ -241,8 +215,7 @@ def _monic(job: JobSpec, field) -> MonicPoly:
 
 
 def run_cf(job: JobSpec):
-    field = _field(job)
-    f = _monic(job, field)
+    f = _monic(job)
     vcf = cf_constant(f)
     results = {"cf_valuation": frac_str(vcf),
                "good_reduction": good_reduction(f)}
@@ -251,8 +224,7 @@ def run_cf(job: JobSpec):
 
 
 def run_boettcher(job: JobSpec):
-    field = _field(job)
-    f = _monic(job, field)
+    f = _monic(job)
     B = boettcher_series(f, job.order)
     results = {
         "cf_valuation": frac_str(B.cf_valuation),
@@ -270,15 +242,14 @@ def run_boettcher(job: JobSpec):
         {"name": "rescaled-integrality", "passed":
             rescaled_integrality_ok(B)},
     ]
-    if field.backend == "exact":
+    if f.field.backend == "exact":
         checks.append({"name": "cf-sup-agreement",
                        "passed": cf_sup_check(f, B.cf_valuation)})
     return results, checks
 
 
 def run_verify(job: JobSpec):
-    field = _field(job)
-    f = _monic(job, field)
+    f = _monic(job)
     B = conjugacy(f, job.order)
     results = {"verified_order": B.verified_order}
     checks = [{"name": "functional-equation",
@@ -303,7 +274,7 @@ def run_verify(job: JobSpec):
 
 
 def run_newton_polygon(job: JobSpec):
-    field = _field(job)
+    field = field_for(job.prime, job.backend, job.precision)
     coeffs = [field.embed(Fraction(c)) for c in job.poly]
     polygon = build_polygon(coeffs)
     cert = total_ramification_certificate(polygon, coeffs)
@@ -323,11 +294,10 @@ def run_newton_polygon(job: JobSpec):
 
 
 def run_escape(job: JobSpec):
-    field = _field(job)
-    f = _monic(job, field)
+    f = _monic(job)
     if job.point is None:
         raise UsageError("escape needs --point")
-    P = field.embed(parse_rational(job.point, "--point"))
+    P = f.field.embed(Fraction(job.point))
     res = escape_test(f, P, job.max_iter)
     results = {"status": res.status, "iterations": res.iterations,
                "certified": res.certified, "reason": res.reason,
@@ -336,10 +306,9 @@ def run_escape(job: JobSpec):
 
 
 def run_degrees(job: JobSpec):
-    field = _field(job)
-    if field.backend != "exact":
+    if job.backend != "exact":
         raise UsageError("degrees needs the exact backend")
-    f = _monic(job, field)
+    f = _monic(job)
     if job.point is None:
         raise UsageError("degrees needs --point")
     chain = degree_chain(f, Fraction(job.point), job.levels, job.order)
@@ -376,14 +345,13 @@ def run_kummer(job: JobSpec):
 
 
 def run_transport(job: JobSpec):
-    field = _field(job)
-    f = _monic(job, field)
+    f = _monic(job)
     if job.point is None or not job.ext or not job.ext_point:
         raise UsageError("transport needs --point, --ext and --ext-point")
     ext_coeffs = [Fraction(c) for c in job.ext]
     if ext_coeffs[-1] != 1:
         raise UsageError("--ext lists c0,...,1 and must be monic")
-    E = ExtensionField(field, ext_coeffs[:-1], job.ext_kind)
+    E = ExtensionField(f.field, ext_coeffs[:-1], job.ext_kind)
     Q = E.from_vector([Fraction(c) for c in job.ext_point])
     B = conjugacy(f, job.order)
     report = transport_check(B, E, Q, Fraction(job.point),
@@ -432,8 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The padicdyn parser, built on the first call and shared after it.
 
     Parsing reads the parser and changes nothing in it: each call gets a
-    new namespace, defaults included, and help and errors go to the
-    sys.stdout and sys.stderr of that moment.
+    new namespace, and help and errors go to the sys.stdout and
+    sys.stderr of that moment.  Each flag names a ``JobSpec`` field, and
+    a flag left out parses to None and takes that field's default; only
+    ``verify --order`` sets a default of its own.
     """
     parser = argparse.ArgumentParser(
         prog="padicdyn",
@@ -441,31 +411,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "preimage-tree degree growth over p-adic fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, poly=True, backend=True):
+    def common(sp, backend=True):
         sp.add_argument("--prime", type=int, required=True)
-        if poly:
-            sp.add_argument("--poly", type=str, required=True,
-                            help='coefficients "a0,a1,...,1", rationals as '
-                                 'num/den, monic')
+        sp.add_argument("--poly", required=True,
+                        help='coefficients "a0,a1,...,1", rationals as '
+                             'num/den, monic')
         if backend:
-            sp.add_argument("--backend", choices=["exact", "capped"],
-                            default="exact")
-            sp.add_argument("--precision", type=int, default=24)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--output", type=str, default=None)
+            sp.add_argument("--backend", choices=["exact", "capped"])
+            sp.add_argument("--precision", type=int)
+        sp.add_argument("--seed", type=int)
+        sp.add_argument("--output")
 
     sp = sub.add_parser("cf", help="escape-radius constant and reduction type")
     common(sp)
 
     sp = sub.add_parser("boettcher", help="construct the conjugacy series")
     common(sp)
-    sp.add_argument("--order", type=int, default=16)
+    sp.add_argument("--order", type=int)
     sp.add_argument("--emit-latex", action="store_true")
 
     sp = sub.add_parser("verify", help="functional equation at given order")
     common(sp)
     sp.add_argument("--order", type=int, default=32)
-    sp.add_argument("--points", type=int, default=0,
+    sp.add_argument("--points", type=int,
                     help="also sample this many in-disk points")
 
     sp = sub.add_parser("newton-polygon", help="polygon and certificates")
@@ -473,59 +441,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("escape", help="orbit escape classification")
     common(sp)
-    sp.add_argument("--point", type=str, required=True)
-    sp.add_argument("--max-iter", type=int, default=16)
+    sp.add_argument("--point", required=True)
+    sp.add_argument("--max-iter", type=int)
 
     sp = sub.add_parser("degrees", help="preimage-tree degree chain")
     common(sp, backend=False)
-    sp.add_argument("--point", type=str, required=True)
-    sp.add_argument("--levels", type=int, default=3)
-    sp.add_argument("--order", type=int, default=16)
+    sp.add_argument("--point", required=True)
+    sp.add_argument("--levels", type=int)
+    sp.add_argument("--order", type=int)
 
     sp = sub.add_parser("kummer", help="tree automorphism group report")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--generators", type=str, default="",
+    sp.add_argument("--generators",
                     help='semicolon-separated pairs "i,j;i,j"')
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--output", type=str, default=None)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--output")
 
     sp = sub.add_parser("transport", help="equivariance transport check")
     common(sp)
-    sp.add_argument("--point", type=str, required=True)
-    sp.add_argument("--ext", type=str, required=True,
+    sp.add_argument("--point", required=True)
+    sp.add_argument("--ext", required=True,
                     help='defining polynomial "c0,...,1" of the extension')
-    sp.add_argument("--ext-kind", choices=["eisenstein", "unramified"],
-                    default="eisenstein")
-    sp.add_argument("--ext-point", type=str, required=True,
+    sp.add_argument("--ext-kind", choices=["eisenstein", "unramified"])
+    sp.add_argument("--ext-point", required=True,
                     help='coordinates of Q over the base, "q0,q1,..."')
-    sp.add_argument("--order", type=int, default=16)
+    sp.add_argument("--order", type=int)
     return parser
 
 
+_JOB_FIELDS = frozenset(field.name for field in fields(JobSpec))
+_LIST_FLAGS = {"poly": 2, "ext": 2, "ext_point": 1}   # least field counts
+
+
 def job_from_args(args: argparse.Namespace) -> JobSpec:
-    kwargs = {"command": args.command, "seed": args.seed}
-    if hasattr(args, "prime"):
-        kwargs["prime"] = args.prime
-    if getattr(args, "backend", None):
-        kwargs["backend"] = args.backend
-        kwargs["precision"] = args.precision
-    if getattr(args, "poly", None) is not None:
-        kwargs["poly"] = parse_list_arg(args.poly, "--poly", 2)
-    for name in ("order", "levels", "points", "d", "N", "point"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            kwargs[name] = getattr(args, name)
-    if hasattr(args, "max_iter"):
-        kwargs["max_iter"] = args.max_iter
-    if getattr(args, "generators", None):
-        kwargs["generators"] = parse_pairs(args.generators)
-    if getattr(args, "ext", None) is not None:
-        kwargs["ext"] = parse_list_arg(args.ext, "--ext", 2)
-        kwargs["ext_kind"] = args.ext_kind
-        kwargs["ext_point"] = parse_list_arg(args.ext_point, "--ext-point",
-                                             1)
-    if getattr(args, "emit_latex", False):
-        kwargs["emit_latex"] = True
+    """The job the parsed flags name; a flag left out keeps the field's
+    default."""
+    kwargs = {name: value for name, value in vars(args).items()
+              if name in _JOB_FIELDS and value is not None}
+    for name, least in _LIST_FLAGS.items():
+        if name in kwargs:
+            flag = "--" + name.replace("_", "-")
+            kwargs[name] = parse_list_arg(kwargs[name], flag, least)
+    if "generators" in kwargs:
+        kwargs["generators"] = parse_pairs(kwargs["generators"])
     return JobSpec(**kwargs)
 
 
@@ -550,7 +509,7 @@ def main(argv=None) -> int:
     try:
         job = job_from_args(args)
         doc, status = run(job)
-        emit(doc, getattr(args, "output", None))
+        emit(doc, args.output)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

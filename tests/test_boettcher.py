@@ -24,6 +24,7 @@ from padicdyn.boettcher import (_baby_steps, _inverse_residual,
 from padicdyn.cli import series_json
 from padicdyn.errors import InternalError, PrecisionError, UsageError
 from padicdyn.series import TailSeries, agreement_order
+from test_series_kernel import known_modulo_precision
 
 
 def mono(p, coeffs, backend="exact", prec=20):
@@ -294,14 +295,59 @@ def root_approximant_omega(f, M):
     return _xi_series(f, N, M)[-1].invert_unit().shifted(1).truncate(M)
 
 
+def outcome(op, *args):
+    """op(*args), or the kind of error it raised."""
+    try:
+        return op(*args)
+    except (InternalError, PrecisionError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+
+
+def encoded(op, *args):
+    """series_json of op(*args), or the kind of error it raised."""
+    result = outcome(op, *args)
+    return result if isinstance(result, str) else series_json(result)
+
+
+def routes_agree(exact, capped, M):
+    """The fixed-point omega and the root-approximant omega of one map.
+    Over ExactField: the same elements, or the same error.  Over a capped
+    field the routes take different operations and may keep different
+    digits, so each must know the exact omega to every digit it claims,
+    and the two must agree to order M (or raise the same error)."""
+    assert encoded(lambda: _omega_series(exact, M)[0]) \
+        == encoded(root_approximant_omega, exact, M)
+    fixed = outcome(lambda: _omega_series(capped, M)[0])
+    root = outcome(root_approximant_omega, capped, M)
+    if isinstance(fixed, str) or isinstance(root, str):
+        assert fixed == root
+        return
+    omega = _omega_series(exact, M)[0]
+    known_modulo_precision(fixed, omega)
+    known_modulo_precision(root, omega)
+    assert agreement_order(fixed, root) == M
+
+
 @settings(max_examples=80, deadline=None)
 @given(random_maps())
 def test_omega_fixed_point_matches_root_approximants(case):
-    """Digit for digit and in precision, or the same error."""
-    *maps, M = case
-    for f in maps:
-        assert encoded(lambda: _omega_series(f, M)[0]) \
-            == encoded(root_approximant_omega, f, M)
+    routes_agree(*case)
+
+
+@pytest.mark.parametrize("coeffs, cap, M, digits", [
+    ([-12, -28, 4], 15, 12, (20, 19)),
+    ([2, 0, 0, 0, 2], 1, 28, (4, 3)),
+    ([2, 0, 2], 1, 12, (4, 3)),
+])
+def test_capped_routes_may_keep_different_digits(coeffs, cap, M, digits):
+    """Over Q_2: the fixed point knows the last coefficient, w^(M-1),
+    modulo 2^digits[0] and the root route modulo 2^digits[1]; both hold
+    the exact omega to those digits."""
+    capped = mono(2, coeffs, "capped", prec=cap)
+    last = [route.coefficient(M - 1) for route in (
+        _omega_series(capped, M)[0], root_approximant_omega(capped, M))]
+    assert tuple(c.v + c.rel for c in last) == digits
+    routes_agree(mono(2, coeffs), capped, M)
 
 
 def image_encloses_a_fresh_composition(f, M):
@@ -652,14 +698,6 @@ def test_omega_pair_mutually_inverse():
 
 
 # -- the inverse series from its own functional equation ----------------------
-
-
-def encoded(op, *args):
-    """series_json of op(*args), or the kind of error it raised."""
-    try:
-        return series_json(op(*args))
-    except (InternalError, PrecisionError, ZeroDivisionError) as exc:
-        return type(exc).__name__
 
 
 @settings(max_examples=120, deadline=None)

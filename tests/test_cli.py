@@ -1,6 +1,9 @@
 """CLI dispatch, JSON output shape, determinism, and exit codes."""
 
+import argparse
+import dataclasses
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -10,6 +13,7 @@ from fractions import Fraction as F
 import jsonschema
 import pytest
 
+import padicdyn.cli as cli
 from padicdyn import ExactField, MonicPoly
 from padicdyn.cli import (EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE,
                           JobSpec, build_parser, is_prime, job_from_args, run)
@@ -172,6 +176,11 @@ def test_usage_errors(monkeypatch, capsys, tmp_path):
           "--ext=-5,0,1", "--ext-point", "0,,1/5"], None, "--ext-point"),
         (["transport", "--prime", "5", "--poly", "0,0,1", "--point", "1/5",
           "--ext=-5,0,1", "--ext-point="], None, "--ext-point"),
+        # one coordinate per power of the generator below the degree
+        (["transport", "--prime", "5", "--poly", "0,0,1", "--point", "1/5",
+          "--ext=-5,0,1", "--ext-point", "1/5"], None, "--ext-point"),
+        (["transport", "--prime", "5", "--poly", "0,0,1", "--point", "1/5",
+          "--ext=-5,0,1", "--ext-point", "0,1/5,1"], None, "--ext-point"),
         # an output file that cannot be opened, never a traceback
         (["cf", "--prime", "5", "--poly", "3,0,1", "--output",
           str(tmp_path / "missing" / "x.json")], None, "--output"),
@@ -211,8 +220,43 @@ def test_byte_identical_output(tmp_path):
 
 
 def test_is_prime():
-    assert is_prime(2) and is_prime(3) and is_prime(101) and is_prime(2 ** 31 - 1)
-    assert not is_prime(1) and not is_prime(561) and not is_prime(2 ** 30)
+    limit = 10 ** 5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for k in range(2, math.isqrt(limit) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, limit, k)))
+    assert [n for n in range(-3, limit) if is_prime(n)] == [
+        n for n in range(limit) if sieve[n]]
+    assert is_prime(2 ** 31 - 1)
+    # Carmichael numbers and the bound itself
+    assert not any(map(is_prime, (561, 1105, 2 ** 30, 2 ** 31)))
+
+
+def test_every_parser_flag_is_a_job_field():
+    """argparse holds the flags and JobSpec the fields and defaults: every
+    flag but --help and --output names a field, and a job given only its
+    required flags has every other field at JobSpec's default."""
+    fields = {field.name for field in dataclasses.fields(JobSpec)}
+    sample = {  # dest: (flag text, field value)
+        "prime": ("5", 5), "d": ("2", 2), "N": ("3", 3),
+        "point": ("1/5", "1/5"), "poly": ("3,0,1", ("3", "0", "1")),
+        "ext": ("-5,0,1", ("-5", "0", "1")),
+        "ext_point": ("0,1/5", ("0", "1/5"))}
+    own_defaults = {"verify": {"order": 32}}
+    parser = build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert set(commands) == set(cli._RUNNERS)
+    for command, sp in commands.items():
+        dests = {action.dest for action in sp._actions} - {"help", "output"}
+        assert dests <= fields, (command, dests - fields)
+        required = [action for action in sp._actions if action.required]
+        argv = [command] + [f"{action.option_strings[0]}="
+                            f"{sample[action.dest][0]}" for action in required]
+        want = JobSpec(command=command, **own_defaults.get(command, {}),
+                       **{action.dest: sample[action.dest][1]
+                          for action in required})
+        assert job_from_args(parser.parse_args(argv)) == want, argv
 
 
 def test_latex_emission():
@@ -224,8 +268,6 @@ def test_latex_emission():
 
 def test_check_failure_exit_code(monkeypatch):
     # force a failing check through the dispatch table to cover exit 4
-    import padicdyn.cli as cli
-
     def broken(job):
         return {"stub": True}, [{"name": "stub-check", "passed": False}]
 
