@@ -15,7 +15,9 @@ whole build, and general reversion and composition for comparison:
 - ``invert_unit_s``: the inverse of xi;
 - ``compose_s``: omega(omega^-1);
 - ``roots_s``: omega from its own functional equation, as the build
-  computes it: one composition through f and one square root per step;
+  computes it: one composition through f and one square root per step,
+  with the build's check (the last root's own, unless the image is a
+  fresh composition);
 - ``reversion_s``: omega^-1 from its own functional equation, as the
   build computes it;
 - ``lagrange_invert_s``: omega^-1 by ``lagrange_invert`` (Newton on the
@@ -23,8 +25,8 @@ whole build, and general reversion and composition for comparison:
 - ``equation_s``: ``functional_equation_check`` on the build, the full
   recomputation of omega(f) = omega^2, whose composition through f runs
   by baby and giant steps;
-- ``build_s``: the whole ``boettcher_series``, whose check reuses the
-  last composition of ``roots_s`` instead of composing again;
+- ``build_s``: the whole ``boettcher_series``, whose check is the one
+  ``roots_s`` made;
 - ``compose_horner_s``: that composition as ``TailSeries.compose`` sums it,
   by Horner in W = 1/f(z), which the check no longer uses.
 
@@ -120,7 +122,7 @@ def reference_map(field) -> MonicPoly:
 def stages(f, M: int) -> tuple:
     """(row of the three stage times and the build's, omega, omega^-1)."""
     row = {}
-    row["roots_s"], (omega, _) = best_of(lambda: _omega_series(f, M))
+    row["roots_s"], (omega, *_) = best_of(lambda: _omega_series(f, M))
     row["reversion_s"], omega_inverse = best_of(
         lambda: _omega_inverse(f, M))
     row["build_s"], B = best_of(lambda: boettcher_series(f, M))
@@ -177,7 +179,7 @@ def products() -> list:
     """mul_s and square_s rows of n-term capped products, both ways."""
     f = reference_map(CappedField(5, PRECISION))
     M = max(PRODUCT_TERMS) + 1
-    omega, _ = _omega_series(f, M)
+    omega = _omega_series(f, M)[0]
     omega_inverse = _omega_inverse(f, M)
     rows = []
     for n in PRODUCT_TERMS:

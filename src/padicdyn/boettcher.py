@@ -8,7 +8,8 @@ successive approximants agree to order at least d^N
 omega = w (omega(W) / w^d)^(1/d) with W = 1/f(1/w), one composition
 through f and one d-th root per step, each step taking the known order
 from t to about d t, and the last composition is also the image the
-build's check of the equation needs.  No step redoes the one before:
+build's check of the equation needs, which the last root's own check
+compares with omega^d.  No step redoes the one before:
 the powers of W the compositions sum over are formed once per build,
 and each root's Newton iteration starts from the previous omega.  The
 inverse series needs no reversion: the conjugacy read backwards says
@@ -244,8 +245,8 @@ def _xi_series(f: MonicPoly, N: int, M: int) -> list:
 
 
 def _omega_series(f: MonicPoly, M: int) -> tuple:
-    """(omega modulo w^M, omega(W) modulo w^M or None), from omega's own
-    functional equation.
+    """(omega modulo w^M, an image of omega(W) modulo w^M, the order to
+    which it agrees with omega^d), from omega's own functional equation.
 
     With omega = w u and W = 1/f(1/w) = w^d / P(w), omega(W) = omega^d
     reads omega = w (omega(W) / w^d)^(1/d).  Coefficient k of omega
@@ -292,6 +293,12 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     blocks of m coefficients may be longer than those of a composition
     at M, so its precisions may differ from those of
     ``compose_through_poly``'s grouping.
+
+    omega^d is formed only for a fresh composition.  The last root's
+    full-order check already compared x^d with image / w^d to order
+    M - 1, and omega^d is x^d shifted by w^d, the image zero below w^d:
+    the shared image agrees with omega^d to order M, or that check
+    would have raised.
     """
     d = f.degree
     last = M + d - 1
@@ -305,8 +312,9 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
         omega = image.shifted(-d)._root_from(
             d, previous.shifted(-1)).shifted(1)
     if image is not None and previous.identical_to(omega, -(-M // d)):
-        return omega, image.truncate(M)
-    return omega, _compose_with(omega, powers, d)
+        return omega, image.truncate(M), M
+    image = _compose_with(omega, powers, d)
+    return omega, image, agreement_order(image, (omega ** d).truncate(M))
 
 
 def check_build(f: MonicPoly, M: int) -> None:
@@ -327,13 +335,13 @@ def conjugacy(f: MonicPoly, M: int) -> Conjugacy:
 
     omega comes from its own functional equation (``_omega_series``)
     and is verified against omega(f(z)) = omega(z)^d to full order: the
-    left side is the image the fixed point returns, so the check adds
-    only omega^d.
+    left side is the image the fixed point returns.  When that is the
+    last step's image, the last root's own check was the comparison;
+    only for a fresh composition is omega^d formed.
     """
     check_build(f, M)
-    omega, image = _omega_series(f, M)
+    omega, _, verified = _omega_series(f, M)
     cf_val = cf_constant(f)
-    verified = agreement_order(image, (omega ** f.degree).truncate(M))
     if verified < M:
         raise InternalError(
             f"functional equation fails at index {verified}")
@@ -408,6 +416,7 @@ def _omega_inverse(f: MonicPoly, M: int) -> TailSeries:
     """
     d = f.degree
     inv_d = Fraction(1, d)
+    minus_inv_d = f.field.embed(-inv_d)
     # P'(x) / d as weights on 1, x, ..., x^(d-1)
     slopes = [a * ((d - i) * inv_d) for i, a in enumerate(f.coeffs)][::-1]
     phi = TailSeries.w_power(f.field, 1, min(2, M))
@@ -420,8 +429,8 @@ def _omega_inverse(f: MonicPoly, M: int) -> TailSeries:
         if not G.is_exact_zero:   # see TailSeries.nth_root
             slope = powers[d - 1] - spread * weighted_sum(slopes, powers[:d])
             unit = slope.shifted(1 - d).truncate(t - 1)
-            phi = (phi - G.shifted(1 - d) * unit.invert_unit()
-                   * inv_d).truncate(t)
+            delta = G.shifted(1 - d) * unit.invert_unit()
+            phi = weighted_sum((minus_inv_d,), (delta,), t, phi)
     if not _inverse_residual(phi, f)[0].is_zero():
         raise InternalError("omega^-1 fails its functional equation")
     return phi
@@ -478,18 +487,19 @@ def compose_through_poly(S: TailSeries, f: MonicPoly) -> TailSeries:
 def _compose_with(S: TailSeries, powers: list, d: int) -> TailSeries:
     """S(W) to S's order T from a table of ``_w_powers`` to order T or
     more: its first m + 1 entries, m = ``_baby_steps(T, d)``, are read,
-    cut to T, so the table needs at least that many."""
+    so the table needs at least that many.  Each block, its giant-step
+    term acc W^m included, is one ``weighted_sum`` to the block's order
+    t, which reads the powers only below t, so they are taken uncut;
+    only W^m is cut to T."""
     T = S.trunc
     K = -(-T // d)
     m = _baby_steps(T, d)
-    powers = [x.truncate(T) for x in powers[:m + 1]]
-    giant = powers.pop()
+    baby, giant = powers[:m], powers[m].truncate(T)
     acc = None
     for b in range(-(-K // m) - 1, -1, -1):
-        t = T - m * b * d
-        block = weighted_sum([S.coefficient(k) for k in range(
-            m * b, min(m * b + m, K))], powers).truncate(t)
-        acc = block if acc is None else (acc * giant).truncate(t) + block
+        block = [S.coefficient(k) for k in range(m * b, min(m * b + m, K))]
+        acc = weighted_sum(block, baby, T - m * b * d,
+                           None if acc is None else acc * giant)
     return acc
 
 

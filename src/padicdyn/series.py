@@ -174,12 +174,8 @@ class TailSeries:
 
     def _has_constant_one(self) -> bool:
         """Order 0 and constant term 1: c_0 - 1 is zero to its precision."""
-        if self.ord or not self.trunc:
-            return False
-        kernel = self._kernel
-        terms = [(kernel.sign(1), 0, kernel.window(self._flat, 0, 1)),
-                 (kernel.sign(-1), 0, kernel.one(self.field))]
-        return not any(kernel.linear(self.field, terms, 1)[0])
+        return not self.ord and self.trunc > 0 and self._kernel.is_one(
+            self.field, self._flat)
 
     def identical_to(self, other: "TailSeries", n: int) -> bool:
         """True when both are known to order n and their coefficients
@@ -346,7 +342,11 @@ class TailSeries:
         one before (``boettcher._omega_series``).  The steps trust the
         start, so what binds the result is the final check, x^n = self to
         full order: a start wrong below its truncation fails it and raises
-        InternalError.
+        InternalError.  That check is also the Böttcher build's comparison
+        of omega^d with its last image (``boettcher._omega_series``).
+        Each residual x^n - self and each update x - (residual /
+        x^(n-1)) / n is one linear pass to the step's order, the same
+        elements as the chain of operations and cuts.
         """
         if n <= 0:
             raise UsageError("root index must be positive")
@@ -358,18 +358,21 @@ class TailSeries:
         if not x._has_constant_one():
             raise InternalError("a Newton start needs constant term 1")
         M = self.trunc
-        inv_n = Fraction(1, n)
+        minus_inv_n = self.field.embed(Fraction(-1, n))
+        one, minus_one = self._kernel.sign(1), self._kernel.sign(-1)
         t = x.trunc
         # a residual that is only indistinguishable from zero still
         # corrects x: it replaces the exact zeros of the padding by O(p^k)
-        # zeros
+        # zeros; residual and update are one pass each
         while True:
             t = min(2 * t, M)
             x = x._padded(t)
             xpow = (x ** (n - 1)).truncate(t)
-            residual = (xpow * x).truncate(t) - self.truncate(t)
+            residual = self._linear(
+                [(one, xpow * x), (minus_one, self)], t)
             if not residual.is_exact_zero:
-                x = (x - residual * xpow.invert_unit() * inv_n).truncate(t)
+                delta = residual * xpow.invert_unit()
+                x = weighted_sum((minus_inv_n,), (delta,), t, x)
             if t == M:
                 break
         residual = (x ** n).truncate(M) - self
@@ -536,6 +539,17 @@ def _capped_linear(field, terms, n: int):
         else:       # the first term: below it, exact zeros
             values, precs = [0] * k + scaled, [_INF] * k + known
     return _reduced(field, shift, values, precs)
+
+
+def _capped_is_one(field, flat) -> bool:
+    """Coefficient 0 of a capped form is 1 to its precision, as
+    ``_capped_linear`` would find c_0 - 1: at the shift sigma = min(s, 0),
+    r_0 p^(s - sigma) - p^(-sigma) vanishes modulo p^(A - sigma),
+    A = min(A_0, prec), which holds outright when A <= sigma."""
+    r, s, f = flat
+    sigma, A, p = min(s, 0), min(f[0], field.prec), field.p
+    return A <= sigma or (r[0] * p ** (s - sigma) - p ** -sigma) \
+        % p ** (A - sigma) == 0
 
 
 def _capped_times(field, flat, ms):
@@ -765,20 +779,21 @@ def _exact_inverse(field, a):
 
 
 # what the methods of ``TailSeries`` call on a backend's flat form
-_Kernel = namedtuple("_Kernel", "flat one element normal window weight "
-                     "sign linear times product inverse")
+_Kernel = namedtuple("_Kernel", "flat one is_one element normal window "
+                     "weight sign linear times product inverse")
 
 _CAPPED = _Kernel(
     flat=_capped_flat, one=lambda field: ([1], 0, [field.prec, 0]),
-    element=_capped_element, normal=_capped_normal, window=_capped_window,
-    weight=lambda c: (c.v, c.unit, c.v + c.rel),
+    is_one=_capped_is_one, element=_capped_element, normal=_capped_normal,
+    window=_capped_window, weight=lambda c: (c.v, c.unit, c.v + c.rel),
     sign=lambda n: (0, n, _INF), linear=_capped_linear,
     times=_capped_times, product=_capped_product, inverse=_capped_inverse)
 
 _EXACT = _Kernel(
     flat=lambda field, coeffs: _over_common(coeffs),
-    one=lambda field: ([1], 1), element=_exact_element,
-    normal=_exact_normal, window=_exact_window,
+    one=lambda field: ([1], 1),
+    is_one=lambda field, flat: flat[0][0] == flat[1],
+    element=_exact_element, normal=_exact_normal, window=_exact_window,
     weight=lambda c: (c.value.numerator, c.value.denominator),
     sign=lambda n: (n, 1), linear=_exact_linear, times=_exact_times,
     product=_exact_product, inverse=_exact_inverse)
@@ -789,17 +804,26 @@ _EXACT = _Kernel(
 # ---------------------------------------------------------------------------
 
 
-def weighted_sum(weights, terms) -> TailSeries:
-    """sum_j weights[j] terms[j] in one pass, to the least truncation of
-    the terms: digit for digit (precision included) the chain of scalar
-    products and sums, each coefficient reduced once instead of once per
-    operation (``_capped_linear``).
+def weighted_sum(weights, terms, trunc: int | None = None,
+                 plus: TailSeries | None = None) -> TailSeries:
+    """plus + sum_j weights[j] terms[j] in one pass, plus (if given) at
+    the exact weight 1, to the least truncation of the terms and plus,
+    cut to trunc: digit for digit (precision included) the chain of
+    scalar products, sums and the cut, each coefficient reduced once
+    instead of once per operation (``_capped_linear``).  Newton updates
+    x - c y are weighted_sum((-c,), (y,), t, x), and each block of
+    ``boettcher._compose_with`` adds its giant-step term as plus.
     """
     first = terms[0]
-    weight = first._kernel.weight
-    return first._linear([(weight(c), x) for c, x in zip(weights, terms)
-                          if not c.is_exact_zero],
-                         min(x.trunc for x in terms))
+    kernel = first._kernel
+    pairs = [(kernel.weight(c), x) for c, x in zip(weights, terms)
+             if not c.is_exact_zero]
+    least = min(x.trunc for x in terms)
+    if plus is not None:
+        pairs.append((kernel.sign(1), plus))
+        least = min(least, plus.trunc)
+    return first._linear(pairs, least if trunc is None
+                         else min(least, trunc))
 
 
 def lagrange_invert(S: TailSeries) -> TailSeries:

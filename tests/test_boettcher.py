@@ -357,7 +357,7 @@ def image_encloses_a_fresh_composition(f, M):
     differ (it was summed at M + d - 1, in other blocks).  The build
     verifies what the full check does."""
     try:
-        omega, image = _omega_series(f, M)
+        omega, image, _ = _omega_series(f, M)
         B = boettcher_series(f, M)
     except PrecisionError:
         return              # the capped roots ran out of digits
@@ -382,7 +382,7 @@ def test_shared_image_precisions_may_differ_from_a_fresh_composition():
     at order 41 with m = 3, a composition at order 37 with m = 2, and
     coefficient w^16 comes out O(3^8) in the image, O(3^7) afresh."""
     f = mono(3, [0, 0, 0, 0, 9], "capped", prec=1)
-    omega, image = _omega_series(f, 37)
+    omega, image, _ = _omega_series(f, 37)
     fresh = compose_through_poly(omega, f)
     assert image.coefficient(16).v == 8 and fresh.coefficient(16).v == 7
     image_encloses_a_fresh_composition(f, 37)
@@ -400,7 +400,7 @@ def test_fallback_check_gives_the_same_build(case):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(TailSeries, "identical_to",
                           lambda self, other, n: False)
-            omega, image = _omega_series(f, M)
+            omega, image, _ = _omega_series(f, M)
             fallback = boettcher_series(f, M)
         fresh = compose_through_poly(omega.truncate(M), f)
         assert series_json(image) == series_json(fresh)
@@ -408,6 +408,37 @@ def test_fallback_check_gives_the_same_build(case):
         assert [series_json(fallback.omega),
                 series_json(fallback.omega_inverse)] \
             == [series_json(B.omega), series_json(B.omega_inverse)]
+
+
+def verified_orders(f, M):
+    """(the verified_order conjugacy(f, M) reports, the agreement of the
+    build's image with omega^d cut to M), or None when the capped roots
+    run out of digits."""
+    try:
+        omega, image, _ = _omega_series(f, M)
+        B = conjugacy(f, M)
+    except PrecisionError:
+        return None
+    return B.verified_order, agreement_order(
+        image, (omega ** f.degree).truncate(M))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_maps())
+def test_verified_order_is_the_explicit_check(case):
+    """With the last step's image the build takes verified_order from the
+    last root's check, and forms omega^d only for a fresh composition
+    (``identical_to`` patched to False): either way it is the order the
+    explicit comparison gives."""
+    *maps, M = case
+    for f in maps:
+        orders = [verified_orders(f, M)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(TailSeries, "identical_to",
+                          lambda self, other, n: False)
+            orders.append(verified_orders(f, M))
+        for pair in orders:
+            assert pair is None or pair == (M, M)
 
 
 @settings(max_examples=40, deadline=None)

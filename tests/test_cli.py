@@ -365,15 +365,16 @@ def test_only_boettcher_builds_the_inverse(monkeypatch):
     assert "omega_inverse" in doc["results"]
 
 
-def test_recorded_cli_and_order_scaling_outputs_are_reproduced():
-    # every cli-jobs and order-scaling entry of perfbench/expected.json,
-    # rebuilt and compared byte for byte; the script writes nothing
+def test_recorded_outputs_of_all_workloads_are_reproduced():
+    # every entry of perfbench/expected.json, rebuilt and compared byte
+    # for byte; the script writes nothing.  The 400 capped and exact
+    # conjugacy-batch maps run the Newton paths of every build
     probe = subprocess.run(
-        [sys.executable, str(ROOT / "benchmarks" / "check_expected.py"),
-         "cli-jobs", "order-scaling"],
+        [sys.executable, str(ROOT / "benchmarks" / "check_expected.py")],
         capture_output=True, text=True, timeout=300)
     assert probe.returncode == 0, probe.stderr[-2000:]
     summary = json.loads(probe.stdout)
+    assert summary["conjugacy-batch"]["entries"] == 400
     assert summary["cli-jobs"]["entries"] == 663
     assert summary["order-scaling"]["entries"] == 9
 

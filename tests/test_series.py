@@ -10,6 +10,7 @@ from padicdyn import (CappedField, DiskSpec, DomainError, ExactField,
                       evaluate, gauss_norm, lagrange_invert)
 from padicdyn.errors import InternalError
 from padicdyn.localfield import PadicElement
+from test_series_kernel import known_modulo_precision
 
 
 def S(field, ord_, coeffs, trunc):
@@ -262,20 +263,6 @@ def test_lagrange_integral_coefficients_stay_integral():
         s = S(K, 1, [1] + [F(rng.randrange(-20, 21)) for _ in range(M - 2)], M)
         b = lagrange_invert(s)
         assert all(c.valuation() >= 0 for c in b.coeffs)
-
-
-def known_modulo_precision(capped, exact):
-    """Each capped coefficient p^v u + O(p^A) agrees with the exact one
-    modulo p^A, and is an exact zero only where the exact one is 0."""
-    assert capped.trunc == exact.trunc
-    p = capped.field.p
-    for k in range(min(capped.ord, exact.ord), capped.trunc):
-        c, e = capped.coefficient(k), exact.coefficient(k)
-        if c.is_exact_zero:
-            assert e.is_exact_zero, (k, e)
-        else:   # an O(p^A) zero has u = 0 and v = A
-            err = e - F(c.unit) * F(p) ** c.v
-            assert err.valuation() >= c.v + c.rel, (k, c, e)
 
 
 @pytest.mark.parametrize("op, p, cap, ord_, coeffs, last", [

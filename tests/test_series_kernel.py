@@ -7,10 +7,11 @@ digit and precision alike, with ``Ref``, a series that stores one element
 per coefficient and runs the element loops, and every result must hold
 the one flat form its own coefficients give.  The shrinking-truncation
 Horner of ``TailSeries.compose``, ``TailSeries.spread`` and
-``weighted_sum`` are compared with the same oracle.  Capped results, the
-Böttcher series, the image omega(W) its build checks and the inverse
-series included, are also checked against exact rational arithmetic: no
-coefficient may claim more precision than it has.
+``weighted_sum`` are compared with the same oracle, and the one-pass
+Newton update and constant-term test with the chains they replace.
+Capped results, the Böttcher series, the image omega(W) its build checks
+and the inverse series included, are also checked against exact rational
+arithmetic: no coefficient may claim more precision than it has.
 """
 
 from fractions import Fraction
@@ -409,6 +410,101 @@ def test_capped_weighted_sum_matches_chain(data):
     same(weighted_sum(weights, terms), weighted_chain(weights, terms))
 
 
+# -- one-pass Newton steps ----------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["capped", "exact"])
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_pass_newton_update_is_the_chain(backend, data):
+    """x - c y to order t is one linear pass (``weighted_sum`` with x as
+    plus), and a residual a - b to t another: the same elements as the
+    chains of operations and cuts."""
+    if backend == "capped":
+        field = CappedField(data.draw(PRIMES), data.draw(st.integers(1, 20)))
+        elements = capped_elements
+    else:
+        field = ExactField(data.draw(PRIMES))
+        elements = exact_elements
+    x, y = (data.draw(series(field, elements)) for _ in range(2))
+    c = data.draw(elements(field))
+    t = data.draw(st.integers(0, min(x.trunc, y.trunc)))
+    chain = (x - y * c).truncate(t)
+    fused = weighted_sum((-c,), (y,), t, x)
+    assert fused.trunc == chain.trunc == t
+    assert fused.identical_to(chain, t)
+    same(fused, (Ref.of(x) - Ref.of(y) * c).truncate(t))
+    kernel = x._kernel
+    residual = x._linear([(kernel.sign(1), x), (kernel.sign(-1), y)], t)
+    assert residual.identical_to(x.truncate(t) - y.truncate(t), t)
+
+
+def constant_one_by_linear(x):
+    """The definition the direct test replaces: c_0 - 1, as one linear
+    combination, vanishes to its precision."""
+    if x.ord or not x.trunc:
+        return False
+    kernel = x._kernel
+    terms = [(kernel.sign(1), 0, kernel.window(x._flat, 0, 1)),
+             (kernel.sign(-1), 0, kernel.one(x.field))]
+    return not any(kernel.linear(x.field, terms, 1)[0])
+
+
+def pinned_constants():
+    """(series, whether its constant term is 1) over CappedField(3, 4)
+    and ExactField(3), one for each case of the direct test."""
+    K = CappedField(3, 4)
+    zero, make = PadicElement._zero, PadicElement._make
+    one = make(K, 0, 1, 4)
+    E = ExactField(3)
+    return [
+        ([PadicElement.exact_zero(K), one], False),    # exact zero: ord 1
+        ([zero(K, 2), one], False),                    # O(3^2) zero
+        ([zero(K, 6)], False),                         # A_0 = 6 > prec
+        ([make(K, 1, 1, 4)], False),                   # 3: s = 1, A_0 > prec
+        ([zero(K, -1)], True),                         # A_0 = sigma = -1
+        ([zero(K, -3), make(K, -3, 1, 4)], True),      # A_0 = sigma = -3
+        ([zero(K, -2), make(K, -3, 1, 4)], True),      # A_0 = -2 > sigma
+        ([make(K, 0, 1, 2), make(K, -2, 5, 4)], True),   # s = -2 < 0
+        ([make(K, 0, 4, 4), make(K, -2, 5, 4)], False),  # 4, s = -2
+        ([make(K, 0, 10, 2)], True),                   # 1 + O(3^2)
+        ([E.embed(1), E.embed(Fraction(1, 9))], True),
+        ([E.embed(Fraction(2, 2)), E.embed(Fraction(5, 3))], True),
+        ([E.embed(Fraction(1, 3)), E.embed(1)], False),
+        ([E.embed(0), E.embed(1)], False),             # exact zero: ord 1
+    ]
+
+
+@pytest.mark.parametrize("coeffs, expected", pinned_constants())
+def test_has_constant_one_pinned(coeffs, expected):
+    x = TailSeries(coeffs[0].field, 0, coeffs, len(coeffs) + 1)
+    assert x._has_constant_one() is constant_one_by_linear(x) is expected
+
+
+@pytest.mark.parametrize("backend", ["capped", "exact"])
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_has_constant_one_is_the_linear_definition(backend, data):
+    if backend == "capped":
+        field = CappedField(data.draw(PRIMES), data.draw(st.integers(1, 20)))
+        elements = capped_elements
+        lead = st.one_of(capped_elements(field), st.builds(
+            PadicElement._zero, st.just(field), st.integers(-4, 25)),
+            st.just(field.one()), st.builds(
+                lambda rel, k: PadicElement._make(
+                    field, 0, 1 + field.p ** k, rel),
+                st.integers(1, field.prec), st.integers(1, 22)))
+    else:
+        field = ExactField(data.draw(PRIMES))
+        elements = exact_elements
+        lead = st.one_of(exact_elements(field), st.just(field.one()))
+    coeffs = [data.draw(lead)] + data.draw(st.lists(elements(field),
+                                                    max_size=6))
+    x = TailSeries(field, 0, coeffs, len(coeffs) + data.draw(
+        st.integers(0, 2)))
+    assert x._has_constant_one() is constant_one_by_linear(x)
+
+
 # -- long products on a valuation line ----------------------------------------
 
 
@@ -641,7 +737,8 @@ def test_capped_never_overclaims_precision(data):
                         outcome(A.compose, B), outcome(U.nth_root, n),
                         outcome(lagrange_invert, S),
                         outcome(_omega_inverse, f, M),
-                        *(built if isinstance(built, tuple) else [built] * 2)])
+                        *(built[:2] if isinstance(built, tuple)
+                          else [built] * 2)])
     for capped, exact in zip(*results):
         if not isinstance(capped, type):   # capped may run out of digits
             known_modulo_precision(capped, exact)
@@ -651,7 +748,8 @@ def test_regrouped_build_image_never_overclaims_precision():
     """z^5 + 9 z^4 over Q_3 capped at one digit, M = 37: the build's image
     has other precisions than a fresh composition (see
     ``tests/test_boettcher.py``), and each is still sound."""
-    capped, exact = (_omega_series(MonicPoly(field, [0, 0, 0, 0, 9]), 37)
-                     for field in (CappedField(3, 1), ExactField(3)))
+    capped, exact = (
+        _omega_series(MonicPoly(field, [0, 0, 0, 0, 9]), 37)[:2]
+        for field in (CappedField(3, 1), ExactField(3)))
     for c, e in zip(capped, exact):
         known_modulo_precision(c, e)
