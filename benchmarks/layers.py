@@ -82,7 +82,7 @@ from padicdyn import (CappedField, ExactField, MonicPoly,  # noqa: E402
                       boettcher_series, certify_degree, degree_chain,
                       functional_equation_check, lagrange_invert)
 from padicdyn.boettcher import (_beta_series, _omega_inverse,  # noqa: E402
-                                _omega_series, _reciprocal, _root_chain)
+                                _omega_series, _reciprocal)
 from padicdyn.cli import main as cli_main, series_json  # noqa: E402
 from padicdyn import series  # noqa: E402
 
@@ -143,7 +143,7 @@ def layers(field, M: int) -> dict:
     W = _reciprocal(f, M)
     row["compose_horner_s"], _ = best_of(
         lambda: omega.compose(W).truncate(M))
-    xi = _root_chain(beta, f.degree, N)
+    xi = beta.nth_root(f.degree ** N)
     row["mul_s"], _ = best_of(lambda: xi * xi)
     row["nth_root_s"], _ = best_of(lambda: beta.nth_root(f.degree))
     row["invert_unit_s"], _ = best_of(xi.invert_unit)

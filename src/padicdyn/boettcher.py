@@ -4,15 +4,15 @@ For monic f of degree d with p not dividing d, there is a unique series
 omega(w) = w + O(w^2) in w = 1/z with omega(1/f(z)) = omega(1/z)^d.  It
 is the limit of the normalized d^N-th roots of f^N(z)/z^(d^N), and
 successive approximants agree to order at least d^N
-(``cauchy_rate_check``).  The build iterates the equation instead of f:
-omega = w (omega(W) / w^d)^(1/d) with W = 1/f(1/w), one composition
-through f and one d-th root per step, each step taking the known order
-from t to about d t, and the last composition is also the image the
-build's check of the equation needs, which the last root's own check
-compares with omega^d.  No step redoes the one before:
-the powers of W the compositions sum over are formed once per build,
-and each root's Newton iteration starts from the previous omega.  The
-inverse series needs no reversion: the conjugacy read backwards says
+(``cauchy_rate_check``, one d^N-th root per level).  The build iterates
+the equation instead of f: omega = w (omega(W) / w^d)^(1/d) with
+W = 1/f(1/w), one composition through f and one d-th root per step,
+each step taking the known order from t to about d t, and the last
+composition is also the image the build's check of the equation needs,
+which the last root's own check compares with omega^d.  No step redoes
+the one before: the powers of W the compositions sum over are formed
+once per build, and each root's Newton iteration starts from the
+previous omega.  The inverse series needs no reversion: the conjugacy read backwards says
 that phi = omega^-1 solves phi(u^d) = phi(u)^d / P(phi(u)),
 P(x) = 1 + a_{d-1} x + ... + a_0 x^d, and Newton iteration on that
 equation takes products and one unit inverse per step, no composition.
@@ -186,61 +186,37 @@ def good_reduction(f: MonicPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _beta_step(beta: TailSeries, f: MonicPoly, d_pow: int) -> TailSeries:
-    """From f^N(z)/z^(d^N) to f^(N+1)(z)/z^(d^(N+1)), d_pow = d^N.
-
-    Substituting on the series level keeps O(M) terms per step:
-    beta' = beta^d + sum_i a_i beta^i w^(d_pow (d - i)).
-    """
-    M = beta.trunc
-    d = f.degree
-    power = TailSeries.one(beta.field, M)
-    total = TailSeries.zero(beta.field, M)
-    for i in range(d + 1):
-        if i > 0:
-            power = (power * beta).truncate(M)
-        if i < d:
-            a = f.coeffs[i]
-            shift = d_pow * (d - i)
-            if a.is_exact_zero or shift >= M:
-                continue
-            total = total + (power * a).shifted(shift).truncate(M)
-        else:
-            total = total + power
-    return total.truncate(M)
-
-
 def _beta_series(f: MonicPoly, N: int, M: int) -> list:
     """beta_1..beta_N, beta_n = f^n(z)/z^(d^n) as a series in w, at
-    truncation M."""
+    truncation M.
+
+    Substituting on the series level keeps O(M) terms per step:
+    beta_(n+1) = sum_i a_i beta_n^i w^(d^n (d - i)), a_d = 1, one weighted
+    sum over the powers of beta_n.
+    """
     d = f.degree
-    beta = TailSeries.from_polynomial(f.field, f.w_coeffs(), M)
-    out = [beta]
-    d_pow = d
+    out = [TailSeries.from_polynomial(f.field, f.w_coeffs(), M)]
     while len(out) < N:
-        beta = _beta_step(beta, f, d_pow)
-        out.append(beta)
-        d_pow *= d
+        shift = d ** len(out)
+        out.append(weighted_sum(f.full_coeffs(), [
+            x.shifted(shift * (d - i))
+            for i, x in enumerate(_powers(out[-1], d))], M))
     return out
-
-
-def _root_chain(beta: TailSeries, d: int, n: int) -> TailSeries:
-    """The d^n-th root of beta with constant term 1, as n successive
-    d-th roots."""
-    for _ in range(n):
-        beta = beta.nth_root(d)
-    return beta
 
 
 def _xi_series(f: MonicPoly, N: int, M: int) -> list:
     """The normalized root approximants xi_1..xi_N at truncation M.
 
-    xi_n is the d^n-th root of beta_n taken as n successive d-th roots,
-    so the list costs N(N+1)/2 root extractions.  The build does not use
+    xi_n is the d^n-th root of beta_n with constant term 1, one root per
+    approximant.  It claims no digit it does not have: d^n is a p-adic
+    unit, as d is, so the root is defined; every Newton step of
+    ``TailSeries.nth_root`` follows the precision rules of products,
+    sums and unit inverses; and its final check, xi_n^(d^n) against
+    beta_n to full order, binds the result.  The build does not use
     them (``_omega_series``); w / xi_N for the least N with d^N >= M is
     omega modulo w^M, which the tests hold the build to.
     """
-    return [_root_chain(beta, f.degree, n)
+    return [beta.nth_root(f.degree ** n)
             for n, beta in enumerate(_beta_series(f, N, M), 1)]
 
 
@@ -302,7 +278,7 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     """
     d = f.degree
     last = M + d - 1
-    powers = _w_powers(f, last, _baby_steps(last, d))
+    powers = _powers(_reciprocal(f, last), _baby_steps(last, d), last)
     omega = TailSeries.w_power(f.field, 1, min(2, M))
     image = None
     while omega.trunc < M:
@@ -378,11 +354,14 @@ def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
     return BoettcherData(**vars(C), omega_inverse=_omega_inverse(f, M))
 
 
-def _powers(phi: TailSeries, d: int) -> list:
-    """[1, phi, phi^2, ..., phi^d]: d - 1 products."""
-    out = [TailSeries.one(phi.field, phi.trunc), phi]
-    for _ in range(d - 1):
-        out.append(out[-1] * phi)
+def _powers(x: TailSeries, m: int, T: int | None = None) -> list:
+    """[1, x, x^2, ..., x^m]: m - 1 products, x and each product cut to
+    T when it is given."""
+    x = x if T is None else x.truncate(T)
+    out = [TailSeries.one(x.field, x.trunc), x]
+    while len(out) <= m:
+        power = out[-1] * x
+        out.append(power if T is None else power.truncate(T))
     return out
 
 
@@ -452,20 +431,11 @@ def _baby_steps(T: int, d: int) -> int:
     return max(1, math.isqrt(-(-T // d)))
 
 
-def _w_powers(f: MonicPoly, T: int, m: int) -> list:
-    """[1, W, W^2, ..., W^m] to order T, W = 1/f(z) (``_reciprocal``)."""
-    W = _reciprocal(f, T).truncate(T)
-    powers = [TailSeries.one(f.field, T), W]
-    while len(powers) <= m:
-        powers.append((powers[-1] * W).truncate(T))
-    return powers
-
-
 def compose_through_poly(S: TailSeries, f: MonicPoly) -> TailSeries:
     """S(f(z)) expanded as a series in w = 1/z, truncated at S's order T.
 
     S(W), W = 1/f(z) of order d, by baby steps and giant steps (Brent and
-    Kung): W^0 .. W^m are formed once (``_w_powers``), each block of m
+    Kung): W^0 .. W^m are formed once (``_powers``), each block of m
     coefficients of S is one weighted sum of them, and Horner runs in W^m
     over the blocks (``_compose_with``).  Block b's partial sum is still
     to be multiplied by W^(m b), of order m b d, so it is kept to order
@@ -480,12 +450,12 @@ def compose_through_poly(S: TailSeries, f: MonicPoly) -> TailSeries:
     if S.field != f.field:
         raise UsageError("series and polynomial over different fields")
     T = S.trunc
-    return _compose_with(S, _w_powers(f, T, _baby_steps(T, f.degree)),
-                         f.degree)
+    return _compose_with(S, _powers(_reciprocal(f, T),
+                                    _baby_steps(T, f.degree), T), f.degree)
 
 
 def _compose_with(S: TailSeries, powers: list, d: int) -> TailSeries:
-    """S(W) to S's order T from a table of ``_w_powers`` to order T or
+    """S(W) to S's order T from a table of ``_powers`` of W to order T or
     more: its first m + 1 entries, m = ``_baby_steps(T, d)``, are read,
     so the table needs at least that many.  Each block, its giant-step
     term acc W^m included, is one ``weighted_sum`` to the block's order

@@ -26,7 +26,8 @@ from .errors import (BudgetError, DomainError, InternalError, PrecisionError,
                      UsageError)
 from .localfield import (ExactElement, ExtensionField, PadicElement,
                          Valuation, field_for)
-from .newton import build_polygon, total_ramification_certificate
+from .newton import (build_polygon, root_valuations,
+                     total_ramification_certificate)
 from .series import TailSeries
 
 EXIT_OK = 0
@@ -282,9 +283,8 @@ def run_newton_polygon(job: JobSpec):
         "vertices": [[int(i), frac_str(v)] for i, v in polygon.hull],
         "segments": [{"slope": frac_str(s.slope), "length": s.length}
                      for s in polygon.segments],
-        "root_valuations": [frac_str(-s.slope)
-                            for s in polygon.segments
-                            for _ in range(s.length)],
+        "root_valuations": [frac_str(v)
+                            for v in reversed(root_valuations(polygon))],
         "certificate": ("inconclusive" if cert is None else
                         {"degree": cert.degree,
                          "ramification_index": cert.ramification_index,

@@ -21,6 +21,7 @@ values are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from .errors import DomainError, InternalError, PrecisionError, UsageError
@@ -44,14 +45,19 @@ def _vp_int(n: int, p: int) -> int:
     return v
 
 
-def _power(base, n: int, result):
-    """result * base^n for n >= 0, by squaring and multiplying."""
-    while n:
+def _power(base, n: int, mul=operator.mul):
+    """base^n for n >= 1 under the product mul, by squaring and
+    multiplying.  The first factor is taken as it is: 1 * x is x for
+    every element and series, since no coefficient has more relative
+    precision than 1 and exact zeros add nothing to a product."""
+    result = None
+    while True:
         if n & 1:
-            result = result * base
-        base = base * base if n > 1 else base
+            result = base if result is None else mul(result, base)
         n >>= 1
-    return result
+        if not n:
+            return result
+        base = mul(base, base)
 
 
 class Valuation:
@@ -440,7 +446,9 @@ class PadicElement(_Element):
 
     def __pow__(self, n: int):
         one = PadicElement.from_rational(self.field, 1)
-        return _power(one / self if n < 0 else self, abs(n), one)
+        if not n:
+            return one
+        return _power(one / self if n < 0 else self, abs(n))
 
     # -- inspection --------------------------------------------------------
 
@@ -767,33 +775,40 @@ class ResidueField:
 
 
 def _fp_poly_irreducible(coeffs: list, p: int) -> bool:
-    """Brute-force irreducibility over F_p for degree <= 4 monic polys."""
-    deg = len(coeffs) - 1
-    if deg <= 1:
-        return deg == 1
-    # linear factors
-    for r in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * r + c) % p
-        if acc == 0:
+    """Irreducibility of a monic polynomial g over F_p, lowest degree
+    first, by Ben-Or's test: g of degree n is irreducible iff
+    gcd(x^(p^i) - x, g) = 1 for every i <= n / 2.  Each x^(p^i) is the
+    p-th power of the one before in F_p[x] / g, by squaring and
+    multiplying (``_power``), so the cost grows with log p, not p."""
+    n = len(coeffs) - 1
+    if n <= 1:
+        return n == 1
+    F = ResidueField(p, coeffs)
+    x = (0, 1) + (0,) * (n - 2)
+    h = x
+    for _ in range(n // 2):
+        h = _power(h, p, F.mul)
+        if len(_fp_gcd([a - b for a, b in zip(h, x)], coeffs, p)) > 1:
             return False
-    if deg <= 3:
-        return True
-    # degree 4: also exclude irreducible-quadratic * quadratic splits
-    for b in range(p):
-        for c in range(p):
-            # divide by x^2 + b x + c, check remainder
-            q = list(coeffs)
-            for k in range(deg, 1, -1):
-                lead = q[k] % p
-                if lead:
-                    q[k - 1] = (q[k - 1] - lead * b) % p
-                    q[k - 2] = (q[k - 2] - lead * c) % p
-                    q[k] = 0
-            if q[0] % p == 0 and q[1] % p == 0:
-                return False
     return True
+
+
+def _fp_gcd(a: list, b: list, p: int) -> list:
+    """A gcd over F_p of two polynomials, lowest degree first, with no
+    trailing zeros; [] when both are zero."""
+    def trim(c):
+        c = [x % p for x in c]
+        while c and not c[-1]:
+            c.pop()
+        return c
+    a, b = trim(a), trim(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, k = a[-1] * inv, len(a) - len(b)
+            a = trim(a[:k] + [x - q * y for x, y in zip(a[k:], b)])
+        a, b = b, a
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -1035,8 +1050,9 @@ class ExtElement(_Element):
         return other / self
 
     def __pow__(self, n: int):
-        return _power(self.inverse() if n < 0 else self, abs(n),
-                      self.field.one())
+        if not n:
+            return self.field.one()
+        return _power(self.inverse() if n < 0 else self, abs(n))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.vec)

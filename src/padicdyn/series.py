@@ -55,7 +55,7 @@ from operator import add, floordiv, mul
 
 from .errors import DomainError, InternalError, PrecisionError, UsageError
 from .localfield import (CappedField, ExactElement, ExactField, PadicElement,
-                         Valuation, _vp_int, poly_eval)
+                         Valuation, _power, _vp_int, poly_eval)
 
 
 @dataclass(frozen=True)
@@ -290,17 +290,7 @@ class TailSeries:
             raise UsageError("negative series powers are not supported")
         if n == 0:
             return TailSeries.one(self.field, self.trunc)
-        # the first factor is taken as it is: no coefficient has more
-        # relative precision than 1, so 1 * x is x, truncation included
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n)
 
     def derivative(self) -> "TailSeries":
         """Formal d/dw."""

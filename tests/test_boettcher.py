@@ -18,9 +18,10 @@ from padicdyn import (BudgetError, CappedField, Conjugacy, DomainError,
                       functional_equation_check, good_reduction,
                       lagrange_invert, omega_at, point_identity_report,
                       rescaled_integrality_ok)
-from padicdyn.boettcher import (_baby_steps, _inverse_residual,
-                                _omega_inverse, _omega_series, _reciprocal,
-                                _w_powers, _xi_series)
+from padicdyn.boettcher import (_baby_steps, _beta_series,
+                                _inverse_residual, _omega_inverse,
+                                _omega_series, _powers, _reciprocal,
+                                _xi_series)
 from padicdyn.cli import series_json
 from padicdyn.errors import InternalError, PrecisionError, UsageError
 from padicdyn.series import TailSeries, agreement_order
@@ -261,7 +262,7 @@ def test_cauchy_rate_lower_bound_random():
 @pytest.mark.parametrize("backend", ["exact", "capped"])
 @pytest.mark.parametrize("coeffs", [[3, F(1, 5)], [1, F(-2, 5), F(1, 5)]])
 def test_build_root_chain_matches_cauchy_approximants(backend, coeffs):
-    # the oracle is the route that iterates f: N successive d-th roots of
+    # the oracle is the route that iterates f: the d^N-th root of
     # beta_N = f^N(z)/z^(d^N), the xi_N that cauchy_rate_check compares;
     # w / xi_N and the build's fixed point must agree digit for digit
     f = mono(5, coeffs, backend, prec=12)
@@ -442,6 +443,29 @@ def test_verified_order_is_the_explicit_check(case):
 
 
 @settings(max_examples=40, deadline=None)
+@given(random_maps(), st.integers(1, 5))
+def test_one_root_per_approximant_is_the_chain_of_d_th_roots(case, N):
+    """xi_n = beta_n^(1/d^n) taken as one root is, element for element at
+    full order, n successive d-th roots (or both raise the same error);
+    the chain is this test's oracle and runs nowhere else."""
+    *maps, M = case
+    for f in maps:
+        for n, beta in enumerate(_beta_series(f, N, M), 1):
+            def chained():
+                x = beta
+                for _ in range(n):
+                    x = x.nth_root(f.degree)
+                return x
+            one = outcome(beta.nth_root, f.degree ** n)
+            chain = outcome(chained)
+            if isinstance(one, str) or isinstance(chain, str):
+                assert one == chain
+            else:
+                assert one.trunc == chain.trunc == M
+                assert one.identical_to(chain, M)
+
+
+@settings(max_examples=40, deadline=None)
 @given(random_maps(), st.data())
 def test_cut_w_powers_are_fresh_powers(case, data):
     """The fixed point forms 1, W, ..., W^m once to its last order and
@@ -451,8 +475,8 @@ def test_cut_w_powers_are_fresh_powers(case, data):
     top = data.draw(st.integers(2, 200))
     T = data.draw(st.integers(1, top))
     for f in maps:
-        table = _w_powers(f, top, _baby_steps(top, f.degree))
-        fresh = _w_powers(f, T, len(table) - 1)
+        table = _powers(_reciprocal(f, top), _baby_steps(top, f.degree), top)
+        fresh = _powers(_reciprocal(f, T), len(table) - 1, T)
         assert len(fresh) == len(table)
         for cut, power in zip(table, fresh):
             assert cut.truncate(T).identical_to(power, T)

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is referenced in it, and
+"""Source hygiene: every name a module imports is referenced in it, every
+module-level ``_name`` function is read somewhere in the package, and
 only ``series.py`` reads the storage of a ``TailSeries``.
 
 ``__init__.py`` is skipped by the import check, since it imports names
@@ -64,3 +65,33 @@ def test_only_series_reads_series_storage():
              for path in sorted(SRC.glob("*.py"))
              if path.name != "series.py"}
     assert {name: attrs for name, attrs in reads.items() if attrs} == {}
+
+
+def _private_functions(tree):
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def _outside_references(tree):
+    """Names and attributes read in a module, a function's reads of its
+    own name (recursion) left out."""
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and name != own:
+                yield name
+
+
+def test_every_private_function_is_referenced():
+    """A module-level ``_name`` function that nothing in the package
+    reads is a helper left behind by a deletion."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    read = {name for tree in trees.values()
+            for name in _outside_references(tree)}
+    unread = {module: sorted(_private_functions(tree) - read)
+              for module, tree in trees.items()}
+    assert {module: names for module, names in unread.items() if names} == {}

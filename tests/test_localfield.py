@@ -1,6 +1,8 @@
 """Field arithmetic, valuations, Hensel lifting, and conjugates."""
 
+import itertools
 import random
+import time
 from fractions import Fraction as F
 from operator import add, mul, sub, truediv
 
@@ -9,7 +11,8 @@ import pytest
 from padicdyn import (CappedField, DomainError, ExactField, ExtensionField,
                       PrecisionError, UsageError, Valuation, conjugates,
                       hensel_lift)
-from padicdyn.localfield import poly_eval
+from padicdyn.localfield import (ExtElement, PadicElement,
+                                 _fp_poly_irreducible, poly_eval)
 from padicdyn.series import DiskSpec, TailSeries, gauss_norm
 
 
@@ -465,3 +468,118 @@ def test_reflected_division_by_an_unsupported_operand(kind):
             x / other
     assert (1 / x) * x == 1
     assert (F(3, 2) / x) * x == F(3, 2)
+
+
+def _chain_power(x, n):
+    """1 * y * ... * y with |n| factors, y = x, or 1 / x for n < 0."""
+    one = x.field.one()
+    y = one / x if n < 0 else x
+    for _ in range(abs(n)):
+        one = one * y
+    return one
+
+
+def _parts(x):
+    """An element as its stored parts: (v, unit, rel) of a capped one, the
+    value of an exact one, and those of each entry of an extension one."""
+    if isinstance(x, ExtElement):
+        return [_parts(c) for c in x.vec]
+    if isinstance(x, PadicElement):
+        return (x.v, x.unit, x.rel)
+    return x.value
+
+
+def _power_or_error(op, *args):
+    try:
+        return _parts(op(*args))
+    except (PrecisionError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+
+
+def test_element_powers_are_the_chain_of_products():
+    """x ** n is 1 * x * ... * x (or of 1 / x) in every stored part, for
+    capped elements of every precision, O(p^k) and exact zeros included,
+    exact elements and extension elements over both backends."""
+    rng = random.Random(1806)
+    K, Q = CappedField(5, 8), ExactField(5)
+    capped = [PadicElement._make(K, rng.randint(-3, 3),
+                                 rng.choice([1, 2, 3, 4, 6, 7, 1251]),
+                                 rng.randint(1, 8)) for _ in range(12)]
+    capped += [PadicElement._zero(K, k) for k in (-2, 0, 3)]
+    capped += [K.zero(), K.from_rational(F(-7, 25))]
+    exact = [Q.from_rational(F(rng.randint(-60, 60), rng.choice([1, 5, 6])))
+             for _ in range(8)] + [Q.zero()]
+    ext = []
+    for base in (Q, CappedField(5, 6)):
+        for stage, kind in (([-5, 0], "eisenstein"), ([-2, 0], "unramified")):
+            E = ExtensionField(base, stage, kind)
+            ext += [E.from_vector([F(rng.randint(-30, 30), rng.choice([1, 5]))
+                                   for _ in range(2)]) for _ in range(4)]
+            ext += [E.generator(), E.zero(), E.from_vector([0, 3])]
+    for x in capped + exact + ext:
+        for n in range(-3, 10):
+            assert _power_or_error(pow, x, n) \
+                == _power_or_error(_chain_power, x, n), (x, n)
+
+
+def _brute_irreducible(g, p):
+    """No monic factor of degree 1..n/2 divides g: long division by each."""
+    n = len(g) - 1
+    for k in range(1, n // 2 + 1):
+        for low in itertools.product(range(p), repeat=k):
+            r = list(g)
+            for i in range(n, k - 1, -1):
+                c = r[i] % p
+                for j, h in enumerate(list(low) + [1]):
+                    r[i - k + j] -= c * h
+            if all(x % p == 0 for x in r[:k]):
+                return False
+    return n >= 1
+
+
+def _necklace(p, n):
+    """The number of monic irreducible polynomials of degree n over F_p:
+    (1/n) sum over d | n of mu(d) p^(n/d)."""
+    def mobius(m):
+        factors = [q for q in range(2, m + 1) if m % q == 0
+                   and all(q % r for r in range(2, q))]
+        if any(m % (q * q) == 0 for q in factors):
+            return 0
+        return (-1) ** len(factors)
+    return sum(mobius(d) * p ** (n // d)
+               for d in range(1, n + 1) if n % d == 0) // n
+
+
+def test_fp_irreducibility_matches_brute_force_and_counts():
+    for p in (2, 3, 5):
+        for n in range(1, 5):
+            for low in itertools.product(range(p), repeat=n):
+                g = list(low) + [1]
+                assert _fp_poly_irreducible(g, p) == _brute_irreducible(g, p)
+    for p, top in ((2, 8), (3, 6)):
+        for n in range(1, top + 1):
+            count = sum(_fp_poly_irreducible(list(low) + [1], p)
+                        for low in itertools.product(range(p), repeat=n))
+            assert count == _necklace(p, n), (p, n)
+
+
+def test_unramified_stage_with_no_root_but_a_cubic_factor_is_rejected():
+    # x^6 + ... + 1 = (x^3 + x + 1)(x^3 + x^2 + 1) over F_2: no linear or
+    # quadratic factor
+    assert not _fp_poly_irreducible([1] * 7, 2)
+    with pytest.raises(UsageError):
+        ExtensionField(ExactField(2), [1] * 6, "unramified")
+    assert ExtensionField(ExactField(2), [1, 1, 0, 0, 0, 0],
+                          "unramified").f_res == 6   # x^6 + x + 1
+
+
+def test_unramified_stage_over_a_large_prime_validates_quickly():
+    # -1 is not a square modulo p = 2^31 - 1 (p = 3 mod 4); the test's
+    # cost grows with log p, where a search over residues took p steps
+    p = 2 ** 31 - 1
+    start = time.perf_counter()
+    assert ExtensionField(ExactField(p), [1, 0], "unramified").f_res == 2
+    assert not _fp_poly_irreducible([-1, 0, 1], p)
+    assert _fp_poly_irreducible([3, 0, 0, 1], p) == (pow(3, (p - 1) // 3, p)
+                                                      != 1)
+    assert time.perf_counter() - start < 5
