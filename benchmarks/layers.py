@@ -44,6 +44,15 @@ record the crossover: ``mul_s`` is omega * omega^-1 and ``square_s`` is
 omega * omega, both cut to w^(n + 1) from a capped M = 129 build.  From
 ``series._SLOPED`` terms on, both sum on the operands' valuation line.
 
+``transport`` times, on both backends (precision 20 when capped), the
+element work of a ``transport`` job in the quadratic Eisenstein
+extension Q_5(sqrt 5) for the reference map at M = 32, at Q = pi^-3
+(v(1/Q) = 3/2 lies inside the certified disk, eps = 1):
+``omega_at_s`` is omega at Q; ``conjugates_s`` the conjugates of
+omega(Q) in a new field on every run, as each job builds its own, so the
+generator images are lifted each time; and ``ext_mul_s`` one product
+omega(Q) * Q, the least of runs of 1000 products divided by 1000.
+
 ``builds`` times the stages and the whole of capped builds at M = 256
 and 512 and gives the digest of omega and omega^-1 as ``perfbench`` records
 it, so a change that claims equal outputs can be checked at orders the
@@ -78,11 +87,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from padicdyn import (CappedField, ExactField, MonicPoly,  # noqa: E402
-                      boettcher_series, certify_degree, degree_chain,
+from padicdyn import (CappedField, ExactField,  # noqa: E402
+                      ExtensionField, MonicPoly, boettcher_series,
+                      certify_degree, conjugates, degree_chain,
                       functional_equation_check, lagrange_invert)
 from padicdyn.boettcher import (_beta_series, _omega_inverse,  # noqa: E402
-                                _omega_series, _reciprocal)
+                                _omega_series, _reciprocal, conjugacy,
+                                omega_at)
 from padicdyn.cli import main as cli_main, series_json  # noqa: E402
 from padicdyn import series  # noqa: E402
 
@@ -197,6 +208,30 @@ def products() -> list:
     return rows
 
 
+def transport(backend: str) -> dict:
+    """omega_at_s, conjugates_s and ext_mul_s in Q_5(sqrt 5)."""
+    field = ExactField(5) if backend == "exact" else CappedField(
+        5, PRECISION)
+    B = conjugacy(reference_map(field), 32)
+
+    def stage():
+        return ExtensionField(field, [-5, 0], "eisenstein")
+
+    def fresh_conjugates():
+        E = stage()
+        return conjugates(E, E.from_vector(value.vec), precision=16)
+
+    Q = stage().generator() ** -3
+    row = {"backend": backend, "M": 32}
+    row["omega_at_s"], value = best_of(lambda: omega_at(B, Q).value)
+    row["conjugates_s"], conj = best_of(fresh_conjugates)
+    if len(conj) != 2:
+        raise SystemExit(f"{backend}: {len(conj)} conjugates, not 2")
+    seconds, _ = best_of(lambda: [value * Q for _ in range(1000)])
+    row["ext_mul_s"] = seconds / 1000
+    return row
+
+
 def build(M: int) -> dict:
     """Stage times and the perfbench digest of one capped build."""
     row, omega, omega_inverse = stages(reference_map(CappedField(
@@ -275,6 +310,9 @@ def main() -> int:
     product_rows = products()
     for row in product_rows:
         print(json.dumps(row), file=sys.stderr)
+    transport_rows = [transport(backend) for backend in ("exact", "capped")]
+    for row in transport_rows:
+        print(json.dumps(row), file=sys.stderr)
     builds = []
     for M in BUILDS:
         row = {"backend": "capped", "M": M, **build(M)}
@@ -286,7 +324,7 @@ def main() -> int:
            "unit": "s", "machine": machine(),
            "python": platform.python_version(), "git": git_sha(),
            "rows": rows, "degrees": degrees, "products": product_rows,
-           "builds": builds, "jobs": job_row}
+           "transport": transport_rows, "builds": builds, "jobs": job_row}
     print(json.dumps(doc, indent=1))
     return 0
 

@@ -267,8 +267,8 @@ def transport_check(B: Conjugacy, E: ExtensionField, Q, P,
     ok, residual, bound = lhs.matches(rhs)
     checks.append(TransportCheck("power-compatibility", ok, residual, bound))
 
-    q_conj = conjugates(E, Q, precision=precision)
-    left = [omega_at(B, qc) for qc in q_conj]
+    left = [omega_Q if qc is Q else omega_at(B, qc)
+            for qc in conjugates(E, Q, precision=precision)]
     right_values = conjugates(E, omega_Q.value, precision=precision)
     right = [PointValue(rv, omega_Q.err) for rv in right_values]
     ok2, worst_residual, bound2 = _match_multisets(left, right)

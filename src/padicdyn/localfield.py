@@ -99,10 +99,16 @@ class Valuation:
         It is exact unless some lower bound lies strictly below every
         exact value; a bound equal to the exact minimum keeps it exact.
         """
+        return cls._least_pairs((v.value, v.exact) for v in vals
+                                if v.value is not None)
+
+    @classmethod
+    def _least_pairs(cls, pairs) -> "Valuation":
+        """``least`` over (value, exact) pairs of finite values: the one
+        home of its rule, which ``series.gauss_norm`` shares."""
         exact, floors = [], []
-        for v in vals:
-            if v.value is not None:
-                (exact if v.exact else floors).append(v.value)
+        for value, known in pairs:
+            (exact if known else floors).append(value)
         if floors and (not exact or min(floors) < min(exact)):
             return cls(min(floors), exact=False)
         return cls(min(exact)) if exact else cls(None)
@@ -111,9 +117,7 @@ class Valuation:
     def _key(x):
         if isinstance(x, Valuation):
             x = x.value
-        if x is None:
-            return (1, 0)
-        return (0, x)
+        return (1, 0) if x is None else (0, x)
 
     def __lt__(self, other):
         return self._key(self) < self._key(other)
@@ -453,11 +457,8 @@ class PadicElement(_Element):
     # -- inspection --------------------------------------------------------
 
     def valuation(self) -> Valuation:
-        if self.unit == 0:
-            if self.v is None:
-                return Valuation.infinite()
-            return Valuation(self.v, exact=False)
-        return Valuation(self.v)
+        # an O(p^v) zero gives its floor, the exact zero (v None) infinity
+        return Valuation(self.v, exact=self.unit != 0 or self.v is None)
 
     def digits(self) -> list:
         """Base-p digits of the unit part, lowest first, one per known digit."""
@@ -623,23 +624,33 @@ def field_for(p: int, backend: str = "exact", prec: int = 24):
 
 
 def poly_eval(coeffs, x):
-    """Evaluate a coefficient list (lowest first) at x by Horner."""
+    """Evaluate a coefficient list (lowest first) at x by Horner.  At an
+    extension point a coefficient from below x's field goes into
+    coordinate 0 alone: its other coordinates are exact zeros."""
     ring = x.field
     acc = ring.embed(coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        acc = acc * x + ring.embed(c)
+        acc = acc * x
+        if isinstance(acc, ExtElement) and not (isinstance(c, ExtElement) and (
+                c.field is ring or c.field == ring)):
+            acc = ExtElement(ring, (acc.vec[0] + ring.subfield.embed(c),)
+                             + acc.vec[1:])
+        else:
+            acc = acc + ring.embed(c)
     return acc
 
 
 def poly_mul(a, b):
-    """Schoolbook product of two coefficient lists (lowest first)."""
-    out = [a[0].field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_exact_zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
+    """Schoolbook product of two coefficient lists (lowest first), each
+    slot from its first product on: exact zeros add nothing."""
+    xs = [(i, x) for i, x in enumerate(a) if not x.is_exact_zero]
+    ys = [(j, y) for j, y in enumerate(b) if not y.is_exact_zero]
+    out = [None] * (len(a) + len(b) - 1)
+    for i, x in xs:
+        for j, y in ys:
+            out[i + j] = x * y if out[i + j] is None else out[i + j] + x * y
+    zero = a[0].field.zero()
+    return [zero if c is None else c for c in out]
 
 
 def _deflate(coeffs, root):
@@ -694,32 +705,28 @@ def hensel_lift(g, x0, target_precision):
     Requires the simple-root condition v(g(x0)) > 2 v(g'(x0)); each step
     then doubles the number of correct digits.  Returns x with
     v(g(x)) >= target_precision and x congruent to x0 modulo the initial
-    separation.
+    separation.  Once g(x) is an O(p^k) zero with k below the target,
+    no step can refine x, and it raises PrecisionError.
     """
     gp = poly_derivative(g)
     fx = poly_eval(g, x0)
-    fpx = poly_eval(gp, x0)
     vf = fx.valuation()
-    vfp = fpx.valuation()
+    vfp = poly_eval(gp, x0).valuation()
     if vf.is_infinite:
         return x0
-    if vfp.is_infinite or not vfp.exact:
-        raise DomainError("not a simple root at this precision")
-    if not (vf > 2 * vfp.as_fraction()):
+    if vfp.is_infinite or not vfp.exact or not vf > 2 * vfp.as_fraction():
         raise DomainError("not a simple root at this precision")
     target = Fraction(target_precision)
     x = x0
     for _ in range(_NEWTON_BUDGET):
+        if vf >= target:
+            return x
+        if not vf.exact:
+            raise PrecisionError(
+                "target precision exceeds the working precision")
+        x = x - fx / poly_eval(gp, x)
         fx = poly_eval(g, x)
         vf = fx.valuation()
-        if vf >= target:
-            if not vf.exact and vf.as_fraction() < target:
-                raise PrecisionError(
-                    "target precision exceeds the working precision")
-            return x
-        if vf.is_infinite:
-            return x
-        x = x - fx / poly_eval(gp, x)
     raise InternalError("Newton iteration failed to converge")
 
 
@@ -906,7 +913,7 @@ class ExtensionField:
         if isinstance(x, ExtElement) and (x.field is self or x.field == self):
             return x
         x = self.subfield.embed(x)
-        zero = self.subfield.embed(0)
+        zero = self.subfield.zero()
         return ExtElement(self, (x,) + (zero,) * (self.degree - 1))
 
     def uniformizer(self):
@@ -995,12 +1002,12 @@ class ExtElement(_Element):
         """Reduce a long coefficient list modulo the defining polynomial."""
         n = self.field.degree
         g = self.field.stage_coeffs
+        terms = [(i, gi) for i, gi in enumerate(g) if not gi.is_exact_zero]
         for k in range(len(conv) - 1, n - 1, -1):
             c = conv[k]
-            if c.is_exact_zero:
-                continue
-            for i in range(n):
-                conv[k - n + i] = conv[k - n + i] - c * g[i]
+            if not c.is_exact_zero:
+                for i, gi in terms:
+                    conv[k - n + i] = conv[k - n + i] - c * gi
         return conv[:n]
 
     def __mul__(self, other):
@@ -1018,8 +1025,7 @@ class ExtElement(_Element):
             raise PrecisionError(
                 "insufficient precision: divisor indistinguishable from zero")
         sub = self.field.subfield
-        one = sub.embed(1)
-        zero = sub.embed(0)
+        one, zero = sub.one(), sub.zero()
         g = list(self.field.stage_coeffs) + [one]
         r0, r1 = g, list(self.vec)
         t0, t1 = [zero], [one]
@@ -1063,17 +1069,14 @@ class ExtElement(_Element):
 
     def valuation(self) -> Valuation:
         """min over the stage basis; exact for Eisenstein/unramified stages."""
-        if self.field.kind == "eisenstein":
-            step = Fraction(1, self.field.e)
-        else:
-            step = Fraction(0)
+        step = (Fraction(1, self.field.e) if self.field.kind == "eisenstein"
+                else 0)
         return Valuation.least([c.valuation() + i * step
                                 for i, c in enumerate(self.vec)])
 
     def apply_root_map(self, root: "ExtElement") -> "ExtElement":
         """Image under the automorphism sending the stage generator to root."""
-        coeffs = [self.field.embed(c) for c in self.vec]
-        return poly_eval(coeffs, root)
+        return poly_eval(self.vec, root)
 
     def __repr__(self):
         return f"ExtElement({list(self.vec)!r})"
@@ -1143,7 +1146,9 @@ def conjugates(E: ExtensionField, a, precision: int = 32):
     E must be a single-stage extension of degree <= 4 whose defining
     polynomial splits in E; the conjugates are obtained by sending the
     generator to each root.  Those roots, the generator's images, are
-    found once per precision and kept on E.
+    found once per precision and kept on E.  The first image is the
+    generator itself, so the first conjugate is ``a`` itself: Horner at
+    the generator only multiplies by an exact 1 and exact zeros.
     """
     if isinstance(E.subfield, ExtensionField):
         raise UsageError("conjugates need a single-stage extension")
@@ -1163,4 +1168,4 @@ def conjugates(E: ExtensionField, a, precision: int = 32):
         images = (gen, *other_roots)
         # a new dict with the complete tuple, never one changed in place
         E._images = {**E._images, precision: images}
-    return [a.apply_root_map(r) for r in images]
+    return [a] + [a.apply_root_map(r) for r in images[1:]]

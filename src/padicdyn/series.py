@@ -542,6 +542,14 @@ def _capped_is_one(field, flat) -> bool:
         % p ** (A - sigma) == 0
 
 
+def _capped_valuations(field, flat):
+    """(i, v_i, exact) for each coefficient of a capped form that is not an
+    exact zero; an O(p^k) zero (r_i = 0, A_i finite) gives its floor."""
+    r, _, f = flat
+    return [(i, f[2 * i + 1], x != 0) for i, x in enumerate(r)
+            if f[2 * i] != _INF]
+
+
 def _capped_times(field, flat, ms):
     """Coefficient i times the integer ms[i].  m embedded with relative
     precision prec: as no coefficient has more, the precision is
@@ -734,6 +742,13 @@ def _exact_linear(field, terms, n: int):
     return values, den
 
 
+def _exact_valuations(field, flat):
+    """(i, vp(r_i) - vp(D), True) for each nonzero r_i of an exact form."""
+    (r, den), p = flat, field.p
+    vd = _vp_int(den, p)
+    return [(i, _vp_int(x, p) - vd, True) for i, x in enumerate(r) if x]
+
+
 def _exact_times(field, flat, ms):
     """Coefficient i times the integer ms[i]."""
     r, den = flat
@@ -769,12 +784,13 @@ def _exact_inverse(field, a):
 
 
 # what the methods of ``TailSeries`` call on a backend's flat form
-_Kernel = namedtuple("_Kernel", "flat one is_one element normal window "
-                     "weight sign linear times product inverse")
+_Kernel = namedtuple("_Kernel", "flat one is_one valuations element normal "
+                     "window weight sign linear times product inverse")
 
 _CAPPED = _Kernel(
     flat=_capped_flat, one=lambda field: ([1], 0, [field.prec, 0]),
-    is_one=_capped_is_one, element=_capped_element, normal=_capped_normal,
+    is_one=_capped_is_one, valuations=_capped_valuations,
+    element=_capped_element, normal=_capped_normal,
     window=_capped_window, weight=lambda c: (c.v, c.unit, c.v + c.rel),
     sign=lambda n: (0, n, _INF), linear=_capped_linear,
     times=_capped_times, product=_capped_product, inverse=_capped_inverse)
@@ -783,7 +799,8 @@ _EXACT = _Kernel(
     flat=lambda field, coeffs: _over_common(coeffs),
     one=lambda field: ([1], 1),
     is_one=lambda field, flat: flat[0][0] == flat[1],
-    element=_exact_element, normal=_exact_normal, window=_exact_window,
+    valuations=_exact_valuations, element=_exact_element,
+    normal=_exact_normal, window=_exact_window,
     weight=lambda c: (c.value.numerator, c.value.denominator),
     sign=lambda n: (n, 1), linear=_exact_linear, times=_exact_times,
     product=_exact_product, inverse=_exact_inverse)
@@ -853,10 +870,14 @@ def gauss_norm(S: TailSeries, D: DiskSpec) -> Valuation:
     """-log_p of the sup of |c_k| r^k on the disk: min_k v(c_k) + k eps.
 
     Only stored coefficients enter; an infinite result means the series
-    is zero to its truncation order.
+    is zero to its truncation order.  The valuations are read from the
+    flat form; with eps = a / b the minimum of v_k b + k a is taken in
+    integers, and divided by b once.
     """
-    return Valuation.least([c.valuation() + (S.ord + i) * D.eps
-                            for i, c in enumerate(S.coeffs)])
+    a, b = D.eps.numerator, D.eps.denominator
+    vals = S._kernel.valuations(S.field, S._flat)
+    return Valuation._least_pairs((v * b + (S.ord + i) * a, exact)
+                                  for i, v, exact in vals) * Fraction(1, b)
 
 
 @dataclass(frozen=True)
@@ -930,10 +951,8 @@ def evaluate(S: TailSeries, z, D: DiskSpec) -> PointValue:
             raise PrecisionError("Gauss norm is only a lower bound here")
         tail = Valuation(g.as_fraction()
                          + S.trunc * (v0.as_fraction() - D.eps))
-    if S.is_exact_zero:
-        zero = z - z
-        return PointValue(zero, tail)
-    return PointValue(poly_eval(S.coeffs, w0) * w0 ** S.ord, tail)
+    return PointValue(z - z if S.is_exact_zero
+                      else poly_eval(S.coeffs, w0) * w0 ** S.ord, tail)
 
 
 def agreement_order(a: TailSeries, b: TailSeries) -> int:

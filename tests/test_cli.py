@@ -450,3 +450,24 @@ def test_shared_parser_leaks_nothing_between_jobs(monkeypatch, capsys):
     assert "omega_latex" not in together[1][1]
     assert together[2] == together[10] and "usage: padicdyn" in together[2][1]
     assert together[1] == together[12]
+
+
+def test_transport_on_a_too_coarse_capped_field_exits_precision(capsys):
+    # the generator images are lifted to precision 16: below that cap
+    # g(x) becomes an O(p^k) zero short of the target, which Newton steps
+    # cannot refine; that is a precision refusal (exit 3), not a bug
+    from padicdyn.cli import main
+    stages = (["--prime", "7", "--poly=0,0,0,1", "--point=1/7",
+               "--ext=-7,0,0,1", "--ext-point=0,0,1/7"],
+              ["--prime", "5", "--poly=0,0,0,0,1", "--point=1/5",
+               "--ext=-5,0,0,0,1", "--ext-point=0,0,0,1/5"])
+    for stage in stages:
+        for precision, code in ((3, EXIT_DOMAIN), (5, EXIT_DOMAIN),
+                                (15, EXIT_DOMAIN), (16, EXIT_OK)):
+            argv = ["transport", *stage, "--backend", "capped",
+                    "--precision", str(precision)]
+            assert main(argv) == code, argv
+            out, err = capsys.readouterr()
+            assert "Traceback" not in err
+            if code == EXIT_DOMAIN:
+                assert out == "" and "target precision exceeds" in err

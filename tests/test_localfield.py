@@ -583,3 +583,114 @@ def test_unramified_stage_over_a_large_prime_validates_quickly():
     assert _fp_poly_irreducible([3, 0, 0, 1], p) == (pow(3, (p - 1) // 3, p)
                                                       != 1)
     assert time.perf_counter() - start < 5
+
+
+# -- extension arithmetic against the element loops it replaced -------------
+
+
+def _oracle_mul(x, y):
+    """x * y with every entry's product through the element loops: the
+    schoolbook product over all pairs, each slot from an exact zero, and
+    the reduction by every coefficient of the defining polynomial."""
+    if not isinstance(x, ExtElement):
+        return x * y
+    E, n = x.field, x.field.degree
+    conv = [E.subfield.zero()] * (2 * n - 1)
+    for i, a in enumerate(x.vec):
+        if not a.is_exact_zero:
+            for j, b in enumerate(y.vec):
+                conv[i + j] = conv[i + j] + _oracle_mul(a, b)
+    for k in range(2 * n - 2, n - 1, -1):
+        if not conv[k].is_exact_zero:
+            for i, g in enumerate(E.stage_coeffs):
+                conv[k - n + i] = conv[k - n + i] - _oracle_mul(conv[k], g)
+    return ExtElement(E, tuple(conv[:n]))
+
+
+def _oracle_embed(E, c):
+    """c in E, a coefficient from below as (c, 0, ..., 0)."""
+    if isinstance(c, ExtElement) and c.field == E:
+        return c
+    sub = E.subfield
+    return ExtElement(E, (sub.embed(c),) + (sub.embed(0),) * (E.degree - 1))
+
+
+def _oracle_eval(coeffs, x):
+    """Horner at x with every coefficient embedded in x's field."""
+    acc = _oracle_embed(x.field, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = _oracle_mul(acc, x) + _oracle_embed(x.field, c)
+    return acc
+
+
+def _fast_path_fields():
+    """Single stages of degree 2-4 over both backends, Eisenstein and
+    unramified, and two-stage towers, with the primes they are over."""
+    out = []
+    for base3, base5, base7 in ((ExactField(3), ExactField(5), ExactField(7)),
+                                (CappedField(3, 24), CappedField(5, 24),
+                                 CappedField(7, 24))):
+        out += [ExtensionField(base3, [-3, 0], "eisenstein"),
+                ExtensionField(base3, [-3, 3], "eisenstein"),
+                ExtensionField(base7, [-7, 0, 0], "eisenstein"),
+                ExtensionField(base5, [-5, 0, 0, 0], "eisenstein"),
+                ExtensionField(base3, [1, 0], "unramified"),
+                ExtensionField(base3, [1, -1, 0], "unramified"),
+                ExtensionField(base3, [2, 1, 0, 0], "unramified")]
+        E1 = ExtensionField(base3, [-3, 0], "eisenstein")
+        out += [ExtensionField(E1, [-2, 0], "unramified"),
+                ExtensionField(E1, [-E1.generator(), 0], "eisenstein")]
+    return out
+
+
+def _random_entry(rng, K):
+    """An element of K: exact zeros, O(p^k) zeros and elements of every
+    precision included."""
+    if isinstance(K, ExtensionField):
+        return K.from_vector([_random_entry(rng, K.subfield)
+                              for _ in range(K.degree)])
+    kind = rng.random()
+    if kind < 0.2:
+        return K.zero()
+    x = K.from_rational(F(rng.randint(-300, 300) or 1, rng.choice(
+        [1, 2, K.p, K.p ** 2])) * K.p ** rng.randint(0, 3))
+    if isinstance(K, CappedField):
+        if kind < 0.35:
+            return x - x
+        if kind < 0.5:
+            return PadicElement._make(K, x.v, x.unit, rng.randint(1, x.rel))
+    return x
+
+
+def test_extension_fast_paths_match_the_element_loops():
+    """Products and Horner at extension points skip exact zeros and add a
+    coefficient from below into coordinate 0 alone; each result is the
+    element the full loops give, in every stored part."""
+    rng = random.Random(1907)
+    for E in _fast_path_fields():
+        for _ in range(12):
+            x, y = _random_entry(rng, E), _random_entry(rng, E)
+            assert _parts(x * y) == _parts(_oracle_mul(x, y)), (E, x, y)
+            sub = [_random_entry(rng, E.subfield) for _ in range(5)]
+            base = [_random_entry(rng, E.base_field) for _ in range(5)]
+            mixed = [rng.choice([a, b, c, 3, F(1, 2)])
+                     for a, b, c in zip(sub, base, [x, y, x * y] * 2)]
+            for coeffs in (sub, base, mixed, [x, y]):
+                assert _parts(poly_eval(coeffs, y)) \
+                    == _parts(_oracle_eval(coeffs, y)), (E, coeffs, y)
+            assert _parts(x.apply_root_map(E.generator())) == _parts(x)
+
+
+def test_first_conjugate_is_the_element_itself():
+    """conjugates(E, a)[0] is a; the others are Horner at the generator's
+    images with every coefficient embedded."""
+    rng = random.Random(1908)
+    for E in _fast_path_fields():
+        if isinstance(E.subfield, ExtensionField):
+            continue
+        for _ in range(4):
+            a = _random_entry(rng, E)
+            conj = conjugates(E, a, precision=16)
+            assert conj[0] is a
+            for c, r in zip(conj[1:], E._images[16][1:]):
+                assert _parts(c) == _parts(_oracle_eval(list(a.vec), r))

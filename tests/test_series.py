@@ -9,7 +9,7 @@ from padicdyn import (CappedField, DiskSpec, DomainError, ExactField,
                       ExtensionField, TailSeries, UsageError, agreement_order,
                       evaluate, gauss_norm, lagrange_invert)
 from padicdyn.errors import InternalError
-from padicdyn.localfield import PadicElement
+from padicdyn.localfield import PadicElement, Valuation
 from test_series_kernel import known_modulo_precision
 
 
@@ -290,6 +290,56 @@ def test_gauss_norm_single_term():
     assert gauss_norm(w, D) == 0
     D2 = DiskSpec("inf", F(1, 2))
     assert gauss_norm(w, D2) == F(1, 2)
+
+
+def test_gauss_norm_matches_the_element_route():
+    """gauss_norm, read from the flat form in integers, is the minimum of
+    v(c_k) + k eps over the coefficient elements (``Valuation.least``), in
+    value and in exactness: capped series at caps 1-20 with exact zeros,
+    O(p^k) zeros from cancellation and negative valuations, exact series,
+    and eps of both signs."""
+    rng = random.Random(1906)
+
+    def capped_coefficient(K):
+        kind = rng.random()
+        if kind < 0.15:
+            return K.zero()
+        x = PadicElement._make(K, rng.randint(-6, 6),
+                               rng.randrange(1, K.p ** K.prec),
+                               rng.randint(1, K.prec))
+        if kind < 0.35:     # an O(p^k) zero: x - x or (x + y) - y
+            y = K.from_rational(F(rng.randint(-40, 40), rng.choice([1, 7])))
+            return x - x if kind < 0.25 else (x + y) - y - x
+        return x
+
+    def exact_coefficient(K):
+        if rng.random() < 0.2:
+            return K.zero()
+        return K.from_rational(F(rng.randint(-10 ** 6, 10 ** 6),
+                                 rng.choice([1, 2, 3, 9, 25, 125])) * F(
+                                     K.p) ** rng.randint(-4, 4))
+
+    cases = 0
+    for _ in range(2000):
+        p = rng.choice([2, 3, 5, 7])
+        if rng.random() < 0.7:
+            K = CappedField(p, rng.randint(1, 20))
+            make = capped_coefficient
+        else:
+            K, make = ExactField(p), exact_coefficient
+        n = rng.randint(1, 12)
+        ord_ = rng.randint(-3, 3)
+        series = S(K, ord_, [make(K) for _ in range(n)], ord_ + n)
+        for eps in (F(rng.randint(-12, 12), rng.randint(1, 6)),
+                    F(-rng.randint(1, 9), rng.randint(1, 4))):
+            D = DiskSpec("zero", eps)
+            want = Valuation.least([c.valuation() + (series.ord + i) * eps
+                                    for i, c in enumerate(series.coeffs)])
+            got = gauss_norm(series, D)
+            assert (got.value, got.exact) == (want.value, want.exact), (
+                series, eps)
+            cases += 1
+    assert cases == 4000
 
 
 def test_gauss_norm_direct_minimum():
