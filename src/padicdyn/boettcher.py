@@ -34,7 +34,8 @@ from .errors import (BudgetError, DomainError, InternalError, PrecisionError,
                      UsageError)
 from .localfield import ExactField, poly_eval
 from .series import (DiskSpec, PointValue, TailSeries, _as_point, _convolve,
-                     _over_common, agreement_order, evaluate, weighted_sum)
+                     _over_common, agreement_order, evaluate, gauss_norm,
+                     weighted_sum)
 
 
 class MonicPoly:
@@ -581,11 +582,9 @@ def rescaled_integrality_ok(B: BoettcherData) -> bool:
     """With v(alpha) = v(C_f), alpha * omega(alpha z) must be integral.
 
     In coefficients: v(c_k) >= (k - 1) v(C_f) for both omega and its
-    inverse.  For good reduction this is plain integrality.
+    inverse.  For good reduction this is plain integrality.  With
+    eps = -v(C_f) that is v(c_k) + k eps >= eps for every k: a Gauss
+    norm on the certified disk of at least eps.
     """
-    for S in (B.omega, B.omega_inverse):
-        for i, c in enumerate(S.coeffs):
-            k = S.ord + i
-            if not c.valuation() >= Fraction(k - 1) * B.cf_valuation:
-                return False
-    return True
+    return all(gauss_norm(S, B.domain) >= B.domain.eps
+               for S in (B.omega, B.omega_inverse))

@@ -47,16 +47,11 @@ def is_prime(n: int) -> bool:
 
 
 def frac_str(q) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 \
-        else str(q.numerator)
+    return str(Fraction(q))
 
 
 def valuation_json(v: Valuation) -> str:
-    if v.is_infinite:
-        return "inf"
-    text = frac_str(v.value)
-    return text if v.exact else ">=" + text
+    return "inf" if v.is_infinite else str(v)
 
 
 def element_json(x) -> dict:

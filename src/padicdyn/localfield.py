@@ -513,9 +513,6 @@ class _BaseField:
             return ((num * pow(den, -1, self.p)) % self.p,)
         return (x.unit % self.p,)
 
-    def lift_residue(self, r: tuple):
-        return self.from_rational(int(r[0]))
-
     def __eq__(self, other):
         return self is other or (isinstance(other, _BaseField)
                                  and other._key() == self._key())
@@ -916,22 +913,7 @@ class ExtensionField:
         zero = self.subfield.zero()
         return ExtElement(self, (x,) + (zero,) * (self.degree - 1))
 
-    def uniformizer(self):
-        """An element of valuation 1/e."""
-        if self.e == 1:
-            return self.embed(self.p)
-        if self.kind == "eisenstein":
-            return self.generator()
-        return self.embed(self.subfield.uniformizer())
-
     # -- residues ----------------------------------------------------------
-
-    def residue_field(self) -> ResidueField:
-        if self.kind == "unramified":
-            return ResidueField(self.p, self._reduced_modulus)
-        if isinstance(self.subfield, ExtensionField):
-            return self.subfield.residue_field()
-        return ResidueField(self.p, [0, 1])
 
     def residue(self, x) -> tuple:
         """Image of an integral element in the residue field (int tuple)."""
@@ -941,13 +923,6 @@ class ExtensionField:
         if self.kind == "eisenstein":
             return self.subfield.residue(x.vec[0])
         return tuple(self.subfield.residue(c)[0] for c in x.vec)
-
-    def lift_residue(self, r: tuple):
-        if self.kind == "unramified":
-            return self.from_vector(list(r))
-        if isinstance(self.subfield, ExtensionField):
-            return self.embed(self.subfield.lift_residue(r))
-        return self.embed(int(r[0]))
 
     def __eq__(self, other):
         return self is other or (
@@ -1036,7 +1011,10 @@ class ExtElement(_Element):
                           itertools.zip_longest(t0, poly_mul(q, t1),
                                                 fillvalue=zero)]
         if _poly_degree(r1) < 0:
-            raise UsageError("element is a zero divisor (non-field stage?)")
+            # every stage is irreducible: a remainder lost to precision
+            raise PrecisionError(
+                "insufficient precision: Euclid remainder indistinguishable "
+                "from zero")
         c = r1[0]
         n = self.field.degree
         scaled = [tc / c for tc in t1]
@@ -1082,62 +1060,57 @@ class ExtElement(_Element):
         return f"ExtElement({list(self.vec)!r})"
 
 
-def _roots_in_field(coeffs, E: ExtensionField, precision: int):
-    """All roots of a monic polynomial in E found by residue lifting.
+def _generator_images(E: ExtensionField, precision: int) -> tuple:
+    """The roots of E's defining polynomial g, the generator first.
 
-    ``coeffs`` lives in E (lowest first, monic).  Roots whose residue data
-    is not simple cannot be certified and raise DomainError.
+    Validation fixes every root's valuation: 1/e on an Eisenstein stage
+    and 0 on an unramified one.  So once g is deflated to degree k, its
+    roots are t * y with t the generator or 1 and y a unit root of
+    h(y) = g_k(t y) / t^k.  Each y is lifted from the least residue root
+    of h: over F_p by a scan on an Eisenstein stage, and on an
+    unramified stage among the Frobenius images x^(p^i), i < n, of the
+    generator's residue x, each the p-th power of the one before.
     """
-    from . import newton  # local import: newton depends on this module
-
-    coeffs = [E.embed(c) for c in coeffs]
-    roots = []
-    work = list(coeffs)
-    while _poly_degree(work) >= 1:
-        deg = _poly_degree(work)
-        work = work[: deg + 1]
-        if deg == 1:
-            roots.append(-work[0] / work[1])
-            break
-        polygon = newton.build_polygon(work)
-        found = None
-        for seg in polygon.segments:
-            s = -seg.slope  # root valuation
-            scaled = s * E.e
-            if scaled.denominator != 1:
-                continue
-            t = E.uniformizer() ** int(scaled)
-            h = [c * t ** i for i, c in enumerate(work)]
-            m = Valuation.least([c.valuation() for c in h])
-            if m.is_infinite or not m.exact:
-                raise PrecisionError("cannot normalize root candidates")
-            me = m.value * E.e
-            if me.denominator != 1:
-                raise DomainError("non-normal extension")
-            scale = E.uniformizer() ** int(me)
-            h = [c / scale for c in h]
-            rf = E.residue_field()
-            hbar = [E.residue(c) for c in h]
-            hbar_prime = [rf.scalar(i, c) for i, c in enumerate(hbar)][1:]
-            for r in rf.elements():
-                if not any(r):
-                    continue
-                if not rf.is_zero(rf.poly_eval(hbar, r)):
-                    continue
-                if rf.is_zero(rf.poly_eval(hbar_prime, r)):
-                    raise DomainError(
-                        "non-normal extension: repeated residue root")
-                y0 = E.lift_residue(r)
-                y = hensel_lift(h, y0, precision)
-                found = t * y
-                break
-            if found is not None:
-                break
-        if found is None:
+    gen = E.generator()
+    g = [E.embed(c) for c in E.stage_coeffs] + [E.one()]
+    if not poly_eval(g, gen).is_zero():
+        raise InternalError("generator does not satisfy its polynomial")
+    if E.kind == "eisenstein":
+        t, rf = gen, ResidueField(E.p, [0, 1])
+    else:
+        t, rf = E.one(), ResidueField(E.p, E._reduced_modulus)
+        x, frobenius = E.residue(gen), []
+        for _ in range(1, E.degree):
+            x = _power(x, E.p, rf.mul)
+            frobenius.append(x)
+        frobenius.sort()
+    images, work = [gen], _deflate(g, gen)
+    while len(work) > 2:
+        h = [c * t ** i for i, c in enumerate(work)]
+        # every root is t times a unit, so h's least valuation is that of
+        # its leading coefficient t^k, unless precision has run out
+        m = Valuation.least([c.valuation() for c in h])
+        if not (m.exact and m == h[-1].valuation()
+                and all(c.valuation().exact for c in work)):
+            raise PrecisionError("cannot normalize root candidates")
+        inverse = h[-1].inverse()
+        h = [c * inverse for c in h]
+        hbar = [E.residue(c) for c in h]
+        residues = (frobenius if E.kind == "unramified"
+                    else filter(any, rf.elements()))
+        r = next((r for r in residues
+                  if rf.is_zero(rf.poly_eval(hbar, r))), None)
+        if r is None:
             raise DomainError("non-normal extension: no root in the field")
-        roots.append(found)
-        work = _deflate(work, found)
-    return roots
+        hbar_prime = [rf.scalar(i, c) for i, c in enumerate(hbar)][1:]
+        if rf.is_zero(rf.poly_eval(hbar_prime, r)):
+            raise DomainError("non-normal extension: repeated residue root")
+        y = hensel_lift(h, E.from_vector(r + (0,) * (E.degree - len(r))),
+                        precision)
+        images.append(t * y)
+        work = _deflate(work, images[-1])
+    images.append(-work[0] / work[1])
+    return tuple(images)
 
 
 def conjugates(E: ExtensionField, a, precision: int = 32):
@@ -1157,15 +1130,7 @@ def conjugates(E: ExtensionField, a, precision: int = 32):
     a = E.embed(a)
     images = E._images.get(precision)
     if images is None:
-        g = [E.embed(c) for c in E.stage_coeffs] + [E.one()]
-        gen = E.generator()
-        if not poly_eval(g, gen).is_zero():
-            raise InternalError("generator does not satisfy its polynomial")
-        # divide off the generator root, then hunt for the others
-        other_roots = _roots_in_field(_deflate(g, gen), E, precision)
-        if len(other_roots) != E.degree - 1:
-            raise DomainError("non-normal extension")
-        images = (gen, *other_roots)
+        images = _generator_images(E, precision)
         # a new dict with the complete tuple, never one changed in place
         E._images = {**E._images, precision: images}
     return [a] + [a.apply_root_map(r) for r in images[1:]]

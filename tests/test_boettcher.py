@@ -677,6 +677,31 @@ def test_bad_reduction_rescaled_integrality():
         assert any(c.valuation() < 0 for c in B.omega.coeffs)
 
 
+def test_rescaled_integrality_is_a_gauss_norm_bound():
+    """The Gauss norm bound gives the coefficient rule
+    v(c_k) >= (k - 1) v(C_f), exact and capped, with C_f moved both ways
+    so that the rule fails as well as holds."""
+    def coefficient_rule(B):
+        return all(c.valuation() >= (S.ord + i - 1) * B.cf_valuation
+                   for S in (B.omega, B.omega_inverse)
+                   for i, c in enumerate(S.coeffs))
+
+    outcomes = set()
+    for backend, prec in (("exact", 20), ("capped", 20), ("capped", 3)):
+        for p, coeffs in [(5, [3, 0]), (5, [F(-1, 5), 0]),
+                          (3, [F(1, 9), F(1, 3)]), (7, [F(2, 7), 0, 1])]:
+            B = boettcher_series(mono(p, coeffs, backend, prec), 12)
+            for shift in (F(-1, 2), 0, F(1, 3), 1):
+                cf = B.cf_valuation + shift
+                moved = dataclasses.replace(
+                    B, cf_valuation=cf,
+                    domain=dataclasses.replace(B.domain, eps=-cf))
+                outcomes.add(coefficient_rule(moved))
+                assert rescaled_integrality_ok(moved) == \
+                    coefficient_rule(moved), (backend, prec, p, coeffs, shift)
+    assert outcomes == {True, False}
+
+
 def test_coefficients_stay_in_base_field():
     # the computable shadow of Galois equivariance: construction never
     # leaves the base field

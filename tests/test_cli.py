@@ -471,3 +471,20 @@ def test_transport_on_a_too_coarse_capped_field_exits_precision(capsys):
             assert "Traceback" not in err
             if code == EXIT_DOMAIN:
                 assert out == "" and "target precision exceeds" in err
+
+
+def test_transport_with_a_euclid_remainder_lost_to_precision_exits_3(capsys):
+    # at 3 digits an inverse in x^4 + 7x - 7 meets a remainder that is
+    # indistinguishable from zero; every stage is irreducible, so that
+    # is precision running out (exit 3), as it is at 6 digits, not a
+    # zero divisor (exit 2)
+    from padicdyn.cli import main
+    for precision in ("3", "6"):
+        argv = ["transport", "--prime", "7", "--poly", "0,1/49,0,0,1",
+                "--point", "1/343", "--ext=-7,7,0,0,1",
+                "--ext-point", "0,1/7,0,0", "--backend", "capped",
+                "--precision", precision, "--order", "8"]
+        assert main(argv) == EXIT_DOMAIN, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("domain error: ")
+        assert "Traceback" not in err

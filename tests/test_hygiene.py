@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is referenced in it, every
-module-level ``_name`` function is read somewhere in the package, and
-only ``series.py`` reads the storage of a ``TailSeries``.
+module-level ``_name`` function is read somewhere in the package, only
+``series.py`` reads the storage of a ``TailSeries``, and every import
+sits at module level in an acyclic module graph.
 
 ``__init__.py`` is skipped by the import check, since it imports names
 only to re-export them.  Parsed with ``ast`` alone, so no linter is
@@ -95,3 +96,61 @@ def test_every_private_function_is_referenced():
     unread = {module: sorted(_private_functions(tree) - read)
               for module, tree in trees.items()}
     assert {module: names for module, names in unread.items() if names} == {}
+
+
+def _function_local_imports(tree):
+    """Line numbers of imports inside a function body."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    yield inner.lineno
+
+
+def test_no_function_local_imports():
+    """A function-local import hides a module dependency, and with it a
+    cycle, from the module header."""
+    local = {path.name: sorted(set(_function_local_imports(
+                 ast.parse(path.read_text()))))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in local.items() if lines} == {}
+
+
+def _package_imports(tree, modules):
+    """The package modules a module imports: ``from . import m``,
+    ``from .m import ...`` and ``import padicdyn.m``; the package itself
+    is ``__init__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is not None:
+                yield node.module.split(".")[0]
+            else:
+                for alias in node.names:
+                    yield alias.name if alias.name in modules else "__init__"
+        elif isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "padicdyn":
+            parts = node.module.split(".")
+            yield parts[1] if len(parts) > 1 else "__init__"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "padicdyn":
+                    yield parts[1] if len(parts) > 1 else "__init__"
+
+
+def test_module_import_graph_is_acyclic():
+    modules = {path.stem for path in SRC.glob("*.py")}
+    graph = {path.stem: set(_package_imports(ast.parse(path.read_text()),
+                                             modules))
+             for path in sorted(SRC.glob("*.py"))}
+    assert all(deps <= modules for deps in graph.values()), graph
+    # Kahn's algorithm: a module is placed once everything it imports is
+    placed, left = [], dict(graph)
+    while left:
+        ready = sorted(m for m, deps in left.items() if deps <= set(placed))
+        assert ready, f"import cycle among {sorted(left)}"
+        placed += ready
+        for m in ready:
+            del left[m]
+    assert placed.index("errors") < placed.index("localfield") \
+        < placed.index("series") < placed.index("boettcher")

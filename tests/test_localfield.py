@@ -11,8 +11,11 @@ import pytest
 from padicdyn import (CappedField, DomainError, ExactField, ExtensionField,
                       PrecisionError, UsageError, Valuation, conjugates,
                       hensel_lift)
-from padicdyn.localfield import (ExtElement, PadicElement,
-                                 _fp_poly_irreducible, poly_eval)
+from padicdyn.errors import PadicDynError
+from padicdyn.localfield import (ExtElement, PadicElement, ResidueField,
+                                 _deflate, _fp_poly_irreducible,
+                                 _generator_images, poly_eval)
+from padicdyn.newton import build_polygon
 from padicdyn.series import DiskSpec, TailSeries, gauss_norm
 
 
@@ -694,3 +697,118 @@ def test_first_conjugate_is_the_element_itself():
             assert conj[0] is a
             for c, r in zip(conj[1:], E._images[16][1:]):
                 assert _parts(c) == _parts(_oracle_eval(list(a.vec), r))
+
+
+# -- generator images against the general polygon-and-scan route -------------
+
+
+def _reference_images(E, precision):
+    """The generator's images by a general root finder: each deflated
+    polynomial's Newton polygon, for each segment whose root valuation
+    is a multiple of 1/e a scan of the whole residue field for a root of
+    the normalized polynomial, and a Hensel lift of the first one."""
+    gen = E.generator()
+    uniformizer = gen if E.kind == "eisenstein" else E.embed(E.p)
+    rf = ResidueField(E.p, E._reduced_modulus if E.kind == "unramified"
+                      else [0, 1])
+    roots = [gen]
+    work = _deflate([E.embed(c) for c in E.stage_coeffs] + [E.one()], gen)
+    while len(work) > 2:
+        found = None
+        for seg in build_polygon(work).segments:
+            scaled = -seg.slope * E.e
+            if scaled.denominator != 1:
+                continue
+            t = uniformizer ** int(scaled)
+            h = [c * t ** i for i, c in enumerate(work)]
+            m = Valuation.least([c.valuation() for c in h])
+            if m.is_infinite or not m.exact:
+                raise PrecisionError("cannot normalize root candidates")
+            if (m.value * E.e).denominator != 1:
+                raise DomainError("non-normal extension")
+            scale = uniformizer ** int(m.value * E.e)
+            h = [c / scale for c in h]
+            hbar = [E.residue(c) for c in h]
+            hbar_prime = [rf.scalar(i, c) for i, c in enumerate(hbar)][1:]
+            for r in itertools.product(range(E.p), repeat=rf.f):
+                if not any(r) or not rf.is_zero(rf.poly_eval(hbar, r)):
+                    continue
+                if rf.is_zero(rf.poly_eval(hbar_prime, r)):
+                    raise DomainError("repeated residue root")
+                y0 = E.from_vector(r + (0,) * (E.degree - len(r)))
+                found = t * hensel_lift(h, y0, precision)
+                break
+            if found is not None:
+                break
+        if found is None:
+            raise DomainError("no root in the field")
+        roots.append(found)
+        work = _deflate(work, found)
+    return roots + [-work[0] / work[1]]
+
+
+def _oracle_stages(p, n):
+    """Stages of degree n over Q_p: the Eisenstein x^n + pu and
+    x^n + p(x^(n-1) + ... + x + u) for four u, and the first monic
+    irreducible polynomial mod p in tuple order as an unramified stage,
+    as it is and with p taken from each coefficient."""
+    for u in (1, -1, 2, p + 1):
+        yield [p * u] + [0] * (n - 1), "eisenstein"
+        yield [p * u] + [p] * (n - 1), "eisenstein"
+    irreducible = (list(low) for low in itertools.product(range(p), repeat=n)
+                   if _fp_poly_irreducible(list(low) + [1], p))
+    for low in itertools.islice(irreducible, 1):
+        yield low, "unramified"
+        yield [c - p for c in low], "unramified"
+
+
+def _images_or_error(find, E, precision):
+    try:
+        return [_parts(r) for r in find(E, precision)]
+    except PadicDynError as exc:
+        return type(exc)
+
+
+def test_generator_images_match_the_polygon_and_scan_route():
+    """Every stage of the family that validates, exact and capped at 3
+    and 12 digits: the same images, entry for entry and in precision,
+    or the same error type."""
+    seen = set()
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in (2, 3, 4):
+            for coeffs, kind in _oracle_stages(p, n):
+                for K, precision in ((ExactField(p), 3),
+                                     (CappedField(p, 3), 3),
+                                     (CappedField(p, 12), 12)):
+                    try:
+                        E = ExtensionField(K, coeffs, kind)
+                    except UsageError:
+                        continue
+                    want = _images_or_error(_reference_images, E, precision)
+                    got = _images_or_error(_generator_images, E, precision)
+                    assert got == want, (K, coeffs, kind)
+                    seen.add((kind, want if isinstance(want, type)
+                              else "images"))
+    assert seen >= {("eisenstein", "images"), ("unramified", "images"),
+                    ("eisenstein", DomainError),
+                    ("eisenstein", PrecisionError),
+                    ("unramified", PrecisionError)}, seen
+
+
+def test_unramified_images_come_from_frobenius_not_a_scan(monkeypatch):
+    """x^3 - 3x + 1 is irreducible mod p = 10037, where a scan of
+    F_(p^3) would take p^3 steps.  Its Galois group is cyclic, generated
+    by r -> r^2 - 2, so the images are r, r^2 - 2 and (r^2 - 2)^2 - 2."""
+    def refuse(self):
+        raise AssertionError("residue field scanned")
+
+    monkeypatch.setattr(ResidueField, "elements", refuse)
+    E = ExtensionField(CappedField(10037, 20), [1, -3, 0], "unramified")
+    start = time.perf_counter()
+    conj = conjugates(E, E.generator(), precision=20)
+    assert time.perf_counter() - start < 5
+    r = E.generator()
+    orbit = [r, r * r - 2, (r * r - 2) ** 2 - 2]
+    close = [[k for k, s in enumerate(orbit) if (c - s).valuation() >= 19]
+             for c in conj]
+    assert close[0] == [0] and sorted(close) == [[0], [1], [2]]
