@@ -37,12 +37,16 @@ capped): the conjugacy-batch workload draws degrees 2 to 5, and above 2
 each step of the fixed point takes more than one Newton step for its
 root.
 
-``products`` times capped products of n = 8, 16, 32, 64 and 128 terms,
-once with the coefficient sums packed into one big-integer product and
-once as n dot products (``series._PACKED`` set below or above n), to
-record the crossover: ``mul_s`` is omega * omega^-1 and ``square_s`` is
-omega * omega, both cut to w^(n + 1) from a capped M = 129 build.  From
-``series._SLOPED`` terms on, both sum on the operands' valuation line.
+``products`` times capped products of n = 8, 16, 24, 32, 64, 128, 256
+and 512 terms, each two ways twice, to record the crossovers: the
+coefficient sums packed into one big-integer product or taken as n dot
+products (``sums``: ``series._PACKED`` set at or above n), and the
+precision list from the operands' affine runs or pair by pair
+(``precisions``: ``series._RUNS`` set at or above n); the other route is
+left at its own crossover.  ``mul_s`` is omega * omega^-1 and
+``square_s`` is omega * omega, both cut to w^(n + 1) from a capped
+M = 513 build.  From ``series._SLOPED`` terms on, the sums run on the
+operands' valuation line.
 
 ``transport`` times, on both backends (precision 20 when capped), the
 element work of a ``transport`` job in the quadratic Eisenstein
@@ -100,7 +104,7 @@ from padicdyn import series  # noqa: E402
 PRECISION = 20
 ORDERS = (32, 64, 128, 256)
 BUILDS = (256, 512)
-PRODUCT_TERMS = (8, 16, 32, 64, 128)
+PRODUCT_TERMS = (8, 16, 24, 32, 64, 128, 256, 512)
 # (map, p, coefficients a_0 .. a_{d-1}) of the ``degrees`` rows
 DEGREE_MAPS = (("z^3 + z^2 + z/5 + 3 over Q_5", 5, (3, Fraction(1, 5), 1)),
                ("z^5 - z^4 + z^3 + z/7 + 2 over Q_7", 7,
@@ -175,19 +179,26 @@ def degree_row(p: int, coeffs, backend: str, M: int) -> dict:
     return row
 
 
+# (row key, the ``series`` crossover it toggles, route below, route from)
+PRODUCT_ROUTES = (("sums", "_PACKED", "dot", "packed"),
+                  ("precisions", "_RUNS", "pairs", "runs"))
+
+
 @contextmanager
-def sums_by(kind: str, n: int):
-    """Products of n terms take their sums packed or as dot products."""
-    crossover = series._PACKED
-    series._PACKED = n if kind == "packed" else n + 1
+def route(crossover: str, n: int, on: bool):
+    """Products of n terms take the route that ``series.<crossover>``
+    switches on (on) or the one below it."""
+    saved = getattr(series, crossover)
+    setattr(series, crossover, n if on else n + 1)
     try:
         yield
     finally:
-        series._PACKED = crossover
+        setattr(series, crossover, saved)
 
 
 def products() -> list:
-    """mul_s and square_s rows of n-term capped products, both ways."""
+    """mul_s and square_s rows of n-term capped products, both ways for
+    the sums and both ways for the precision list."""
     f = reference_map(CappedField(5, PRECISION))
     M = max(PRODUCT_TERMS) + 1
     omega = _omega_series(f, M)[0]
@@ -195,16 +206,17 @@ def products() -> list:
     rows = []
     for n in PRODUCT_TERMS:
         a, b = omega.truncate(n + 1), omega_inverse.truncate(n + 1)
-        for kind in ("dot", "packed"):
-            with sums_by(kind, n):
-                row = {"backend": "capped", "n": n, "sums": kind}
-                row["mul_s"], ab = best_of(lambda: a * b)
-                row["square_s"], aa = best_of(lambda: a * a)
-            if (ab.trunc - ab.ord, aa.trunc - aa.ord) != (n, n):
-                raise SystemExit(f"n={n}: the products have "
-                                 f"{ab.trunc - ab.ord} and "
-                                 f"{aa.trunc - aa.ord} terms")
-            rows.append(row)
+        for key, crossover, below, above in PRODUCT_ROUTES:
+            for kind in (below, above):
+                with route(crossover, n, kind == above):
+                    row = {"backend": "capped", "n": n, key: kind}
+                    row["mul_s"], ab = best_of(lambda: a * b)
+                    row["square_s"], aa = best_of(lambda: a * a)
+                if (ab.trunc - ab.ord, aa.trunc - aa.ord) != (n, n):
+                    raise SystemExit(f"n={n}: the products have "
+                                     f"{ab.trunc - ab.ord} and "
+                                     f"{aa.trunc - aa.ord} terms")
+                rows.append(row)
     return rows
 
 

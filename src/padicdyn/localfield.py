@@ -24,6 +24,7 @@ import itertools
 import operator
 from fractions import Fraction
 
+from . import config
 from .errors import DomainError, InternalError, PrecisionError, UsageError
 
 MAX_TOWER_DEGREE = 8
@@ -695,6 +696,14 @@ def _poly_divmod(num, den):
 _NEWTON_BUDGET = 64
 
 
+def _rationals(x) -> list:
+    """The rationals an element over an ExactField is made of: its value,
+    or its coordinates' on a stage or a tower."""
+    if isinstance(x, ExactElement):
+        return [x.value]
+    return [q for c in x.vec for q in _rationals(c)]
+
+
 def hensel_lift(g, x0, target_precision):
     """Refine a simple approximate root of g by Newton iteration.
 
@@ -703,7 +712,10 @@ def hensel_lift(g, x0, target_precision):
     then doubles the number of correct digits.  Returns x with
     v(g(x)) >= target_precision and x congruent to x0 modulo the initial
     separation.  Once g(x) is an O(p^k) zero with k below the target,
-    no step can refine x, and it raises PrecisionError.
+    no step can refine x, and it raises PrecisionError.  Over an
+    ExactField each iterate's rationals are held to
+    ``PADICDYN_MAX_COEFF_BITS`` (``config.check_coeff_bits``): past it,
+    BudgetError.
     """
     gp = poly_derivative(g)
     fx = poly_eval(g, x0)
@@ -714,6 +726,7 @@ def hensel_lift(g, x0, target_precision):
     if vfp.is_infinite or not vfp.exact or not vf > 2 * vfp.as_fraction():
         raise DomainError("not a simple root at this precision")
     target = Fraction(target_precision)
+    exact = x0.field.backend == "exact"
     x = x0
     for _ in range(_NEWTON_BUDGET):
         if vf >= target:
@@ -722,6 +735,10 @@ def hensel_lift(g, x0, target_precision):
             raise PrecisionError(
                 "target precision exceeds the working precision")
         x = x - fx / poly_eval(gp, x)
+        if exact:
+            # exact iterates keep every digit, so their size can outgrow
+            # any budget before the target is met: BudgetError, exit 3
+            config.check_coeff_bits(_rationals(x))
         fx = poly_eval(g, x)
         vf = fx.valuation()
     raise InternalError("Newton iteration failed to converge")
@@ -1046,11 +1063,19 @@ class ExtElement(_Element):
         return all(c.is_exact_zero for c in self.vec)
 
     def valuation(self) -> Valuation:
-        """min over the stage basis; exact for Eisenstein/unramified stages."""
-        step = (Fraction(1, self.field.e) if self.field.kind == "eisenstein"
-                else 0)
-        return Valuation.least([c.valuation() + i * step
-                                for i, c in enumerate(self.vec)])
+        """min over the stage basis of v(c_i) + i/e on an Eisenstein stage
+        and of v(c_i) on an unramified one; exact for both.  Each v(c_i)
+        lies in (1/e)Z, so the minimum is taken over the integers
+        v(c_i) e (+ i) and divided by e once, as ``series.gauss_norm``
+        does."""
+        e, step = self.field.e, self.field.kind == "eisenstein"
+        pairs = []
+        for i, c in enumerate(self.vec):
+            v = c.valuation()
+            if v.value is not None:
+                pairs.append((v.value.numerator * (e // v.value.denominator)
+                              + i * step, v.exact))
+        return Valuation._least_pairs(pairs) * Fraction(1, e)
 
     def apply_root_map(self, root: "ExtElement") -> "ExtElement":
         """Image under the automorphism sending the stage generator to root."""

@@ -34,10 +34,16 @@ the vectors, never negative, are packed into one integer each with a
 byte slot per coefficient wide enough that no sum carries, and a square
 (x * x) is packed once and takes its precision list over half the pairs.
 Both are exact integer identities, so they change no digit and no
-precision either.  The exact backend, the oracle, keeps its plain dot
-products.  Coefficients lie in one of these two fields: no construction
-needs series over an extension (points in extensions are handled by
-``evaluate``), so ``TailSeries`` refuses other fields.
+precision either.  Capped products of at least ``_RUNS`` terms take their
+precision list, the min-plus convolution of the [A, v] lists, from the
+operands' affine runs: a run of precisions on one line meets the other
+operand's valuations, shifted by that line, in sliding windows whose
+minima cost a few passes each, not one per pair.  That regroups the same
+minimum over the same pairs, so no precision changes; operands with many
+runs keep the pairwise minima.  The exact backend, the oracle, keeps its
+plain dot products.  Coefficients lie in one of these two fields: no
+construction needs series over an extension (points in extensions are
+handled by ``evaluate``), so ``TailSeries`` refuses other fields.
 
 Values are immutable; evaluating one series at many points concurrently
 needs no coordination.
@@ -51,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
-from operator import add, floordiv, mul
+from operator import add, floordiv, mul, sub
 
 from .errors import DomainError, InternalError, PrecisionError, UsageError
 from .localfield import (CappedField, ExactElement, ExactField, PadicElement,
@@ -617,6 +623,118 @@ def _slope(r, f, i0: int, v0) -> int:
                 for i in range(i0 + 1, len(r)) if r[i]), default=0)
 
 
+# capped products of at least this many terms take their precision lists
+# from the affine runs of the operands' precisions (``_run_precisions``);
+# for shorter ones finding the runs costs more than the pairwise minima
+# save (``benchmarks/layers.py``, ``products`` rows: about even at 16
+# terms, ahead from 24)
+_RUNS = 20
+
+
+def _affine_runs(A) -> list:
+    """(start, length, first value, slope) of each maximal run of finite
+    entries of A on one line, exact zeros (infinite) left out."""
+    runs, i, n = [], 0, len(A)
+    while i < n:
+        start, x = i, A[i]
+        i += 1
+        if x == _INF:
+            continue
+        slope = A[i] - x if i < n and A[i] != _INF else 0
+        # an infinite A_i stops the run: inf - x is never the slope
+        while i < n and A[i] - A[i - 1] == slope:
+            i += 1
+        runs.append((start, i - start, x, slope))
+    return runs
+
+
+def _block_minima(u, L: int) -> list:
+    """The running minimum of u, restarted at every L-th entry."""
+    out, m = [], _INF
+    for i, x in enumerate(u):
+        if x < m or not i % L:
+            m = x
+        out.append(m)
+    return out
+
+
+def _window_minima(u, L: int) -> list:
+    """[min(u[max(b - L + 1, 0):b + 1]) for b < len(u)], from the prefix
+    and suffix minima of consecutive blocks of L entries (Gil and Werman,
+    IEEE PAMI 15, 1993): a window of L entries is a suffix of one block
+    and a prefix of the next."""
+    n = len(u)
+    if L >= n:
+        return _block_minima(u, n)
+    u = u + [_INF] * (-n % L)       # whole blocks, read backwards too
+    prefix = _block_minima(u, L)
+    suffix = _block_minima(u[::-1], L)[::-1]
+    return prefix[:L - 1] + [x if x < y else y for x, y in
+                             zip(suffix, prefix[L - 1:n])]
+
+
+def _runs_of(f, n: int):
+    """(i0, d, the affine runs of A_{i0}, A_{i0 + d}, ...) for the first n
+    precisions A of the [A, v] list f: i0 the least index of a finite
+    entry and d the gcd of the distances of the others from it, so that
+    the runs of a spread are not broken at its exact zeros; None when A
+    has none."""
+    A = f[:2 * n:2]
+    if _INF not in A:
+        return 0, 1, _affine_runs(A)
+    finite = [i for i, x in enumerate(A) if x != _INF]
+    if not finite:
+        return None
+    i0 = finite[0]
+    # from a list, not an iterator: a tuple of arguments built from an
+    # iterator is resized, and the tuple free lists keep such tuples
+    d = gcd(*[i - i0 for i in finite]) or 1
+    return i0, d, _affine_runs(A[i0::d])
+
+
+def _run_precisions(fa, fb, n: int, square: bool):
+    """The precision list of ``_capped_product`` from the affine runs of
+    the operands' precisions, or None when they have too many runs.
+
+    Its two terms are min over i + j = k of A_i + v'_j and of v_i + A'_j
+    (one term for a square, whose two are equal).  Take the first: the
+    finite A_i lie at i0 + d t (``_runs_of``), so for k = i0 + r + d q,
+    r < d, it is the least of A_{i0 + d t} + w_{q - t} over t, with
+    w_m = v'_{r + d m}.  A run from t0 of L entries on the line
+    x + (t - t0) sigma gives at q the value x + (q - t0) sigma plus the
+    least u_m = w_m - m sigma over the window q - t0 - L < m <= q - t0
+    (``_window_minima``).  These are the minima of the same sums over the
+    same pairs, regrouped, so the list is identical.
+    """
+    terms = [(_runs_of(fa, n), fb)]
+    if not square:
+        terms.append((_runs_of(fb, n), fa))
+    # each run costs a few passes over n / d entries per column, against
+    # the n^2 / 2 pairs of one term taken directly
+    if 5 * sum(plan[1] * len(plan[2]) for plan, _ in terms if plan) > n:
+        return None
+    out = [_INF] * n
+    for plan, f in terms:
+        if plan is None:
+            continue
+        i0, d, runs = plan
+        for r in range(min(d, n - i0)):
+            col = f[2 * r + 1:2 * (n - i0):2 * d]     # v_r, v_{r + d}, ...
+            for t0, L, x, slope in runs:
+                m = len(col) - t0
+                if m <= 0:
+                    continue
+                if slope:
+                    u = list(map(sub, col[:m], range(0, m * slope, slope)))
+                    line = range(x, x + m * slope, slope)
+                else:
+                    u, line = col[:m], repeat(x)
+                k = i0 + r + d * t0
+                out[k::d] = [y if y < z else z for y, z in zip(
+                    out[k::d], map(add, _window_minima(u, L), line))]
+    return out
+
+
 def _capped_product(field, a, b, n):
     """The form of the first n coefficients of a * b over a CappedField,
     from the forms a and b, each of at least n coefficients.
@@ -644,15 +762,26 @@ def _capped_product(field, a, b, n):
     finds its line, scales and packs once, and takes its precisions over
     i <= k - i only: the pairs (i, k - i) and (k - i, i) give the same
     min(A_i + v_j, v_i + A_j).
+
+    From ``_RUNS`` terms on, the precision list is the least of the two
+    min-plus terms min(A_i + v_j) and min(v_i + A_j) (one for a square),
+    each taken over the affine runs of its A list with sliding-window
+    minima (``_run_precisions``): O(runs n) instead of O(n^2), and the
+    same list, since each is a minimum over the same pairs.  When the
+    operands have too many runs for that to pay, the pairs are taken one
+    by one as below ``_RUNS``.
     """
     square = a is b
     (ra, sa, fa), (rb, sb, fb) = a, b
-    # b's first n [A, v] pairs reversed, so that pairs (i, k - i) line up
-    # as (A_i, v_j), (v_i, A_j); a square stops at i = k // 2
-    starts = fb[2 * n - 1::-1]
-    precs = [min(map(add, fa, starts[2 * (n - 1 - k):2 * (n - k + k // 2)
-                                     if square else None]))
-             for k in range(n)]
+    precs = _run_precisions(fa, fb, n, square) if n >= _RUNS else None
+    if precs is None:
+        # b's first n [A, v] pairs reversed, so that pairs (i, k - i) line
+        # up as (A_i, v_j), (v_i, A_j); a square stops at i = k // 2
+        starts = fb[2 * n - 1::-1]
+        precs = [min(map(add, fa, starts[2 * (n - 1 - k):
+                                         2 * (n - k + k // 2)
+                                         if square else None]))
+                 for k in range(n)]
     s = sa + sb
     ra = ra[:n]
     rb = ra if square else rb[:n]

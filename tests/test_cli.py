@@ -473,6 +473,21 @@ def test_transport_on_a_too_coarse_capped_field_exits_precision(capsys):
                 assert out == "" and "target precision exceeds" in err
 
 
+def test_exact_transport_lift_stops_at_the_coefficient_budget(
+        monkeypatch, capsys):
+    # over exact Q_13 the Newton iterates for the other roots of
+    # x^4 + 13x^3 + 13x^2 + 13x + 182 keep every digit and grow without
+    # bound; the lift holds them to PADICDYN_MAX_COEFF_BITS and exits 3
+    monkeypatch.setenv("PADICDYN_MAX_COEFF_BITS", "2000")
+    argv = ["transport", "--prime", "13", "--poly=0,1/14,1/14,1/14,1",
+            "--point=-1/182", "--ext=182,13,13,13,1",
+            "--ext-point=-1/14,-1/14,-1/14,-1/182", "--order", "8"]
+    assert cli.main(argv) == EXIT_DOMAIN
+    out, err = capsys.readouterr()
+    assert out == "" and "coefficient size exceeds the budget" in err
+    assert "Traceback" not in err
+
+
 def test_transport_with_a_euclid_remainder_lost_to_precision_exits_3(capsys):
     # at 3 digits an inverse in x^4 + 7x - 7 meets a remainder that is
     # indistinguishable from zero; every stage is irreducible, so that

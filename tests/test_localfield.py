@@ -330,6 +330,50 @@ def test_conjugates_interface_limits():
         conjugates(big, big.generator())  # degree > 4
 
 
+def random_coordinate(rng, K):
+    """An exact zero, an O(p^k) zero (capped) or a random element of K,
+    a base field or a stage over one."""
+    if isinstance(K, ExtensionField):
+        return K.from_vector([random_coordinate(rng, K.subfield)
+                              for _ in range(K.degree)])
+    kind = rng.choice(["exact-zero", "zero", "value", "value"])
+    if kind == "exact-zero":
+        return K.zero()
+    if kind == "zero" and isinstance(K, CappedField):
+        return PadicElement._zero(K, rng.randrange(-2, 5))
+    return K.from_rational(random_rational(rng, K.p))
+
+
+def test_extension_valuation_is_the_fraction_formula():
+    """``ExtElement.valuation`` takes its minimum over integers; value and
+    exactness are those of the least of v(c_i) + i/e (Eisenstein) or
+    v(c_i) (unramified) as Fractions, on both backends, over a base field
+    and over a stage, with exact zeros and O(p^k) zeros among the
+    coordinates."""
+    def fraction_formula(x):
+        step = F(1, x.field.e) if x.field.kind == "eisenstein" else 0
+        return Valuation.least([c.valuation() + i * step
+                                for i, c in enumerate(x.vec)])
+
+    rng = random.Random(2021)
+    for K in (ExactField(3), CappedField(3, 6), ExactField(5),
+              CappedField(5, 4), ExactField(7), CappedField(7, 3)):
+        nonsquare = {3: 2, 5: 2, 7: 3}[K.p]
+        eisenstein = ExtensionField(K, [-K.p, 0], "eisenstein")
+        unramified = ExtensionField(K, [-nonsquare, 0], "unramified")
+        stages = [eisenstein, unramified,
+                  ExtensionField(K, [-K.p, 0, 0], "eisenstein"),
+                  ExtensionField(eisenstein, [-nonsquare, 0], "unramified"),
+                  ExtensionField(unramified, [-K.p, 0], "eisenstein")]
+        for E in stages:
+            for _ in range(60):
+                x = random_coordinate(rng, E)
+                got, want = x.valuation(), fraction_formula(x)
+                assert (got.value, got.exact) == (want.value, want.exact), (
+                    E, x)
+                assert got.value is None or type(got.value) is F
+
+
 def test_concurrent_extension_arithmetic():
     from concurrent.futures import ThreadPoolExecutor
     E = ExtensionField(ExactField(5), [-5, 0], "eisenstein")

@@ -26,8 +26,9 @@ from padicdyn import (CappedField, ExactField, InternalError, MonicPoly,
 from padicdyn.boettcher import _omega_inverse, _omega_series
 from padicdyn.cli import element_json, series_json
 from padicdyn.localfield import ExactElement, PadicElement
-from padicdyn.series import (_PACKED, _SLOPED, _convolve, _packed,
-                             weighted_sum)
+from padicdyn.series import (_INF, _PACKED, _RUNS, _SLOPED, _capped_product,
+                             _convolve, _packed, _run_precisions,
+                             _window_minima, weighted_sum)
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 
@@ -603,6 +604,110 @@ def test_packed_sums_edge_cases():
     # a negative entry would borrow from its neighbour: refused
     with pytest.raises(OverflowError):
         _packed([3, -1, 2], [1, 1, 1], 3)
+
+
+# -- precision lists from affine runs -----------------------------------------
+
+
+def pairwise_precisions(fa, fb, n):
+    """The precision list of a product, pair by pair: coefficient k is
+    known to min over i + j = k of min(A_i + v'_j, v_i + A'_j)."""
+    return [min(min(fa[2 * i] + fb[2 * (k - i) + 1],
+                    fa[2 * i + 1] + fb[2 * (k - i)]) for i in range(k + 1))
+            for k in range(n)]
+
+
+@st.composite
+def affine_series(draw, field, n):
+    """n coefficients whose precisions A_i lie on a line of slope -2, -1,
+    0 or 1, with O(p^k) zeros, a few entries off the line, exact zeros at
+    the places not divisible by d (a spread, d of 1, 2 or 3) and trailing
+    exact zeros (padding)."""
+    slope = draw(st.sampled_from([-2, -1, 0, 1]))
+    A0 = draw(st.integers(-4, 8))
+    d = draw(st.sampled_from([1, 1, 2, 3]))
+    pad = draw(st.integers(0, n // 4))
+    off = set(draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    coeffs = []
+    for i in range(n):
+        if i and (i % d or i >= n - pad):
+            coeffs.append(PadicElement.exact_zero(field))
+            continue
+        A = A0 + i * slope + (draw(st.integers(1, 3)) if i in off else 0)
+        if draw(st.integers(0, 6)) == 0:
+            coeffs.append(PadicElement._zero(field, A))
+        else:
+            rel = draw(st.integers(1, field.prec))
+            coeffs.append(PadicElement._make(
+                field, A - rel, draw(st.integers(1, field.p ** rel - 1)),
+                rel))
+    ord_ = draw(st.integers(0, 1))
+    return TailSeries(field, ord_, coeffs, ord_ + n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_capped_product_precisions_from_affine_runs(data):
+    """From _RUNS terms on, a product takes its precision list from the
+    operands' affine runs (``series._run_precisions``); digits and
+    precisions are the element loop's, the list is the pairwise one, and
+    so is the runs route's own wherever it does not decline."""
+    field = CappedField(data.draw(PRIMES), data.draw(st.integers(1, 8)))
+    n = data.draw(st.integers(_RUNS - 4, _SLOPED + 8))
+    a = data.draw(affine_series(field, n))
+    b = a if data.draw(st.booleans()) else data.draw(affine_series(field, n))
+    ab = a * b
+    same(ab, Ref.of(a) * Ref.of(b))
+    want = pairwise_precisions(a._flat[2], b._flat[2], n)
+    assert ab._flat[2][::2] == want
+    route = _run_precisions(a._flat[2], b._flat[2], n, a is b)
+    assert route is None or route == want
+
+
+def pinned_operands(n):
+    """(name, f, f') of [A, v] lists for the runs route's edge cases."""
+    def flat(specs):      # (A, v) per coefficient, None an exact zero
+        return [x for spec in specs for x in (spec or (_INF, _INF))]
+
+    line = flat([(20 - i, 14 - i) for i in range(n)])
+    isolated = {0: (9, 3), 2: (7, 7), 5: (4, 1)}      # O(p^7) zero at 2
+    return [
+        ("an all-exact-zero operand", flat([None] * n), line),
+        ("runs of one coefficient",
+         flat([isolated.get(i, (30 - 2 * i, 25 - 2 * i) if i >= 9
+                            else None) for i in range(n)]), line),
+        ("a run that ends at n - 1",
+         flat([(6 + i, 2 + i) if i < 12 else (40 - i, 33 - i)
+               for i in range(n)]), line),
+        ("a window longer than what remains",
+         flat([(10 - i, 4 - i) if i % 2 == 0 else None for i in range(n)]),
+         flat([(5 + i, 1 + i) if i % 3 else (5 + i, 5 + i)
+               for i in range(n)])),
+    ]
+
+
+@pytest.mark.parametrize("n", [31, _SLOPED + 1])
+def test_run_precisions_pinned(n):
+    """Each case takes the runs route, both ways round and as a square,
+    and gives the pairwise list."""
+    field = CappedField(5, 8)
+    for name, fa, fb in pinned_operands(n):
+        for x, y in ((fa, fb), (fb, fa), (fa, fa)):
+            assert _run_precisions(x, y, n, x is y) == pairwise_precisions(
+                x, y, n), name
+        want = pairwise_precisions(fa, fb, n)
+        r = [0] * n
+        _, _, f = _capped_product(field, (r, 0, fa), (r, 0, fb), n)
+        assert f[::2] == want, name
+
+
+def test_window_minima_is_the_sliding_minimum():
+    values = [3, _INF, -1, 4, 1, 5, _INF, 9, -2, 6, 5, 3, 5]
+    for n in range(len(values) + 1):
+        u = values[:n]
+        for L in range(1, n + 3):
+            assert _window_minima(u, L) == [
+                min(u[max(b - L + 1, 0):b + 1]) for b in range(n)], (n, L)
 
 
 # -- over ExactField ----------------------------------------------------------
