@@ -57,6 +57,15 @@ omega(Q) in a new field on every run, as each job builds its own, so the
 generator images are lifted each time; and ``ext_mul_s`` one product
 omega(Q) * Q, the least of runs of 1000 products divided by 1000.
 
+``elements`` times single element operations, each the least of runs
+of 1000 operations divided by 1000: over Q_5 capped at precision 20,
+``capped_add_s``, ``capped_mul_s`` and ``capped_div_s`` of the units
+2/3 and 35/11 (valuations 0 and 1), ``capped_add_zero_s`` and
+``capped_mul_zero_s`` of 2/3 and the O(5^20) zero 2/3 - 2/3; over exact
+Q_5, ``exact_add_s`` and ``exact_mul_s`` of the same two rationals; and
+``ext_mul_s`` of (2/3 + 35/11 pi) and (-7/4 + pi/6) in Q_5(sqrt 5)
+capped at precision 20, pi^2 = 5.
+
 ``builds`` times the stages and the whole of capped builds at M = 256
 and 512 and gives the digest of omega and omega^-1 as ``perfbench`` records
 it, so a change that claims equal outputs can be checked at orders the
@@ -79,6 +88,7 @@ import contextlib
 import hashlib
 import io
 import json
+import operator
 import os
 import platform
 import subprocess
@@ -244,6 +254,29 @@ def transport(backend: str) -> dict:
     return row
 
 
+def elements() -> dict:
+    """Seconds per element operation, capped, exact and in an extension."""
+    K, Q = CappedField(5, PRECISION), ExactField(5)
+    E = ExtensionField(K, [-5, 0], "eisenstein")
+    a, b = K.from_rational(Fraction(2, 3)), K.from_rational(Fraction(35, 11))
+    zero = a - a
+    x, y = Q.from_rational(Fraction(2, 3)), Q.from_rational(Fraction(35, 11))
+    s = E.from_vector([Fraction(2, 3), Fraction(35, 11)])
+    t = E.from_vector([Fraction(-7, 4), Fraction(1, 6)])
+    row = {}
+    for key, op, u, w in (("capped_add_s", operator.add, a, b),
+                          ("capped_mul_s", operator.mul, a, b),
+                          ("capped_div_s", operator.truediv, a, b),
+                          ("capped_add_zero_s", operator.add, a, zero),
+                          ("capped_mul_zero_s", operator.mul, a, zero),
+                          ("exact_add_s", operator.add, x, y),
+                          ("exact_mul_s", operator.mul, x, y),
+                          ("ext_mul_s", operator.mul, s, t)):
+        seconds, _ = best_of(lambda: [op(u, w) for _ in range(1000)])
+        row[key] = seconds / 1000
+    return row
+
+
 def build(M: int) -> dict:
     """Stage times and the perfbench digest of one capped build."""
     row, omega, omega_inverse = stages(reference_map(CappedField(
@@ -325,6 +358,8 @@ def main() -> int:
     transport_rows = [transport(backend) for backend in ("exact", "capped")]
     for row in transport_rows:
         print(json.dumps(row), file=sys.stderr)
+    element_row = elements()
+    print(json.dumps(element_row), file=sys.stderr)
     builds = []
     for M in BUILDS:
         row = {"backend": "capped", "M": M, **build(M)}
@@ -336,7 +371,8 @@ def main() -> int:
            "unit": "s", "machine": machine(),
            "python": platform.python_version(), "git": git_sha(),
            "rows": rows, "degrees": degrees, "products": product_rows,
-           "transport": transport_rows, "builds": builds, "jobs": job_row}
+           "transport": transport_rows, "elements": element_row,
+           "builds": builds, "jobs": job_row}
     print(json.dumps(doc, indent=1))
     return 0
 

@@ -9,9 +9,11 @@ Two coefficient backends sit behind one element interface:
   relative-precision cap ``A``.  Arithmetic never claims more precision
   than the standard propagation rules allow (add: min of absolute
   precisions, mul: valuations add, relative precisions take the min).
-  An element that cancels down to ``O(p^k)`` enters a distinct
-  "indistinguishable from zero" state; operations that need its exact
-  valuation raise instead of guessing.
+  An element that cancels down to ``O(p^k)`` is the coset of valuation
+  k and relative precision 0, so absolute precision k: +, * and / apply
+  to it the rule they apply to any coset.  It is indistinguishable from
+  zero, so operations that need its exact valuation raise instead of
+  guessing.
 
 Extensions are towers of explicit Eisenstein or unramified stages of total
 degree at most 8, built one stage at a time by ``ExtensionField``.  All
@@ -178,8 +180,9 @@ class Valuation:
 
 
 class _Element:
-    """Subtraction and equality as every element class derives them from
-    its own +, unary - and ``_coerce``; ExactElement overrides some."""
+    """Subtraction, equality and powers as every element class derives
+    them from its own +, unary -, *, / and ``_coerce``; ExactElement
+    overrides some."""
 
     __slots__ = ()
     __hash__ = None
@@ -198,6 +201,12 @@ class _Element:
         if other is None:
             return NotImplemented
         return (self - other).is_zero()
+
+    def __pow__(self, n: int):
+        one = self.field.one()
+        if not n:
+            return one
+        return _power(one / self if n < 0 else self, abs(n))
 
 
 class ExactElement(_Element):
@@ -291,7 +300,7 @@ class PadicElement(_Element):
     """A coset ``p^v * unit + O(p^(v+rel))`` in Q_p.
 
     ``unit == 0`` encodes a zero: exactly zero when ``v is None``, or
-    "known to vanish modulo p^v" otherwise (the indistinguishable state).
+    ``O(p^v)``, known to vanish modulo p^v, with ``rel == 0`` otherwise.
     """
 
     __slots__ = ("field", "v", "unit", "rel")
@@ -314,19 +323,19 @@ class PadicElement(_Element):
 
     @classmethod
     def _make(cls, field, v, unit, rel):
-        p = field.p
+        """p^v unit + O(p^(v + rel)) for any integer unit: reduced modulo
+        p^rel, then normalized; an O(p^(v + rel)) zero if it vanishes."""
         if rel <= 0:
             return cls._zero(field, v + rel)
+        p = field.p
         unit %= p ** rel
         if unit == 0:
             return cls._zero(field, v + rel)
         s = _vp_int(unit, p)
-        if s:
+        if s:   # s < rel, since the unit is nonzero modulo p^rel
             unit //= p ** s
             rel -= s
             v += s
-            if rel <= 0:
-                return cls._zero(field, v + rel)
         return cls(field, v, unit, rel)
 
     @classmethod
@@ -340,8 +349,8 @@ class PadicElement(_Element):
         rel = field.prec
         num_unit = q.numerator // p ** vn
         den_unit = q.denominator // p ** vd
-        unit = (num_unit * pow(den_unit, -1, p ** rel)) % (p ** rel)
-        return cls._make(field, vn - vd, unit, rel)
+        return cls._make(field, vn - vd,
+                         num_unit * pow(den_unit, -1, p ** rel), rel)
 
     # -- predicates --------------------------------------------------------
 
@@ -352,12 +361,6 @@ class PadicElement(_Element):
     @property
     def is_exact_zero(self) -> bool:
         return self.unit == 0 and self.v is None
-
-    def _absprec(self):
-        """Absolute precision; None means exact (infinite)."""
-        if self.unit == 0:
-            return self.v  # None for exact zero
-        return self.v + self.rel
 
     # -- arithmetic --------------------------------------------------------
 
@@ -370,16 +373,6 @@ class PadicElement(_Element):
             return PadicElement.from_rational(self.field, other)
         return None
 
-    def _truncated(self, cap):
-        """The same coset known only modulo p^cap."""
-        if self.unit == 0:
-            if self.v is None or self.v >= cap:
-                return PadicElement._zero(self.field, cap)
-            return self
-        if self.v >= cap:
-            return PadicElement._zero(self.field, cap)
-        return PadicElement._make(self.field, self.v, self.unit, cap - self.v)
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -389,18 +382,12 @@ class PadicElement(_Element):
             return b
         if b.is_exact_zero:
             return a
-        cap = min(a._absprec(), b._absprec())
-        if a.unit == 0 and b.unit == 0:
-            return PadicElement._zero(self.field, cap)
-        if a.unit == 0:
-            return b._truncated(cap)
-        if b.unit == 0:
-            return a._truncated(cap)
+        # an O(p^k) zero is the coset of unit 0, v = k and rel = 0
         p = self.field.p
         m = min(a.v, b.v)
-        rel = cap - m
-        s = (a.unit * p ** (a.v - m) + b.unit * p ** (b.v - m)) % (p ** rel)
-        return PadicElement._make(self.field, m, s, rel)
+        return PadicElement._make(
+            self.field, m, a.unit * p ** (a.v - m) + b.unit * p ** (b.v - m),
+            min(a.v + a.rel, b.v + b.rel) - m)
 
     __radd__ = __add__
 
@@ -417,11 +404,8 @@ class PadicElement(_Element):
         a, b = self, other
         if a.is_exact_zero or b.is_exact_zero:
             return PadicElement.exact_zero(self.field)
-        if a.unit == 0 or b.unit == 0:
-            return PadicElement._zero(self.field, a.v + b.v)
-        rel = min(a.rel, b.rel)
-        return PadicElement._make(self.field, a.v + b.v,
-                                  a.unit * b.unit, rel)
+        return PadicElement._make(self.field, a.v + b.v, a.unit * b.unit,
+                                  min(a.rel, b.rel))
 
     __rmul__ = __mul__
 
@@ -436,24 +420,16 @@ class PadicElement(_Element):
                 "insufficient precision: divisor indistinguishable from zero")
         if self.is_exact_zero:
             return self
-        if self.unit == 0:
-            return PadicElement._zero(self.field, self.v - other.v)
         rel = min(self.rel, other.rel)
-        p = self.field.p
-        unit = (self.unit * pow(other.unit, -1, p ** rel)) % (p ** rel)
-        return PadicElement._make(self.field, self.v - other.v, unit, rel)
+        return PadicElement._make(
+            self.field, self.v - other.v,
+            self.unit * pow(other.unit, -1, self.field.p ** rel), rel)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return other / self
-
-    def __pow__(self, n: int):
-        one = PadicElement.from_rational(self.field, 1)
-        if not n:
-            return one
-        return _power(one / self if n < 0 else self, abs(n))
 
     # -- inspection --------------------------------------------------------
 
@@ -968,14 +944,8 @@ class ExtElement(_Element):
         self.vec = vec
 
     def _coerce(self, other):
-        if isinstance(other, ExtElement) and other.field == self.field:
-            return other
-        if isinstance(other, (int, Fraction, ExactElement, PadicElement)):
+        if isinstance(other, (int, Fraction, _Element)):
             return self.field.embed(other)
-        if isinstance(other, ExtElement):
-            if other.field == self.field.subfield:
-                return self.field.embed(other)
-            raise UsageError("operands belong to different fields")
         return None
 
     def __add__(self, other):
@@ -1049,11 +1019,6 @@ class ExtElement(_Element):
         if other is None:
             return NotImplemented
         return other / self
-
-    def __pow__(self, n: int):
-        if not n:
-            return self.field.one()
-        return _power(self.inverse() if n < 0 else self, abs(n))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.vec)

@@ -63,7 +63,7 @@ def build_polygon(coeffs) -> NewtonPolygon:
 
     # the chain runs on integers: valuations times the lcm of their
     # denominators (1 over Q_p), which keeps every orientation test
-    den = math.lcm(*(y.denominator for _, y in points))
+    den = math.lcm(*[y.denominator for _, y in points])
     scaled = [(x, y.numerator * (den // y.denominator)) for x, y in points]
     chain = []   # indices of the hull vertices
     for k, (x, y) in enumerate(scaled):  # monotone chain, lower hull only

@@ -528,10 +528,11 @@ def _capped_linear(field, terms, n: int):
         scaled = r if scale == 1 else [x * scale for x in r]
         known = f[:m:2] if not v else [A_i + v for A_i in f[:m:2]]
         if A != _INF:    # an exact weight leaves A_i + v
-            known = list(map(min, known, map(add, f[1:m:2], repeat(A))))
+            known = [x if x < y else y for x, y in
+                     zip(known, map(add, f[1:m:2], repeat(A)))]
         if values:
             values[k:] = map(add, values[k:], scaled)
-            precs[k:] = map(min, precs[k:], known)
+            precs[k:] = [x if x < y else y for x, y in zip(precs[k:], known)]
         else:       # the first term: below it, exact zeros
             values, precs = [0] * k + scaled, [_INF] * k + known
     return _reduced(field, shift, values, precs)
@@ -828,7 +829,7 @@ def _capped_inverse(field, a):
 def _over_common(coeffs) -> tuple:
     """The exact form (r, D) of a list of ExactField elements: integer
     numerators over D, the lcm of the denominators."""
-    den = math.lcm(*(c.value.denominator for c in coeffs))
+    den = math.lcm(*[c.value.denominator for c in coeffs])
     return [c.value.numerator * (den // c.value.denominator)
             for c in coeffs], den
 
@@ -863,7 +864,7 @@ def _exact_linear(field, terms, n: int):
     form placed k coefficients up, c = (numerator, denominator) the
     weight; numerators over one common denominator."""
     terms = [(c, k, _exact_window(x, 0, n - k)) for c, k, x in terms]
-    den = math.lcm(*(c_den * d for (_, c_den), _, (_, d) in terms))
+    den = math.lcm(*[c_den * d for (_, c_den), _, (_, d) in terms])
     values = [0] * n
     for (c_num, c_den), k, (r, d) in terms:
         scale = c_num * (den // (c_den * d))

@@ -252,6 +252,79 @@ def test_backends_agree_modulo_precision():
                 assert diff.is_zero(), (p, qa, qb, op)
 
 
+def _random_capped(rng, K):
+    """A capped element in one of its three states: the exact zero, an
+    O(p^k) zero, or a unit times p^v with 1 to prec digits."""
+    state = rng.randrange(3)
+    if state == 0:
+        return K.zero()
+    if state == 1:
+        return PadicElement._zero(K, rng.randint(-3, 5))
+    rel = rng.randint(1, K.prec)
+    unit = rng.randrange(1, K.p ** rel)
+    while unit % K.p == 0:
+        unit = rng.randrange(1, K.p ** rel)
+    return PadicElement(K, rng.randint(-4, 4), unit, rel)
+
+
+def _vp(x, p):
+    """Valuation of a nonzero rational."""
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def _coset(x, A, p):
+    """(v, unit, rel) of the coset x + O(p^A) of a rational x, A None for
+    an exact value (x is then 0): an O(p^A) zero when x vanishes mod p^A."""
+    if A is None:
+        return (None, 0, 0)
+    v = _vp(x, p) if x else A
+    if v >= A:
+        return (A, 0, 0)
+    unit, rel = x / F(p) ** v, A - v
+    return (v, unit.numerator * pow(unit.denominator, -1, p ** rel)
+            % p ** rel, rel)
+
+
+def _coset_rule(op, a, b):
+    """The parts of op(a, b), or the error it raises, from the integer
+    representatives p^v unit and the absolute precisions of a and b."""
+    p = a.field.p
+    (xa, Aa), (xb, Ab) = ((F(0), None) if x.is_exact_zero
+                          else (F(p) ** x.v * x.unit, x.v + x.rel)
+                          for x in (a, b))
+    if op in (add, sub):
+        A = min((A for A in (Aa, Ab) if A is not None), default=None)
+        return _coset(op(xa, xb), A, p)
+    if op is truediv and b.is_exact_zero:
+        return "ZeroDivisionError"
+    if op is truediv and b.unit == 0:
+        return "PrecisionError"
+    if a.is_exact_zero or b.is_exact_zero:
+        return (None, 0, 0)
+    v = a.v + b.v if op is mul else a.v - b.v
+    return _coset(op(xa, xb), v + min(a.rel, b.rel), p)
+
+
+def test_capped_arithmetic_follows_the_coset_rule():
+    """+, -, * and / of capped elements in every state, O(p^k) zeros
+    included, give the coset of the exact result of their integer
+    representatives at the absolute precision the rule assigns: min(A_a,
+    A_b) for + and -, v_a + v_b + min(rel) for *, v_a - v_b + min(rel)
+    for /."""
+    rng = random.Random(2207)
+    for _ in range(3000):
+        K = CappedField(rng.choice([2, 3, 5, 7]), rng.randint(1, 8))
+        a, b = _random_capped(rng, K), _random_capped(rng, K)
+        for op in (add, sub, mul, truediv):
+            assert _power_or_error(op, a, b) == _coset_rule(op, a, b), (
+                K, a, b, op)
+
+
 def test_extension_valuation_matches_norm():
     # v(a) should equal v(N(a)) / degree; the norm is the resultant
     # of the defining polynomial with the coordinate polynomial.

@@ -1,0 +1,52 @@
+"""The benchmark's tracer patches padicdyn in place: ``install`` must find
+every function and operator it wraps where it looks for them (each
+counted operator in its own class's ``__dict__``), and ``uninstall``
+must put every patched attribute back.  ``perfbench/`` is only read.
+"""
+
+import importlib.util
+import pathlib
+import sys
+
+TRACING = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings(tracing):
+    """(owner, attribute) -> object over every padicdyn module and every
+    class the tracer patches; an owner is named by its module name or its
+    class's qualified name."""
+    owners = [module for name, module in sys.modules.items()
+              if name == "padicdyn" or name.startswith("padicdyn.")]
+    owners += [owner for owner, _, _ in tracing.SPANS + tracing.COUNTERS
+               if isinstance(owner, type)]
+    return {(getattr(owner, "__qualname__", owner.__name__), key): value
+            for owner in owners for key, value in vars(owner).items()}
+
+
+def _changed(before, after):
+    return {key for key in before.keys() | after.keys()
+            if before.get(key) is not after.get(key)}
+
+
+def test_tracer_uninstall_restores_every_patched_attribute():
+    tracing = _load_tracing()
+    before = _bindings(tracing)
+    tracer = tracing.Tracer()
+    # cli.build_parser is not called here: the parser it returns would
+    # keep the tracer's wrapper after uninstall
+    tracer.install()
+    try:
+        installed = _bindings(tracing)
+        patched = {(getattr(owner, "__qualname__", owner.__name__), attr)
+                   for owner, attr, _ in tracer._undo}
+    finally:
+        tracer.uninstall()
+    assert patched and _changed(before, installed) == patched
+    assert not _changed(before, _bindings(tracing))
