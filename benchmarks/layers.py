@@ -67,10 +67,11 @@ Q_5, ``exact_add_s`` and ``exact_mul_s`` of the same two rationals; and
 capped at precision 20, pi^2 = 5.
 
 ``builds`` times the stages and the whole of capped builds at M = 256
-and 512 and gives the digest of omega and omega^-1 as ``perfbench`` records
-it, so a change that claims equal outputs can be checked at orders the
-benchmark pools do not reach.  ``jobs`` times one ``padicdyn verify`` job,
-one ``padicdyn transport`` job in the cubic extension Q_7((-14)^(1/3))
+and 512 and of exact ones at M = 128 and 256, and gives the digest of
+omega and omega^-1 as ``perfbench`` records it, so a change that claims
+equal outputs can be checked at orders the benchmark pools do not
+reach.  ``jobs`` times one ``padicdyn verify`` job, one
+``padicdyn transport`` job in the cubic extension Q_7((-14)^(1/3))
 (its conjugates need Hensel lifting), twenty ``padicdyn kummer --d 2 --N 2``
 jobs (``kummer_20_s``: almost all of a small job is fixed cost such as
 argument parsing), one degree certificate at d^n = 64 (z^2 + 1 over Q_3,
@@ -113,7 +114,7 @@ from padicdyn import series  # noqa: E402
 
 PRECISION = 20
 ORDERS = (32, 64, 128, 256)
-BUILDS = (256, 512)
+BUILDS = (("capped", 256), ("capped", 512), ("exact", 128), ("exact", 256))
 PRODUCT_TERMS = (8, 16, 24, 32, 64, 128, 256, 512)
 # (map, p, coefficients a_0 .. a_{d-1}) of the ``degrees`` rows
 DEGREE_MAPS = (("z^3 + z^2 + z/5 + 3 over Q_5", 5, (3, Fraction(1, 5), 1)),
@@ -277,10 +278,11 @@ def elements() -> dict:
     return row
 
 
-def build(M: int) -> dict:
-    """Stage times and the perfbench digest of one capped build."""
-    row, omega, omega_inverse = stages(reference_map(CappedField(
-        5, PRECISION)), M)
+def build(backend: str, M: int) -> dict:
+    """Stage times and the perfbench digest of one build."""
+    field = ExactField(5) if backend == "exact" else CappedField(
+        5, PRECISION)
+    row, omega, omega_inverse = stages(reference_map(field), M)
     doc = [series_json(omega), series_json(omega_inverse)]
     row["digest"] = hashlib.sha256(json.dumps(
         doc, sort_keys=True).encode()).hexdigest()[:16]
@@ -361,8 +363,8 @@ def main() -> int:
     element_row = elements()
     print(json.dumps(element_row), file=sys.stderr)
     builds = []
-    for M in BUILDS:
-        row = {"backend": "capped", "M": M, **build(M)}
+    for backend, M in BUILDS:
+        row = {"backend": backend, "M": M, **build(backend, M)}
         builds.append(row)
         print(json.dumps(row), file=sys.stderr)
     job_row = jobs()

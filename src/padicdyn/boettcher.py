@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import config, newton
 from .errors import (BudgetError, DomainError, InternalError, PrecisionError,
                      UsageError)
-from .localfield import ExactField, poly_eval
+from .localfield import ExactField, _vp_int, poly_eval
 from .series import (DiskSpec, PointValue, TailSeries, _as_point, _convolve,
                      _over_common, agreement_order, evaluate, gauss_norm,
                      weighted_sum)
@@ -182,6 +182,27 @@ def good_reduction(f: MonicPoly) -> bool:
     return all(a.valuation() >= 0 for a in f.coeffs)
 
 
+def _scale(f: MonicPoly) -> int:
+    """L = d^2 p^m q, the scale of the exact series a build makes from f
+    (``TailSeries._rescaled``); 1 over other fields.
+
+    m is the greatest ceil(v_p(den a_i) / (d - i)) and q the lcm of the
+    denominators' prime-to-p parts, so every a_i L^(d - i) is an integer
+    and P(L u) = 1 + a_{d-1} L u + ... + a_0 L^d u^d, with it 1/P and W,
+    has integer coefficients in u = w / L; d^2 covers the denominators
+    of the d-th roots.  So omega and its inverse are
+    integer vectors at scale L.  Any L gives the same coefficients; one
+    that misses a denominator leaves it in D, which costs speed only.
+    """
+    if not isinstance(f.field, ExactField):
+        return 1
+    d, p = f.degree, f.field.p
+    dens = [a.value.denominator for a in f.coeffs]
+    m = max(-(-_vp_int(den, p) // (d - i)) for i, den in enumerate(dens))
+    return d * d * p ** m * math.lcm(*[den // p ** _vp_int(den, p)
+                                       for den in dens])
+
+
 # ---------------------------------------------------------------------------
 # the conjugacy series
 # ---------------------------------------------------------------------------
@@ -196,7 +217,8 @@ def _beta_series(f: MonicPoly, N: int, M: int) -> list:
     sum over the powers of beta_n.
     """
     d = f.degree
-    out = [TailSeries.from_polynomial(f.field, f.w_coeffs(), M)]
+    out = [TailSeries.from_polynomial(f.field, f.w_coeffs(), M)._rescaled(
+        _scale(f))]
     while len(out) < N:
         shift = d ** len(out)
         out.append(weighted_sum(f.full_coeffs(), [
@@ -280,7 +302,7 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     d = f.degree
     last = M + d - 1
     powers = _powers(_reciprocal(f, last), _baby_steps(last, d), last)
-    omega = TailSeries.w_power(f.field, 1, min(2, M))
+    omega = TailSeries.w_power(f.field, 1, min(2, M))._rescaled(_scale(f))
     image = None
     while omega.trunc < M:
         T = min(d * omega.trunc, last)
@@ -399,7 +421,7 @@ def _omega_inverse(f: MonicPoly, M: int) -> TailSeries:
     minus_inv_d = f.field.embed(-inv_d)
     # P'(x) / d as weights on 1, x, ..., x^(d-1)
     slopes = [a * ((d - i) * inv_d) for i, a in enumerate(f.coeffs)][::-1]
-    phi = TailSeries.w_power(f.field, 1, min(2, M))
+    phi = TailSeries.w_power(f.field, 1, min(2, M))._rescaled(_scale(f))
     t = phi.trunc
     while t < M:
         t = min(2 * t - 1, M)
@@ -423,7 +445,7 @@ def _reciprocal(f: MonicPoly, T: int) -> TailSeries:
     substitution is exact up to the claimed truncation.
     """
     unit = TailSeries.from_polynomial(f.field, f.w_coeffs(), T)
-    return unit.invert_unit().shifted(f.degree)
+    return unit._rescaled(_scale(f)).invert_unit().shifted(f.degree)
 
 
 def _baby_steps(T: int, d: int) -> int:

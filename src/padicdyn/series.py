@@ -11,15 +11,22 @@ solves a functional equation of its own (``boettcher``).  Disk norms and
 pointwise evaluation come with rigorous tail bounds.
 
 Every series is stored flat: an integer vector r with one scale for the
-whole series, (r, s, f) over ``CappedField`` and (r, D) over
+whole series, (r, s, f) over ``CappedField`` and (r, D, L) over
 ``ExactField``.  A capped form has the scale p^s, s the least finite v_i
 (0 if there is none), the representatives r_i = unit_i p^(v_i - s)
 reduced to [0, p^(A_i - s)), and the interleaved list
 f = [A_0, v_0, A_1, v_1, ...] of each coefficient's absolute precision
 and valuation (both infinite for an exact zero, both the floor for an
-O(p^k) zero).  An exact form holds coefficient i as r_i / D, D the least
-common denominator, as ``boettcher.MonicPoly`` keeps its iterates.  So
-each series has one form.  The methods of ``TailSeries`` are written
+O(p^k) zero).  An exact form holds coefficient i as r_i / (D L^i): the
+series in the variable u = w / L, over D, the least denominator at that
+scale.  A form made from elements has L = 1, numerators over their
+least common denominator.  A Böttcher build takes L from its map
+(``boettcher._scale``), so that its series are integer vectors (D = 1),
+multiplied and inverted as integers, where at L = 1 each numerator
+would be inflated to the size of the common denominator.  Products and
+sums bring operands to one scale, the lcm of theirs, so any L gives the
+same coefficients: a wrong one costs only speed.  So each series has
+one form at its scale.  The methods of ``TailSeries`` are written
 once over a kernel of functions per backend (below); capped operations
 keep the precision rule of the element arithmetic digit for digit, and
 elements are built only when ``coeffs`` or ``coefficient`` is read.
@@ -41,9 +48,11 @@ operand's valuations, shifted by that line, in sliding windows whose
 minima cost a few passes each, not one per pair.  That regroups the same
 minimum over the same pairs, so no precision changes; operands with many
 runs keep the pairwise minima.  The exact backend, the oracle, keeps its
-plain dot products.  Coefficients lie in one of these two fields: no
-construction needs series over an extension (points in extensions are
-handled by ``evaluate``), so ``TailSeries`` refuses other fields.
+plain dot products: its numerators grow with the index, so slots wide
+enough for the last of them make packing slower.  Coefficients lie in
+one of these two fields: no construction needs series over an extension
+(points in extensions are handled by ``evaluate``), so ``TailSeries``
+refuses other fields.
 
 Values are immutable; evaluating one series at many points concurrently
 needs no coordination.
@@ -57,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
-from operator import add, floordiv, mul, sub
+from operator import add, eq, floordiv, mul, sub
 
 from .errors import DomainError, InternalError, PrecisionError, UsageError
 from .localfield import (CappedField, ExactElement, ExactField, PadicElement,
@@ -87,10 +96,12 @@ class TailSeries:
     The leading stored coefficient is not an exact zero (those are
     stripped); an all-zero series has ord == trunc and no coefficients.
     ``_flat`` holds the flat form of the trunc - ord stored coefficients,
-    (r, s, f) over ``CappedField`` and (r, D) over ``ExactField``
-    (see the module docstring), and ``_kernel`` the backend's functions
-    on that form, which every method calls; ``_coeffs`` caches the
-    elements once ``coeffs`` is read.
+    (r, s, f) over ``CappedField`` and (r, D, L) over ``ExactField``,
+    where coefficient ord + i is r_i / (D L^i) at a scale L that a
+    Böttcher build takes from its map and that costs only speed when it
+    is wrong (see the module docstring), and ``_kernel`` the backend's
+    functions on that form, which every method calls; ``_coeffs`` caches
+    the elements once ``coeffs`` is read.
     """
 
     __slots__ = ("field", "ord", "trunc", "_kernel", "_flat", "_coeffs")
@@ -187,11 +198,19 @@ class TailSeries:
         """True when both are known to order n and their coefficients
         below w^n are the same elements, digit for digit and in precision
         (indistinguishable is not enough): their flat forms cut to n are
-        equal."""
+        equal, exact ones brought to one scale."""
         if self.field != other.field or min(self.trunc, other.trunc) < n:
             return False
         a, b = self._padded(n), other._padded(n)
-        return a.ord == b.ord and a._flat == b._flat
+        return a.ord == b.ord and a._kernel.same(a._flat, b._flat)
+
+    def _rescaled(self, L: int) -> "TailSeries":
+        """The same series with an exact form at scale L (at the lcm of L
+        and its own): a build takes L from its map, so that its exact
+        series are integer vectors.  Over ``CappedField``, self."""
+        flat = self._kernel.at(self._flat, L)
+        return self if flat is self._flat else self._new(self.ord, flat,
+                                                         self.trunc)
 
     def replace_coefficient(self, k: int, value) -> "TailSeries":
         """Copy with the coefficient of w^k replaced (test harness hook)."""
@@ -827,8 +846,9 @@ def _capped_inverse(field, a):
 
 
 def _over_common(coeffs) -> tuple:
-    """The exact form (r, D) of a list of ExactField elements: integer
-    numerators over D, the lcm of the denominators."""
+    """(r, D) for a list of ExactField elements: integer numerators over
+    D, the lcm of the denominators; the exact form at scale 1 is
+    (r, D, 1)."""
     den = math.lcm(*[c.value.denominator for c in coeffs])
     return [c.value.numerator * (den // c.value.denominator)
             for c in coeffs], den
@@ -836,8 +856,8 @@ def _over_common(coeffs) -> tuple:
 
 def _exact_element(field, flat, i):
     """Coefficient i of an exact form as an element."""
-    r, den = flat
-    return ExactElement(field, Fraction(r[i], den))
+    r, den, L = flat
+    return ExactElement(field, Fraction(r[i], den * L ** i))
 
 
 def _exact_normal(field, flat):
@@ -847,56 +867,121 @@ def _exact_normal(field, flat):
     return i, _exact_window(flat, i, len(r) - i)
 
 
+def _least_den(r, den, L):
+    """The form (r, D, L) over the least D: r and D divided by their
+    gcd."""
+    g = gcd(den, *r) if den != 1 else 1
+    return ([x // g for x in r] if g != 1 else r), den // g, L
+
+
+def _geometric(r, m) -> list:
+    """[r_i m^i]; no power of m past the last nonzero r_i is formed."""
+    if m == 1:
+        return r
+    k = len(r)
+    while k and not r[k - 1]:
+        k -= 1
+    out, x = [], 1
+    for y in r[:k]:
+        out.append(y * x)
+        x *= m
+    return out + r[k:]
+
+
+def _exact_at(flat, L: int):
+    """The same coefficients at scale lcm(L', L), L' the form's own: r_i
+    times m^i, m = lcm(L', L) / L', over the least D."""
+    r, den, own = flat
+    m = L // gcd(L, own)
+    return flat if m == 1 else _least_den(_geometric(r, m), den, own * m)
+
+
+def _exact_same(a, b) -> bool:
+    """Whether two exact forms hold the same coefficients: at one scale
+    the least D makes the form unique."""
+    L = math.lcm(a[2], b[2])
+    return _exact_at(a, L) == _exact_at(b, L)
+
+
 def _exact_window(flat, lo: int, n: int, d: int = 1):
     """n coefficients: those of the form from index lo, d apart, with zeros
-    between them and past the end, over their least common denominator
-    (the coefficients left out can only inflate the form's)."""
-    r, den = flat
+    between them and past the end, over their least D (the coefficients
+    left out can only inflate it).  Index lo moves to 0, so D takes
+    L^lo; index i moves to d i, so r_i takes L^((d - 1) i)."""
+    r, den, L = flat
+    if not lo and d == 1 and n == len(r) and den == 1:
+        return flat
     r = r[lo:lo - (-n // d)]
-    g = gcd(den, *r)
-    rr = [0] * n
-    rr[:d * len(r):d] = [x // g for x in r] if g != 1 else r
-    return rr, den // g
+    if L != 1:
+        den *= L ** lo
+        if d > 1:
+            r = _geometric(r, L ** (d - 1))
+    if d == 1:
+        rr = r + [0] * (n - len(r))
+    else:
+        rr = [0] * n
+        rr[:d * len(r):d] = r
+    return _least_den(rr, den, L)
 
 
 def _exact_linear(field, terms, n: int):
     """The n coefficients of sum c x over the terms (c, k, x): x an exact
     form placed k coefficients up, c = (numerator, denominator) the
-    weight; numerators over one common denominator."""
-    terms = [(c, k, _exact_window(x, 0, n - k)) for c, k, x in terms]
-    den = math.lcm(*[c_den * d for (_, c_den), _, (_, d) in terms])
+    weight; numerators over one common denominator, at the lcm of the
+    forms' scales, a term placed k up taking L^k."""
+    L = math.lcm(*[x[2] for _, _, x in terms])
+    terms = [(c, k, _exact_window(_exact_at(x, L), 0, n - k))
+             for c, k, x in terms]
+    den = math.lcm(*[c_den * d for (_, c_den), _, (_, d, _) in terms])
     values = [0] * n
-    for (c_num, c_den), k, (r, d) in terms:
-        scale = c_num * (den // (c_den * d))
+    for (c_num, c_den), k, (r, d, _) in terms:
+        scale = c_num * (den // (c_den * d)) * L ** k
         values[k:] = map(add, values[k:], map(mul, r, repeat(scale)))
-    return values, den
+    return values, den, L
 
 
 def _exact_valuations(field, flat):
-    """(i, vp(r_i) - vp(D), True) for each nonzero r_i of an exact form."""
-    (r, den), p = flat, field.p
-    vd = _vp_int(den, p)
-    return [(i, _vp_int(x, p) - vd, True) for i, x in enumerate(r) if x]
+    """(i, vp(r_i) - vp(D) - i vp(L), True) for each nonzero r_i of an
+    exact form."""
+    (r, den, L), p = flat, field.p
+    vd, vl = _vp_int(den, p), _vp_int(L, p)
+    return [(i, _vp_int(x, p) - vd - i * vl, True)
+            for i, x in enumerate(r) if x]
 
 
 def _exact_times(field, flat, ms):
     """Coefficient i times the integer ms[i]."""
-    r, den = flat
-    return list(map(mul, r, ms)), den
+    r, den, L = flat
+    return list(map(mul, r, ms)), den, L
 
 
 def _exact_product(field, a, b, n):
     """The first n coefficients of a * b, from exact forms a and b, each of
-    at least n coefficients."""
-    (ra, da), (rb, db) = _exact_window(a, 0, n), _exact_window(b, 0, n)
-    return _convolve(ra, rb, n), da * db
+    at least n coefficients: at one scale L, coefficient k is
+    sum r_i r'_j / (D D' L^k), so the numerators are convolved."""
+    L = math.lcm(a[2], b[2])
+    ra, da, _ = _exact_window(_exact_at(a, L), 0, n)
+    if a is b:
+        rb, db = ra, da
+    else:
+        rb, db, _ = _exact_window(_exact_at(b, L), 0, n)
+    return _convolve(ra, rb, n), da * db, L
 
 
 def _exact_inverse(field, a):
-    """inv_0 = 1, inv_k = -sum_{j=1..k} a_j inv_{k-j} from an exact form,
-    each sum taken over the lcm of its terms' denominators."""
-    r, den = a
+    """inv_0 = 1, inv_k = -sum_{j=1..k} a_j inv_{k-j} from an exact form
+    with coefficient 0 equal to 1, at its scale L: the recurrence holds
+    for the coefficients times L^k, which are the r_i / D.  With D = 1
+    (r_0 = 1) those are integers and so are the sums; otherwise each sum
+    is taken over the lcm of its terms' denominators."""
+    r, den, L = a
     M = len(r)
+    if den == 1:
+        ra = r[::-1]                              # a_k .. a_1 at M-1-k ..
+        inv = [1]
+        for k in range(1, M):
+            inv.append(-sum(map(mul, ra[M - 1 - k:], inv)))
+        return inv, 1, L
     g = [gcd(x, den) for x in r]
     na = [x // c for x, c in zip(r, g)][::-1]     # a_k .. a_1 at M-1-k ..
     da = [den // c for c in g][::-1]
@@ -910,12 +995,13 @@ def _exact_inverse(field, a):
         ni.append(num // c)
         di.append(common // c)
     common = math.lcm(*di)
-    return [x * (common // y) for x, y in zip(ni, di)], common
+    return [x * (common // y) for x, y in zip(ni, di)], common, L
 
 
 # what the methods of ``TailSeries`` call on a backend's flat form
 _Kernel = namedtuple("_Kernel", "flat one is_one valuations element normal "
-                     "window weight sign linear times product inverse")
+                     "window weight sign linear times product inverse at "
+                     "same")
 
 _CAPPED = _Kernel(
     flat=_capped_flat, one=lambda field: ([1], 0, [field.prec, 0]),
@@ -923,17 +1009,19 @@ _CAPPED = _Kernel(
     element=_capped_element, normal=_capped_normal,
     window=_capped_window, weight=lambda c: (c.v, c.unit, c.v + c.rel),
     sign=lambda n: (0, n, _INF), linear=_capped_linear,
-    times=_capped_times, product=_capped_product, inverse=_capped_inverse)
+    times=_capped_times, product=_capped_product, inverse=_capped_inverse,
+    at=lambda flat, L: flat, same=eq)
 
 _EXACT = _Kernel(
-    flat=lambda field, coeffs: _over_common(coeffs),
-    one=lambda field: ([1], 1),
+    flat=lambda field, coeffs: (*_over_common(coeffs), 1),
+    one=lambda field: ([1], 1, 1),
     is_one=lambda field, flat: flat[0][0] == flat[1],
     valuations=_exact_valuations, element=_exact_element,
     normal=_exact_normal, window=_exact_window,
     weight=lambda c: (c.value.numerator, c.value.denominator),
     sign=lambda n: (n, 1), linear=_exact_linear, times=_exact_times,
-    product=_exact_product, inverse=_exact_inverse)
+    product=_exact_product, inverse=_exact_inverse, at=_exact_at,
+    same=_exact_same)
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,19 @@ def test_capped_order_512_digest():
     assert hashlib.sha256(doc.encode()).hexdigest()[:16] == "d7b69ba9b6741b73"
 
 
+@pytest.mark.parametrize("coeffs, M, digest", [
+    ([3, F(1, 5)], 128, "3fd9a8fe957b16a6"),
+    ([3, F(1, 5), 1], 64, "fcb3a7adf396918d")])
+def test_exact_digests_beyond_the_pool(coeffs, M, digest):
+    """Exact builds past the pool's M = 64 and of degree 3, whose series
+    are integer vectors at the scale their map gives: omega and
+    omega^-1 keep their recorded coefficients."""
+    B = boettcher_series(mono(5, coeffs, "exact"), M)
+    doc = json.dumps([series_json(B.omega), series_json(B.omega_inverse)],
+                     sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest
+
+
 def test_iterate_refuses_capped_maps():
     with pytest.raises(UsageError):
         mono(5, [3, 0], "capped").iterate(2)

@@ -1,14 +1,16 @@
 """The series kernels checked against element-by-element arithmetic.
 
 Series are stored flat: capped ones as integer representatives, a shift
-and an [A, v] precision list, exact ones as integer numerators over their
-least common denominator.  Every operation on either backend is compared,
-digit and precision alike, with ``Ref``, a series that stores one element
-per coefficient and runs the element loops, and every result must hold
-the one flat form its own coefficients give.  The shrinking-truncation
-Horner of ``TailSeries.compose``, ``TailSeries.spread`` and
-``weighted_sum`` are compared with the same oracle, and the one-pass
-Newton update and constant-term test with the chains they replace.
+and an [A, v] precision list, exact ones as integer numerators r_i over
+D L^i, at a scale L and the least D for it.  Every operation on either
+backend is compared, digit and precision alike, with ``Ref``, a series
+that stores one element per coefficient and runs the element loops, and
+every result must hold the one flat form its own coefficients give (at
+its scale); exact forms at several scales, mixed in one operation, give
+the same Fractions.  The shrinking-truncation Horner of
+``TailSeries.compose``, ``TailSeries.spread`` and ``weighted_sum`` are
+compared with the same oracle, and the one-pass Newton update and
+constant-term test with the chains they replace.
 Capped results, the Böttcher series, the image omega(W) its build checks
 and the inverse series included, are also checked against exact rational
 arithmetic: no coefficient may claim more precision than it has.
@@ -20,9 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicdyn import (CappedField, ExactField, InternalError, MonicPoly,
-                      PrecisionError, TailSeries, agreement_order,
-                      lagrange_invert)
+from padicdyn import (CappedField, DiskSpec, ExactField, InternalError,
+                      MonicPoly, PrecisionError, TailSeries, agreement_order,
+                      gauss_norm, lagrange_invert)
 from padicdyn.boettcher import _omega_inverse, _omega_series
 from padicdyn.cli import element_json, series_json
 from padicdyn.localfield import ExactElement, PadicElement
@@ -278,9 +280,11 @@ def capped_one(data, field):
 def same(x, y):
     """x (a TailSeries) encodes as the oracle's y and holds the one flat
     form its own coefficients give: capped, the least shift and reduced
-    representatives; exact, the least common denominator."""
+    representatives; exact, the least D at x's scale L."""
     assert series_json(x) == series_json(y)
     rebuilt = TailSeries(x.field, x.ord, x.coeffs, x.trunc)
+    if isinstance(x.field, ExactField):
+        rebuilt = rebuilt._rescaled(x._flat[2])
     assert x._flat == rebuilt._flat
 
 
@@ -794,6 +798,122 @@ def test_exact_compose_matches_full_horner(data):
     outer = data.draw(series(field, exact_elements))
     inner = data.draw(inner_series(field, exact_elements))
     same(outer.compose(inner), Ref.of(outer).compose(Ref.of(inner)))
+
+
+# -- exact forms at a scale L --------------------------------------------------
+
+
+def scales(p, d):
+    """1, p, d^2 p (the kind a build takes from its map) and 143, prime to
+    every denominator ``exact_elements`` draws (a wrong scale)."""
+    return [1, p, d * d * p, 143]
+
+
+@st.composite
+def scale_draws(draw, p):
+    return draw(st.sampled_from(scales(p, draw(st.integers(2, 5)))))
+
+
+@st.composite
+def scaled_series(draw, field):
+    """An exact series brought to a drawn scale L: coefficient i of its
+    form is r_i / (D L^i)."""
+    return draw(series(field, exact_elements))._rescaled(
+        draw(scale_draws(field.p)))
+
+
+def same_fractions(x, y):
+    """x and the oracle's y have the same order, truncation and
+    coefficients, each the same Fraction, and x holds its one form."""
+    assert (x.ord, x.trunc) == (y.ord, y.trunc)
+    assert [c.value for c in x.coeffs] == [c.value for c in y.coeffs]
+    same(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exact_kernel_at_any_scale_matches_element_loops(data):
+    """Products, squares, sums, weighted sums, spreads, cuts and shifts of
+    exact forms at scales 1, p, d^2 p and a wrong one, the two operands
+    at different scales as often as not, give the element loops'
+    Fractions; Gauss norms, read from the form, are those at scale 1."""
+    field = ExactField(data.draw(PRIMES))
+    a, b = (data.draw(scaled_series(field)) for _ in range(2))
+    ra, rb = Ref.of(a), Ref.of(b)
+    same_fractions(a, ra)
+    rebuilt = TailSeries(field, a.ord, a.coeffs, a.trunc)
+    for eps in (Fraction(-1, 2), Fraction(0), Fraction(3, 2)):
+        g, h = (gauss_norm(x, DiskSpec("inf", eps)) for x in (a, rebuilt))
+        assert (g, g.exact) == (h, h.exact)
+    same_fractions(a * b, ra * rb)
+    same_fractions(a * a, ra * ra)
+    same_fractions(a ** 3, ra ** 3)
+    same_fractions(a + b, ra + rb)
+    same_fractions(a - b, ra - rb)
+    weights = [field.embed(data.draw(st.sampled_from(
+        [0, 1, -3, Fraction(2, field.p), Fraction(-1, 7)]))) for _ in "ab"]
+    same_fractions(weighted_sum(weights, [a, b]),
+                   weighted_chain(weights, [a, b]))
+    k = data.draw(st.integers(0, 14))
+    same_fractions(a._padded(k), ra._padded(k))
+    same_fractions(a.shifted(k), ra.shifted(k))
+    same_fractions(a.derivative(), ra.derivative())
+    d = data.draw(st.integers(1, 4))
+    same_fractions(a.spread(d), ra.compose(Ref(field, d, [1],
+                                               d * a.trunc + 1)))
+
+
+@pytest.mark.parametrize("integral", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_inverse_at_any_scale(integral, data):
+    """A unit whose coefficients times L^i are integers has D = 1 and is
+    inverted by the integer recurrence; one with a coefficient of
+    denominator 11 L^j keeps D > 1 and the route over denominators.
+    Both give the element loop's Fractions."""
+    field = ExactField(data.draw(PRIMES))
+    L = data.draw(scale_draws(field.p))
+    nums = data.draw(st.lists(st.integers(-60, 60), max_size=11))
+    coeffs = [1] + [Fraction(x, L ** i) for i, x in enumerate(nums, 1)]
+    if not integral:
+        j = data.draw(st.integers(1, len(coeffs)))
+        coeffs[j:j + 1] = [Fraction(data.draw(st.integers(1, 10)),
+                                    11 * L ** j)]
+    a = TailSeries(field, 0, coeffs, len(coeffs) + data.draw(
+        st.integers(0, 2)))._rescaled(L)
+    assert (a._flat[1] == 1) is integral
+    same_fractions(a.invert_unit(), Ref.of(a).invert_unit())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_identical_to_across_scales(data):
+    """The same coefficients at two scales are identical; one changed
+    coefficient makes them differ from its index on."""
+    field = ExactField(data.draw(PRIMES))
+    a = data.draw(series(field, exact_elements))
+    x, y = (a._rescaled(data.draw(scale_draws(field.p))) for _ in "xy")
+    assert x.identical_to(y, a.trunc) and y.identical_to(x, a.trunc)
+    if a.trunc:
+        k = data.draw(st.integers(0, a.trunc - 1))
+        changed = a.replace_coefficient(k, a.coefficient(k).value + Fraction(
+            1, data.draw(st.sampled_from([1, field.p, 7]))))._rescaled(
+                y._flat[2])
+        assert x.identical_to(changed, k)
+        assert not x.identical_to(changed, a.trunc)
+        assert not changed.identical_to(x, a.trunc)
+
+
+def test_identical_to_across_scales_pinned():
+    field = ExactField(5)
+    a = TailSeries(field, 1, [1, Fraction(2, 5), -3, Fraction(1, 7), 4], 7)
+    b, c = a._rescaled(20), a._rescaled(143)
+    assert [s._flat[2] for s in (a, b, c)] == [1, 20, 143]
+    assert a._flat != b._flat != c._flat
+    assert a.identical_to(b, 7) and b.identical_to(c, 7)
+    assert c.identical_to(a, 7)
+    changed = a.replace_coefficient(3, Fraction(-2, 5))._rescaled(143)
+    assert b.identical_to(changed, 3) and not b.identical_to(changed, 4)
 
 
 # -- capped results never claim more than the exact ones give ----------------
