@@ -38,15 +38,23 @@ each step of the fixed point takes more than one Newton step for its
 root.
 
 ``products`` times capped products of n = 8, 16, 24, 32, 64, 128, 256
-and 512 terms, each two ways twice, to record the crossovers: the
-coefficient sums packed into one big-integer product or taken as n dot
-products (``sums``: ``series._PACKED`` set at or above n), and the
-precision list from the operands' affine runs or pair by pair
-(``precisions``: ``series._RUNS`` set at or above n); the other route is
-left at its own crossover.  ``mul_s`` is omega * omega^-1 and
-``square_s`` is omega * omega, both cut to w^(n + 1) from a capped
-M = 513 build.  From ``series._SLOPED`` terms on, the sums run on the
-operands' valuation line.
+and 512 terms, each two ways, to record the one crossover
+``series._LONG``: the long routes, coefficient sums packed into one
+big-integer product and the precision list from the operands' affine
+runs (``routes``: "long", ``series._LONG`` set at n), against the short
+ones, n dot products and the pairs one by one ("short", set above n).
+``mul_s`` is omega * omega^-1 and ``square_s`` is omega * omega, both
+cut to w^(n + 1) from a capped M = 513 build.  From ``series._SLOPED``
+terms on, the sums run on the operands' valuation line.
+
+``inverses`` times ``invert_unit`` over exact Q_5, at the same orders
+M, on two units made from elements (scale 1) whose D is above 1:
+``mixed_s`` the unit with coefficients
+(-1)^i (i mod 7 + 1) / (2, 3, 5, 7)[i mod 4] for i >= 1 (D = 210), and
+``geometric_s`` the geometric series sum (-2/15)^i w^i
+(D = 15^(M - 1)), for which scale 1 is a wrong one (at scale 15 it is
+an integer vector).  Each inverse is checked by its product with the
+unit.
 
 ``transport`` times, on both backends (precision 20 when capped), the
 element work of a ``transport`` job in the quadratic Eisenstein
@@ -103,9 +111,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from padicdyn import (CappedField, ExactField,  # noqa: E402
-                      ExtensionField, MonicPoly, boettcher_series,
-                      certify_degree, conjugates, degree_chain,
-                      functional_equation_check, lagrange_invert)
+                      ExtensionField, MonicPoly, TailSeries,
+                      boettcher_series, certify_degree, conjugates,
+                      degree_chain, functional_equation_check,
+                      lagrange_invert)
 from padicdyn.boettcher import (_beta_series, _omega_inverse,  # noqa: E402
                                 _omega_series, _reciprocal, conjugacy,
                                 omega_at)
@@ -190,26 +199,20 @@ def degree_row(p: int, coeffs, backend: str, M: int) -> dict:
     return row
 
 
-# (row key, the ``series`` crossover it toggles, route below, route from)
-PRODUCT_ROUTES = (("sums", "_PACKED", "dot", "packed"),
-                  ("precisions", "_RUNS", "pairs", "runs"))
-
-
 @contextmanager
-def route(crossover: str, n: int, on: bool):
-    """Products of n terms take the route that ``series.<crossover>``
-    switches on (on) or the one below it."""
-    saved = getattr(series, crossover)
-    setattr(series, crossover, n if on else n + 1)
+def long_routes(n: int, on: bool):
+    """Products of n terms take the long routes (on) or the short ones."""
+    saved = series._LONG
+    series._LONG = n if on else n + 1
     try:
         yield
     finally:
-        setattr(series, crossover, saved)
+        series._LONG = saved
 
 
 def products() -> list:
-    """mul_s and square_s rows of n-term capped products, both ways for
-    the sums and both ways for the precision list."""
+    """mul_s and square_s rows of n-term capped products, on the short
+    routes and on the long ones."""
     f = reference_map(CappedField(5, PRECISION))
     M = max(PRODUCT_TERMS) + 1
     omega = _omega_series(f, M)[0]
@@ -217,17 +220,39 @@ def products() -> list:
     rows = []
     for n in PRODUCT_TERMS:
         a, b = omega.truncate(n + 1), omega_inverse.truncate(n + 1)
-        for key, crossover, below, above in PRODUCT_ROUTES:
-            for kind in (below, above):
-                with route(crossover, n, kind == above):
-                    row = {"backend": "capped", "n": n, key: kind}
-                    row["mul_s"], ab = best_of(lambda: a * b)
-                    row["square_s"], aa = best_of(lambda: a * a)
-                if (ab.trunc - ab.ord, aa.trunc - aa.ord) != (n, n):
-                    raise SystemExit(f"n={n}: the products have "
-                                     f"{ab.trunc - ab.ord} and "
-                                     f"{aa.trunc - aa.ord} terms")
-                rows.append(row)
+        for routes in ("short", "long"):
+            with long_routes(n, routes == "long"):
+                row = {"backend": "capped", "n": n, "routes": routes}
+                row["mul_s"], ab = best_of(lambda: a * b)
+                row["square_s"], aa = best_of(lambda: a * a)
+            if (ab.trunc - ab.ord, aa.trunc - aa.ord) != (n, n):
+                raise SystemExit(f"n={n}: the products have "
+                                 f"{ab.trunc - ab.ord} and "
+                                 f"{aa.trunc - aa.ord} terms")
+            rows.append(row)
+    return rows
+
+
+INVERSE_UNITS = (
+    ("mixed_s", lambda i: Fraction((-1) ** i * (i % 7 + 1),
+                                   (2, 3, 5, 7)[i % 4])),
+    ("geometric_s", lambda i: Fraction(-2, 15) ** i))
+
+
+def inverses() -> list:
+    """mixed_s and geometric_s rows of exact unit inverses."""
+    field = ExactField(5)
+    rows = []
+    for M in ORDERS:
+        row = {"backend": "exact", "M": M}
+        for key, coefficient in INVERSE_UNITS:
+            unit = TailSeries(field, 0, [1] + [coefficient(i)
+                                               for i in range(1, M)], M)
+            row[key], inverse = best_of(unit.invert_unit)
+            if not (unit * inverse).identical_to(
+                    TailSeries.one(field, M), M):
+                raise SystemExit(f"{key} M={M}: unit * inverse is not 1")
+        rows.append(row)
     return rows
 
 
@@ -357,6 +382,9 @@ def main() -> int:
     product_rows = products()
     for row in product_rows:
         print(json.dumps(row), file=sys.stderr)
+    inverse_rows = inverses()
+    for row in inverse_rows:
+        print(json.dumps(row), file=sys.stderr)
     transport_rows = [transport(backend) for backend in ("exact", "capped")]
     for row in transport_rows:
         print(json.dumps(row), file=sys.stderr)
@@ -373,7 +401,8 @@ def main() -> int:
            "unit": "s", "machine": machine(),
            "python": platform.python_version(), "git": git_sha(),
            "rows": rows, "degrees": degrees, "products": product_rows,
-           "transport": transport_rows, "elements": element_row,
+           "inverses": inverse_rows, "transport": transport_rows,
+           "elements": element_row,
            "builds": builds, "jobs": job_row}
     print(json.dumps(doc, indent=1))
     return 0

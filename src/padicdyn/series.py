@@ -35,24 +35,22 @@ their dot products on a line of integer slope t under the valuations,
 v_i >= c + i t: each representative is carried as u_i p^(v_i - c - i t),
 about as many digits as the precision where u_i p^(v_i - s) grows with
 i, and the sums are mapped back exactly, so digits and precisions do not
-change.  Capped products of at least ``_PACKED`` terms take their n
-coefficient sums from one big-integer product (Kronecker substitution):
-the vectors, never negative, are packed into one integer each with a
-byte slot per coefficient wide enough that no sum carries, and a square
-(x * x) is packed once and takes its precision list over half the pairs.
-Both are exact integer identities, so they change no digit and no
-precision either.  Capped products of at least ``_RUNS`` terms take their
-precision list, the min-plus convolution of the [A, v] lists, from the
-operands' affine runs: a run of precisions on one line meets the other
-operand's valuations, shifted by that line, in sliding windows whose
-minima cost a few passes each, not one per pair.  That regroups the same
-minimum over the same pairs, so no precision changes; operands with many
-runs keep the pairwise minima.  The exact backend, the oracle, keeps its
-plain dot products: its numerators grow with the index, so slots wide
-enough for the last of them make packing slower.  Coefficients lie in
-one of these two fields: no construction needs series over an extension
-(points in extensions are handled by ``evaluate``), so ``TailSeries``
-refuses other fields.
+change.  Capped products of at least ``_LONG`` terms take two more exact
+routes.  Their n coefficient sums come from one big-integer product
+(Kronecker substitution): the vectors, never negative, are packed into
+one integer each with a byte slot per coefficient wide enough that no
+sum carries.  Their precision list, the min-plus convolution of the
+[A, v] lists, comes from the operands' affine runs: a run of precisions
+on one line meets the other operand's valuations, shifted by that line,
+in sliding windows whose minima cost a few passes each, not one per
+pair (operands with many runs keep the pairwise minima).  Shorter
+products take dot products and pairwise minima.  A square (x * x) is
+packed once and takes its precisions over half the pairs.  The exact
+backend, the oracle, keeps its plain dot products: its numerators grow
+with the index, so slots wide enough for the last of them make packing
+slower.  Coefficients lie in one of these two fields: no construction
+needs series over an extension (points in extensions are handled by
+``evaluate``), so ``TailSeries`` refuses other fields.
 
 Values are immutable; evaluating one series at many points concurrently
 needs no coordination.
@@ -66,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
-from operator import add, eq, floordiv, mul, sub
+from operator import add, eq, mul, sub
 
 from .errors import DomainError, InternalError, PrecisionError, UsageError
 from .localfield import (CappedField, ExactElement, ExactField, PadicElement,
@@ -594,9 +592,11 @@ def _convolve(xs, ys, n):
 
 
 # capped products of at least this many terms take their coefficient sums
-# from one big-integer product (``_packed``); for shorter ones the n dot
-# products of ``_convolve`` cost less than packing and unpacking
-_PACKED = 16
+# from one big-integer product (``_packed``) and their precision lists from
+# the operands' affine runs (``_run_precisions``); for shorter ones the n
+# dot products of ``_convolve`` and the pairwise minima cost less
+# (``benchmarks/layers.py``, ``products`` rows)
+_LONG = 20
 
 
 def _packed(xs, ys, n):
@@ -641,14 +641,6 @@ def _slope(r, f, i0: int, v0) -> int:
     integer slope through (i0, v0) that stays under the valuations."""
     return min(((f[2 * i + 1] - v0) // (i - i0)
                 for i in range(i0 + 1, len(r)) if r[i]), default=0)
-
-
-# capped products of at least this many terms take their precision lists
-# from the affine runs of the operands' precisions (``_run_precisions``);
-# for shorter ones finding the runs costs more than the pairwise minima
-# save (``benchmarks/layers.py``, ``products`` rows: about even at 16
-# terms, ahead from 24)
-_RUNS = 20
 
 
 def _affine_runs(A) -> list:
@@ -776,24 +768,22 @@ def _capped_product(field, a, b, n):
     an exact identity, so digits and precisions are those of the plain
     convolution.
 
-    From ``_PACKED`` terms on, the sums are read from one big-integer
+    From ``_LONG`` terms on, the sums are read from one big-integer
     product (``_packed``): representatives and line-scaled x are never
-    negative.  A square (a is b, as ``TailSeries.__mul__`` passes x * x)
-    finds its line, scales and packs once, and takes its precisions over
-    i <= k - i only: the pairs (i, k - i) and (k - i, i) give the same
+    negative.  And the precision list is the least of the two min-plus
+    terms min(A_i + v_j) and min(v_i + A_j), each taken over the affine
+    runs of its A list with sliding-window minima (``_run_precisions``):
+    O(runs n) instead of O(n^2), and the same list, since each is a
+    minimum over the same pairs.  Operands with too many runs for that
+    to pay, and shorter products, take the pairs one by one.  A square
+    (a is b, as ``TailSeries.__mul__`` passes x * x) finds its line,
+    scales and packs once, and takes one min-plus term, or the pairs
+    with i <= k - i only: (i, k - i) and (k - i, i) give the same
     min(A_i + v_j, v_i + A_j).
-
-    From ``_RUNS`` terms on, the precision list is the least of the two
-    min-plus terms min(A_i + v_j) and min(v_i + A_j) (one for a square),
-    each taken over the affine runs of its A list with sliding-window
-    minima (``_run_precisions``): O(runs n) instead of O(n^2), and the
-    same list, since each is a minimum over the same pairs.  When the
-    operands have too many runs for that to pay, the pairs are taken one
-    by one as below ``_RUNS``.
     """
     square = a is b
     (ra, sa, fa), (rb, sb, fb) = a, b
-    precs = _run_precisions(fa, fb, n, square) if n >= _RUNS else None
+    precs = _run_precisions(fa, fb, n, square) if n >= _LONG else None
     if precs is None:
         # b's first n [A, v] pairs reversed, so that pairs (i, k - i) line
         # up as (A_i, v_j), (v_i, A_j); a square stops at i = k // 2
@@ -805,7 +795,7 @@ def _capped_product(field, a, b, n):
     s = sa + sb
     ra = ra[:n]
     rb = ra if square else rb[:n]
-    sums = _packed if n >= _PACKED else _convolve
+    sums = _packed if n >= _LONG else _convolve
     if n >= _SLOPED and any(ra) and any(rb):
         # each operand's line through its first nonzero coefficient
         ia = next(i for i, x in enumerate(ra) if x)
@@ -916,11 +906,8 @@ def _exact_window(flat, lo: int, n: int, d: int = 1):
         den *= L ** lo
         if d > 1:
             r = _geometric(r, L ** (d - 1))
-    if d == 1:
-        rr = r + [0] * (n - len(r))
-    else:
-        rr = [0] * n
-        rr[:d * len(r):d] = r
+    rr = [0] * n
+    rr[:d * len(r):d] = r
     return _least_den(rr, den, L)
 
 
@@ -969,33 +956,20 @@ def _exact_product(field, a, b, n):
 
 
 def _exact_inverse(field, a):
-    """inv_0 = 1, inv_k = -sum_{j=1..k} a_j inv_{k-j} from an exact form
-    with coefficient 0 equal to 1, at its scale L: the recurrence holds
-    for the coefficients times L^k, which are the r_i / D.  With D = 1
-    (r_0 = 1) those are integers and so are the sums; otherwise each sum
-    is taken over the lcm of its terms' denominators."""
-    r, den, L = a
+    """inv_0 = 1, inv_k = -sum_{j=1..k} a_j inv_{k-j} on integers, from
+    an exact form (r, D, L) with coefficient 0 equal to 1.  At scale L D
+    its numerators are r_i D^i, and r_0 = D divides them all, so there
+    its D is 1 (``_exact_at``): the coefficients times (L D)^k are
+    integers, the recurrence holds for them, and the inverse is
+    (inv, 1, L D)."""
+    _, den, L = a
+    r, _, L = _exact_at(a, L * den)
     M = len(r)
-    if den == 1:
-        ra = r[::-1]                              # a_k .. a_1 at M-1-k ..
-        inv = [1]
-        for k in range(1, M):
-            inv.append(-sum(map(mul, ra[M - 1 - k:], inv)))
-        return inv, 1, L
-    g = [gcd(x, den) for x in r]
-    na = [x // c for x, c in zip(r, g)][::-1]     # a_k .. a_1 at M-1-k ..
-    da = [den // c for c in g][::-1]
-    ni, di = [1], [1]                             # inv_0 .. inv_{k-1}
+    ra = r[::-1]                                  # a_k .. a_1 at M-1-k ..
+    inv = [1]
     for k in range(1, M):
-        dens = list(map(mul, da[M - 1 - k:], di))
-        common = math.lcm(*dens)
-        num = -sum(map(mul, map(mul, na[M - 1 - k:], ni),
-                       map(floordiv, repeat(common), dens)))
-        c = gcd(num, common)
-        ni.append(num // c)
-        di.append(common // c)
-    common = math.lcm(*di)
-    return [x * (common // y) for x, y in zip(ni, di)], common, L
+        inv.append(-sum(map(mul, ra[M - 1 - k:], inv)))
+    return inv, 1, L
 
 
 # what the methods of ``TailSeries`` call on a backend's flat form

@@ -17,7 +17,7 @@ from padicdyn import (BudgetError, CappedField, Conjugacy, DomainError,
                       compose_through_poly, conjugacy, escape_test,
                       functional_equation_check, good_reduction,
                       lagrange_invert, omega_at, point_identity_report,
-                      rescaled_integrality_ok)
+                      rescaled_integrality_ok, series)
 from padicdyn.boettcher import (_baby_steps, _beta_series,
                                 _inverse_residual, _omega_inverse,
                                 _omega_series, _powers, _reciprocal,
@@ -224,6 +224,25 @@ def test_exact_digests_beyond_the_pool(coeffs, M, digest):
     doc = json.dumps([series_json(B.omega), series_json(B.omega_inverse)],
                      sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("coeffs, M", [
+    ([3, F(1, 5)], 64), ([3, F(1, 5)], 128), ([3, F(1, 5), 1], 64)])
+def test_exact_builds_are_integer_vectors(coeffs, M, monkeypatch):
+    """At the scale its map gives, an exact build's omega and omega^-1
+    are integer vectors (D = 1), and so is every unit it inverts: the
+    integer recurrence serves each inverse without a change of scale."""
+    inverted = []
+
+    def inverse(field, flat):
+        inverted.append(flat[1])
+        return exact.inverse(field, flat)
+
+    exact = series._EXACT
+    monkeypatch.setattr(series, "_EXACT", exact._replace(inverse=inverse))
+    B = boettcher_series(mono(5, coeffs, "exact"), M)
+    assert [S._flat[1] for S in (B.omega, B.omega_inverse)] == [1, 1]
+    assert inverted and set(inverted) == {1}
 
 
 def test_iterate_refuses_capped_maps():

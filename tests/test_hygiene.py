@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is referenced in it, every
-module-level ``_name`` function is read somewhere in the package, only
-``series.py`` reads the storage of a ``TailSeries``, and every import
-sits at module level in an acyclic module graph.
+module-level ``_name`` function or assignment is read somewhere in the
+package, only ``series.py`` reads the storage of a ``TailSeries``, and
+every import sits at module level in an acyclic module graph.
 
 ``__init__.py`` is skipped by the import check, since it imports names
 only to re-export them.  Parsed with ``ast`` alone, so no linter is
@@ -68,32 +68,47 @@ def test_only_series_reads_series_storage():
     assert {name: attrs for name, attrs in reads.items() if attrs} == {}
 
 
-def _private_functions(tree):
-    return {node.name for node in tree.body
-            if isinstance(node, ast.FunctionDef)
-            and node.name.startswith("_") and not node.name.startswith("__")}
+def _defined(stmt):
+    """The names a module-level statement defines: a function's, or the
+    plain names an assignment binds."""
+    if isinstance(stmt, ast.FunctionDef):
+        yield stmt.name
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) \
+            else [stmt.target]
+        for target in targets:
+            yield from (node.id for node in ast.walk(target)
+                        if isinstance(node, ast.Name))
+
+
+def _private_names(tree):
+    """Module-level ``_name`` functions and assignments, dunders left
+    out."""
+    return {name for stmt in tree.body for name in _defined(stmt)
+            if name.startswith("_") and not name.startswith("__")}
 
 
 def _outside_references(tree):
     """Names and attributes read in a module, a function's reads of its
-    own name (recursion) left out."""
+    own name (recursion) and the names assignments bind left out."""
     for stmt in tree.body:
         own = getattr(stmt, "name", None)
         for node in ast.walk(stmt):
-            name = (node.id if isinstance(node, ast.Name) else
+            name = (node.id if isinstance(node, ast.Name)
+                    and not isinstance(node.ctx, ast.Store) else
                     node.attr if isinstance(node, ast.Attribute) else None)
             if name is not None and name != own:
                 yield name
 
 
 def test_every_private_function_is_referenced():
-    """A module-level ``_name`` function that nothing in the package
-    reads is a helper left behind by a deletion."""
+    """A module-level ``_name`` function or constant that nothing in the
+    package reads is a helper left behind by a deletion."""
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     read = {name for tree in trees.values()
             for name in _outside_references(tree)}
-    unread = {module: sorted(_private_functions(tree) - read)
+    unread = {module: sorted(_private_names(tree) - read)
               for module, tree in trees.items()}
     assert {module: names for module, names in unread.items() if names} == {}
 

@@ -28,7 +28,7 @@ from padicdyn import (CappedField, DiskSpec, ExactField, InternalError,
 from padicdyn.boettcher import _omega_inverse, _omega_series
 from padicdyn.cli import element_json, series_json
 from padicdyn.localfield import ExactElement, PadicElement
-from padicdyn.series import (_INF, _PACKED, _RUNS, _SLOPED, _capped_product,
+from padicdyn.series import (_INF, _LONG, _SLOPED, _capped_product,
                              _convolve, _packed, _run_precisions,
                              _window_minima, weighted_sum)
 
@@ -569,10 +569,10 @@ def test_long_capped_square_matches_element_loop(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_capped_products_about_the_packing_crossover(data):
-    """From _PACKED terms on, the sums come from one big-integer product;
+    """From _LONG terms on, the sums come from one big-integer product;
     products and squares on either side of that match the element loop."""
     field = CappedField(data.draw(PRIMES), data.draw(st.integers(1, 8)))
-    n = data.draw(st.integers(_PACKED - 2, _PACKED + 8))
+    n = data.draw(st.integers(_LONG - 2, _LONG + 8))
     a = data.draw(lined_series(field, n))
     b = data.draw(lined_series(field, n))
     ra, rb = Ref.of(a), Ref.of(b)
@@ -652,12 +652,12 @@ def affine_series(draw, field, n):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_capped_product_precisions_from_affine_runs(data):
-    """From _RUNS terms on, a product takes its precision list from the
+    """From _LONG terms on, a product takes its precision list from the
     operands' affine runs (``series._run_precisions``); digits and
     precisions are the element loop's, the list is the pairwise one, and
     so is the runs route's own wherever it does not decline."""
     field = CappedField(data.draw(PRIMES), data.draw(st.integers(1, 8)))
-    n = data.draw(st.integers(_RUNS - 4, _SLOPED + 8))
+    n = data.draw(st.integers(_LONG - 4, _SLOPED + 8))
     a = data.draw(affine_series(field, n))
     b = a if data.draw(st.booleans()) else data.draw(affine_series(field, n))
     ab = a * b
@@ -868,9 +868,10 @@ def test_exact_kernel_at_any_scale_matches_element_loops(data):
 @given(st.data())
 def test_exact_inverse_at_any_scale(integral, data):
     """A unit whose coefficients times L^i are integers has D = 1 and is
-    inverted by the integer recurrence; one with a coefficient of
-    denominator 11 L^j keeps D > 1 and the route over denominators.
-    Both give the element loop's Fractions."""
+    inverted by the integer recurrence at its scale; one with a
+    coefficient of denominator 11 L^j has D > 1 and is inverted at scale
+    L D, where its D is 1.  Both give the element loop's Fractions, and
+    every inverse is an integer vector."""
     field = ExactField(data.draw(PRIMES))
     L = data.draw(scale_draws(field.p))
     nums = data.draw(st.lists(st.integers(-60, 60), max_size=11))
@@ -882,7 +883,9 @@ def test_exact_inverse_at_any_scale(integral, data):
     a = TailSeries(field, 0, coeffs, len(coeffs) + data.draw(
         st.integers(0, 2)))._rescaled(L)
     assert (a._flat[1] == 1) is integral
-    same_fractions(a.invert_unit(), Ref.of(a).invert_unit())
+    inverse = a.invert_unit()
+    assert inverse._flat[1] == 1
+    same_fractions(inverse, Ref.of(a).invert_unit())
 
 
 @settings(max_examples=150, deadline=None)
