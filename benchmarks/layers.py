@@ -44,8 +44,10 @@ big-integer product and the precision list from the operands' affine
 runs (``routes``: "long", ``series._LONG`` set at n), against the short
 ones, n dot products and the pairs one by one ("short", set above n).
 ``mul_s`` is omega * omega^-1 and ``square_s`` is omega * omega, both
-cut to w^(n + 1) from a capped M = 513 build.  From ``series._SLOPED``
-terms on, the sums run on the operands' valuation line.
+cut to w^(n + 1) from a capped M = 513 build, at the scale 5^1 the
+build takes from its map (``scale``: 5) and rebuilt from their elements
+at scale 1 (``scale``: 1), where each representative also carries the
+series' valuation slope of one digit per index.
 
 ``inverses`` times ``invert_unit`` over exact Q_5, at the same orders
 M, on two units made from elements (scale 1) whose D is above 1:
@@ -53,7 +55,12 @@ M, on two units made from elements (scale 1) whose D is above 1:
 (-1)^i (i mod 7 + 1) / (2, 3, 5, 7)[i mod 4] for i >= 1 (D = 210), and
 ``geometric_s`` the geometric series sum (-2/15)^i w^i
 (D = 15^(M - 1)), for which scale 1 is a wrong one (at scale 15 it is
-an integer vector).  Each inverse is checked by its product with the
+an integer vector).  Over Q_5 capped at precision 20 it times the
+inverse of the unit omega / w of the reference map: ``at_scale_s`` at
+the scale 5^1 the build gives it, and ``scale_one_s`` rebuilt from its
+elements at scale 1, whose valuations dip below that scale's line, so
+the recurrence runs on the steepest line under them
+(``series._slope``).  Each inverse is checked by its product with the
 unit.
 
 ``transport`` times, on both backends (precision 20 when capped), the
@@ -74,18 +81,20 @@ Q_5, ``exact_add_s`` and ``exact_mul_s`` of the same two rationals; and
 ``ext_mul_s`` of (2/3 + 35/11 pi) and (-7/4 + pi/6) in Q_5(sqrt 5)
 capped at precision 20, pi^2 = 5.
 
-``builds`` times the stages and the whole of capped builds at M = 256
-and 512 and of exact ones at M = 128 and 256, and gives the digest of
-omega and omega^-1 as ``perfbench`` records it, so a change that claims
-equal outputs can be checked at orders the benchmark pools do not
-reach.  ``jobs`` times one ``padicdyn verify`` job, one
-``padicdyn transport`` job in the cubic extension Q_7((-14)^(1/3))
-(its conjugates need Hensel lifting), twenty ``padicdyn kummer --d 2 --N 2``
-jobs (``kummer_20_s``: almost all of a small job is fixed cost such as
-argument parsing), one degree certificate at d^n = 64 (z^2 + 1 over Q_3,
-P = 1/3) and one six-level degree chain (z^2 over Q_3, P = 1/3); both
-degree rows take a new polynomial on every run, so no iterate is reused
-from the run before.
+``builds`` times the stages and the whole of capped builds at M = 64,
+128, 256 and 512 and of exact ones at M = 128 and 256, and gives the
+digest of omega and omega^-1 as ``perfbench`` records it, so a change
+that claims equal outputs can be checked at orders the benchmark pools
+do not reach, and ``widest_bits``, the bit length of the widest
+integer in their flat forms (a capped representative or an exact
+numerator), a deterministic count.  ``jobs`` times one
+``padicdyn verify`` job, one ``padicdyn transport`` job in the cubic
+extension Q_7((-14)^(1/3)) (its conjugates need Hensel lifting), twenty
+``padicdyn kummer --d 2 --N 2`` jobs (``kummer_20_s``: almost all of a
+small job is fixed cost such as argument parsing), one degree
+certificate at d^n = 64 (z^2 + 1 over Q_3, P = 1/3) and one six-level
+degree chain (z^2 over Q_3, P = 1/3); both degree rows take a new
+polynomial on every run, so no iterate is reused from the run before.
 
 Each time is the least of up to five runs that fit in half a second (one
 run when a single run takes longer), in wall-clock seconds.  The script
@@ -123,7 +132,8 @@ from padicdyn import series  # noqa: E402
 
 PRECISION = 20
 ORDERS = (32, 64, 128, 256)
-BUILDS = (("capped", 256), ("capped", 512), ("exact", 128), ("exact", 256))
+BUILDS = (("capped", 64), ("capped", 128), ("capped", 256), ("capped", 512),
+          ("exact", 128), ("exact", 256))
 PRODUCT_TERMS = (8, 16, 24, 32, 64, 128, 256, 512)
 # (map, p, coefficients a_0 .. a_{d-1}) of the ``degrees`` rows
 DEGREE_MAPS = (("z^3 + z^2 + z/5 + 3 over Q_5", 5, (3, Fraction(1, 5), 1)),
@@ -210,26 +220,34 @@ def long_routes(n: int, on: bool):
         series._LONG = saved
 
 
+def at_scale_one(S: TailSeries) -> TailSeries:
+    """S rebuilt from its elements: the same series at scale 1."""
+    return TailSeries(S.field, S.ord, S.coeffs, S.trunc)
+
+
 def products() -> list:
     """mul_s and square_s rows of n-term capped products, on the short
-    routes and on the long ones."""
+    routes and on the long ones, at the build's scale and at scale 1."""
     f = reference_map(CappedField(5, PRECISION))
     M = max(PRODUCT_TERMS) + 1
     omega = _omega_series(f, M)[0]
     omega_inverse = _omega_inverse(f, M)
     rows = []
     for n in PRODUCT_TERMS:
-        a, b = omega.truncate(n + 1), omega_inverse.truncate(n + 1)
-        for routes in ("short", "long"):
-            with long_routes(n, routes == "long"):
-                row = {"backend": "capped", "n": n, "routes": routes}
-                row["mul_s"], ab = best_of(lambda: a * b)
-                row["square_s"], aa = best_of(lambda: a * a)
-            if (ab.trunc - ab.ord, aa.trunc - aa.ord) != (n, n):
-                raise SystemExit(f"n={n}: the products have "
-                                 f"{ab.trunc - ab.ord} and "
-                                 f"{aa.trunc - aa.ord} terms")
-            rows.append(row)
+        cut = omega.truncate(n + 1), omega_inverse.truncate(n + 1)
+        pairs = (5, cut), (1, tuple(map(at_scale_one, cut)))
+        for scale, (a, b) in pairs:
+            for routes in ("short", "long"):
+                with long_routes(n, routes == "long"):
+                    row = {"backend": "capped", "n": n, "scale": scale,
+                           "routes": routes}
+                    row["mul_s"], ab = best_of(lambda: a * b)
+                    row["square_s"], aa = best_of(lambda: a * a)
+                if (ab.trunc - ab.ord, aa.trunc - aa.ord) != (n, n):
+                    raise SystemExit(f"n={n}: the products have "
+                                     f"{ab.trunc - ab.ord} and "
+                                     f"{aa.trunc - aa.ord} terms")
+                rows.append(row)
     return rows
 
 
@@ -240,7 +258,8 @@ INVERSE_UNITS = (
 
 
 def inverses() -> list:
-    """mixed_s and geometric_s rows of exact unit inverses."""
+    """mixed_s and geometric_s rows of exact unit inverses, at_scale_s
+    and scale_one_s rows of capped ones."""
     field = ExactField(5)
     rows = []
     for M in ORDERS:
@@ -251,6 +270,17 @@ def inverses() -> list:
             row[key], inverse = best_of(unit.invert_unit)
             if not (unit * inverse).identical_to(
                     TailSeries.one(field, M), M):
+                raise SystemExit(f"{key} M={M}: unit * inverse is not 1")
+        rows.append(row)
+    f = reference_map(CappedField(5, PRECISION))
+    omega = _omega_series(f, max(ORDERS) + 1)[0]
+    for M in ORDERS:
+        unit = omega.truncate(M + 1).shifted(-1)
+        row = {"backend": "capped", "M": M}
+        for key, x in (("at_scale_s", unit), ("scale_one_s", at_scale_one(
+                unit))):
+            row[key], inverse = best_of(x.invert_unit)
+            if not (x * inverse - TailSeries.one(x.field, M)).is_zero():
                 raise SystemExit(f"{key} M={M}: unit * inverse is not 1")
         rows.append(row)
     return rows
@@ -311,6 +341,8 @@ def build(backend: str, M: int) -> dict:
     doc = [series_json(omega), series_json(omega_inverse)]
     row["digest"] = hashlib.sha256(json.dumps(
         doc, sort_keys=True).encode()).hexdigest()[:16]
+    row["widest_bits"] = max(x.bit_length() for S in (omega, omega_inverse)
+                             for x in S._flat[0])
     return row
 
 

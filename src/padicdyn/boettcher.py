@@ -183,20 +183,24 @@ def good_reduction(f: MonicPoly) -> bool:
 
 
 def _scale(f: MonicPoly) -> int:
-    """L = d^2 p^m q, the scale of the exact series a build makes from f
-    (``TailSeries._rescaled``); 1 over other fields.
+    """L = d^2 p^m q, the scale of the series a build makes from f
+    (``TailSeries._rescaled``); L = p^m over ``CappedField``.
 
     m is the greatest ceil(v_p(den a_i) / (d - i)) and q the lcm of the
     denominators' prime-to-p parts, so every a_i L^(d - i) is an integer
     and P(L u) = 1 + a_{d-1} L u + ... + a_0 L^d u^d, with it 1/P and W,
     has integer coefficients in u = w / L; d^2 covers the denominators
-    of the d-th roots.  So omega and its inverse are
-    integer vectors at scale L.  Any L gives the same coefficients; one
-    that misses a denominator leaves it in D, which costs speed only.
+    of the d-th roots.  So omega and its inverse are integer vectors at
+    scale L.  A capped coefficient's v_p(den) is -v(a_i) where that is
+    positive, and the capped kernel reads only m: at scale p^m each
+    representative holds about as many digits as its precision instead
+    of the series' whole valuation slope.  Any L gives the same
+    coefficients; a wrong one costs speed only.
     """
-    if not isinstance(f.field, ExactField):
-        return 1
     d, p = f.degree, f.field.p
+    if not isinstance(f.field, ExactField):
+        poles = [max(0, -(a.v or 0)) for a in f.coeffs]
+        return p ** max(-(-k // (d - i)) for i, k in enumerate(poles))
     dens = [a.value.denominator for a in f.coeffs]
     m = max(-(-_vp_int(den, p) // (d - i)) for i, den in enumerate(dens))
     return d * d * p ** m * math.lcm(*[den // p ** _vp_int(den, p)

@@ -11,46 +11,47 @@ solves a functional equation of its own (``boettcher``).  Disk norms and
 pointwise evaluation come with rigorous tail bounds.
 
 Every series is stored flat: an integer vector r with one scale for the
-whole series, (r, s, f) over ``CappedField`` and (r, D, L) over
-``ExactField``.  A capped form has the scale p^s, s the least finite v_i
-(0 if there is none), the representatives r_i = unit_i p^(v_i - s)
-reduced to [0, p^(A_i - s)), and the interleaved list
+whole series, (r, s, f, m) over ``CappedField`` and (r, D, L) over
+``ExactField``.  A capped form holds coefficient i as
+r_i p^(s - i m) + O(p^(A_i)): the series in the variable u = w / p^m, at
+the shift p^s, s the least v_i + i m over the finite valuations (0 if
+there is none), the representatives r_i = unit_i p^(v_i - s + i m)
+reduced to [0, p^(A_i - s + i m)), and the interleaved list
 f = [A_0, v_0, A_1, v_1, ...] of each coefficient's absolute precision
 and valuation (both infinite for an exact zero, both the floor for an
 O(p^k) zero).  An exact form holds coefficient i as r_i / (D L^i): the
 series in the variable u = w / L, over D, the least denominator at that
-scale.  A form made from elements has L = 1, numerators over their
-least common denominator.  A Böttcher build takes L from its map
-(``boettcher._scale``), so that its series are integer vectors (D = 1),
-multiplied and inverted as integers, where at L = 1 each numerator
-would be inflated to the size of the common denominator.  Products and
-sums bring operands to one scale, the lcm of theirs, so any L gives the
-same coefficients: a wrong one costs only speed.  So each series has
-one form at its scale.  The methods of ``TailSeries`` are written
-once over a kernel of functions per backend (below); capped operations
-keep the precision rule of the element arithmetic digit for digit, and
-elements are built only when ``coeffs`` or ``coefficient`` is read.
-Capped unit inverses, and products of at least ``_SLOPED`` terms, take
-their dot products on a line of integer slope t under the valuations,
-v_i >= c + i t: each representative is carried as u_i p^(v_i - c - i t),
-about as many digits as the precision where u_i p^(v_i - s) grows with
-i, and the sums are mapped back exactly, so digits and precisions do not
-change.  Capped products of at least ``_LONG`` terms take two more exact
-routes.  Their n coefficient sums come from one big-integer product
-(Kronecker substitution): the vectors, never negative, are packed into
-one integer each with a byte slot per coefficient wide enough that no
-sum carries.  Their precision list, the min-plus convolution of the
-[A, v] lists, comes from the operands' affine runs: a run of precisions
-on one line meets the other operand's valuations, shifted by that line,
-in sliding windows whose minima cost a few passes each, not one per
-pair (operands with many runs keep the pairwise minima).  Shorter
-products take dot products and pairwise minima.  A square (x * x) is
-packed once and takes its precisions over half the pairs.  The exact
-backend, the oracle, keeps its plain dot products: its numerators grow
-with the index, so slots wide enough for the last of them make packing
-slower.  Coefficients lie in one of these two fields: no construction
-needs series over an extension (points in extensions are handled by
-``evaluate``), so ``TailSeries`` refuses other fields.
+scale.  A form made from elements has m = 0 and L = 1, numerators over
+their least common denominator.  A Böttcher build takes its scale from
+its map (``boettcher._scale``): its exact series are then integer
+vectors (D = 1), where at L = 1 each numerator would be inflated to the
+size of the common denominator, and its capped representatives hold
+about as many digits as their precision, where at m = 0 each would also
+carry the series' valuation slope (and a packed product's slots are as
+wide as the widest entry).  Products and sums bring operands to one
+scale, the lcm of theirs (the greater m), so any scale gives the same
+coefficients, digits and precisions alike: a wrong one costs only
+speed.  So each series has one form at its scale.  The methods of
+``TailSeries`` are written once over a kernel of functions per backend
+(below); capped operations keep the precision rule of the element
+arithmetic digit for digit, and elements are built only when ``coeffs``
+or ``coefficient`` is read.  Capped products of at least ``_LONG`` terms
+take two more exact routes.  Their n coefficient sums come from one
+big-integer product (Kronecker substitution): the vectors, never
+negative, are packed into one integer each with a byte slot per
+coefficient wide enough that no sum carries.  Their precision list, the
+min-plus convolution of the [A, v] lists, comes from the operands'
+affine runs: a run of precisions on one line meets the other operand's
+valuations, shifted by that line, in sliding windows whose minima cost a
+few passes each, not one per pair (operands with many runs keep the
+pairwise minima).  Shorter products take dot products and pairwise
+minima.  A square (x * x) is packed once and takes its precisions over
+half the pairs.  The exact backend, the oracle, keeps its plain dot
+products: its numerators grow with the index, so slots wide enough for
+the last of them make packing slower.  Coefficients lie in one of these
+two fields: no construction needs series over an extension (points in
+extensions are handled by ``evaluate``), so ``TailSeries`` refuses other
+fields.
 
 Values are immutable; evaluating one series at many points concurrently
 needs no coordination.
@@ -62,9 +63,9 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
 from math import gcd
-from operator import add, eq, mul, sub
+from operator import add, mul, sub
 
 from .errors import DomainError, InternalError, PrecisionError, UsageError
 from .localfield import (CappedField, ExactElement, ExactField, PadicElement,
@@ -94,10 +95,11 @@ class TailSeries:
     The leading stored coefficient is not an exact zero (those are
     stripped); an all-zero series has ord == trunc and no coefficients.
     ``_flat`` holds the flat form of the trunc - ord stored coefficients,
-    (r, s, f) over ``CappedField`` and (r, D, L) over ``ExactField``,
-    where coefficient ord + i is r_i / (D L^i) at a scale L that a
-    Böttcher build takes from its map and that costs only speed when it
-    is wrong (see the module docstring), and ``_kernel`` the backend's
+    (r, s, f, m) over ``CappedField`` and (r, D, L) over ``ExactField``,
+    where coefficient ord + i is r_i p^(s - i m) + O(p^(A_i)) or
+    r_i / (D L^i), at a scale p^m or L that a Böttcher build takes from
+    its map and that costs only speed when it is wrong (see the module
+    docstring), and ``_kernel`` the backend's
     functions on that form, which every method calls; ``_coeffs`` caches
     the elements once ``coeffs`` is read.
     """
@@ -117,7 +119,8 @@ class TailSeries:
         if len(coeffs) > n:
             raise UsageError("more coefficients than the truncation allows")
         self._set(kernel, field, ord,
-                  kernel.window(kernel.flat(field, coeffs), 0, n), trunc)
+                  kernel.window(field, kernel.flat(field, coeffs), 0, n),
+                  trunc)
 
     def _set(self, kernel, field, ord: int, flat, trunc: int) -> None:
         # only exact-zero leading terms are stripped; a capped coefficient
@@ -151,7 +154,7 @@ class TailSeries:
         zero = cls.zero(field, trunc)
         kernel = zero._kernel
         return zero._new(min(k, trunc), kernel.window(
-            kernel.one(field), 0, max(trunc - k, 0)), trunc)
+            field, kernel.one(field), 0, max(trunc - k, 0)), trunc)
 
     @classmethod
     def from_polynomial(cls, field, coeffs, trunc: int):
@@ -195,18 +198,22 @@ class TailSeries:
     def identical_to(self, other: "TailSeries", n: int) -> bool:
         """True when both are known to order n and their coefficients
         below w^n are the same elements, digit for digit and in precision
-        (indistinguishable is not enough): their flat forms cut to n are
-        equal, exact ones brought to one scale."""
+        (indistinguishable is not enough): their flat forms cut to n and
+        brought to one scale, where each has one form, are equal."""
         if self.field != other.field or min(self.trunc, other.trunc) < n:
             return False
         a, b = self._padded(n), other._padded(n)
-        return a.ord == b.ord and a._kernel.same(a._flat, b._flat)
+        at, scale = a._kernel.at, a._kernel.scale
+        return a.ord == b.ord and at(a.field, a._flat, scale(
+            b.field, b._flat)) == at(b.field, b._flat, scale(a.field, a._flat))
 
     def _rescaled(self, L: int) -> "TailSeries":
-        """The same series with an exact form at scale L (at the lcm of L
-        and its own): a build takes L from its map, so that its exact
-        series are integer vectors.  Over ``CappedField``, self."""
-        flat = self._kernel.at(self._flat, L)
+        """The same series with a form at scale L (at the lcm of L and its
+        own; over ``CappedField``, at the greater of m and v_p(L)): a
+        build takes L from its map, so that its exact series are integer
+        vectors and its capped representatives no wider than their
+        precision needs."""
+        flat = self._kernel.at(self.field, self._flat, L)
         return self if flat is self._flat else self._new(self.ord, flat,
                                                          self.trunc)
 
@@ -248,7 +255,7 @@ class TailSeries:
         claim never escapes those loops.
         """
         return self._new(min(self.ord, trunc), self._kernel.window(
-            self._flat, 0, max(trunc - self.ord, 0)), trunc)
+            self.field, self._flat, 0, max(trunc - self.ord, 0)), trunc)
 
     def shifted(self, k: int) -> "TailSeries":
         """Multiplication by the exact monomial w^k."""
@@ -264,7 +271,7 @@ class TailSeries:
             raise UsageError("spread needs d >= 1")
         n = self.trunc - self.ord
         return self._new(d * self.ord, self._kernel.window(
-            self._flat, 0, d * n, d), d * self.trunc)
+            self.field, self._flat, 0, d * n, d), d * self.trunc)
 
     def _linear(self, pairs, trunc: int) -> "TailSeries":
         """sum c x over the pairs (c a kernel weight, x a series over self's
@@ -321,7 +328,8 @@ class TailSeries:
             return TailSeries.zero(self.field, max(self.trunc - 1, 0))
         start = max(self.ord, 1)          # the constant term drops out
         kernel = self._kernel
-        flat = kernel.window(self._flat, start - self.ord, self.trunc - start)
+        flat = kernel.window(self.field, self._flat, start - self.ord,
+                             self.trunc - start)
         return self._new(max(self.ord - 1, 0), kernel.times(
             self.field, flat, range(start, self.trunc)), self.trunc - 1)
 
@@ -423,9 +431,9 @@ class TailSeries:
             acc = (acc * inner).truncate(target - k * s)
             if k >= self.ord and acc.trunc:
                 # plus c_k w^0: c_k alone, padded with exact zeros
-                c = kernel.window(self._flat, k - self.ord, 1)
-                acc = acc + acc._new(0, kernel.window(c, 0, acc.trunc),
-                                     acc.trunc)
+                c = kernel.window(self.field, self._flat, k - self.ord, 1)
+                acc = acc + acc._new(0, kernel.window(
+                    self.field, c, 0, acc.trunc), acc.trunc)
         return acc
 
 
@@ -436,10 +444,13 @@ class TailSeries:
 _INF = math.inf   # precision and valuation of an exact zero
 
 
-def _least(f) -> int:
-    """The shift of a capped form: the least finite valuation in its
-    [A, v] list (an O(p^k) zero's floor counts), 0 if there is none."""
-    v = min(f[1::2], default=_INF)
+def _least(f, m: int) -> int:
+    """The shift of a capped form at scale p^m: the least v_i + i m over
+    the finite valuations in its [A, v] list (an O(p^k) zero's floor
+    counts), 0 if there is none."""
+    vs = f[1::2]
+    v = min(map(add, vs, range(0, m * len(vs), m)) if m else vs,
+            default=_INF)
     return 0 if v == _INF else v
 
 
@@ -452,80 +463,95 @@ def _scaled(field, xs, e: int, t: int) -> list:
     return [x * pw[k] if k >= 0 else x // pw[-k] for x, k in zip(xs, ks)]
 
 
-def _reduced(field, s, values, precs):
-    """The capped form of the cosets values[k] p^s + O(p^precs[k]).
+def _reduced(field, s, m, values, precs):
+    """The capped form at scale p^m of the cosets
+    values[k] p^(s - k m) + O(p^precs[k]).
 
-    Each value is reduced mod p^(A - s) and its valuation found; a value
-    that vanishes there is an O(p^A) zero, and an infinite precision
-    (whose value is always 0) an exact zero.  This is what
-    ``PadicElement._make`` does per element.  A reduced value x != 0 has
-    valuation below A - s, so gcd(x, p^(A - s)) is p^v(x), and its bit
-    length gives v(x) (``CappedField.powers``).
+    Each value is reduced mod p^(A - s_k), s_k = s - k m its shift, and
+    its valuation found; a value that vanishes there is an O(p^A) zero,
+    and an infinite precision (whose value is always 0) an exact zero.
+    This is what ``PadicElement._make`` does per element.  A reduced
+    value x != 0 has valuation below A - s_k, so gcd(x, p^(A - s_k)) is
+    p^v(x), and its bit length gives v(x) (``CappedField.powers``).
     """
     p = field.p
     pw, logs = field.powers(0)
     r, f = [], []
-    for x, A in zip(values, precs):
-        if A != _INF and A > s:
-            e = A - s
+    for x, A, sk in zip(values, precs, count(s, -m)):
+        if A != _INF and A > sk:
+            e = A - sk
             if e >= len(pw):
                 pw, logs = field.powers(e)
             x %= pw[e]
             if x:
                 r.append(x)
-                f += (A, s + logs[gcd(x, pw[e]).bit_length()] if x % p == 0
-                      else s)
+                f += (A, sk + logs[gcd(x, pw[e]).bit_length()] if x % p == 0
+                      else sk)
                 continue
         r.append(0)
         f += (A, A)
-    return r, s, f
+    return r, s, f, m
 
 
 def _capped_flat(field, coeffs):
-    """The (r, s, f) form of a list of capped elements."""
+    """The (r, s, f, 0) form of a list of capped elements."""
     f = []
     for c in coeffs:
         f += (_INF, _INF) if c.v is None else (c.v + c.rel, c.v)
-    s, p = _least(f), field.p
+    s, p = _least(f, 0), field.p
     return [c.unit * p ** (c.v - s) % p ** (c.v + c.rel - s) if c.unit
-            else 0 for c in coeffs], s, f
+            else 0 for c in coeffs], s, f, 0
 
 
 def _capped_element(field, flat, i):
     """Coefficient i of a capped form as an element."""
-    r, s, f = flat
+    r, s, f, m = flat
     A, v = f[2 * i], f[2 * i + 1]
     if A == _INF:
         return PadicElement.exact_zero(field)
     # an O(p^A) zero has r_i = 0 and v = A: unit 0, rel 0
-    return PadicElement(field, v, r[i] // field.p ** (v - s), A - v)
+    return PadicElement(field, v, r[i] // field.p ** (v - s + i * m), A - v)
+
+
+def _capped_to(field, flat, m: int):
+    """The same coefficients at scale p^m, m at least the form's own, at
+    the least shift there: r_i times p^(s - s' + i (m - m_own))."""
+    r, s, f, own = flat
+    if m == own:
+        return flat
+    least = _least(f, m)
+    return _scaled(field, r, s - least, m - own), least, f, m
 
 
 def _capped_normal(field, flat):
     """(the number of leading exact zeros, the form without them at the
     least shift)."""
-    r, s, f = flat
+    r, s, f, m = flat
     i = 0
     while i < len(r) and f[2 * i] == _INF:
         i += 1
     if i:
-        r, f = r[i:], f[2 * i:]
-    least = _least(f)
+        r, s, f = r[i:], s - i * m, f[2 * i:]
+    least = _least(f, m)
     if least != s:
         r = _scaled(field, r, s - least, 0)
-    return i, (r, least, f)
+    return i, (r, least, f, m)
 
 
-def _capped_window(flat, lo: int, n: int, d: int = 1):
+def _capped_window(field, flat, lo: int, n: int, d: int = 1):
     """n coefficients: those of the form from index lo, d apart, with exact
-    zeros between them and past the end."""
-    r, s, f = flat
-    m = -(-n // d)
-    r, f = r[lo:lo + m], f[2 * lo:2 * (lo + m)]
+    zeros between them and past the end.  Index lo moves to 0, so the
+    shift drops by lo m; index lo + i moves to d i, so r_i takes
+    p^(i m (d - 1))."""
+    r, s, f, m = flat
+    k = -(-n // d)
+    r, f = r[lo:lo + k], f[2 * lo:2 * (lo + k)]
+    if m and d > 1:
+        r = _scaled(field, r, 0, m * (d - 1))
     rr, ff, k = [0] * n, [_INF] * (2 * n), d * len(r)
     rr[:k:d] = r
     ff[:2 * k:2 * d], ff[1:2 * k:2 * d] = f[::2], f[1::2]
-    return rr, s, ff
+    return rr, s - lo * m, ff, m
 
 
 def _capped_linear(field, terms, n: int):
@@ -533,26 +559,33 @@ def _capped_linear(field, terms, n: int):
     form placed k coefficients up, c = (v, unit, A) the weight p^v unit
     + O(p^A) (A infinite for an exact integer).
 
-    Each coefficient is the exact sum of the scaled values, known to the
-    least of the scalar rule's precisions min(A_i + v, v_i + A).
+    The forms are brought to the greatest scale m among them; a term
+    placed k up then has the shift s + k m.  Each coefficient is the
+    exact sum of the scaled values, known to the least of the scalar
+    rule's precisions min(A_i + v, v_i + A).
     """
     p = field.p
-    shift = min((s + c[0] for c, _, (_, s, _) in terms), default=0)
+    ms = [x[3] for _, _, x in terms]
+    m = max(ms, default=0)
+    if ms.count(m) < len(ms):
+        terms = [(c, k, _capped_to(field, x, m)) for c, k, x in terms]
+    shift = min((s + k * m + c[0] for c, k, (_, s, _, _) in terms),
+                default=0)
     values, precs = [], []
-    for (v, unit, A), k, (r, s, f) in terms:
-        r, m = r[:n - k], 2 * (n - k)
-        scale = unit * p ** (s + v - shift)
+    for (v, unit, A), k, (r, s, f, _) in terms:
+        r, j = r[:n - k], 2 * (n - k)
+        scale = unit * p ** (s + k * m + v - shift)
         scaled = r if scale == 1 else [x * scale for x in r]
-        known = f[:m:2] if not v else [A_i + v for A_i in f[:m:2]]
+        known = f[:j:2] if not v else [A_i + v for A_i in f[:j:2]]
         if A != _INF:    # an exact weight leaves A_i + v
             known = [x if x < y else y for x, y in
-                     zip(known, map(add, f[1:m:2], repeat(A)))]
+                     zip(known, map(add, f[1:j:2], repeat(A)))]
         if values:
             values[k:] = map(add, values[k:], scaled)
             precs[k:] = [x if x < y else y for x, y in zip(precs[k:], known)]
         else:       # the first term: below it, exact zeros
             values, precs = [0] * k + scaled, [_INF] * k + known
-    return _reduced(field, shift, values, precs)
+    return _reduced(field, shift, m, values, precs)
 
 
 def _capped_is_one(field, flat) -> bool:
@@ -560,7 +593,7 @@ def _capped_is_one(field, flat) -> bool:
     ``_capped_linear`` would find c_0 - 1: at the shift sigma = min(s, 0),
     r_0 p^(s - sigma) - p^(-sigma) vanishes modulo p^(A - sigma),
     A = min(A_0, prec), which holds outright when A <= sigma."""
-    r, s, f = flat
+    r, s, f, _ = flat
     sigma, A, p = min(s, 0), min(f[0], field.prec), field.p
     return A <= sigma or (r[0] * p ** (s - sigma) - p ** -sigma) \
         % p ** (A - sigma) == 0
@@ -569,19 +602,19 @@ def _capped_is_one(field, flat) -> bool:
 def _capped_valuations(field, flat):
     """(i, v_i, exact) for each coefficient of a capped form that is not an
     exact zero; an O(p^k) zero (r_i = 0, A_i finite) gives its floor."""
-    r, _, f = flat
+    r, _, f, _ = flat
     return [(i, f[2 * i + 1], x != 0) for i, x in enumerate(r)
             if f[2 * i] != _INF]
 
 
 def _capped_times(field, flat, ms):
-    """Coefficient i times the integer ms[i].  m embedded with relative
-    precision prec: as no coefficient has more, the precision is
-    A + vp(m)."""
-    r, s, f = flat
+    """Coefficient i times the integer ms[i].  ms[i] embedded with
+    relative precision prec: as no coefficient has more, the precision is
+    A + vp(ms[i])."""
+    r, s, f, m = flat
     p = field.p
-    return _reduced(field, s, map(mul, r, ms),
-                    [A + _vp_int(m, p) for m, A in zip(ms, f[::2])])
+    return _reduced(field, s, m, map(mul, r, ms),
+                    [A + _vp_int(x, p) for x, A in zip(ms, f[::2])])
 
 
 def _convolve(xs, ys, n):
@@ -627,20 +660,6 @@ def _packed(xs, ys, n):
                                                       "little")
     return [int.from_bytes(buf[i:i + w], "little")
             for i in range(0, n * w, w)]
-
-
-# products of at least this many terms run on a valuation line (see
-# ``_capped_product``); for shorter ones finding the line costs more than
-# the smaller integers save
-_SLOPED = 96
-
-
-def _slope(r, f, i0: int, v0) -> int:
-    """The greatest integer t with v_i >= v0 + (i - i0) t for every
-    nonzero r_i with i > i0, 0 if there is none: the steepest line of
-    integer slope through (i0, v0) that stays under the valuations."""
-    return min(((f[2 * i + 1] - v0) // (i - i0)
-                for i in range(i0 + 1, len(r)) if r[i]), default=0)
 
 
 def _affine_runs(A) -> list:
@@ -751,38 +770,34 @@ def _capped_product(field, a, b, n):
     """The form of the first n coefficients of a * b over a CappedField,
     from the forms a and b, each of at least n coefficients.
 
-    Coefficient k is the exact sum of the representatives' products at
-    shift s_a + s_b, known to absolute precision min over i + j = k of
-    min(A_i + v_j, v_i + A_j): exactly what the chain of element adds
-    and muls yields, so results agree with it digit for digit.
-
-    The series of the Böttcher build have valuations that fall (or rise)
-    linearly, so at one shift s the representatives r_i = u_i p^(v_i - s)
-    of a long series grow to p^(A_i - s), far more digits than the
-    precision.  From ``_SLOPED`` terms on, both operands are put on one
-    line of integer slope t under their valuations, v_i >= c + i t (each
-    its own c, from ``_slope`` at its first nonzero coefficient, t the
-    lesser of the two slopes), and carried as the integers
-    x_i = r_i p^(s - c - i t) = u_i p^(v_i - c - i t).  Then
-    sum_{i+j=k} r_i r'_j = p^(c + c' + k t - s - s') sum_{i+j=k} x_i x'_j,
-    an exact identity, so digits and precisions are those of the plain
-    convolution.
+    Both are brought to the greater of their scales m (``_capped_to``);
+    then coefficient k is p^(s_a + s_b - k m) times the exact sum of the
+    representatives' products r_i r'_j, i + j = k, known to absolute
+    precision min over i + j = k of min(A_i + v_j, v_i + A_j): exactly
+    what the chain of element adds and muls yields, so results agree
+    with it digit for digit.  The series of a Böttcher build have
+    valuations that fall (or rise) linearly, and at the scale their map
+    gives (``boettcher._scale``) each representative r_i = u_i
+    p^(v_i - s + i m) holds about as many digits as its precision; at
+    m = 0 it would grow with i by the slope.
 
     From ``_LONG`` terms on, the sums are read from one big-integer
-    product (``_packed``): representatives and line-scaled x are never
-    negative.  And the precision list is the least of the two min-plus
-    terms min(A_i + v_j) and min(v_i + A_j), each taken over the affine
-    runs of its A list with sliding-window minima (``_run_precisions``):
-    O(runs n) instead of O(n^2), and the same list, since each is a
-    minimum over the same pairs.  Operands with too many runs for that
-    to pay, and shorter products, take the pairs one by one.  A square
-    (a is b, as ``TailSeries.__mul__`` passes x * x) finds its line,
-    scales and packs once, and takes one min-plus term, or the pairs
-    with i <= k - i only: (i, k - i) and (k - i, i) give the same
-    min(A_i + v_j, v_i + A_j).
+    product (``_packed``): representatives are never negative.  And the
+    precision list is the least of the two min-plus terms min(A_i + v_j)
+    and min(v_i + A_j), each taken over the affine runs of its A list
+    with sliding-window minima (``_run_precisions``): O(runs n) instead
+    of O(n^2), and the same list, since each is a minimum over the same
+    pairs.  Operands with too many runs for that to pay, and shorter
+    products, take the pairs one by one.  A square (a is b, as
+    ``TailSeries.__mul__`` passes x * x) packs once and takes one
+    min-plus term, or the pairs with i <= k - i only: (i, k - i) and
+    (k - i, i) give the same min(A_i + v_j, v_i + A_j).
     """
     square = a is b
-    (ra, sa, fa), (rb, sb, fb) = a, b
+    if a[3] != b[3]:
+        m = max(a[3], b[3])
+        a, b = _capped_to(field, a, m), _capped_to(field, b, m)
+    (ra, sa, fa, m), (rb, sb, fb, _) = a, b
     precs = _run_precisions(fa, fb, n, square) if n >= _LONG else None
     if precs is None:
         # b's first n [A, v] pairs reversed, so that pairs (i, k - i) line
@@ -792,47 +807,48 @@ def _capped_product(field, a, b, n):
                                          2 * (n - k + k // 2)
                                          if square else None]))
                  for k in range(n)]
-    s = sa + sb
     ra = ra[:n]
     rb = ra if square else rb[:n]
     sums = _packed if n >= _LONG else _convolve
-    if n >= _SLOPED and any(ra) and any(rb):
-        # each operand's line through its first nonzero coefficient
-        ia = next(i for i, x in enumerate(ra) if x)
-        ib = ia if square else next(i for i, x in enumerate(rb) if x)
-        va, vb = fa[2 * ia + 1], fb[2 * ib + 1]
-        t = _slope(ra, fa, ia, va)
-        if not square:
-            t = min(t, _slope(rb, fb, ib, vb))
-        if t:
-            ca, cb = va - ia * t, vb - ib * t
-            xa = _scaled(field, ra, sa - ca, -t)
-            xb = xa if square else _scaled(field, rb, sb - cb, -t)
-            return _reduced(field, s, _scaled(
-                field, sums(xa, xb, n), ca + cb - s, t), precs)
-    return _reduced(field, s, sums(ra, rb, n), precs)
+    return _reduced(field, sa + sb, m, sums(ra, rb, n), precs)
+
+
+def _slope(r, f) -> int:
+    """The greatest integer t with v_i >= i t for every nonzero r_i with
+    i >= 1, 0 if there is none: the steepest line of integer slope
+    through the origin that stays under the valuations."""
+    return min((f[2 * i + 1] // i for i in range(1, len(r)) if r[i]),
+               default=0)
 
 
 def _capped_inverse(field, a):
     """inv_0 = 1, inv_k = -sum_{j=1..k} a_j inv_{k-j} over a CappedField,
     form in and out, with the precision rule of ``_capped_product`` for
-    each sum."""
-    r_a, s_a, f_a = a
-    M = len(r_a)
-    # v(a_j) >= j t for j >= 1, hence v(inv_k) >= k t; terms are carried
-    # as the integers unit * p^(v - j t)
-    t = _slope(r_a, f_a, 0, 0)
-    ra = _scaled(field, r_a, s_a, -t)[::-1]   # a_k .. a_1 at M-1-k .. M-2
+    each sum.
+
+    The recurrence runs on integers at a scale m' with
+    v(a_j) >= -j m' for j >= 1: there a_j = x_j p^(-j m'), so
+    inv_k = y_k p^(-k m') with y_k = -sum x_j y_{k-j}, each y_k reduced
+    as it is found, and the inverse is (y, 0, f, m').  A unit at its
+    scale (s = 0, every unit of a Böttcher build) has m' = m; any other
+    takes the steepest line under its valuations (``_slope``), not the
+    line m - s, whose representatives would grow quadratically.
+    """
+    r, s, f_a, m = a
+    M = len(r)
+    step = m if not s else max(m, -_slope(r, f_a))
+    # a_k .. a_1 at M-1-k .. M-2 as x_k = r_k p^(s + k (m' - m))
+    xs = _scaled(field, r[1:], s + step - m, step - m)[::-1]
     flat = f_a[::-1]                          # v, A of a_k at 2(M-1-k)
-    ri, f = [1], [field.prec, 0]              # inv_0 .. inv_{k-1}
+    ys, f = [1], [field.prec, 0]              # inv_0 .. inv_{k-1}
     for k in range(1, M):
         lo = M - 1 - k
-        x, _, fk = _reduced(field, k * t, [-sum(map(mul, ra[lo:], ri))],
-                            [min(map(add, flat[2 * lo:], f))])
-        ri += x
+        y, _, fk, _ = _reduced(field, -k * step, 0,
+                               [-sum(map(mul, xs[lo:], ys))],
+                               [min(map(add, flat[2 * lo:], f))])
+        ys += y
         f += fk
-    s = min(0, (M - 1) * t)
-    return _scaled(field, ri, -s, t), s, f
+    return ys, 0, f, step
 
 
 def _over_common(coeffs) -> tuple:
@@ -854,7 +870,7 @@ def _exact_normal(field, flat):
     """(the number of leading zeros, the form without them)."""
     r = flat[0]
     i = next((i for i, x in enumerate(r) if x), len(r))
-    return i, _exact_window(flat, i, len(r) - i)
+    return i, _exact_window(field, flat, i, len(r) - i)
 
 
 def _least_den(r, den, L):
@@ -886,14 +902,7 @@ def _exact_at(flat, L: int):
     return flat if m == 1 else _least_den(_geometric(r, m), den, own * m)
 
 
-def _exact_same(a, b) -> bool:
-    """Whether two exact forms hold the same coefficients: at one scale
-    the least D makes the form unique."""
-    L = math.lcm(a[2], b[2])
-    return _exact_at(a, L) == _exact_at(b, L)
-
-
-def _exact_window(flat, lo: int, n: int, d: int = 1):
+def _exact_window(field, flat, lo: int, n: int, d: int = 1):
     """n coefficients: those of the form from index lo, d apart, with zeros
     between them and past the end, over their least D (the coefficients
     left out can only inflate it).  Index lo moves to 0, so D takes
@@ -917,7 +926,7 @@ def _exact_linear(field, terms, n: int):
     weight; numerators over one common denominator, at the lcm of the
     forms' scales, a term placed k up taking L^k."""
     L = math.lcm(*[x[2] for _, _, x in terms])
-    terms = [(c, k, _exact_window(_exact_at(x, L), 0, n - k))
+    terms = [(c, k, _exact_window(field, _exact_at(x, L), 0, n - k))
              for c, k, x in terms]
     den = math.lcm(*[c_den * d for (_, c_den), _, (_, d, _) in terms])
     values = [0] * n
@@ -947,11 +956,11 @@ def _exact_product(field, a, b, n):
     at least n coefficients: at one scale L, coefficient k is
     sum r_i r'_j / (D D' L^k), so the numerators are convolved."""
     L = math.lcm(a[2], b[2])
-    ra, da, _ = _exact_window(_exact_at(a, L), 0, n)
+    ra, da, _ = _exact_window(field, _exact_at(a, L), 0, n)
     if a is b:
         rb, db = ra, da
     else:
-        rb, db, _ = _exact_window(_exact_at(b, L), 0, n)
+        rb, db, _ = _exact_window(field, _exact_at(b, L), 0, n)
     return _convolve(ra, rb, n), da * db, L
 
 
@@ -975,16 +984,18 @@ def _exact_inverse(field, a):
 # what the methods of ``TailSeries`` call on a backend's flat form
 _Kernel = namedtuple("_Kernel", "flat one is_one valuations element normal "
                      "window weight sign linear times product inverse at "
-                     "same")
+                     "scale")
 
 _CAPPED = _Kernel(
-    flat=_capped_flat, one=lambda field: ([1], 0, [field.prec, 0]),
+    flat=_capped_flat, one=lambda field: ([1], 0, [field.prec, 0], 0),
     is_one=_capped_is_one, valuations=_capped_valuations,
     element=_capped_element, normal=_capped_normal,
     window=_capped_window, weight=lambda c: (c.v, c.unit, c.v + c.rel),
     sign=lambda n: (0, n, _INF), linear=_capped_linear,
     times=_capped_times, product=_capped_product, inverse=_capped_inverse,
-    at=lambda flat, L: flat, same=eq)
+    at=lambda field, flat, L: _capped_to(field, flat, max(
+        flat[3], _vp_int(L, field.p))),
+    scale=lambda field, flat: field.p ** flat[3])
 
 _EXACT = _Kernel(
     flat=lambda field, coeffs: (*_over_common(coeffs), 1),
@@ -994,8 +1005,9 @@ _EXACT = _Kernel(
     normal=_exact_normal, window=_exact_window,
     weight=lambda c: (c.value.numerator, c.value.denominator),
     sign=lambda n: (n, 1), linear=_exact_linear, times=_exact_times,
-    product=_exact_product, inverse=_exact_inverse, at=_exact_at,
-    same=_exact_same)
+    product=_exact_product, inverse=_exact_inverse,
+    at=lambda field, flat, L: _exact_at(flat, L),
+    scale=lambda field, flat: flat[2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """The series kernels checked against element-by-element arithmetic.
 
-Series are stored flat: capped ones as integer representatives, a shift
-and an [A, v] precision list, exact ones as integer numerators r_i over
-D L^i, at a scale L and the least D for it.  Every operation on either
-backend is compared, digit and precision alike, with ``Ref``, a series
-that stores one element per coefficient and runs the element loops, and
-every result must hold the one flat form its own coefficients give (at
-its scale); exact forms at several scales, mixed in one operation, give
-the same Fractions.  The shrinking-truncation Horner of
+Series are stored flat: capped ones as integer representatives r_i, a
+shift s, an [A, v] precision list and a scale p^m (coefficient i is
+r_i p^(s - i m)), exact ones as integer numerators r_i over D L^i, at a
+scale L and the least D for it.  Every operation on either backend is
+compared, digit and precision alike, with ``Ref``, a series that stores
+one element per coefficient and runs the element loops, and every result
+must hold the one flat form its own coefficients give (at its scale);
+forms at several scales, mixed in one operation, give the same
+elements.  The shrinking-truncation Horner of
 ``TailSeries.compose``, ``TailSeries.spread`` and ``weighted_sum`` are
 compared with the same oracle, and the one-pass Newton update and
 constant-term test with the chains they replace.
@@ -28,7 +29,7 @@ from padicdyn import (CappedField, DiskSpec, ExactField, InternalError,
 from padicdyn.boettcher import _omega_inverse, _omega_series
 from padicdyn.cli import element_json, series_json
 from padicdyn.localfield import ExactElement, PadicElement
-from padicdyn.series import (_INF, _LONG, _SLOPED, _capped_product,
+from padicdyn.series import (_INF, _LONG, _capped_product,
                              _convolve, _packed, _run_precisions,
                              _window_minima, weighted_sum)
 
@@ -279,12 +280,14 @@ def capped_one(data, field):
 
 def same(x, y):
     """x (a TailSeries) encodes as the oracle's y and holds the one flat
-    form its own coefficients give: capped, the least shift and reduced
-    representatives; exact, the least D at x's scale L."""
+    form its own coefficients give at x's scale: capped, the least shift
+    and reduced representatives at p^m; exact, the least D at L."""
     assert series_json(x) == series_json(y)
     rebuilt = TailSeries(x.field, x.ord, x.coeffs, x.trunc)
     if isinstance(x.field, ExactField):
         rebuilt = rebuilt._rescaled(x._flat[2])
+    else:
+        rebuilt = rebuilt._rescaled(x.field.p ** x._flat[3])
     assert x._flat == rebuilt._flat
 
 
@@ -450,7 +453,7 @@ def constant_one_by_linear(x):
     if x.ord or not x.trunc:
         return False
     kernel = x._kernel
-    terms = [(kernel.sign(1), 0, kernel.window(x._flat, 0, 1)),
+    terms = [(kernel.sign(1), 0, kernel.window(x.field, x._flat, 0, 1)),
              (kernel.sign(-1), 0, kernel.one(x.field))]
     return not any(kernel.linear(x.field, terms, 1)[0])
 
@@ -514,11 +517,13 @@ def test_has_constant_one_is_the_linear_definition(backend, data):
 
 
 @st.composite
-def lined_series(draw, field, n):
+def lined_series(draw, field, n, at_scale=False):
     """n coefficients whose valuations follow one or two lines of integer
     slope (coefficients like p^(-k) or p^k, a kink between), some
     coefficients a few digits above the line, with O(p^k) zeros and exact
-    zeros among them."""
+    zeros among them; at_scale brings the form to the scale p^m of its
+    steepest falling line, m = -slope, as a build takes its scale from
+    its map."""
     slopes = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=2))
     kink = draw(st.integers(0, n))
     v = draw(st.integers(-5, 5))
@@ -539,30 +544,36 @@ def lined_series(draw, field, n):
                 draw(st.integers(1, field.p ** rel - 1)), rel))
         v += slopes[-1] if i >= kink else slopes[0]
     ord_ = draw(st.integers(0, 2))
-    return TailSeries(field, ord_, coeffs, ord_ + n + draw(st.integers(0, 2)))
+    x = TailSeries(field, ord_, coeffs, ord_ + n + draw(st.integers(0, 2)))
+    return x._rescaled(field.p ** max(0, -min(slopes))) if at_scale else x
+
+
+# long enough for packed sums and run precisions, with representatives
+# that at scale 1 would grow by up to 3 digits per index
+LONG_TERMS = st.integers(96, 104)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_long_capped_product_matches_element_loop(data):
-    """Products of _SLOPED terms and more run on the operands' valuation
-    line (``series._capped_product``); digits and precisions must still be
-    those of the element loop."""
+    """Long products of series at the scale of their valuation line (each
+    operand its own, so that one is brought to the other's): digits and
+    precisions are those of the element loop."""
     field = CappedField(data.draw(PRIMES), data.draw(st.integers(1, 8)))
-    n = data.draw(st.integers(_SLOPED, _SLOPED + 8))
-    a = data.draw(lined_series(field, n))
-    b = data.draw(lined_series(field, n))
+    n = data.draw(LONG_TERMS)
+    a = data.draw(lined_series(field, n, at_scale=True))
+    b = data.draw(lined_series(field, n, at_scale=True))
     same(a * b, Ref.of(a) * Ref.of(b))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_long_capped_square_matches_element_loop(data):
-    """A square (a is b) finds its line once and takes its precisions over
-    half the pairs; digits and precisions are the element loop's."""
+    """A long square (a is b) at the scale of its line packs once and takes
+    its precisions over half the pairs; digits and precisions are the
+    element loop's."""
     field = CappedField(data.draw(PRIMES), data.draw(st.integers(1, 8)))
-    a = data.draw(lined_series(field, data.draw(st.integers(
-        _SLOPED, _SLOPED + 8))))
+    a = data.draw(lined_series(field, data.draw(LONG_TERMS), at_scale=True))
     same(a * a, Ref.of(a) * Ref.of(a))
 
 
@@ -657,7 +668,7 @@ def test_capped_product_precisions_from_affine_runs(data):
     precisions are the element loop's, the list is the pairwise one, and
     so is the runs route's own wherever it does not decline."""
     field = CappedField(data.draw(PRIMES), data.draw(st.integers(1, 8)))
-    n = data.draw(st.integers(_LONG - 4, _SLOPED + 8))
+    n = data.draw(st.integers(_LONG - 4, 104))
     a = data.draw(affine_series(field, n))
     b = a if data.draw(st.booleans()) else data.draw(affine_series(field, n))
     ab = a * b
@@ -690,7 +701,7 @@ def pinned_operands(n):
     ]
 
 
-@pytest.mark.parametrize("n", [31, _SLOPED + 1])
+@pytest.mark.parametrize("n", [31, 97])
 def test_run_precisions_pinned(n):
     """Each case takes the runs route, both ways round and as a square,
     and gives the pairwise list."""
@@ -701,7 +712,7 @@ def test_run_precisions_pinned(n):
                 x, y, n), name
         want = pairwise_precisions(fa, fb, n)
         r = [0] * n
-        _, _, f = _capped_product(field, (r, 0, fa), (r, 0, fb), n)
+        _, _, f, _ = _capped_product(field, (r, 0, fa, 0), (r, 0, fb, 0), n)
         assert f[::2] == want, name
 
 
@@ -712,6 +723,116 @@ def test_window_minima_is_the_sliding_minimum():
         for L in range(1, n + 3):
             assert _window_minima(u, L) == [
                 min(u[max(b - L + 1, 0):b + 1]) for b in range(n)], (n, L)
+
+
+# -- capped forms at a scale p^m ----------------------------------------------
+
+
+# 7 is steeper than any line ``lined_series`` draws: a wrong scale
+CAPPED_SCALES = st.sampled_from([0, 1, 3, 7])
+
+
+@st.composite
+def scaled_capped(draw, field):
+    """A capped series, random or on valuation lines, brought to a drawn
+    scale p^m: coefficient i of its form is r_i p^(s - i m)."""
+    x = draw(st.one_of(series(field, capped_elements),
+                       st.integers(1, 12).flatmap(
+                           lambda n: lined_series(field, n))))
+    return x._rescaled(field.p ** draw(CAPPED_SCALES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_capped_kernel_at_any_scale_matches_element_loops(data):
+    """Products, squares, cubes, sums, weighted sums, cuts, shifts,
+    spreads and derivatives of capped forms at scales p^0, p, p^3 and a
+    wrong one, the two operands at different scales as often as not, give
+    the element loops' digits and precisions; Gauss norms, read from the
+    form, are those at scale 1, and the same series at two scales is
+    identical to itself."""
+    field = data.draw(capped_fields())
+    a, b = (data.draw(scaled_capped(field)) for _ in range(2))
+    ra, rb = Ref.of(a), Ref.of(b)
+    same(a, ra)
+    rebuilt = TailSeries(field, a.ord, a.coeffs, a.trunc)
+    for eps in (Fraction(-1, 2), Fraction(0), Fraction(3, 2)):
+        g, h = (gauss_norm(x, DiskSpec("inf", eps)) for x in (a, rebuilt))
+        assert (g, g.exact) == (h, h.exact)
+    same(a * b, ra * rb)
+    same(a * a, ra * ra)
+    same(a ** 3, ra ** 3)
+    same(a + b, ra + rb)
+    same(a - b, ra - rb)
+    weights = [data.draw(capped_elements(field)) for _ in "ab"]
+    same(weighted_sum(weights, [a, b]), weighted_chain(weights, [a, b]))
+    k = data.draw(st.integers(0, 14))
+    same(a._padded(k), ra._padded(k))
+    same(a.shifted(k), ra.shifted(k))
+    same(a.derivative(), ra.derivative())
+    d = data.draw(st.integers(1, 4))
+    same(a.spread(d), ra.compose(Ref(field, d, [1], d * a.trunc + 1)))
+    other = rebuilt._rescaled(field.p ** data.draw(CAPPED_SCALES))
+    assert a.identical_to(other, a.trunc) and other.identical_to(a, a.trunc)
+
+
+@pytest.mark.parametrize("lined", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_capped_inverse_at_any_scale(lined, data):
+    """A unit whose coefficient j has valuation at least -j m is at its
+    scale p^m (shift 0) and is inverted there; any other unit at p^m
+    (shift below 0) is inverted on the steepest line under its
+    valuations.  Both give the element loop's digits and precisions."""
+    field = data.draw(capped_fields())
+    m = data.draw(CAPPED_SCALES)
+    one = capped_one(data, field)
+    if lined:
+        rest = [data.draw(st.one_of(
+            st.just(PadicElement.exact_zero(field)),
+            st.builds(PadicElement._zero, st.just(field),
+                      st.integers(-j * m, -j * m + 3)),
+            st.builds(PadicElement._make, st.just(field),
+                      st.integers(-j * m, -j * m + 3),
+                      st.integers(1, field.p ** field.prec - 1),
+                      st.just(field.prec))))
+            for j in range(1, data.draw(st.integers(0, 11)) + 1)]
+        a = TailSeries(field, 0, [one] + rest, 1 + len(rest))
+    else:
+        a = data.draw(units(field, capped_elements, one))
+    a = a._rescaled(field.p ** m)
+    assert (a._flat[1] == 0) if lined else True
+    same(a.invert_unit(), Ref.of(a).invert_unit())
+
+
+def test_capped_form_strips_exact_zeros_at_its_scale():
+    """The derivative of 1 + 0 w + 3/25 w^2 + 2/125 w^3 at scale 5 starts
+    with an exact zero, which the form strips: index 1 moves to 0, so the
+    shift takes m."""
+    field = CappedField(5, 4)
+    make = PadicElement._make
+    a = TailSeries(field, 0, [make(field, 0, 1, 4),
+                              PadicElement.exact_zero(field),
+                              make(field, -2, 3, 4), make(field, -3, 2, 4)],
+                   4)._rescaled(5)
+    assert a._flat[3] == 1
+    same(a.derivative(), Ref.of(a).derivative())
+
+
+def test_identical_to_across_capped_scales_pinned():
+    field = CappedField(5, 6)
+    make = PadicElement._make
+    a = TailSeries(field, 1, [make(field, 0, 1, 6), make(field, -1, 2, 6),
+                              PadicElement._zero(field, 3),
+                              make(field, -3, 7, 4)], 6)
+    b, c = a._rescaled(5), a._rescaled(125)
+    assert [x._flat[3] for x in (a, b, c)] == [0, 1, 3]
+    assert [x._flat[1] for x in (a, b, c)] == [-3, 0, 0]
+    assert a._flat != b._flat != c._flat
+    assert a.identical_to(b, 6) and b.identical_to(c, 6)
+    assert c.identical_to(a, 6)
+    changed = a.replace_coefficient(3, make(field, 3, 1, 6))._rescaled(125)
+    assert b.identical_to(changed, 3) and not b.identical_to(changed, 4)
 
 
 # -- over ExactField ----------------------------------------------------------
