@@ -797,11 +797,12 @@ def test_capped_inverse_at_any_scale(lined, data):
                       st.integers(1, field.p ** field.prec - 1),
                       st.just(field.prec))))
             for j in range(1, data.draw(st.integers(0, 11)) + 1)]
-        a = TailSeries(field, 0, [one] + rest, 1 + len(rest))
+        a = TailSeries(field, 0, [one] + rest, 1 + len(rest))._rescaled(
+            field.p ** m)
+        assert a._flat[1] == 0
     else:
-        a = data.draw(units(field, capped_elements, one))
-    a = a._rescaled(field.p ** m)
-    assert (a._flat[1] == 0) if lined else True
+        a = data.draw(units(field, capped_elements, one))._rescaled(
+            field.p ** m)
     same(a.invert_unit(), Ref.of(a).invert_unit())
 
 
