@@ -63,7 +63,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import repeat
 from math import gcd
 from operator import add, mul, sub
 
@@ -476,8 +476,9 @@ def _reduced(field, s, m, values, precs):
     """
     p = field.p
     pw, logs = field.powers(0)
-    r, f = [], []
-    for x, A, sk in zip(values, precs, count(s, -m)):
+    r, f, sk = [], [], s + m
+    for x, A in zip(values, precs):
+        sk -= m
         if A != _INF and A > sk:
             e = A - sk
             if e >= len(pw):
@@ -829,14 +830,14 @@ def _capped_inverse(field, a):
     The recurrence runs on integers at a scale m' with
     v(a_j) >= -j m' for j >= 1: there a_j = x_j p^(-j m'), so
     inv_k = y_k p^(-k m') with y_k = -sum x_j y_{k-j}, each y_k reduced
-    as it is found, and the inverse is (y, 0, f, m').  A unit at its
-    scale (s = 0, every unit of a Böttcher build) has m' = m; any other
-    takes the steepest line under its valuations (``_slope``), not the
-    line m - s, whose representatives would grow quadratically.
+    as it is found, and the inverse is (y, 0, f, m').  m' is the
+    steepest line under the valuations (``_slope``), never below the
+    form's own m, not the line m - s, whose representatives would grow
+    quadratically.
     """
     r, s, f_a, m = a
     M = len(r)
-    step = m if not s else max(m, -_slope(r, f_a))
+    step = max(m, -_slope(r, f_a))
     # a_k .. a_1 at M-1-k .. M-2 as x_k = r_k p^(s + k (m' - m))
     xs = _scaled(field, r[1:], s + step - m, step - m)[::-1]
     flat = f_a[::-1]                          # v, A of a_k at 2(M-1-k)
