@@ -91,10 +91,15 @@ numerator), a deterministic count.  ``jobs`` times one
 ``padicdyn verify`` job, one ``padicdyn transport`` job in the cubic
 extension Q_7((-14)^(1/3)) (its conjugates need Hensel lifting), twenty
 ``padicdyn kummer --d 2 --N 2`` jobs (``kummer_20_s``: almost all of a
-small job is fixed cost such as argument parsing), one degree
-certificate at d^n = 64 (z^2 + 1 over Q_3, P = 1/3) and one six-level
-degree chain (z^2 over Q_3, P = 1/3); both degree rows take a new
-polynomial on every run, so no iterate is reused from the run before.
+small job is fixed cost such as argument parsing), ``emit_s``, the
+largest document of a seed-1 ``perfbench`` cli-jobs pass written by
+``cli.emit`` (the least of runs of 100 writes to a discarded stdout,
+divided by 100), ``degrees_job_s``, one six-level ``padicdyn degrees``
+job through ``cli.main`` (z^2 + 1 over Q_3, P = 1/3), one degree
+certificate at d^n = 64 (the same map and point) and one six-level
+degree chain (z^2 over Q_3, P = 1/3); the job and both degree rows
+take a new polynomial on every run, so no iterate is reused from the
+run before.
 
 Each time is the least of up to five runs that fit in half a second (one
 run when a single run takes longer), in wall-clock seconds.  The script
@@ -118,6 +123,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from padicdyn import (CappedField, ExactField,  # noqa: E402
                       ExtensionField, MonicPoly, TailSeries,
@@ -127,8 +133,9 @@ from padicdyn import (CappedField, ExactField,  # noqa: E402
 from padicdyn.boettcher import (_beta_series, _omega_inverse,  # noqa: E402
                                 _omega_series, _reciprocal, conjugacy,
                                 omega_at)
-from padicdyn.cli import main as cli_main, series_json  # noqa: E402
+from padicdyn.cli import emit, main as cli_main, series_json  # noqa: E402
 from padicdyn import series  # noqa: E402
+import workloads  # noqa: E402
 
 PRECISION = 20
 ORDERS = (32, 64, 128, 256)
@@ -148,6 +155,8 @@ TRANSPORT_JOB = ["transport", "--prime", "7", "--poly=-2,0,0,1",
                  "--point=-29/14", "--ext=14,0,0,1", "--ext-point=0,0,-1/14",
                  "--order", "12", "--backend", "capped", "--precision", "20"]
 KUMMER_JOB = ["kummer", "--d", "2", "--N", "2"]
+DEGREES_JOB = ["degrees", "--prime", "3", "--poly", "1,0,1", "--point", "1/3",
+               "--levels", "6", "--order", "8"]
 
 
 def best_of(fn, budget=0.5, most=5):
@@ -351,15 +360,36 @@ def cli_job(argv) -> int:
         return cli_main(argv)
 
 
+def largest_cli_document() -> dict:
+    """The longest document a seed-1 cli-jobs pass of ``perfbench`` prints,
+    read back from its JSON."""
+    texts = [workloads.run_cli(op.args[0])[1]
+             for op in workloads.cli_ops(1)]
+    return json.loads(max(texts, key=len))
+
+
 def jobs() -> dict:
     row = {}
     for name, argv, runs in (("verify_job_s", VERIFY_JOB, 1),
                              ("transport_job_s", TRANSPORT_JOB, 1),
-                             ("kummer_20_s", KUMMER_JOB, 20)):
+                             ("kummer_20_s", KUMMER_JOB, 20),
+                             ("degrees_job_s", DEGREES_JOB, 1)):
         row[name], codes = best_of(lambda: [cli_job(argv)
                                             for _ in range(runs)])
         if any(codes):
             raise SystemExit(f"{' '.join(argv)} exited {max(codes)}")
+    doc = largest_cli_document()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        emit(doc, None)
+    if json.loads(out.getvalue()) != doc:
+        raise SystemExit("cli.emit does not write the document back")
+
+    def emit_100():
+        with contextlib.redirect_stdout(io.StringIO()):
+            for _ in range(100):
+                emit(doc, None)
+
+    row["emit_s"] = best_of(emit_100)[0] / 100
     row["certify_degree_64_s"], degree = best_of(lambda: certify_degree(
         MonicPoly(ExactField(3), [1, 0]), Fraction(1, 3), 6))
     if degree != 64:

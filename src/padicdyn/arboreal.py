@@ -18,8 +18,8 @@ from . import config
 from .boettcher import (Conjugacy, MonicPoly, check_build, conjugacy,
                         good_reduction, omega_at)
 from .errors import BudgetError, DomainError, UsageError
-from .localfield import ExtensionField, conjugates
-from .newton import build_polygon, total_ramification_certificate
+from .localfield import ExtensionField, _vp_int, conjugates
+from .newton import polygon_of, total_ramification_certificate
 from .series import PointValue
 
 
@@ -143,7 +143,11 @@ def certify_degree(f: MonicPoly, P, n: int):
     """Certified value of [K(P_n):K] from the polygon of f^n(x) - P.
 
     Needs the exact backend.  Returns d^n when the polygon issues a
-    total-ramification certificate, else None ("uncertified").
+    total-ramification certificate, else None ("uncertified").  The
+    polygon is read from the integer numerators of f^n - P over one
+    denominator (``MonicPoly.iterate_flat``), each point the valuation
+    of a numerator less that of the denominator, and each coefficient
+    in lowest terms is held to the coefficient budget.
     """
     if f.field.backend != "exact":
         raise UsageError("degree certification needs the exact backend")
@@ -152,13 +156,22 @@ def certify_degree(f: MonicPoly, P, n: int):
     deg = f.degree ** n
     if deg > config.max_tree_degree():
         raise BudgetError(f"tree degree {deg} exceeds the budget")
-    P = f.field.embed(P)
-    coeffs = f.iterate(n).full_coeffs()
-    coeffs[0] = coeffs[0] - P
-    config.check_coeff_bits(c.value for c in coeffs)
-    if all(c.is_zero() for c in coeffs[:-1]):
+    q = f.field.embed(P).value
+    b = q.denominator
+    nums, den = f.iterate_flat(n)
+    # f^n - P over one denominator, P = a / b: coefficient 0 is
+    # (b N_0 - a D) / (b D), and each coefficient i >= 1 is N_i / D
+    low = b * nums[0] - q.numerator * den
+    config.check_pair_bits([(low, b * den)] + [(x, den) for x in nums[1:]])
+    if not low and not any(nums[1:-1]):
         return None   # f^n - P = x^(d^n): every root is 0, none ramifies
-    cert = total_ramification_certificate(build_polygon(coeffs), coeffs)
+    p = f.field.p
+    vd = _vp_int(den, p)
+    points = [(0, _vp_int(low, p) - vd - _vp_int(b, p))] if low else []
+    points += [(i, _vp_int(x, p) - vd)
+               for i, x in enumerate(nums[1:], 1) if x]
+    cert = total_ramification_certificate(polygon_of(points),
+                                          [low, *nums[1:]])
     if cert is None:
         return None
     return cert.degree

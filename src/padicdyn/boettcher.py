@@ -32,10 +32,9 @@ from fractions import Fraction
 from . import config, newton
 from .errors import (BudgetError, DomainError, InternalError, PrecisionError,
                      UsageError)
-from .localfield import ExactField, _vp_int, poly_eval
+from .localfield import ExactField, _over_common, _vp_int, poly_eval
 from .series import (DiskSpec, PointValue, TailSeries, _as_point, _convolve,
-                     _over_common, agreement_order, evaluate, gauss_norm,
-                     weighted_sum)
+                     agreement_order, evaluate, gauss_norm, weighted_sum)
 
 
 class MonicPoly:
@@ -70,26 +69,32 @@ class MonicPoly:
         return poly_eval(self.full_coeffs(), x)
 
     def iterate(self, N: int) -> "MonicPoly":
-        """The N-fold composition f^N as a MonicPoly.
+        """The N-fold composition f^N as a MonicPoly (see
+        ``iterate_flat``)."""
+        nums, den = self.iterate_flat(N)
+        return MonicPoly(self.field, [Fraction(x, den) for x in nums[:-1]])
 
-        Over ``ExactField`` f keeps the chain f, f^2, ... as integer
-        numerators over a common denominator, each level made once from
-        the one before and read as rationals only when returned; it grows
-        into a new tuple, never in place, so threads sharing f read a
-        whole one.  Other fields, extensions of Q_p included, are refused:
-        no construction iterates over them (degree certificates need the
+    def iterate_flat(self, N: int) -> tuple:
+        """f^N as (numerators, denominator): integers, lowest first, over
+        their least common denominator, the last numerator equal to it.
+
+        Over ``ExactField`` f keeps the chain f, f^2, ... in this form,
+        each level made once from the one before; it grows into a new
+        tuple, never in place, so threads sharing f read a whole one.
+        Other fields, extensions of Q_p included, are refused: no
+        construction iterates over them (degree certificates need the
         exact backend).
         """
         if N < 1:
             raise UsageError("iterate needs N >= 1")
         if not isinstance(self.field, ExactField):
             raise UsageError("iterating f needs an ExactField")
-        chain = self._chain or (_over_common(self.full_coeffs()),)
+        chain = self._chain or (
+            _over_common([c.value for c in self.full_coeffs()]),)
         while len(chain) < N:
             chain += (_compose_flat(chain[0], chain[-1]),)
         self._chain = chain
-        nums, den = chain[N - 1]
-        return MonicPoly(self.field, [Fraction(x, den) for x in nums[:-1]])
+        return chain[N - 1]
 
     def __repr__(self):
         return f"MonicPoly(d={self.degree}, p={self.field.p})"

@@ -137,21 +137,34 @@ class JobSpec:
                                    ("--levels", self.levels, 1)):
             if value < least:
                 raise UsageError(f"{flag} must be at least {least}")
-        point = () if self.point is None else (self.point,)
-        for flag, texts in (("--poly", self.poly), ("--point", point),
-                            ("--ext", self.ext),
-                            ("--ext-point", self.ext_point)):
-            for text in texts:
-                parse_rational(text, flag)
+        for name in ("poly", "point", "ext", "ext_point"):
+            self.rationals(name)
         if self.ext and self.ext_point and \
                 len(self.ext_point) != len(self.ext) - 1:
             raise UsageError(f"--ext-point needs {len(self.ext) - 1} "
                              f"coordinates (the degree of --ext), got "
                              f"{len(self.ext_point)}")
 
+    def rationals(self, name: str) -> tuple:
+        """The field ``name`` (poly, point, ext or ext_point) as a tuple of
+        Fractions, one for each text (``point`` gives one, or none when it
+        is unset); a malformed text is a usage error naming its flag.
+        Each field is parsed once per job: ``validate`` parses them all,
+        and the runners read what it parsed."""
+        parsed = self.__dict__.setdefault("_rationals", {})
+        if name not in parsed:
+            texts = getattr(self, name)
+            if name == "point":
+                texts = () if texts is None else (texts,)
+            flag = "--" + name.replace("_", "-")
+            parsed[name] = tuple(parse_rational(text, flag)
+                                 for text in texts)
+        return parsed[name]
+
     def inputs_json(self) -> dict:
         """Every field, tuples as JSON lists."""
-        return {key: _nested(list, value) for key, value in vars(self).items()}
+        return {field.name: _nested(list, getattr(self, field.name))
+                for field in fields(self)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "JobSpec":
@@ -198,7 +211,7 @@ def parse_pairs(text: str) -> tuple:
 
 def _monic(job: JobSpec) -> MonicPoly:
     """The job's map over the field of its --prime, --backend, --precision."""
-    coeffs = [Fraction(c) for c in job.poly]
+    coeffs = job.rationals("poly")
     if coeffs[-1] != 1:
         raise UsageError("--poly lists a0,...,a_{d-1},1 and must be monic")
     field = field_for(job.prime, job.backend, job.precision)
@@ -271,7 +284,7 @@ def run_verify(job: JobSpec):
 
 def run_newton_polygon(job: JobSpec):
     field = field_for(job.prime, job.backend, job.precision)
-    coeffs = [field.embed(Fraction(c)) for c in job.poly]
+    coeffs = [field.embed(c) for c in job.rationals("poly")]
     polygon = build_polygon(coeffs)
     cert = total_ramification_certificate(polygon, coeffs)
     results = {
@@ -292,7 +305,8 @@ def run_escape(job: JobSpec):
     f = _monic(job)
     if job.point is None:
         raise UsageError("escape needs --point")
-    P = f.field.embed(Fraction(job.point))
+    (point,) = job.rationals("point")
+    P = f.field.embed(point)
     res = escape_test(f, P, job.max_iter)
     results = {"status": res.status, "iterations": res.iterations,
                "certified": res.certified, "reason": res.reason,
@@ -306,7 +320,8 @@ def run_degrees(job: JobSpec):
     f = _monic(job)
     if job.point is None:
         raise UsageError("degrees needs --point")
-    chain = degree_chain(f, Fraction(job.point), job.levels, job.order)
+    (point,) = job.rationals("point")
+    chain = degree_chain(f, point, job.levels, job.order)
     levels = []
     consistent = True
     product = 1
@@ -343,13 +358,14 @@ def run_transport(job: JobSpec):
     f = _monic(job)
     if job.point is None or not job.ext or not job.ext_point:
         raise UsageError("transport needs --point, --ext and --ext-point")
-    ext_coeffs = [Fraction(c) for c in job.ext]
+    ext_coeffs = job.rationals("ext")
     if ext_coeffs[-1] != 1:
         raise UsageError("--ext lists c0,...,1 and must be monic")
     E = ExtensionField(f.field, ext_coeffs[:-1], job.ext_kind)
-    Q = E.from_vector([Fraction(c) for c in job.ext_point])
+    Q = E.from_vector(job.rationals("ext_point"))
     B = conjugacy(f, job.order)
-    report = transport_check(B, E, Q, Fraction(job.point),
+    (point,) = job.rationals("point")
+    report = transport_check(B, E, Q, point,
                              precision=max(job.precision, 16))
     results = {"passed": report.passed,
                "checks": [{"name": c.name, "passed": c.passed,
@@ -398,13 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
     new namespace, and help and errors go to the sys.stdout and
     sys.stderr of that moment.  Each flag names a ``JobSpec`` field, and
     a flag left out parses to None and takes that field's default; only
-    ``verify --order`` sets a default of its own.
+    ``verify --order`` sets a default of its own.  ``commands`` maps each
+    subcommand to its own parser (see ``parse_args``).
     """
     parser = argparse.ArgumentParser(
         prog="padicdyn",
         description="Conjugacy series, Newton polygons, escape tests, and "
                     "preimage-tree degree growth over p-adic fields.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def common(sp, backend=True):
         sp.add_argument("--prime", type=int, required=True)
@@ -483,8 +501,52 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
     return JobSpec(**kwargs)
 
 
+def to_json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for the values a
+    document holds: dicts with str keys, lists, strs, ints, bools and
+    None.  Any other type raises TypeError.  ``newline`` is the line
+    break and indent before the value's closing bracket.  A container
+    writes its str and int items itself, the most common ones, without
+    a call for each."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        parts = []
+        for key in sorted(value):
+            x = value[key]
+            parts.append(_quote(key) + ": " + (
+                _quote(x) if type(x) is str else
+                int.__repr__(x) if type(x) is int else to_json(x, inner)))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        parts = [_quote(x) if type(x) is str else
+                 int.__repr__(x) if type(x) is int else to_json(x, inner)
+                 for x in value]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON "
+                    f"serializable")
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
 def emit(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Write the document: the bytes of ``json.dumps(doc, sort_keys=True,
+    indent=2)`` and a newline, to ``output`` or else to stdout."""
+    text = to_json(doc) + "\n"
     if output:
         try:
             with open(output, "w") as handle:
@@ -495,10 +557,27 @@ def emit(doc: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def main(argv=None) -> int:
+def parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, argv None meaning the
+    command line.  When argv starts with a subcommand, the full parser
+    only hands the rest to that subcommand's parser, so that parser is
+    called here directly; anything else (no subcommand first, or
+    arguments the subcommand does not know) goes to the full parser,
+    which gives the same namespace or the same help, message and exit."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

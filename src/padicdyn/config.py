@@ -1,5 +1,6 @@
 """Resource budgets, overridable through environment variables."""
 
+import math
 import os
 
 from .errors import BudgetError, UsageError
@@ -35,7 +36,16 @@ def max_coeff_bits() -> int:
 
 def check_coeff_bits(values) -> None:
     """Raise BudgetError if a rational is wider than max_coeff_bits()."""
+    check_pair_bits((q.numerator, q.denominator) for q in values)
+
+
+def check_pair_bits(pairs) -> None:
+    """``check_coeff_bits`` for rationals given as (numerator, denominator)
+    pairs of integers, not always in lowest terms: a gcd is taken only for
+    a pair wider than max_coeff_bits()."""
     cap = max_coeff_bits()
-    if any(q.numerator.bit_length() > cap or q.denominator.bit_length() > cap
-           for q in values):
-        raise BudgetError("coefficient size exceeds the budget")
+    for num, den in pairs:
+        if num.bit_length() > cap or den.bit_length() > cap:
+            g = math.gcd(num, den)
+            if (num // g).bit_length() > cap or (den // g).bit_length() > cap:
+                raise BudgetError("coefficient size exceeds the budget")

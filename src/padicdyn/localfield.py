@@ -23,6 +23,7 @@ values are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -334,17 +335,23 @@ class PadicElement(_Element):
 
     @classmethod
     def from_rational(cls, field, q) -> "PadicElement":
-        q = Fraction(q)
-        if q == 0:
+        """q, an int or anything ``Fraction`` reads, to the field's cap;
+        an int is taken as it is, with no Fraction made."""
+        if type(q) is int:
+            num, den = q, 1
+        else:
+            q = Fraction(q)
+            num, den = q.numerator, q.denominator
+        if num == 0:
             return cls.exact_zero(field)
-        p = field.p
-        vn = _vp_int(q.numerator, p)
-        vd = _vp_int(q.denominator, p)
-        rel = field.prec
-        num_unit = q.numerator // p ** vn
-        den_unit = q.denominator // p ** vd
+        p, rel = field.p, field.prec
+        vn = _vp_int(num, p)
+        num //= p ** vn
+        if den == 1:
+            return cls._make(field, vn, num, rel)
+        vd = _vp_int(den, p)
         return cls._make(field, vn - vd,
-                         num_unit * pow(den_unit, -1, p ** rel), rel)
+                         num * pow(den // p ** vd, -1, p ** rel), rel)
 
     # -- predicates --------------------------------------------------------
 
@@ -595,8 +602,13 @@ def field_for(p: int, backend: str = "exact", prec: int = 24):
 def poly_eval(coeffs, x):
     """Evaluate a coefficient list (lowest first) at x by Horner.  At an
     extension point a coefficient from below x's field goes into
-    coordinate 0 alone: its other coordinates are exact zeros."""
+    coordinate 0 alone: its other coordinates are exact zeros.  Over
+    ``ExactField`` at a point of one stage, Horner runs on integers
+    (``_exact_stage_eval``)."""
     ring = x.field
+    if type(x) is ExtElement and type(ring.subfield) is ExactField and \
+            all(type(c) is ExactElement for c in coeffs):
+        return _exact_stage_eval(coeffs, x)
     acc = ring.embed(coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc = acc * x
@@ -607,6 +619,53 @@ def poly_eval(coeffs, x):
         else:
             acc = acc + ring.embed(c)
     return acc
+
+
+def _over_common(values) -> tuple:
+    """(r, D) for a list of rationals: integer numerators over D, the lcm
+    of the denominators (the exact series form at scale 1 is (r, D, 1))."""
+    den = math.lcm(*[q.denominator for q in values])
+    return [q.numerator * (den // q.denominator) for q in values], den
+
+
+def _exact_stage_eval(coeffs, x):
+    """``poly_eval`` of ExactField elements at x in a stage E over
+    ExactField, on integers.  The accumulator is a coordinate vector A
+    over one denominator; each step multiplies by x, reduces modulo E's
+    defining polynomial t^n + sum g_i t^i (its top coefficients folded
+    down one at a time, each fold putting g's denominator into A's) and
+    adds the next coefficient.  The rationals are exact, so the element
+    is the one the element loop gives."""
+    E = x.field
+    n, sub = E.degree, E.subfield
+    X, dx = _over_common([c.value for c in x.vec])
+    G, dg = _over_common([c.value for c in E.stage_coeffs])
+    top = coeffs[-1].value
+    acc, den = [top.numerator] + [0] * (n - 1), top.denominator
+    for c in reversed(coeffs[:-1]):
+        prod = [0] * (2 * n - 1)
+        for i, a in enumerate(acc):
+            if a:
+                for j, b in enumerate(X):
+                    prod[i + j] += a * b
+        den *= dx
+        for k in range(2 * n - 2, n - 1, -1):
+            lead = prod[k]
+            if lead:
+                if dg != 1:
+                    prod = [v * dg for v in prod[:k]]
+                    den *= dg
+                for i, gi in enumerate(G):
+                    prod[k - n + i] -= lead * gi
+        q = c.value
+        acc = [v * q.denominator for v in prod[:n]]
+        acc[0] += q.numerator * den
+        den *= q.denominator
+        common = math.gcd(den, *acc)
+        if common != 1:
+            acc, den = [v // common for v in acc], den // common
+    return ExtElement(E, tuple(ExactElement(sub, Fraction(v, den))
+                               for v in acc))
 
 
 def poly_mul(a, b):

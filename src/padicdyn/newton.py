@@ -46,7 +46,8 @@ class NewtonPolygon:
 def build_polygon(coeffs) -> NewtonPolygon:
     """Lower convex hull of (i, v(a_i)) for a coefficient list (lowest first).
 
-    Needs at least two nonzero coefficients and exactly known valuations.
+    Needs at least two nonzero coefficients and exactly known valuations:
+    a valuation that is only a lower bound cannot place its point.
     """
     points = []
     for i, c in enumerate(coeffs):
@@ -58,6 +59,15 @@ def build_polygon(coeffs) -> NewtonPolygon:
                 "insufficient precision to place polygon point "
                 f"at index {i}")
         points.append((i, val.as_fraction()))
+    return polygon_of(points)
+
+
+def polygon_of(points) -> NewtonPolygon:
+    """The polygon through points (i, v) of increasing i, v a Fraction or
+    an int: the lower convex hull and its segments.
+
+    Needs at least two points.
+    """
     if len(points) < 2:
         raise UsageError("polygon needs at least two nonzero coefficients")
 
@@ -101,10 +111,12 @@ def total_ramification_certificate(polygon: NewtonPolygon, coeffs):
     degree whose slope, in lowest terms, has denominator equal to the
     degree (so the root valuation has exact denominator n, forcing
     ramification index n and hence irreducibility).  Returns None when
-    inconclusive; never a false certificate.
+    inconclusive; never a false certificate.  ``coeffs`` are the
+    polynomial's coefficients, lowest first, as elements or as integer
+    numerators over one denominator.
     """
     deg = len(coeffs) - 1
-    while deg >= 0 and coeffs[deg].is_zero():
+    while deg >= 0 and coeffs[deg] == 0:
         deg -= 1
     if deg < 1:
         return None

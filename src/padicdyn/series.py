@@ -69,7 +69,8 @@ from operator import add, mul, sub
 
 from .errors import DomainError, InternalError, PrecisionError, UsageError
 from .localfield import (CappedField, ExactElement, ExactField, PadicElement,
-                         Valuation, _power, _vp_int, poly_eval)
+                         Valuation, _over_common, _power, _vp_int,
+                         poly_eval)
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,12 @@ class TailSeries:
     its map and that costs only speed when it is wrong (see the module
     docstring), and ``_kernel`` the backend's
     functions on that form, which every method calls; ``_coeffs`` caches
-    the elements once ``coeffs`` is read.
+    the elements once ``coeffs`` is read, and ``_norm`` the last disk
+    ``gauss_norm`` was taken on, with the norm.
     """
 
-    __slots__ = ("field", "ord", "trunc", "_kernel", "_flat", "_coeffs")
+    __slots__ = ("field", "ord", "trunc", "_kernel", "_flat", "_coeffs",
+                 "_norm")
 
     def __init__(self, field, ord: int, coeffs, trunc: int):
         if isinstance(field, CappedField):
@@ -130,7 +133,7 @@ class TailSeries:
         self.field, self._kernel, self._flat = field, kernel, flat
         self.ord = ord + lead if flat[0] else trunc
         self.trunc = trunc
-        self._coeffs = None
+        self._coeffs = self._norm = None
 
     def _new(self, ord: int, flat, trunc: int) -> "TailSeries":
         """A series over self's field from the flat form of its trunc - ord
@@ -852,15 +855,6 @@ def _capped_inverse(field, a):
     return ys, 0, f, step
 
 
-def _over_common(coeffs) -> tuple:
-    """(r, D) for a list of ExactField elements: integer numerators over
-    D, the lcm of the denominators; the exact form at scale 1 is
-    (r, D, 1)."""
-    den = math.lcm(*[c.value.denominator for c in coeffs])
-    return [c.value.numerator * (den // c.value.denominator)
-            for c in coeffs], den
-
-
 def _exact_element(field, flat, i):
     """Coefficient i of an exact form as an element."""
     r, den, L = flat
@@ -999,7 +993,8 @@ _CAPPED = _Kernel(
     scale=lambda field, flat: field.p ** flat[3])
 
 _EXACT = _Kernel(
-    flat=lambda field, coeffs: (*_over_common(coeffs), 1),
+    flat=lambda field, coeffs: (*_over_common([c.value for c in coeffs]),
+                                1),
     one=lambda field: ([1], 1, 1),
     is_one=lambda field, flat: flat[0][0] == flat[1],
     valuations=_exact_valuations, element=_exact_element,
@@ -1077,12 +1072,18 @@ def gauss_norm(S: TailSeries, D: DiskSpec) -> Valuation:
     Only stored coefficients enter; an infinite result means the series
     is zero to its truncation order.  The valuations are read from the
     flat form; with eps = a / b the minimum of v_k b + k a is taken in
-    integers, and divided by b once.
+    integers, and divided by b once.  The norm is kept on S with the
+    disk it was taken on, so evaluations of S at many points of one disk
+    take it once.
     """
+    if S._norm is not None and S._norm[0] is D:
+        return S._norm[1]
     a, b = D.eps.numerator, D.eps.denominator
     vals = S._kernel.valuations(S.field, S._flat)
-    return Valuation._least_pairs((v * b + (S.ord + i) * a, exact)
+    norm = Valuation._least_pairs((v * b + (S.ord + i) * a, exact)
                                   for i, v, exact in vals) * Fraction(1, b)
+    S._norm = (D, norm)
+    return norm
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,22 @@
 """Tree automorphism model, degree chains, and transport checks."""
 
 import dataclasses
+import os
 import random
 from fractions import Fraction as F
 from math import gcd
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from padicdyn import boettcher
-from padicdyn import (DomainError, ExactField, ExtensionField, KummerLevel,
-                      MonicPoly, UsageError, boettcher_series, certify_degree,
-                      degree_chain, predicted_degree_step,
-                      subgroup_orbit_count, transport_check,
+from padicdyn import boettcher, config
+from padicdyn import (BudgetError, DomainError, ExactField, ExtensionField,
+                      KummerLevel, MonicPoly, UsageError, boettcher_series,
+                      build_polygon, certify_degree, degree_chain,
+                      predicted_degree_step, subgroup_orbit_count,
+                      total_ramification_certificate, transport_check,
                       transported_valuation)
 from padicdyn.localfield import poly_mul
 
@@ -381,6 +386,66 @@ def test_single_term_polygon_is_uncertified():
     f = mono(3, [F(1, 3), 0])
     assert certify_degree(f, F(1, 3), 1) is None
     assert certify_degree(mono(5, [0, 0]), 0, 2) is None
+
+
+def certify_by_elements(f, P, n):
+    """``certify_degree`` on elements: f^n - P as rationals, the budgets
+    on each of them, and the polygon of their valuations."""
+    if f.degree ** n > config.max_tree_degree():
+        raise BudgetError("tree degree")
+    coeffs = f.iterate(n).full_coeffs()
+    coeffs[0] = coeffs[0] - f.field.embed(P)
+    config.check_coeff_bits(c.value for c in coeffs)
+    if all(c.is_zero() for c in coeffs[:-1]):
+        return None
+    cert = total_ramification_certificate(build_polygon(coeffs), coeffs)
+    return None if cert is None else cert.degree
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BudgetError:
+        return "budget"
+
+
+@st.composite
+def degree_cases(draw):
+    """An exact map of degree 2-4 over p in {2, 3, 5, 7}, often with zero
+    coefficients, and a point: a rational over a power of p, 0, or the
+    constant term of an iterate, so that f^n - P has a_0 = 0."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(2, 4))
+    dens = [1, p, p * p, 2 if p != 2 else 3]
+    rational = st.builds(F, st.integers(-9, 9), st.sampled_from(dens))
+    coeffs = draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9),
+                                     rational), min_size=d, max_size=d))
+    f = MonicPoly(ExactField(p), coeffs)
+    n = draw(st.integers(1, {2: 6, 3: 3, 4: 3}[d]))
+    kind = draw(st.sampled_from(["rational", "rational", "zero",
+                                 "iterate"]))
+    if kind == "iterate":
+        P = f.iterate(n).coeffs[0].value
+    elif kind == "zero":
+        P = F(0)
+    else:
+        P = draw(rational)
+    return coeffs, p, P, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(degree_cases(), st.sampled_from([None, None, "8", "40", "200"]),
+       st.sampled_from([None, None, "4", "16"]))
+# z^2 - 3/49 at P = 1/7: at level 2 only a denominator is over 8 bits
+@example(([0, F(-3, 49)], 7, F(1, 7), 2), "8", None)
+def test_integer_certificates_match_the_element_polygon(case, bits, degree):
+    coeffs, p, P, n = case
+    env = {"PADICDYN_MAX_COEFF_BITS": bits, "PADICDYN_MAX_DEGREE": degree}
+    with mock.patch.dict(os.environ, {k: v for k, v in env.items() if v}):
+        want = outcome(certify_by_elements, MonicPoly(ExactField(p), coeffs),
+                       P, n)
+        got = outcome(certify_degree, MonicPoly(ExactField(p), coeffs), P, n)
+    assert got == want
 
 
 def test_iterate_chain_shared_across_threads():

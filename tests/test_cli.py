@@ -1,7 +1,9 @@
 """CLI dispatch, JSON output shape, determinism, and exit codes."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -12,6 +14,8 @@ from fractions import Fraction as F
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import padicdyn.cli as cli
 from padicdyn import ExactField, MonicPoly
@@ -503,3 +507,71 @@ def test_transport_with_a_euclid_remainder_lost_to_precision_exits_3(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("domain error: ")
         assert "Traceback" not in err
+
+
+# the texts a document can hold: quotes, backslashes, control characters,
+# non-ASCII and astral characters among any others
+TEXTS = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028'
+                                          '\U0001d54f'),
+                          st.characters()), max_size=8)
+SCALARS = st.one_of(st.none(), st.booleans(), TEXTS,
+                    st.integers(-2 ** 70, 2 ** 70), st.integers(-9, 9))
+DOCUMENTS = st.recursive(
+    SCALARS, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(TEXTS, inner, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DOCUMENTS)
+def test_emitter_writes_the_bytes_of_json_dumps(doc):
+    assert cli.to_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_emitter_spells_bools_and_refuses_other_types(tmp_path):
+    doc = {"b": [True, False, 1, 0, None], "a": {}, "c": [[], {"x": -1}]}
+    assert cli.to_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert '"b": [\n    true,\n    false,\n    1,\n    0,\n    null' \
+        in cli.to_json(doc)
+    out = tmp_path / "doc.json"
+    cli.emit(doc, str(out))
+    assert out.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    for bad in (1.5, F(1, 2), {"a": [F(1, 3)]}, {"a": (1, 2)}, [float("nan")]):
+        with pytest.raises(TypeError):
+            cli.to_json(bad)
+
+
+# argv tokens: every subcommand, flags whole, abbreviated, with "=" or
+# help, values that look like flags or negative numbers, and strays
+ARGV_TOKENS = [
+    "cf", "boettcher", "verify", "newton-polygon", "escape", "degrees",
+    "kummer", "transport", "bogus", "--prime", "5", "--poly", "1,0,1",
+    "--poly=1/2,1", "--point", "-1/3", "--point=-1/3", "--order", "12",
+    "--order=x", "--backend", "capped", "--backend=exact", "bad",
+    "--precision", "3", "--seed", "-4", "--levels", "--d", "2", "--N",
+    "--generators", "1,1", "--ext", "3,0,1", "--ext-point", "0,1",
+    "--ext-kind", "unramified", "--emit-latex", "--emit-latex=1", "-h",
+    "--help", "--", "--pri", "--po", "--max-iter", "--points", "--output",
+    "x.json", "", "--prime=", "-", "--e", "--h", "extra"]
+
+
+def parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("args", vars(parse(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ARGV_TOKENS[:8]),
+       st.lists(st.sampled_from(ARGV_TOKENS), max_size=8), st.booleans())
+@example("cf", ["--prime", "5", "--poly=1,0,1"], True)
+@example("cf", ["--prime", "5", "--poly=1,0,1", "extra"], True)
+@example("cf", ["--prime", "5", "--po", "1,0,1", "--help"], True)
+def test_parse_args_agrees_with_the_full_parser(command, rest, lead):
+    argv = [command] + rest if lead else rest
+    assert parse_outcome(cli.parse_args, argv) == \
+        parse_outcome(build_parser().parse_args, argv)

@@ -801,6 +801,28 @@ def test_extension_fast_paths_match_the_element_loops():
             assert _parts(x.apply_root_map(E.generator())) == _parts(x)
 
 
+def test_exact_stage_horner_matches_the_element_loops():
+    """Horner over ExactField at a point of one stage runs on integers.
+    It gives the element the element loops give, on stages whose
+    coefficients have denominators to fold in and on long lists."""
+    rng = random.Random(2611)
+    stages = [ExtensionField(ExactField(3), [F(-3, 2), 0], "eisenstein"),
+              ExtensionField(ExactField(3), [F(-1, 2), 0], "unramified"),
+              ExtensionField(ExactField(5), [F(5, 4), F(5, 3), 0],
+                             "eisenstein"),
+              ExtensionField(ExactField(7), [F(-7, 2), 0, 0, F(7, 3)],
+                             "eisenstein")]
+    stages += [E for E in _fast_path_fields()
+               if isinstance(E.subfield, ExactField)]
+    for E in stages:
+        for length in (1, 2, 5, 17):
+            coeffs = [_random_entry(rng, E.base_field)
+                      for _ in range(length)]
+            x = _random_entry(rng, E)
+            assert _parts(poly_eval(coeffs, x)) \
+                == _parts(_oracle_eval(coeffs, x)), (E, coeffs, x)
+
+
 def test_first_conjugate_is_the_element_itself():
     """conjugates(E, a)[0] is a; the others are Horner at the generator's
     images with every coefficient embedded."""
