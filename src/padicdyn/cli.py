@@ -157,14 +157,14 @@ class JobSpec:
             if name == "point":
                 texts = () if texts is None else (texts,)
             flag = "--" + name.replace("_", "-")
-            parsed[name] = tuple(parse_rational(text, flag)
-                                 for text in texts)
+            parsed[name] = tuple([parse_rational(text, flag)
+                                  for text in texts])
         return parsed[name]
 
     def inputs_json(self) -> dict:
         """Every field, tuples as JSON lists."""
-        return {field.name: _nested(list, getattr(self, field.name))
-                for field in fields(self)}
+        return {name: _nested(list, getattr(self, name))
+                for name in _JOB_FIELDS}
 
     @classmethod
     def from_json(cls, doc: dict) -> "JobSpec":
@@ -483,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_JOB_FIELDS = frozenset(field.name for field in fields(JobSpec))
+_JOB_FIELDS = tuple(field.name for field in fields(JobSpec))   # in order
 _LIST_FLAGS = {"poly": 2, "ext": 2, "ext_point": 1}   # least field counts
 
 

@@ -664,8 +664,8 @@ def _exact_stage_eval(coeffs, x):
         common = math.gcd(den, *acc)
         if common != 1:
             acc, den = [v // common for v in acc], den // common
-    return ExtElement(E, tuple(ExactElement(sub, Fraction(v, den))
-                               for v in acc))
+    return ExtElement(E, tuple([ExactElement(sub, Fraction(v, den))
+                                for v in acc]))
 
 
 def poly_mul(a, b):
