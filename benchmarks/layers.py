@@ -16,8 +16,8 @@ whole build, and general reversion and composition for comparison:
 - ``compose_s``: omega(omega^-1);
 - ``roots_s``: omega from its own functional equation, as the build
   computes it: one composition through f and one square root per step,
-  with the build's check (the last root's own, unless the image is a
-  fresh composition);
+  of which only the last root is checked, with the build's check (that
+  root's own, unless the image is a fresh composition);
 - ``reversion_s``: omega^-1 from its own functional equation, as the
   build computes it;
 - ``lagrange_invert_s``: omega^-1 by ``lagrange_invert`` (Newton on the
@@ -60,8 +60,11 @@ inverse of the unit omega / w of the reference map: ``at_scale_s`` at
 the scale 5^1 the build gives it, and ``scale_one_s`` rebuilt from its
 elements at scale 1, whose valuations dip below that scale's line, so
 the recurrence runs on the steepest line under them
-(``series._slope``).  Each inverse is checked by its product with the
-unit.
+(``series._slope``).  On both backends ``reciprocal_s`` times the
+inverse of W's unit 1 + z/5 w + 3 w^2 to order M, at the scale the build
+gives it, as ``boettcher._reciprocal`` takes it: a polynomial unit,
+whose sums stop at its last coefficient.  Each inverse is checked by its
+product with the unit.
 
 ``transport`` times, on both backends (precision 20 when capped), the
 element work of a ``transport`` job in the quadratic Eisenstein
@@ -131,8 +134,8 @@ from padicdyn import (CappedField, ExactField,  # noqa: E402
                       degree_chain, functional_equation_check,
                       lagrange_invert)
 from padicdyn.boettcher import (_beta_series, _omega_inverse,  # noqa: E402
-                                _omega_series, _reciprocal, conjugacy,
-                                omega_at)
+                                _omega_series, _reciprocal, _scale,
+                                conjugacy, omega_at)
 from padicdyn.cli import emit, main as cli_main, series_json  # noqa: E402
 from padicdyn import series  # noqa: E402
 import workloads  # noqa: E402
@@ -266,28 +269,39 @@ INVERSE_UNITS = (
     ("geometric_s", lambda i: Fraction(-2, 15) ** i))
 
 
+def reciprocal_unit(field, M: int) -> TailSeries:
+    """W's unit f(z)/z^d of the reference map to order M, at the build's
+    scale."""
+    f = reference_map(field)
+    return TailSeries.from_polynomial(field, f.w_coeffs(), M)._rescaled(
+        _scale(f))
+
+
 def inverses() -> list:
-    """mixed_s and geometric_s rows of exact unit inverses, at_scale_s
-    and scale_one_s rows of capped ones."""
+    """mixed_s, geometric_s and reciprocal_s rows of exact unit inverses,
+    at_scale_s, scale_one_s and reciprocal_s rows of capped ones."""
     field = ExactField(5)
     rows = []
     for M in ORDERS:
         row = {"backend": "exact", "M": M}
-        for key, coefficient in INVERSE_UNITS:
-            unit = TailSeries(field, 0, [1] + [coefficient(i)
-                                               for i in range(1, M)], M)
+        units = [(key, TailSeries(field, 0, [1] + [
+            coefficient(i) for i in range(1, M)], M))
+            for key, coefficient in INVERSE_UNITS]
+        for key, unit in units + [("reciprocal_s",
+                                   reciprocal_unit(field, M))]:
             row[key], inverse = best_of(unit.invert_unit)
             if not (unit * inverse).identical_to(
                     TailSeries.one(field, M), M):
                 raise SystemExit(f"{key} M={M}: unit * inverse is not 1")
         rows.append(row)
-    f = reference_map(CappedField(5, PRECISION))
-    omega = _omega_series(f, max(ORDERS) + 1)[0]
+    field = CappedField(5, PRECISION)
+    omega = _omega_series(reference_map(field), max(ORDERS) + 1)[0]
     for M in ORDERS:
         unit = omega.truncate(M + 1).shifted(-1)
         row = {"backend": "capped", "M": M}
-        for key, x in (("at_scale_s", unit), ("scale_one_s", at_scale_one(
-                unit))):
+        for key, x in (("at_scale_s", unit),
+                       ("scale_one_s", at_scale_one(unit)),
+                       ("reciprocal_s", reciprocal_unit(field, M))):
             row[key], inverse = best_of(x.invert_unit)
             if not (x * inverse - TailSeries.one(x.field, M)).is_zero():
                 raise SystemExit(f"{key} M={M}: unit * inverse is not 1")

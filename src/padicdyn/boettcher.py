@@ -34,7 +34,8 @@ from .errors import (BudgetError, DomainError, InternalError, PrecisionError,
                      UsageError)
 from .localfield import ExactField, _over_common, _vp_int, poly_eval
 from .series import (DiskSpec, PointValue, TailSeries, _as_point, _convolve,
-                     agreement_order, evaluate, gauss_norm, weighted_sum)
+                     agreement_order, evaluate, gauss_norm, minus_product,
+                     weighted_sum)
 
 
 class MonicPoly:
@@ -273,8 +274,12 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     coefficients up to j.  The table lives for one build only.  Each
     root starts from the previous omega / w, known modulo w^(t - 1), and
     Newton iteration goes from there to twice that truncation and on to
-    T - d (``TailSeries._root_from``) instead of climbing from 1 modulo
-    w; for d = 2 that is one Newton step per fixed-point step.
+    T - d (``TailSeries._root_steps``) instead of climbing from 1 modulo
+    w; for d = 2 that is one Newton step per fixed-point step.  Only the
+    last root is checked against its image to full order
+    (``TailSeries._root_from``): each earlier omega only starts the next
+    step, and a wrong one cannot pass, since the last root's check and
+    ``identical_to``, or the fresh composition, bind the build.
 
     Over a capped field the padding claims exact zeros that omega does
     not have, and no digit or precision comes from them: composing to
@@ -285,7 +290,7 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     without padding, and the capped omega claims no digit it does not
     have.  The warm start claims no more: it carries only the digits
     the previous omega itself claimed, each Newton step propagates them
-    by the same precision rules as a start from 1, and the root's final
+    by the same precision rules as a start from 1, and the last root's
     check, its d-th power against omega(W) / w^d to full order, binds
     the result whatever the start was.
 
@@ -317,8 +322,9 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
         T = min(d * omega.trunc, last)
         previous = omega
         image = _compose_with(omega._padded(T), powers, d)
-        omega = image.shifted(-d)._root_from(
-            d, previous.shifted(-1)).shifted(1)
+        # the last step (T = last) is the one whose root is checked
+        root = TailSeries._root_from if T == last else TailSeries._root_steps
+        omega = root(image.shifted(-d), d, previous.shifted(-1)).shifted(1)
     if image is not None and previous.identical_to(omega, -(-M // d)):
         return omega, image.truncate(M), M
     image = _compose_with(omega, powers, d)
@@ -410,7 +416,8 @@ def _inverse_residual(phi: TailSeries, f: MonicPoly, powers=None):
     if powers is None:
         powers = _powers(phi, d)
     spread = phi.spread(d).truncate(phi.trunc + d - 1)
-    return powers[d] - spread * weighted_sum(f.w_coeffs(), powers), spread
+    return minus_product(powers[d], spread,
+                         weighted_sum(f.w_coeffs(), powers)), spread
 
 
 def _omega_inverse(f: MonicPoly, M: int) -> TailSeries:
@@ -438,7 +445,8 @@ def _omega_inverse(f: MonicPoly, M: int) -> TailSeries:
         powers = _powers(phi, d)
         G, spread = _inverse_residual(phi, f, powers)
         if not G.is_exact_zero:   # see TailSeries.nth_root
-            slope = powers[d - 1] - spread * weighted_sum(slopes, powers[:d])
+            slope = minus_product(powers[d - 1], spread,
+                                  weighted_sum(slopes, powers[:d]))
             unit = slope.shifted(1 - d).truncate(t - 1)
             delta = G.shifted(1 - d) * unit.invert_unit()
             phi = weighted_sum((minus_inv_d,), (delta,), t, phi)
@@ -492,7 +500,8 @@ def _compose_with(S: TailSeries, powers: list, d: int) -> TailSeries:
     so the table needs at least that many.  Each block, its giant-step
     term acc W^m included, is one ``weighted_sum`` to the block's order
     t, which reads the powers only below t, so they are taken uncut;
-    only W^m is cut to T."""
+    only W^m is cut to T.  The giant-step product is summed before
+    reduction, each coefficient reduced once, in the block's sum."""
     T = S.trunc
     K = -(-T // d)
     m = _baby_steps(T, d)
@@ -501,7 +510,7 @@ def _compose_with(S: TailSeries, powers: list, d: int) -> TailSeries:
     for b in range(-(-K // m) - 1, -1, -1):
         block = [S.coefficient(k) for k in range(m * b, min(m * b + m, K))]
         acc = weighted_sum(block, baby, T - m * b * d,
-                           None if acc is None else acc * giant)
+                           None if acc is None else (acc, giant))
     return acc
 
 

@@ -4,7 +4,8 @@ Every series carries an explicit truncation order M ("known modulo w^M"),
 and every ring operation computes the tightest sound truncation for its
 result: min rule for sums, ord-shifted min rule for products.  n-th roots
 of 1-units are taken by Newton iteration in the series ring, from 1 or
-from a start the caller already has, and checked to full order.  General
+from a start the caller already has, and checked to full order (the
+Böttcher fixed point checks only its last root).  General
 reversion (``lagrange_invert``) is Newton iteration on the composition
 identity; the Böttcher build does not use it, since its inverse series
 solves a functional equation of its own (``boettcher``).  Disk norms and
@@ -261,8 +262,13 @@ class TailSeries:
             self.field, self._flat, 0, max(trunc - self.ord, 0)), trunc)
 
     def shifted(self, k: int) -> "TailSeries":
-        """Multiplication by the exact monomial w^k."""
-        return self._new(self.ord + k, self._flat, self.trunc + k)
+        """Multiplication by the exact monomial w^k: the same coefficients,
+        so the same form, already normal, from w^(ord + k)."""
+        out = object.__new__(TailSeries)
+        out.field, out._kernel = self.field, self._kernel
+        out._flat, out._coeffs, out._norm = self._flat, None, None
+        out.ord, out.trunc = self.ord + k, self.trunc + k
+        return out
 
     def spread(self, d: int) -> "TailSeries":
         """S(w^d): coefficient k moves to index d k, exact zeros between.
@@ -279,11 +285,26 @@ class TailSeries:
     def _linear(self, pairs, trunc: int) -> "TailSeries":
         """sum c x over the pairs (c a kernel weight, x a series over self's
         field, truncated at trunc or later), to truncation trunc, in one
-        pass; below its order a series adds nothing."""
-        lo = min([x.ord for _, x in pairs] + [trunc])
-        terms = [(c, x.ord - lo, x._flat) for c, x in pairs if x.ord < trunc]
-        return self._new(lo, self._kernel.linear(self.field, terms,
-                                                 trunc - lo), trunc)
+        pass; below its order a series adds nothing.  At an exact weight
+        x may be a pair (a, b), the product a b, which enters as the
+        kernel's sums before reduction (``_capped_unreduced``): each
+        coefficient is reduced once, in the sum, to a precision no
+        greater than the product's, so the digits are the same.
+        """
+        terms = [(c, x.ord, x._flat) if type(x) is TailSeries
+                 else self._product_term(c, x, trunc) for c, x in pairs]
+        lo = min([ord_ for _, ord_, _ in terms] + [trunc])
+        return self._new(lo, self._kernel.linear(
+            self.field, [(c, ord_ - lo, x) for c, ord_, x in terms
+                         if ord_ < trunc], trunc - lo), trunc)
+
+    def _product_term(self, c, pair, trunc: int) -> tuple:
+        """(c, ord, sums to trunc) of the product of pair = (a, b), no sums
+        when ord is at or past trunc (as an exact-zero operand puts it)."""
+        a, b = pair
+        ord_ = a.ord + b.ord
+        return c, ord_, ord_ < trunc and self._kernel.sums(
+            self.field, a._flat, b._flat, trunc - ord_)
 
     def _plus(self, other, sign: int):
         """self + other (sign 1) or self - other (sign -1)."""
@@ -356,21 +377,32 @@ class TailSeries:
         return self._root_from(n, TailSeries.one(self.field, 1))
 
     def _root_from(self, n: int, x: "TailSeries") -> "TailSeries":
-        """The n-th root with constant term 1, by Newton iteration from x,
-        a start with constant term 1 taken as known modulo w^x.trunc.
+        """The n-th root with constant term 1, by the Newton steps of
+        ``_root_steps`` from x, checked: x^n = self to full order.
+
+        The steps trust their start, so what binds the result is this
+        check: a start wrong below its truncation fails it and raises
+        InternalError.  ``nth_root`` starts from 1 modulo w; the Böttcher
+        fixed point takes its roots by the steps alone and checks only
+        its last one, which is also the build's comparison of omega^d
+        with its last image (``boettcher._omega_series``).
+        """
+        x = self._root_steps(n, x)
+        if ((x ** n).truncate(self.trunc) - self).is_zero():
+            return x
+        raise InternalError("series Newton iteration failed to converge")
+
+    def _root_steps(self, n: int, x: "TailSeries") -> "TailSeries":
+        """The Newton steps of ``_root_from`` without its check, from x, a
+        start with constant term 1 taken as known modulo w^x.trunc.
 
         Agreement with the root doubles per step, so x is refined at
         truncations 2 x.trunc, 4 x.trunc, ... up to self's; cost
-        concentrates in the final full-order step.  ``nth_root`` starts
-        from 1 modulo w; the Böttcher fixed point starts each root from the
-        one before (``boettcher._omega_series``).  The steps trust the
-        start, so what binds the result is the final check, x^n = self to
-        full order: a start wrong below its truncation fails it and raises
-        InternalError.  That check is also the Böttcher build's comparison
-        of omega^d with its last image (``boettcher._omega_series``).
-        Each residual x^n - self and each update x - (residual /
-        x^(n-1)) / n is one linear pass to the step's order, the same
-        elements as the chain of operations and cuts.
+        concentrates in the final full-order step.  Each residual
+        x^(n-1) x - self, the product summed before reduction
+        (``_linear``), and each update x - (residual / x^(n-1)) / n is
+        one linear pass to the step's order, the same elements as the
+        chain of operations and cuts.
         """
         if n <= 0:
             raise UsageError("root index must be positive")
@@ -392,17 +424,12 @@ class TailSeries:
             t = min(2 * t, M)
             x = x._padded(t)
             xpow = (x ** (n - 1)).truncate(t)
-            residual = self._linear(
-                [(one, xpow * x), (minus_one, self)], t)
+            residual = self._linear([(one, (xpow, x)), (minus_one, self)], t)
             if not residual.is_exact_zero:
                 delta = residual * xpow.invert_unit()
                 x = weighted_sum((minus_inv_n,), (delta,), t, x)
             if t == M:
-                break
-        residual = (x ** n).truncate(M) - self
-        if residual.is_zero():
-            return x
-        raise InternalError("series Newton iteration failed to converge")
+                return x
 
     def compose(self, inner: "TailSeries") -> "TailSeries":
         """self(inner(w)) for inner with ord >= 1, by Horner on a shrinking
@@ -561,12 +588,14 @@ def _capped_window(field, flat, lo: int, n: int, d: int = 1):
 def _capped_linear(field, terms, n: int):
     """The n coefficients of sum c x over the terms (c, k, x): x a capped
     form placed k coefficients up, c = (v, unit, A) the weight p^v unit
-    + O(p^A) (A infinite for an exact integer).
+    + O(p^A) (A infinite for an exact integer, the weight of a product's
+    form before reduction, ``_capped_unreduced``).
 
     The forms are brought to the greatest scale m among them; a term
     placed k up then has the shift s + k m.  Each coefficient is the
     exact sum of the scaled values, known to the least of the scalar
-    rule's precisions min(A_i + v, v_i + A).
+    rule's precisions min(A_i + v, v_i + A), and reduced once, to that
+    precision (``_reduced``).
     """
     p = field.p
     ms = [x[3] for _, _, x in terms]
@@ -770,9 +799,11 @@ def _run_precisions(fa, fb, n: int, square: bool):
     return out
 
 
-def _capped_product(field, a, b, n):
-    """The form of the first n coefficients of a * b over a CappedField,
-    from the forms a and b, each of at least n coefficients.
+def _capped_sums(field, a, b, n):
+    """(s, m, values, precs): the first n coefficients of a * b over a
+    CappedField before reduction, coefficient k values[k] p^(s - k m) +
+    O(p^precs[k]), from the forms a and b, each of at least n
+    coefficients; ``_capped_product`` reduces them.
 
     Both are brought to the greater of their scales m (``_capped_to``);
     then coefficient k is p^(s_a + s_b - k m) times the exact sum of the
@@ -814,7 +845,26 @@ def _capped_product(field, a, b, n):
     ra = ra[:n]
     rb = ra if square else rb[:n]
     sums = _packed if n >= _LONG else _convolve
-    return _reduced(field, sa + sb, m, sums(ra, rb, n), precs)
+    return sa + sb, m, sums(ra, rb, n), precs
+
+
+def _capped_product(field, a, b, n):
+    """The form of the first n coefficients of a * b: ``_capped_sums``
+    reduced."""
+    return _reduced(field, *_capped_sums(field, a, b, n))
+
+
+def _capped_unreduced(field, a, b, n):
+    """a * b as a form before reduction, for ``_capped_linear`` at an exact
+    weight, which reads no valuation: ``_capped_sums`` with, for each
+    valuation, the lower bound s - k m, whose least is s, so that
+    ``_capped_to`` rescales the form without dividing."""
+    s, m, values, precs = _capped_sums(field, a, b, n)
+    f = [s] * (2 * n)
+    f[::2] = precs
+    if m:
+        f[1::2] = range(s, s - n * m, -m)
+    return values, s, f, m
 
 
 def _slope(r, f) -> int:
@@ -826,32 +876,53 @@ def _slope(r, f) -> int:
 
 
 def _capped_inverse(field, a):
-    """inv_0 = 1, inv_k = -sum_{j=1..k} a_j inv_{k-j} over a CappedField,
-    form in and out, with the precision rule of ``_capped_product`` for
-    each sum.
+    """inv_0 = 1, inv_k = -sum_{j=1..min(k, J)} a_j inv_{k-j} over a
+    CappedField, form in and out, with the precision rule of
+    ``_capped_product`` for each sum.  J is the last coefficient that is
+    not an exact zero, found by scanning back from the end, so a dense
+    unit pays one comparison and a polynomial unit of degree J, as W's,
+    O(J) per coefficient.
 
     The recurrence runs on integers at a scale m' with
     v(a_j) >= -j m' for j >= 1: there a_j = x_j p^(-j m'), so
-    inv_k = y_k p^(-k m') with y_k = -sum x_j y_{k-j}, each y_k reduced
-    as it is found, and the inverse is (y, 0, f, m').  m' is the
-    steepest line under the valuations (``_slope``), never below the
-    form's own m, not the line m - s, whose representatives would grow
-    quadratically.
+    inv_k = y_k p^(-k m') with y_k = -sum x_j y_{k-j}, and the inverse is
+    (y, 0, f, m').  Each y_k is reduced as it is found, in this loop, as
+    ``_reduced`` would reduce it at the shift -k m'.  m' is the steepest
+    line under the valuations (``_slope``), never below the form's own m,
+    not the line m - s, whose representatives would grow quadratically.
     """
     r, s, f_a, m = a
     M = len(r)
+    J = M - 1
+    while J and f_a[2 * J] == _INF:
+        J -= 1
     step = max(m, -_slope(r, f_a))
-    # a_k .. a_1 at M-1-k .. M-2 as x_k = r_k p^(s + k (m' - m))
-    xs = _scaled(field, r[1:], s + step - m, step - m)[::-1]
-    flat = f_a[::-1]                          # v, A of a_k at 2(M-1-k)
+    # a_J .. a_1 as x_j = r_j p^(s + j (m' - m)), and v_J, A_J .. v_1, A_1
+    xs = _scaled(field, r[1:J + 1], s + step - m, step - m)[::-1]
+    flat = f_a[2 * J + 1:1:-1]
+    p = field.p
+    pw, logs = field.powers(0)
     ys, f = [1], [field.prec, 0]              # inv_0 .. inv_{k-1}
     for k in range(1, M):
-        lo = M - 1 - k
-        y, _, fk, _ = _reduced(field, -k * step, 0,
-                               [-sum(map(mul, xs[lo:], ys))],
-                               [min(map(add, flat[2 * lo:], f))])
-        ys += y
-        f += fk
+        if k <= J:
+            y = -sum(map(mul, xs[J - k:], ys))
+            A = min(map(add, flat[2 * (J - k):], f))
+        else:       # a_J .. a_1 against inv_{k-J} .. inv_{k-1}
+            y = -sum(map(mul, xs, ys[k - J:]))
+            A = min(map(add, flat, f[2 * (k - J):]), default=_INF)
+        sk = -k * step
+        if A != _INF and A > sk:
+            e = A - sk
+            if e >= len(pw):
+                pw, logs = field.powers(e)
+            y %= pw[e]
+            if y:
+                ys.append(y)
+                f += (A, sk + logs[gcd(y, pw[e]).bit_length()] if y % p == 0
+                      else sk)
+                continue
+        ys.append(0)
+        f += (A, A)
     return ys, 0, f, step
 
 
@@ -960,26 +1031,31 @@ def _exact_product(field, a, b, n):
 
 
 def _exact_inverse(field, a):
-    """inv_0 = 1, inv_k = -sum_{j=1..k} a_j inv_{k-j} on integers, from
-    an exact form (r, D, L) with coefficient 0 equal to 1.  At scale L D
-    its numerators are r_i D^i, and r_0 = D divides them all, so there
-    its D is 1 (``_exact_at``): the coefficients times (L D)^k are
+    """inv_0 = 1, inv_k = -sum_{j=1..min(k, J)} a_j inv_{k-j} on
+    integers, from an exact form (r, D, L) with coefficient 0 equal to 1
+    and J its last nonzero numerator (see ``_capped_inverse``).  At scale
+    L D its numerators are r_i D^i, and r_0 = D divides them all, so
+    there its D is 1 (``_exact_at``): the coefficients times (L D)^k are
     integers, the recurrence holds for them, and the inverse is
     (inv, 1, L D)."""
     _, den, L = a
     r, _, L = _exact_at(a, L * den)
-    M = len(r)
-    ra = r[::-1]                                  # a_k .. a_1 at M-1-k ..
+    J = len(r) - 1
+    while J and not r[J]:
+        J -= 1
+    ra = r[J:0:-1]                                # a_J .. a_1
     inv = [1]
-    for k in range(1, M):
-        inv.append(-sum(map(mul, ra[M - 1 - k:], inv)))
+    for k in range(1, J + 1):
+        inv.append(-sum(map(mul, ra[J - k:], inv)))
+    for k in range(J + 1, len(r)):
+        inv.append(-sum(map(mul, ra, inv[k - J:])))
     return inv, 1, L
 
 
 # what the methods of ``TailSeries`` call on a backend's flat form
 _Kernel = namedtuple("_Kernel", "flat one is_one valuations element normal "
-                     "window weight sign linear times product inverse at "
-                     "scale")
+                     "window weight sign linear times product sums inverse "
+                     "at scale")
 
 _CAPPED = _Kernel(
     flat=_capped_flat, one=lambda field: ([1], 0, [field.prec, 0], 0),
@@ -987,7 +1063,8 @@ _CAPPED = _Kernel(
     element=_capped_element, normal=_capped_normal,
     window=_capped_window, weight=lambda c: (c.v, c.unit, c.v + c.rel),
     sign=lambda n: (0, n, _INF), linear=_capped_linear,
-    times=_capped_times, product=_capped_product, inverse=_capped_inverse,
+    times=_capped_times, product=_capped_product, sums=_capped_unreduced,
+    inverse=_capped_inverse,
     at=lambda field, flat, L: _capped_to(field, flat, max(
         flat[3], _vp_int(L, field.p))),
     scale=lambda field, flat: field.p ** flat[3])
@@ -1001,7 +1078,7 @@ _EXACT = _Kernel(
     normal=_exact_normal, window=_exact_window,
     weight=lambda c: (c.value.numerator, c.value.denominator),
     sign=lambda n: (n, 1), linear=_exact_linear, times=_exact_times,
-    product=_exact_product, inverse=_exact_inverse,
+    product=_exact_product, sums=_exact_product, inverse=_exact_inverse,
     at=lambda field, flat, L: _exact_at(flat, L),
     scale=lambda field, flat: flat[2])
 
@@ -1011,15 +1088,27 @@ _EXACT = _Kernel(
 # ---------------------------------------------------------------------------
 
 
+def _trunc(x) -> int:
+    """The truncation of a series x, or of the product a b for a pair
+    (a, b): the lesser of a.trunc + b.ord and b.trunc + a.ord, as
+    ``TailSeries.__mul__`` takes it."""
+    if isinstance(x, TailSeries):
+        return x.trunc
+    a, b = x
+    return min(a.trunc + b.ord, b.trunc + a.ord)
+
+
 def weighted_sum(weights, terms, trunc: int | None = None,
-                 plus: TailSeries | None = None) -> TailSeries:
+                 plus=None) -> TailSeries:
     """plus + sum_j weights[j] terms[j] in one pass, plus (if given) at
     the exact weight 1, to the least truncation of the terms and plus,
     cut to trunc: digit for digit (precision included) the chain of
     scalar products, sums and the cut, each coefficient reduced once
-    instead of once per operation (``_capped_linear``).  Newton updates
-    x - c y are weighted_sum((-c,), (y,), t, x), and each block of
-    ``boettcher._compose_with`` adds its giant-step term as plus.
+    instead of once per operation (``_capped_linear``).  plus may be a
+    series or a pair (a, b) for the product a b, which is then summed
+    before reduction (``TailSeries._linear``).  Newton updates x - c y
+    are weighted_sum((-c,), (y,), t, x), and each block of
+    ``boettcher._compose_with`` adds its giant-step product as plus.
     """
     first = terms[0]
     kernel = first._kernel
@@ -1028,9 +1117,19 @@ def weighted_sum(weights, terms, trunc: int | None = None,
     least = min(x.trunc for x in terms)
     if plus is not None:
         pairs.append((kernel.sign(1), plus))
-        least = min(least, plus.trunc)
+        least = min(least, _trunc(plus))
     return first._linear(pairs, least if trunc is None
                          else min(least, trunc))
+
+
+def minus_product(x: TailSeries, a: TailSeries,
+                  b: TailSeries) -> TailSeries:
+    """x - a b in one pass, to the lesser truncation of x and a b: the
+    same elements as x - (a * b), the product summed before reduction
+    (``TailSeries._linear``)."""
+    sign = x._kernel.sign
+    return x._linear([(sign(1), x), (sign(-1), (a, b))],
+                     min(x.trunc, _trunc((a, b))))
 
 
 def lagrange_invert(S: TailSeries) -> TailSeries:

@@ -577,12 +577,13 @@ def built(f, M):
 
 def cold_roots_give_the_same_build(f, M):
     """Each root of the fixed point taken from 1, as ``nth_root`` does,
-    instead of from the previous omega, changes no output."""
+    instead of from the previous omega, changes no output: the Newton
+    steps, which the checked roots run too, start from 1."""
     warm = built(f, M)
-    from_start = TailSeries._root_from
+    steps = TailSeries._root_steps
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(TailSeries, "_root_from",
-                      lambda self, n, start: from_start(
+        patch.setattr(TailSeries, "_root_steps",
+                      lambda self, n, start: steps(
                           self, n, TailSeries.one(self.field, 1)))
         cold = built(f, M)
     assert warm == cold
@@ -601,6 +602,29 @@ def test_warm_roots_give_the_cold_build(case):
 def test_warm_roots_give_the_cold_build_at_higher_orders(case, M):
     # capped only: an exact root is the one root, however it is reached
     cold_roots_give_the_same_build(case[1], M)
+
+
+@pytest.mark.parametrize("backend", ["exact", "capped"])
+@pytest.mark.parametrize("wrong", [2, 3])
+def test_corrupted_intermediate_root_raises(backend, wrong, monkeypatch):
+    """Only the fixed point's last root is checked, and a wrong one before
+    it still cannot pass: with 1 added to coefficient 1 of the second or
+    third root of z^2 + z/5 + 3 at M = 32, the build raises."""
+    steps, calls = TailSeries._root_steps, []
+
+    def corrupted(self, n, start):
+        x = steps(self, n, start)
+        calls.append(x)
+        if len(calls) == wrong:
+            x = x.replace_coefficient(1, x.coefficient(1) + 1)
+        return x
+
+    f = mono(5, [3, F(1, 5)], backend)
+    conjugacy(f, 32)
+    monkeypatch.setattr(TailSeries, "_root_steps", corrupted)
+    with pytest.raises(InternalError):
+        conjugacy(f, 32)
+    assert len(calls) >= wrong
 
 
 def test_shared_image_serves_the_reference_builds(monkeypatch):

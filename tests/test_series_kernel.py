@@ -10,8 +10,9 @@ must hold the one flat form its own coefficients give (at its scale);
 forms at several scales, mixed in one operation, give the same
 elements.  The shrinking-truncation Horner of
 ``TailSeries.compose``, ``TailSeries.spread`` and ``weighted_sum`` are
-compared with the same oracle, and the one-pass Newton update and
-constant-term test with the chains they replace.
+compared with the same oracle, the one-pass Newton update and
+constant-term test with the chains they replace, and sums with a product
+term with the product reduced first.
 Capped results, the Böttcher series, the image omega(W) its build checks
 and the inverse series included, are also checked against exact rational
 arithmetic: no coefficient may claim more precision than it has.
@@ -30,8 +31,8 @@ from padicdyn.boettcher import _omega_inverse, _omega_series
 from padicdyn.cli import element_json, series_json
 from padicdyn.localfield import ExactElement, PadicElement
 from padicdyn.series import (_INF, _LONG, _capped_product,
-                             _convolve, _packed, _run_precisions,
-                             _window_minima, weighted_sum)
+                             _convolve, _packed, _run_precisions, _trunc,
+                             _window_minima, minus_product, weighted_sum)
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 
@@ -272,6 +273,18 @@ def inner_series(draw, field, elements):
     return TailSeries(field, ord_, coeffs, trunc)
 
 
+@st.composite
+def sparse_units(draw, field, elements, one):
+    """Units as the inverses meet them: 1 to 3 terms, or more with exact
+    zeros inside and a polynomial's trailing exact zeros after its last
+    drawn coefficient (as W's unit, 1 + a_{d-1} w + ... + a_0 w^d)."""
+    size = draw(st.one_of(st.integers(1, 3), st.integers(4, 24)))
+    degree = draw(st.integers(0, size - 1))
+    rest = [draw(st.one_of(elements(field), st.just(field.zero())))
+            for _ in range(degree)]
+    return TailSeries(field, 0, [one] + rest, size)
+
+
 def capped_one(data, field):
     """1 + O(p^rel) for a drawn rel."""
     return PadicElement._make(field, 0, 1, data.draw(st.integers(
@@ -330,8 +343,14 @@ def test_capped_product_matches_element_loop(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_capped_inverse_matches_recurrence(data):
+    """Dense units, and units with interior and trailing exact zeros,
+    whose sums stop at the last coefficient that is not one, at scales
+    p^0, p, p^3 and a wrong one."""
     field = data.draw(capped_fields())
-    a = data.draw(units(field, capped_elements, capped_one(data, field)))
+    one = capped_one(data, field)
+    a = data.draw(st.one_of(units(field, capped_elements, one),
+                            sparse_units(field, capped_elements, one)))
+    a = a._rescaled(field.p ** data.draw(CAPPED_SCALES))
     same(a.invert_unit(), Ref.of(a).invert_unit())
 
 
@@ -445,6 +464,74 @@ def test_one_pass_newton_update_is_the_chain(backend, data):
     kernel = x._kernel
     residual = x._linear([(kernel.sign(1), x), (kernel.sign(-1), y)], t)
     assert residual.identical_to(x.truncate(t) - y.truncate(t), t)
+
+
+# -- product terms: a product summed before reduction -------------------------
+
+
+@st.composite
+def product_operands(draw, field, elements):
+    """A series of 0 to 6 coefficients or of about _LONG, on either side of
+    it (random ones, with O(p^k) zeros and exact zeros, or capped ones on
+    valuation lines), from w^0 to w^2, at a drawn scale: p^0, p or p^2
+    when capped."""
+    n = draw(st.one_of(st.integers(0, 6), st.integers(_LONG - 2, _LONG + 4)))
+    ord_ = draw(st.integers(0, 2))
+    if isinstance(field, CappedField):
+        if n and draw(st.booleans()):
+            x = draw(lined_series(field, n))
+        else:
+            x = TailSeries(field, ord_, draw(st.lists(
+                elements(field), min_size=n, max_size=n)), ord_ + n)
+        return x._rescaled(field.p ** draw(st.integers(0, 2)))
+    x = TailSeries(field, ord_, draw(st.lists(
+        elements(field), min_size=n, max_size=n)), ord_ + n)
+    return x._rescaled(draw(scale_draws(field.p)))
+
+
+def form(x):
+    return x.ord, x.trunc, x._flat
+
+
+@pytest.mark.parametrize("backend", ["capped", "exact"])
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_product_terms_are_the_product_then_the_sum(backend, data):
+    """A sum with a product term (a, b) at an exact weight, the product
+    summed before reduction, has the flat form (digits, precisions,
+    valuations, scale) of a * b reduced first and then summed: operands
+    at different scales, squares (a is b), lengths on both sides of
+    _LONG, the product k coefficients above or below the other term."""
+    field, elements, _ = backend_draws(data, backend)
+    a = data.draw(product_operands(field, elements))
+    b = a if data.draw(st.booleans()) else data.draw(
+        product_operands(field, elements))
+    x = data.draw(product_operands(field, elements)).shifted(
+        data.draw(st.integers(0, 3)))
+    sign = x._kernel.sign
+    c = sign(data.draw(st.sampled_from([1, -1, 2, -3])))
+    t = data.draw(st.integers(0, min(x.trunc, _trunc((a, b)))))
+    fused = x._linear([(sign(1), x), (c, (a, b))], t)
+    assert form(fused) == form(x._linear([(sign(1), x), (c, a * b)], t))
+    assert form(minus_product(x, a, b)) == form(x - a * b)
+    weights = [data.draw(elements(field))]
+    assert form(weighted_sum(weights, [x], t, (a, b))) == form(
+        weighted_sum(weights, [x], t, a * b))
+
+
+def test_product_term_below_the_sum_scale_pinned():
+    """A product term at scale 5 summed with a series at scale 25: the
+    unreduced product, a square or not, is brought to the greater scale,
+    its coefficient 0 a unit, and gives the digits of the reduced
+    product."""
+    field = CappedField(5, 6)
+    a = TailSeries(field, 0, [2, Fraction(1, 5), Fraction(3, 25)], 3)
+    x = TailSeries(field, 0, [1, Fraction(1, 25), Fraction(1, 625)], 3)
+    a, x = a._rescaled(5), x._rescaled(25)
+    sign = x._kernel.sign
+    for b in (a, TailSeries(field, 0, a.coeffs, 3)._rescaled(5)):
+        assert form(x._linear([(sign(1), x), (sign(1), (a, b))], 3)) \
+            == form(x + a * b)
 
 
 def constant_one_by_linear(x):
@@ -892,8 +979,11 @@ def test_exact_product_matches_element_loop(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_exact_inverse_matches_recurrence(data):
+    """Dense units, and units with interior and trailing zeros, whose
+    sums stop at the last nonzero numerator."""
     field = ExactField(data.draw(PRIMES))
-    a = data.draw(units(field, exact_elements, field.one()))
+    a = data.draw(st.one_of(units(field, exact_elements, field.one()),
+                            sparse_units(field, exact_elements, field.one())))
     same(a.invert_unit(), Ref.of(a).invert_unit())
 
 
