@@ -34,8 +34,7 @@ from .errors import (BudgetError, DomainError, InternalError, PrecisionError,
                      UsageError)
 from .localfield import ExactField, _over_common, _vp_int, poly_eval
 from .series import (DiskSpec, PointValue, TailSeries, _as_point, _convolve,
-                     agreement_order, evaluate, gauss_norm, minus_product,
-                     weighted_sum)
+                     agreement_order, evaluate, gauss_norm, weighted_sum)
 
 
 class MonicPoly:
@@ -416,8 +415,8 @@ def _inverse_residual(phi: TailSeries, f: MonicPoly, powers=None):
     if powers is None:
         powers = _powers(phi, d)
     spread = phi.spread(d).truncate(phi.trunc + d - 1)
-    return minus_product(powers[d], spread,
-                         weighted_sum(f.w_coeffs(), powers)), spread
+    return weighted_sum((1, -1), (powers[d], (spread, weighted_sum(
+        f.w_coeffs(), powers)))), spread
 
 
 def _omega_inverse(f: MonicPoly, M: int) -> TailSeries:
@@ -445,11 +444,11 @@ def _omega_inverse(f: MonicPoly, M: int) -> TailSeries:
         powers = _powers(phi, d)
         G, spread = _inverse_residual(phi, f, powers)
         if not G.is_exact_zero:   # see TailSeries.nth_root
-            slope = minus_product(powers[d - 1], spread,
-                                  weighted_sum(slopes, powers[:d]))
+            slope = weighted_sum((1, -1), (powers[d - 1], (
+                spread, weighted_sum(slopes, powers[:d]))))
             unit = slope.shifted(1 - d).truncate(t - 1)
             delta = G.shifted(1 - d) * unit.invert_unit()
-            phi = weighted_sum((minus_inv_d,), (delta,), t, phi)
+            phi = weighted_sum((1, minus_inv_d), (phi, delta), t)
     if not _inverse_residual(phi, f)[0].is_zero():
         raise InternalError("omega^-1 fails its functional equation")
     return phi
@@ -500,17 +499,19 @@ def _compose_with(S: TailSeries, powers: list, d: int) -> TailSeries:
     so the table needs at least that many.  Each block, its giant-step
     term acc W^m included, is one ``weighted_sum`` to the block's order
     t, which reads the powers only below t, so they are taken uncut;
-    only W^m is cut to T.  The giant-step product is summed before
-    reduction, each coefficient reduced once, in the block's sum."""
+    only W^m is cut to T.  The giant step enters as the pair (acc, W^m)
+    at the weight 1, its product summed before reduction, each
+    coefficient reduced once, in the block's sum."""
     T = S.trunc
     K = -(-T // d)
     m = _baby_steps(T, d)
     baby, giant = powers[:m], powers[m].truncate(T)
-    acc = None
+    weights, terms = [], []     # the giant step, from the second block on
     for b in range(-(-K // m) - 1, -1, -1):
         block = [S.coefficient(k) for k in range(m * b, min(m * b + m, K))]
-        acc = weighted_sum(block, baby, T - m * b * d,
-                           None if acc is None else (acc, giant))
+        acc = weighted_sum(block + weights, baby[:len(block)] + terms,
+                           T - m * b * d)
+        weights, terms = [1], [(acc, giant)]
     return acc
 
 

@@ -36,7 +36,9 @@ speed.  So each series has one form at its scale.  The methods of
 ``TailSeries`` are written once over a kernel of functions per backend
 (below); capped operations keep the precision rule of the element
 arithmetic digit for digit, and elements are built only when ``coeffs``
-or ``coefficient`` is read.  Capped products of at least ``_LONG`` terms
+or ``coefficient`` is read.  Every sum of series, with the products
+that only a sum reads, is one ``weighted_sum``, each coefficient reduced
+once.  Capped products of at least ``_LONG`` terms
 take two more exact routes.  Their n coefficient sums come from one
 big-integer product (Kronecker substitution): the vectors, never
 negative, are packed into one integer each with a byte slot per
@@ -282,49 +284,20 @@ class TailSeries:
         return self._new(d * self.ord, self._kernel.window(
             self.field, self._flat, 0, d * n, d), d * self.trunc)
 
-    def _linear(self, pairs, trunc: int) -> "TailSeries":
-        """sum c x over the pairs (c a kernel weight, x a series over self's
-        field, truncated at trunc or later), to truncation trunc, in one
-        pass; below its order a series adds nothing.  At an exact weight
-        x may be a pair (a, b), the product a b, which enters as the
-        kernel's sums before reduction (``_capped_unreduced``): each
-        coefficient is reduced once, in the sum, to a precision no
-        greater than the product's, so the digits are the same.
-        """
-        terms = [(c, x.ord, x._flat) if type(x) is TailSeries
-                 else self._product_term(c, x, trunc) for c, x in pairs]
-        lo = min([ord_ for _, ord_, _ in terms] + [trunc])
-        return self._new(lo, self._kernel.linear(
-            self.field, [(c, ord_ - lo, x) for c, ord_, x in terms
-                         if ord_ < trunc], trunc - lo), trunc)
-
-    def _product_term(self, c, pair, trunc: int) -> tuple:
-        """(c, ord, sums to trunc) of the product of pair = (a, b), no sums
-        when ord is at or past trunc (as an exact-zero operand puts it)."""
-        a, b = pair
-        ord_ = a.ord + b.ord
-        return c, ord_, ord_ < trunc and self._kernel.sums(
-            self.field, a._flat, b._flat, trunc - ord_)
-
-    def _plus(self, other, sign: int):
-        """self + other (sign 1) or self - other (sign -1)."""
-        self._check_field(other)
-        weight = self._kernel.sign
-        return self._linear([(weight(1), self), (weight(sign), other)],
-                            min(self.trunc, other.trunc))
-
     def __add__(self, other):
         if not isinstance(other, TailSeries):
             return NotImplemented
-        return self._plus(other, 1)
+        self._check_field(other)
+        return weighted_sum((1, 1), (self, other))
 
     def __sub__(self, other):
         if not isinstance(other, TailSeries):
             return NotImplemented
-        return self._plus(other, -1)
+        self._check_field(other)
+        return weighted_sum((1, -1), (self, other))
 
     def __neg__(self):
-        return self._linear([(self._kernel.sign(-1), self)], self.trunc)
+        return weighted_sum((-1,), (self,))
 
     def __mul__(self, other):
         if isinstance(other, TailSeries):
@@ -345,17 +318,6 @@ class TailSeries:
         if n == 0:
             return TailSeries.one(self.field, self.trunc)
         return _power(self, n)
-
-    def derivative(self) -> "TailSeries":
-        """Formal d/dw."""
-        if self.is_exact_zero:
-            return TailSeries.zero(self.field, max(self.trunc - 1, 0))
-        start = max(self.ord, 1)          # the constant term drops out
-        kernel = self._kernel
-        flat = kernel.window(self.field, self._flat, start - self.ord,
-                             self.trunc - start)
-        return self._new(max(self.ord - 1, 0), kernel.times(
-            self.field, flat, range(start, self.trunc)), self.trunc - 1)
 
     # -- unit operations -----------------------------------------------------
 
@@ -399,10 +361,10 @@ class TailSeries:
         Agreement with the root doubles per step, so x is refined at
         truncations 2 x.trunc, 4 x.trunc, ... up to self's; cost
         concentrates in the final full-order step.  Each residual
-        x^(n-1) x - self, the product summed before reduction
-        (``_linear``), and each update x - (residual / x^(n-1)) / n is
-        one linear pass to the step's order, the same elements as the
-        chain of operations and cuts.
+        x^(n-1) x - self, the product summed before reduction, and each
+        update x - (residual / x^(n-1)) / n is one ``weighted_sum`` to
+        the step's order, the same elements as the chain of operations
+        and cuts.
         """
         if n <= 0:
             raise UsageError("root index must be positive")
@@ -415,7 +377,6 @@ class TailSeries:
             raise InternalError("a Newton start needs constant term 1")
         M = self.trunc
         minus_inv_n = self.field.embed(Fraction(-1, n))
-        one, minus_one = self._kernel.sign(1), self._kernel.sign(-1)
         t = x.trunc
         # a residual that is only indistinguishable from zero still
         # corrects x: it replaces the exact zeros of the padding by O(p^k)
@@ -424,10 +385,10 @@ class TailSeries:
             t = min(2 * t, M)
             x = x._padded(t)
             xpow = (x ** (n - 1)).truncate(t)
-            residual = self._linear([(one, (xpow, x)), (minus_one, self)], t)
+            residual = weighted_sum((1, -1), ((xpow, x), self), t)
             if not residual.is_exact_zero:
                 delta = residual * xpow.invert_unit()
-                x = weighted_sum((minus_inv_n,), (delta,), t, x)
+                x = weighted_sum((1, minus_inv_n), (x, delta), t)
             if t == M:
                 return x
 
@@ -588,8 +549,8 @@ def _capped_window(field, flat, lo: int, n: int, d: int = 1):
 def _capped_linear(field, terms, n: int):
     """The n coefficients of sum c x over the terms (c, k, x): x a capped
     form placed k coefficients up, c = (v, unit, A) the weight p^v unit
-    + O(p^A) (A infinite for an exact integer, the weight of a product's
-    form before reduction, ``_capped_unreduced``).
+    + O(p^A) (A infinite for an exact integer, ``_capped_sign``, the
+    weight of a product's form before reduction, ``_capped_unreduced``).
 
     The forms are brought to the greatest scale m among them; a term
     placed k up then has the shift s + k m.  Each coefficient is the
@@ -621,6 +582,13 @@ def _capped_linear(field, terms, n: int):
     return _reduced(field, shift, m, values, precs)
 
 
+def _capped_sign(field, n: int):
+    """The weight of a nonzero integer n, known exactly: p^v u with
+    v = v_p(n) and A infinite, so each coefficient keeps A_i + v."""
+    v = _vp_int(n, field.p)
+    return v, n // field.p ** v, _INF
+
+
 def _capped_is_one(field, flat) -> bool:
     """Coefficient 0 of a capped form is 1 to its precision, as
     ``_capped_linear`` would find c_0 - 1: at the shift sigma = min(s, 0),
@@ -638,16 +606,6 @@ def _capped_valuations(field, flat):
     r, _, f, _ = flat
     return [(i, f[2 * i + 1], x != 0) for i, x in enumerate(r)
             if f[2 * i] != _INF]
-
-
-def _capped_times(field, flat, ms):
-    """Coefficient i times the integer ms[i].  ms[i] embedded with
-    relative precision prec: as no coefficient has more, the precision is
-    A + vp(ms[i])."""
-    r, s, f, m = flat
-    p = field.p
-    return _reduced(field, s, m, map(mul, r, ms),
-                    [A + _vp_int(x, p) for x, A in zip(ms, f[::2])])
 
 
 def _convolve(xs, ys, n):
@@ -1011,12 +969,6 @@ def _exact_valuations(field, flat):
             for i, x in enumerate(r) if x]
 
 
-def _exact_times(field, flat, ms):
-    """Coefficient i times the integer ms[i]."""
-    r, den, L = flat
-    return list(map(mul, r, ms)), den, L
-
-
 def _exact_product(field, a, b, n):
     """The first n coefficients of a * b, from exact forms a and b, each of
     at least n coefficients: at one scale L, coefficient k is
@@ -1054,17 +1006,16 @@ def _exact_inverse(field, a):
 
 # what the methods of ``TailSeries`` call on a backend's flat form
 _Kernel = namedtuple("_Kernel", "flat one is_one valuations element normal "
-                     "window weight sign linear times product sums inverse "
-                     "at scale")
+                     "window weight sign linear product sums inverse at "
+                     "scale")
 
 _CAPPED = _Kernel(
     flat=_capped_flat, one=lambda field: ([1], 0, [field.prec, 0], 0),
     is_one=_capped_is_one, valuations=_capped_valuations,
     element=_capped_element, normal=_capped_normal,
     window=_capped_window, weight=lambda c: (c.v, c.unit, c.v + c.rel),
-    sign=lambda n: (0, n, _INF), linear=_capped_linear,
-    times=_capped_times, product=_capped_product, sums=_capped_unreduced,
-    inverse=_capped_inverse,
+    sign=_capped_sign, linear=_capped_linear, product=_capped_product,
+    sums=_capped_unreduced, inverse=_capped_inverse,
     at=lambda field, flat, L: _capped_to(field, flat, max(
         flat[3], _vp_int(L, field.p))),
     scale=lambda field, flat: field.p ** flat[3])
@@ -1077,7 +1028,7 @@ _EXACT = _Kernel(
     valuations=_exact_valuations, element=_exact_element,
     normal=_exact_normal, window=_exact_window,
     weight=lambda c: (c.value.numerator, c.value.denominator),
-    sign=lambda n: (n, 1), linear=_exact_linear, times=_exact_times,
+    sign=lambda field, n: (n, 1), linear=_exact_linear,
     product=_exact_product, sums=_exact_product, inverse=_exact_inverse,
     at=lambda field, flat, L: _exact_at(flat, L),
     scale=lambda field, flat: flat[2])
@@ -1098,38 +1049,46 @@ def _trunc(x) -> int:
     return min(a.trunc + b.ord, b.trunc + a.ord)
 
 
-def weighted_sum(weights, terms, trunc: int | None = None,
-                 plus=None) -> TailSeries:
-    """plus + sum_j weights[j] terms[j] in one pass, plus (if given) at
-    the exact weight 1, to the least truncation of the terms and plus,
-    cut to trunc: digit for digit (precision included) the chain of
-    scalar products, sums and the cut, each coefficient reduced once
-    instead of once per operation (``_capped_linear``).  plus may be a
-    series or a pair (a, b) for the product a b, which is then summed
-    before reduction (``TailSeries._linear``).  Newton updates x - c y
-    are weighted_sum((-c,), (y,), t, x), and each block of
-    ``boettcher._compose_with`` adds its giant-step product as plus.
+def weighted_sum(weights, terms, trunc: int | None = None) -> TailSeries:
+    """sum_j weights[j] terms[j] in one pass, to the least truncation of
+    the terms, cut to trunc: digit for digit (precision included) the
+    chain of scalar products, sums and the cut, each coefficient reduced
+    once instead of once per operation (``_capped_linear``).  Every sum
+    of series is one: ``+``, ``-``, the residual and update of each
+    Newton step, and each block of ``boettcher._compose_with``.
+
+    A weight is a field element, whose term is skipped when it is an
+    exact zero, or a nonzero int, exact (the kernel's ``sign``).  At an
+    int weight a term may be a pair (a, b) for the product a b, which
+    enters as the kernel's sums before reduction
+    (``_capped_unreduced``): each coefficient is reduced once, in the
+    sum, to a precision no greater than the product's, so the digits
+    are the same.  Below its order a term adds nothing.
     """
-    first = terms[0]
-    kernel = first._kernel
-    pairs = [(kernel.weight(c), x) for c, x in zip(weights, terms)
-             if not c.is_exact_zero]
-    least = min(x.trunc for x in terms)
-    if plus is not None:
-        pairs.append((kernel.sign(1), plus))
-        least = min(least, _trunc(plus))
-    return first._linear(pairs, least if trunc is None
-                         else min(least, trunc))
-
-
-def minus_product(x: TailSeries, a: TailSeries,
-                  b: TailSeries) -> TailSeries:
-    """x - a b in one pass, to the lesser truncation of x and a b: the
-    same elements as x - (a * b), the product summed before reduction
-    (``TailSeries._linear``)."""
-    sign = x._kernel.sign
-    return x._linear([(sign(1), x), (sign(-1), (a, b))],
-                     min(x.trunc, _trunc((a, b))))
+    first = terms[0] if type(terms[0]) is TailSeries else terms[0][0]
+    kernel, field = first._kernel, first.field
+    least = min(map(_trunc, terms))
+    if trunc is not None:
+        least = min(least, trunc)
+    parts = []
+    for c, x in zip(weights, terms):
+        if type(c) is int:
+            c = kernel.sign(field, c)
+        elif c.is_exact_zero:
+            continue
+        else:
+            c = kernel.weight(c)
+        if type(x) is TailSeries:
+            parts.append((c, x.ord, x._flat))
+        else:   # no sums when the product starts at or past the cut
+            a, b = x
+            ord_ = a.ord + b.ord
+            parts.append((c, ord_, ord_ < least and kernel.sums(
+                field, a._flat, b._flat, least - ord_)))
+    lo = min([ord_ for _, ord_, _ in parts] + [least])
+    return first._new(lo, kernel.linear(
+        field, [(c, ord_ - lo, x) for c, ord_, x in parts if ord_ < least],
+        least - lo), least)
 
 
 def lagrange_invert(S: TailSeries) -> TailSeries:
@@ -1145,7 +1104,10 @@ def lagrange_invert(S: TailSeries) -> TailSeries:
     M = S.trunc
     if M <= 2:
         return TailSeries.w_power(S.field, 1, M)
-    deriv = S.derivative()
+    # S' elementwise: k c_k embeds k with the cap's relative precision,
+    # which no coefficient exceeds, so its precision is A + v_p(k)
+    deriv = TailSeries(S.field, 0, [k * S.coefficient(k)
+                                    for k in range(1, M)], M - 1)
     B = TailSeries.w_power(S.field, 1, 2)
     t = 2
     # quadratic convergence: refine at doubling truncations

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is referenced in it, every
 module-level ``_name`` function or assignment is read somewhere in the
-package, only ``series.py`` reads the storage of a ``TailSeries``, and
-every import sits at module level in an acyclic module graph.
+package, every entry of the series kernels is called, only ``series.py``
+reads the storage of a ``TailSeries``, and every import sits at module
+level in an acyclic module graph.
 
 ``__init__.py`` is skipped by the import check, since it imports names
 only to re-export them.  Parsed with ``ast`` alone, so no linter is
@@ -111,6 +112,22 @@ def test_every_private_function_is_referenced():
     unread = {module: sorted(_private_names(tree) - read)
               for module, tree in trees.items()}
     assert {module: names for module, names in unread.items() if names} == {}
+
+
+def test_every_kernel_entry_is_called():
+    """Every ``_Kernel`` field is read as an attribute in ``series.py``
+    outside the ``_CAPPED`` and ``_EXACT`` tables that fill it: an entry
+    nothing calls is a helper left behind by a deletion."""
+    tree = ast.parse((SRC / "series.py").read_text())
+    fields, read = set(), set()
+    for stmt in tree.body:
+        names = set(_defined(stmt))
+        if "_Kernel" in names:
+            fields = set(stmt.value.args[1].value.split())
+        elif not names & {"_CAPPED", "_EXACT"}:
+            read |= {node.attr for node in ast.walk(stmt)
+                     if isinstance(node, ast.Attribute)}
+    assert fields and sorted(fields - read) == []
 
 
 def _function_local_imports(tree):

@@ -32,7 +32,7 @@ from padicdyn.cli import element_json, series_json
 from padicdyn.localfield import ExactElement, PadicElement
 from padicdyn.series import (_INF, _LONG, _capped_product,
                              _convolve, _packed, _run_precisions, _trunc,
-                             _window_minima, minus_product, weighted_sum)
+                             _window_minima, weighted_sum)
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 
@@ -375,7 +375,6 @@ def test_ring_operations_match_element_loops(backend, data):
     same(a.truncate(k), ra.truncate(k))
     same(a._padded(k), ra._padded(k))
     same(a.shifted(k), ra.shifted(k))
-    same(a.derivative(), ra.derivative())
     assert agreement_order(a, b) == ra.agreement(rb)
     assert agreement_order(a, a + b) == ra.agreement(ra + rb)
     assert a.is_zero() == ra.is_zero()
@@ -418,13 +417,18 @@ def test_capped_spread_matches_composition_with_power(data):
 
 def weighted_chain(weights, terms):
     """sum_j weights[j] terms[j] as one scalar product and one sum per
-    term, from an exact zero at the least truncation."""
+    term, from an exact zero at the least truncation; an int weight is
+    embedded, with the cap's relative precision."""
     trunc = min(x.trunc for x in terms)
     total = Ref(terms[0].field, trunc, [], trunc)
     for c, x in zip(weights, terms):
-        if not c.is_exact_zero:
+        if isinstance(c, int) or not c.is_exact_zero:
             total = total + Ref.of(x) * c
     return total
+
+
+# exact int weights, with p^1 in them for p = 2 and 3
+INT_WEIGHTS = st.sampled_from([1, -1, 2, -3])
 
 
 @settings(max_examples=300, deadline=None)
@@ -433,7 +437,8 @@ def test_capped_weighted_sum_matches_chain(data):
     field = data.draw(capped_fields())
     terms = data.draw(st.lists(series(field, capped_elements), min_size=1,
                                max_size=4))
-    weights = [data.draw(capped_elements(field)) for _ in terms]
+    weights = [data.draw(st.one_of(capped_elements(field), INT_WEIGHTS))
+               for _ in terms]
     same(weighted_sum(weights, terms), weighted_chain(weights, terms))
 
 
@@ -444,9 +449,9 @@ def test_capped_weighted_sum_matches_chain(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_one_pass_newton_update_is_the_chain(backend, data):
-    """x - c y to order t is one linear pass (``weighted_sum`` with x as
-    plus), and a residual a - b to t another: the same elements as the
-    chains of operations and cuts."""
+    """x - c y to order t is one linear pass (``weighted_sum`` with x at
+    the int weight 1), and a residual x - y to t another: the same
+    elements as the chains of operations and cuts."""
     if backend == "capped":
         field = CappedField(data.draw(PRIMES), data.draw(st.integers(1, 20)))
         elements = capped_elements
@@ -457,13 +462,13 @@ def test_one_pass_newton_update_is_the_chain(backend, data):
     c = data.draw(elements(field))
     t = data.draw(st.integers(0, min(x.trunc, y.trunc)))
     chain = (x - y * c).truncate(t)
-    fused = weighted_sum((-c,), (y,), t, x)
+    fused = weighted_sum((1, -c), (x, y), t)
     assert fused.trunc == chain.trunc == t
     assert fused.identical_to(chain, t)
     same(fused, (Ref.of(x) - Ref.of(y) * c).truncate(t))
-    kernel = x._kernel
-    residual = x._linear([(kernel.sign(1), x), (kernel.sign(-1), y)], t)
+    residual = weighted_sum((1, -1), (x, y), t)
     assert residual.identical_to(x.truncate(t) - y.truncate(t), t)
+    same(residual, (Ref.of(x) - Ref.of(y)).truncate(t))
 
 
 # -- product terms: a product summed before reduction -------------------------
@@ -497,26 +502,27 @@ def form(x):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_product_terms_are_the_product_then_the_sum(backend, data):
-    """A sum with a product term (a, b) at an exact weight, the product
+    """A sum with a product term (a, b) at an int weight, the product
     summed before reduction, has the flat form (digits, precisions,
-    valuations, scale) of a * b reduced first and then summed: operands
-    at different scales, squares (a is b), lengths on both sides of
-    _LONG, the product k coefficients above or below the other term."""
+    valuations, scale) of a * b reduced first and then summed, and the
+    element loops' coefficients: operands at different scales, squares
+    (a is b), lengths on both sides of _LONG, the product k coefficients
+    above or below the other term, which has an int or element weight."""
     field, elements, _ = backend_draws(data, backend)
     a = data.draw(product_operands(field, elements))
     b = a if data.draw(st.booleans()) else data.draw(
         product_operands(field, elements))
     x = data.draw(product_operands(field, elements)).shifted(
         data.draw(st.integers(0, 3)))
-    sign = x._kernel.sign
-    c = sign(data.draw(st.sampled_from([1, -1, 2, -3])))
+    k = data.draw(INT_WEIGHTS)
     t = data.draw(st.integers(0, min(x.trunc, _trunc((a, b)))))
-    fused = x._linear([(sign(1), x), (c, (a, b))], t)
-    assert form(fused) == form(x._linear([(sign(1), x), (c, a * b)], t))
-    assert form(minus_product(x, a, b)) == form(x - a * b)
-    weights = [data.draw(elements(field))]
-    assert form(weighted_sum(weights, [x], t, (a, b))) == form(
-        weighted_sum(weights, [x], t, a * b))
+    fused = weighted_sum((1, k), (x, (a, b)), t)
+    assert form(fused) == form(weighted_sum((1, k), (x, a * b), t))
+    same(fused, (Ref.of(x) + Ref.of(a) * Ref.of(b) * k).truncate(t))
+    assert form(weighted_sum((1, -1), (x, (a, b)))) == form(x - a * b)
+    weights = [data.draw(st.one_of(elements(field), INT_WEIGHTS)), 1]
+    assert form(weighted_sum(weights, [x, (a, b)], t)) == form(
+        weighted_sum(weights, [x, a * b], t))
 
 
 def test_product_term_below_the_sum_scale_pinned():
@@ -528,10 +534,8 @@ def test_product_term_below_the_sum_scale_pinned():
     a = TailSeries(field, 0, [2, Fraction(1, 5), Fraction(3, 25)], 3)
     x = TailSeries(field, 0, [1, Fraction(1, 25), Fraction(1, 625)], 3)
     a, x = a._rescaled(5), x._rescaled(25)
-    sign = x._kernel.sign
     for b in (a, TailSeries(field, 0, a.coeffs, 3)._rescaled(5)):
-        assert form(x._linear([(sign(1), x), (sign(1), (a, b))], 3)) \
-            == form(x + a * b)
+        assert form(weighted_sum((1, 1), (x, (a, b)), 3)) == form(x + a * b)
 
 
 def constant_one_by_linear(x):
@@ -540,8 +544,9 @@ def constant_one_by_linear(x):
     if x.ord or not x.trunc:
         return False
     kernel = x._kernel
-    terms = [(kernel.sign(1), 0, kernel.window(x.field, x._flat, 0, 1)),
-             (kernel.sign(-1), 0, kernel.one(x.field))]
+    terms = [(kernel.sign(x.field, 1), 0,
+              kernel.window(x.field, x._flat, 0, 1)),
+             (kernel.sign(x.field, -1), 0, kernel.one(x.field))]
     return not any(kernel.linear(x.field, terms, 1)[0])
 
 
@@ -832,8 +837,8 @@ def scaled_capped(draw, field):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_capped_kernel_at_any_scale_matches_element_loops(data):
-    """Products, squares, cubes, sums, weighted sums, cuts, shifts,
-    spreads and derivatives of capped forms at scales p^0, p, p^3 and a
+    """Products, squares, cubes, sums, weighted sums, cuts, shifts and
+    spreads of capped forms at scales p^0, p, p^3 and a
     wrong one, the two operands at different scales as often as not, give
     the element loops' digits and precisions; Gauss norms, read from the
     form, are those at scale 1, and the same series at two scales is
@@ -856,7 +861,6 @@ def test_capped_kernel_at_any_scale_matches_element_loops(data):
     k = data.draw(st.integers(0, 14))
     same(a._padded(k), ra._padded(k))
     same(a.shifted(k), ra.shifted(k))
-    same(a.derivative(), ra.derivative())
     d = data.draw(st.integers(1, 4))
     same(a.spread(d), ra.compose(Ref(field, d, [1], d * a.trunc + 1)))
     other = rebuilt._rescaled(field.p ** data.draw(CAPPED_SCALES))
@@ -894,9 +898,9 @@ def test_capped_inverse_at_any_scale(lined, data):
 
 
 def test_capped_form_strips_exact_zeros_at_its_scale():
-    """The derivative of 1 + 0 w + 3/25 w^2 + 2/125 w^3 at scale 5 starts
-    with an exact zero, which the form strips: index 1 moves to 0, so the
-    shift takes m."""
+    """The coefficients of 1 + 0 w + 3/25 w^2 + 2/125 w^3 at scale 5 from
+    index 1 start with an exact zero, which the form strips: index 1
+    moves to 0, so the shift takes m."""
     field = CappedField(5, 4)
     make = PadicElement._make
     a = TailSeries(field, 0, [make(field, 0, 1, 4),
@@ -904,7 +908,9 @@ def test_capped_form_strips_exact_zeros_at_its_scale():
                               make(field, -2, 3, 4), make(field, -3, 2, 4)],
                    4)._rescaled(5)
     assert a._flat[3] == 1
-    same(a.derivative(), Ref.of(a).derivative())
+    tail = a._new(0, a._kernel.window(field, a._flat, 1, 3), 3)
+    assert (tail.ord, tail._flat[3]) == (1, 1)
+    same(tail, Ref(field, 0, a.coeffs[1:], 3))
 
 
 def test_identical_to_across_capped_scales_pinned():
@@ -955,8 +961,9 @@ def test_exact_operations_make_no_rationals(monkeypatch):
     weights = [field.embed(2), field.embed(Fraction(1, 5))]
     count = created_rationals(monkeypatch)
     results = [a + b, a - b, -a, a * b, a.invert_unit(), a.truncate(3),
-               a._padded(8), a.shifted(2), a.spread(3), a.derivative(),
-               weighted_sum(weights, [a, b]), a.compose(b), a ** 3,
+               a._padded(8), a.shifted(2), a.spread(3),
+               weighted_sum(weights, [a, b]), weighted_sum(
+                   (2, -3), (a, (a, b))), a.compose(b), a ** 3,
                TailSeries.one(field, 4), TailSeries.w_power(field, 2, 6)]
     assert agreement_order(a, a + b) == 1 and not a.is_zero()
     assert count[0] == 0
@@ -993,9 +1000,9 @@ def test_exact_spread_and_weighted_sum_match_element_loops(data):
     field = ExactField(data.draw(PRIMES))
     terms = data.draw(st.lists(series(field, exact_elements), min_size=1,
                                max_size=4))
-    weights = [data.draw(st.sampled_from([0, 1, -3, Fraction(2, field.p)]))
+    weights = [data.draw(st.one_of(st.sampled_from(
+        [0, 1, -3, Fraction(2, field.p)]).map(field.embed), INT_WEIGHTS))
                for _ in terms]
-    weights = [field.embed(c) for c in weights]
     same(weighted_sum(weights, terms), weighted_chain(weights, terms))
     d = data.draw(st.integers(1, 4))
     a = terms[0]
@@ -1069,7 +1076,6 @@ def test_exact_kernel_at_any_scale_matches_element_loops(data):
     k = data.draw(st.integers(0, 14))
     same_fractions(a._padded(k), ra._padded(k))
     same_fractions(a.shifted(k), ra.shifted(k))
-    same_fractions(a.derivative(), ra.derivative())
     d = data.draw(st.integers(1, 4))
     same_fractions(a.spread(d), ra.compose(Ref(field, d, [1],
                                                d * a.trunc + 1)))
