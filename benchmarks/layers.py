@@ -45,7 +45,7 @@ runs (``routes``: "long", ``series._LONG`` set at n), against the short
 ones, n dot products and the pairs one by one ("short", set above n).
 ``mul_s`` is omega * omega^-1 and ``square_s`` is omega * omega, both
 cut to w^(n + 1) from a capped M = 513 build, at the scale 5^1 the
-build takes from its map (``scale``: 5) and rebuilt from their elements
+build gives them (``scale``: 5) and rebuilt from their elements
 at scale 1 (``scale``: 1), where each representative also carries the
 series' valuation slope of one digit per index.
 

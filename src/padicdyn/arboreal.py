@@ -11,7 +11,6 @@ single-segment polygons; anything else is honestly "uncertified".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import gcd
 
 from . import config
@@ -262,9 +261,12 @@ def transport_check(B: Conjugacy, E: ExtensionField, Q, P,
     """Check the conjugacy respects powers and conjugation at a preimage.
 
     Given f(Q) = P with Q in a small normal extension E inside the
-    certified disk, verifies (a) omega(Q)^d = omega(P) and (b) the
-    multiset of omega at the conjugates of Q matches the conjugates of
-    omega(Q), all within reported error bounds.
+    certified disk, verifies (a) omega(Q)^d = omega(P) and (b)
+    omega(sigma Q) = sigma(omega(Q)) for each automorphism sigma of E,
+    all within reported error bounds.  ``conjugates`` lists images in one
+    automorphism order, so its i-th conjugates of Q and omega(Q) are
+    images under one sigma_i; (b), named "conjugate-multisets", reports
+    the worst residual over those pairs and the least error bound.
     """
     Q = E.embed(Q)
     P = B.f.field.embed(P)
@@ -282,33 +284,12 @@ def transport_check(B: Conjugacy, E: ExtensionField, Q, P,
 
     left = [omega_Q if qc is Q else omega_at(B, qc)
             for qc in conjugates(E, Q, precision=precision)]
-    right_values = conjugates(E, omega_Q.value, precision=precision)
-    right = [PointValue(rv, omega_Q.err) for rv in right_values]
-    ok2, worst_residual, bound2 = _match_multisets(left, right)
-    checks.append(TransportCheck("conjugate-multisets", ok2,
-                                 worst_residual, bound2))
+    right = [PointValue(rv, omega_Q.err)
+             for rv in conjugates(E, omega_Q.value, precision=precision)]
+    pairs = [a.matches(b) for a, b in zip(left, right)]
+    checks.append(TransportCheck(
+        "conjugate-multisets", all(ok for ok, _, _ in pairs),
+        min(residual for _, residual, _ in pairs),
+        min(pv.err for pv in left + right)))
     return TransportReport(passed=all(c.passed for c in checks),
                            checks=tuple(checks))
-
-
-def _match_multisets(left, right):
-    """Best pairing of two PointValue lists within error bounds."""
-    n = len(left)
-    bound = min(pv.err for pv in left + right)
-    best_residual = None
-    for perm in permutations(range(n)):
-        ok = True
-        worst = None
-        for i, j in enumerate(perm):
-            match, residual, _ = left[i].matches(right[j])
-            if worst is None or residual < worst:
-                worst = residual
-            if not match:
-                ok = False
-                break
-        if ok:
-            return True, worst, bound
-        if best_residual is None or (worst is not None
-                                     and worst > best_residual):
-            best_residual = worst
-    return False, best_residual, bound

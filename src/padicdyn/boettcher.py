@@ -188,24 +188,22 @@ def good_reduction(f: MonicPoly) -> bool:
 
 
 def _scale(f: MonicPoly) -> int:
-    """L = d^2 p^m q, the scale of the series a build makes from f
-    (``TailSeries._rescaled``); L = p^m over ``CappedField``.
+    """L = d^2 p^m q, the scale of the exact series a build makes from f
+    (``TailSeries._rescaled``); 1 over ``CappedField``.
 
     m is the greatest ceil(v_p(den a_i) / (d - i)) and q the lcm of the
     denominators' prime-to-p parts, so every a_i L^(d - i) is an integer
     and P(L u) = 1 + a_{d-1} L u + ... + a_0 L^d u^d, with it 1/P and W,
     has integer coefficients in u = w / L; d^2 covers the denominators
     of the d-th roots.  So omega and its inverse are integer vectors at
-    scale L.  A capped coefficient's v_p(den) is -v(a_i) where that is
-    positive, and the capped kernel reads only m: at scale p^m each
-    representative holds about as many digits as its precision instead
-    of the series' whole valuation slope.  Any L gives the same
-    coefficients; a wrong one costs speed only.
+    scale L.  A capped build needs no scale from f: each capped unit
+    inverse, W's and those of omega^-1's Newton steps, runs on the
+    steepest integer line under its valuations (``series._slope``).
+    Any L gives the same coefficients; a wrong one costs speed only.
     """
-    d, p = f.degree, f.field.p
     if not isinstance(f.field, ExactField):
-        poles = [max(0, -(a.v or 0)) for a in f.coeffs]
-        return p ** max(-(-k // (d - i)) for i, k in enumerate(poles))
+        return 1
+    d, p = f.degree, f.field.p
     dens = [a.value.denominator for a in f.coeffs]
     m = max(-(-_vp_int(den, p) // (d - i)) for i, den in enumerate(dens))
     return d * d * p ** m * math.lcm(*[den // p ** _vp_int(den, p)
@@ -262,7 +260,8 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     w^t makes omega(W) right modulo w^(d t): each step composes the
     zero-padded omega through f to T = min(d t, M + d - 1), takes the
     d-th root with constant term 1 of omega(W) / w^d and multiplies by w,
-    which gives omega modulo w^(T - d + 1).
+    which gives omega modulo w^(T - d + 1).  omega starts as w, at no
+    scale: its first composition meets W's powers, which carry it.
 
     No step starts from nothing.  The powers 1, W, ..., W^m that the
     compositions sum over are formed once, to the last step's order
@@ -315,7 +314,7 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     d = f.degree
     last = M + d - 1
     powers = _powers(_reciprocal(f, last), _baby_steps(last, d), last)
-    omega = TailSeries.w_power(f.field, 1, min(2, M))._rescaled(_scale(f))
+    omega = TailSeries.w_power(f.field, 1, min(2, M))
     image = None
     while omega.trunc < M:
         T = min(d * omega.trunc, last)

@@ -1157,9 +1157,11 @@ def conjugates(E: ExtensionField, a, precision: int = 32):
     E must be a single-stage extension of degree <= 4 whose defining
     polynomial splits in E; the conjugates are obtained by sending the
     generator to each root.  Those roots, the generator's images, are
-    found once per precision and kept on E.  The first image is the
-    generator itself, so the first conjugate is ``a`` itself: Horner at
-    the generator only multiplies by an exact 1 and exact zeros.
+    found once per precision and kept on E, so the i-th conjugate of
+    every element is its image under one automorphism sigma_i, the
+    identity first: ``transport_check`` pairs conjugates by that order.
+    The first conjugate is ``a`` itself: Horner at the generator only
+    multiplies by an exact 1 and exact zeros.
     """
     if isinstance(E.subfield, ExtensionField):
         raise UsageError("conjugates need a single-stage extension")

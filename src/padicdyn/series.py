@@ -23,16 +23,19 @@ and valuation (both infinite for an exact zero, both the floor for an
 O(p^k) zero).  An exact form holds coefficient i as r_i / (D L^i): the
 series in the variable u = w / L, over D, the least denominator at that
 scale.  A form made from elements has m = 0 and L = 1, numerators over
-their least common denominator.  A Böttcher build takes its scale from
-its map (``boettcher._scale``): its exact series are then integer
+their least common denominator.  An exact Böttcher build takes its
+scale from its map (``boettcher._scale``): its series are then integer
 vectors (D = 1), where at L = 1 each numerator would be inflated to the
-size of the common denominator, and its capped representatives hold
-about as many digits as their precision, where at m = 0 each would also
-carry the series' valuation slope (and a packed product's slots are as
-wide as the widest entry).  Products and sums bring operands to one
-scale, the lcm of theirs (the greater m), so any scale gives the same
-coefficients, digits and precisions alike: a wrong one costs only
-speed.  So each series has one form at its scale.  The methods of
+size of the common denominator.  A capped unit inverse runs on the
+steepest integer line under its input's valuations (``_slope``), so the
+capped series of a build take their m from the inverses they meet, and
+their representatives hold about as many digits as their precision,
+where at m = 0 each would also carry the series' valuation slope (and a
+packed product's slots are as wide as the widest entry).  Products and
+sums bring operands to one scale, the lcm of theirs (the greater m), so
+any scale gives the same coefficients, digits and precisions alike: a
+wrong one costs only speed.  So each series has one form at its
+scale.  The methods of
 ``TailSeries`` are written once over a kernel of functions per backend
 (below); capped operations keep the precision rule of the element
 arithmetic digit for digit, and elements are built only when ``coeffs``
@@ -101,9 +104,8 @@ class TailSeries:
     ``_flat`` holds the flat form of the trunc - ord stored coefficients,
     (r, s, f, m) over ``CappedField`` and (r, D, L) over ``ExactField``,
     where coefficient ord + i is r_i p^(s - i m) + O(p^(A_i)) or
-    r_i / (D L^i), at a scale p^m or L that a Böttcher build takes from
-    its map and that costs only speed when it is wrong (see the module
-    docstring), and ``_kernel`` the backend's
+    r_i / (D L^i), at a scale p^m or L that costs only speed when it is
+    wrong (see the module docstring), and ``_kernel`` the backend's
     functions on that form, which every method calls; ``_coeffs`` caches
     the elements once ``coeffs`` is read, and ``_norm`` the last disk
     ``gauss_norm`` was taken on, with the norm.
@@ -215,10 +217,10 @@ class TailSeries:
 
     def _rescaled(self, L: int) -> "TailSeries":
         """The same series with a form at scale L (at the lcm of L and its
-        own; over ``CappedField``, at the greater of m and v_p(L)): a
-        build takes L from its map, so that its exact series are integer
-        vectors and its capped representatives no wider than their
-        precision needs."""
+        own; over ``CappedField``, at the greater of m and v_p(L)): an
+        exact build takes L from its map, so that its series are integer
+        vectors.  A capped build passes L = 1, a form unchanged: its
+        unit inverses choose its line (``_capped_inverse``)."""
         flat = self._kernel.at(self.field, self._flat, L)
         return self if flat is self._flat else self._new(self.ord, flat,
                                                          self.trunc)
@@ -769,8 +771,8 @@ def _capped_sums(field, a, b, n):
     precision min over i + j = k of min(A_i + v_j, v_i + A_j): exactly
     what the chain of element adds and muls yields, so results agree
     with it digit for digit.  The series of a Böttcher build have
-    valuations that fall (or rise) linearly, and at the scale their map
-    gives (``boettcher._scale``) each representative r_i = u_i
+    valuations that fall (or rise) linearly, and at the scale their unit
+    inverses give (``_capped_inverse``) each representative r_i = u_i
     p^(v_i - s + i m) holds about as many digits as its precision; at
     m = 0 it would grow with i by the slope.
 

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicdyn import boettcher, config
-from padicdyn import (BudgetError, DomainError, ExactField, ExtensionField,
-                      KummerLevel, MonicPoly, UsageError, boettcher_series,
+from padicdyn import arboreal, boettcher, config
+from padicdyn import (BudgetError, CappedField, DomainError, ExactField,
+                      ExtensionField, KummerLevel, MonicPoly, UsageError,
+                      boettcher_series, conjugacy,
                       build_polygon, certify_degree, degree_chain,
                       predicted_degree_step, subgroup_orbit_count,
                       total_ramification_certificate, transport_check,
@@ -247,6 +248,38 @@ def test_transport_detects_corruption():
     # predictable residual: with omega ~ w + w^3 the power side picks up
     # 2 pi^4 (valuation 2) while the base side error sits at valuation 3
     assert power.residual == 2
+
+
+@pytest.mark.parametrize("field", [ExactField(7), CappedField(7, 20)],
+                         ids=["exact", "capped"])
+def test_transport_pairs_each_conjugate_by_its_automorphism(field):
+    """On the cyclic cubic stage t^3 - 7, Q = t^2/7 is a preimage of
+    P = 1/7 + 2 under z^3 + 2.  Conjugates of omega(Q) taken under
+    sigma^-1 in place of sigma (the nontrivial images reversed) still
+    form the same multiset, but pairing each with the conjugate of Q
+    under its own sigma shows omega(sigma Q) != sigma(omega(Q))."""
+    B = conjugacy(MonicPoly(field, [2, 0, 0]), 12)
+    E = ExtensionField(field, [-7, 0, 0], "eisenstein")
+    Q = E.generator() ** 2 * E.embed(F(1, 7))
+    P = F(1, 7) + 2
+    report = transport_check(B, E, Q, P, precision=20)
+    assert report.passed
+    honest = report.checks[1]
+    assert honest.residual >= honest.bound == 4
+
+    real = arboreal.conjugates
+
+    def inverted(E, a, precision=32):
+        images = real(E, a, precision=precision)
+        return images if a is Q else images[:1] + images[:0:-1]
+
+    with mock.patch.object(arboreal, "conjugates", inverted):
+        report = transport_check(B, E, Q, P, precision=20)
+    power, pairs = report.checks
+    assert power.passed and not report.passed
+    assert pairs.name == "conjugate-multisets" and not pairs.passed
+    # the worst residual over the sigma pairs, not the best over pairings
+    assert pairs.residual == F(1, 3) and pairs.bound == 4
 
 
 def test_transport_rejects_wrong_preimage():

@@ -25,7 +25,7 @@ from padicdyn.boettcher import (_baby_steps, _beta_series,
 from padicdyn.cli import series_json
 from padicdyn.errors import InternalError, PrecisionError, UsageError
 from padicdyn.series import TailSeries, agreement_order
-from test_series_kernel import known_modulo_precision
+from test_series_kernel import Ref, known_modulo_precision
 
 
 def mono(p, coeffs, backend="exact", prec=20):
@@ -874,13 +874,13 @@ def test_series_order_budget_env(monkeypatch):
 
 
 def test_omega_pair_mutually_inverse():
+    # compositions by the element-loop oracle (test_series_kernel.Ref)
     f = mono(5, [F(-1, 5), 0])
     B = boettcher_series(f, 16)
-    w = TailSeries.w_power(f.field, 1, 16)
-    assert agreement_order(B.omega.compose(B.omega_inverse), w) \
-        >= B.verified_order
-    assert agreement_order(B.omega_inverse.compose(B.omega), w) \
-        >= B.verified_order
+    w = Ref(f.field, 1, [1], 16)
+    omega, inverse = Ref.of(B.omega), Ref.of(B.omega_inverse)
+    assert omega.compose(inverse).agreement(w) >= B.verified_order
+    assert inverse.compose(omega).agreement(w) >= B.verified_order
 
 
 # -- the inverse series from its own functional equation ----------------------
@@ -924,14 +924,15 @@ def test_inverse_residual_locates_corruption(backend, p, coeffs):
     G = _inverse_residual(B.omega_inverse, f)[0]
     none = TailSeries.zero(f.field, G.trunc)
     assert G.trunc == M + d - 1 and agreement_order(G, none) == G.trunc
-    w = TailSeries.w_power(f.field, 1, M)
+    w, omega = Ref(f.field, 1, [1], M), Ref.of(B.omega)
     for k in range(2, M):
         # far below any digit the coefficients carry
         c = B.omega_inverse.coefficient(k) + F(1, p ** 100)
         bad = B.omega_inverse.replace_coefficient(k, c)
         assert agreement_order(_inverse_residual(bad, f)[0], none) \
             == k + d - 1
-        assert agreement_order(B.omega.compose(bad), w) == k
+        # composed by the element-loop oracle (test_series_kernel.Ref)
+        assert omega.compose(Ref.of(bad)).agreement(w) == k
 
 
 @pytest.mark.parametrize("prec", [2, 3, 5, 20])

@@ -1,14 +1,19 @@
 """The benchmark's tracer patches padicdyn in place: ``install`` must find
 every function and operator it wraps where it looks for them (each
 counted operator in its own class's ``__dict__``), and ``uninstall``
-must put every patched attribute back.  ``perfbench/`` is only read.
+must put every patched attribute back.  The harness's own self-test
+(its output gate and traced-count determinism) must pass against this
+checkout.  ``perfbench/`` is only read.
 """
 
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 
-TRACING = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -50,3 +55,15 @@ def test_tracer_uninstall_restores_every_patched_attribute():
         tracer.uninstall()
     assert patched and _changed(before, installed) == patched
     assert not _changed(before, _bindings(tracing))
+
+
+def test_benchmark_selftest_passes():
+    """``perfbench/selftest.py`` in a subprocess: a corrupted omega and a
+    malformed job fail the output gate, and two traced passes count the
+    same.  No bytecode is written under ``perfbench/``."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "SELFTEST PASS" in done.stdout
