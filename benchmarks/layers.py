@@ -69,11 +69,13 @@ product with the unit.
 ``transport`` times, on both backends (precision 20 when capped), the
 element work of a ``transport`` job in the quadratic Eisenstein
 extension Q_5(sqrt 5) for the reference map at M = 32, at Q = pi^-3
-(v(1/Q) = 3/2 lies inside the certified disk, eps = 1):
+(v(1/Q) = 3/2 lies inside the certified disk, eps = 1), and over capped
+Q_5 in the quartic Q_5(10^(1/4)) at Q = pi^-5 (v(1/Q) = 5/4):
 ``omega_at_s`` is omega at Q; ``conjugates_s`` the conjugates of
 omega(Q) in a new field on every run, as each job builds its own, so the
-generator images are lifted each time; and ``ext_mul_s`` one product
-omega(Q) * Q, the least of runs of 1000 products divided by 1000.
+generator images are found each time (by Hensel lifts on the quartic
+stage); and ``ext_mul_s`` one product omega(Q) * Q, the least of runs
+of 1000 products divided by 1000.
 
 ``elements`` times single element operations, each the least of runs
 of 1000 operations divided by 1000: over Q_5 capped at precision 20,
@@ -158,6 +160,9 @@ TRANSPORT_JOB = ["transport", "--prime", "7", "--poly=-2,0,0,1",
                  "--point=-29/14", "--ext=14,0,0,1", "--ext-point=0,0,-1/14",
                  "--order", "12", "--backend", "capped", "--precision", "20"]
 KUMMER_JOB = ["kummer", "--d", "2", "--N", "2"]
+# Eisenstein stages of the ``transport`` rows: coefficients below the
+# leading 1, and k for the point Q = pi^-k
+TRANSPORT_STAGES = {"x^2 - 5": ([-5, 0], 3), "x^4 - 10": ([-10, 0, 0, 0], 5)}
 DEGREES_JOB = ["degrees", "--prime", "3", "--poly", "1,0,1", "--point", "1/3",
                "--levels", "6", "--order", "8"]
 
@@ -309,25 +314,26 @@ def inverses() -> list:
     return rows
 
 
-def transport(backend: str) -> dict:
-    """omega_at_s, conjugates_s and ext_mul_s in Q_5(sqrt 5)."""
+def transport(backend: str, stage: str) -> dict:
+    """omega_at_s, conjugates_s and ext_mul_s in one extension of Q_5."""
     field = ExactField(5) if backend == "exact" else CappedField(
         5, PRECISION)
     B = conjugacy(reference_map(field), 32)
+    coeffs, k = TRANSPORT_STAGES[stage]
 
-    def stage():
-        return ExtensionField(field, [-5, 0], "eisenstein")
+    def extension():
+        return ExtensionField(field, coeffs, "eisenstein")
 
     def fresh_conjugates():
-        E = stage()
+        E = extension()
         return conjugates(E, E.from_vector(value.vec), precision=16)
 
-    Q = stage().generator() ** -3
-    row = {"backend": backend, "M": 32}
+    Q = extension().generator() ** -k
+    row = {"backend": backend, "stage": stage, "M": 32}
     row["omega_at_s"], value = best_of(lambda: omega_at(B, Q).value)
     row["conjugates_s"], conj = best_of(fresh_conjugates)
-    if len(conj) != 2:
-        raise SystemExit(f"{backend}: {len(conj)} conjugates, not 2")
+    if len(conj) != len(coeffs):
+        raise SystemExit(f"{backend} {stage}: {len(conj)} conjugates")
     seconds, _ = best_of(lambda: [value * Q for _ in range(1000)])
     row["ext_mul_s"] = seconds / 1000
     return row
@@ -461,7 +467,9 @@ def main() -> int:
     inverse_rows = inverses()
     for row in inverse_rows:
         print(json.dumps(row), file=sys.stderr)
-    transport_rows = [transport(backend) for backend in ("exact", "capped")]
+    transport_rows = [transport(backend, stage) for backend, stage in
+                      (("exact", "x^2 - 5"), ("capped", "x^2 - 5"),
+                       ("capped", "x^4 - 10"))]
     for row in transport_rows:
         print(json.dumps(row), file=sys.stderr)
     element_row = elements()

@@ -210,10 +210,10 @@ class _Element:
         return (self - other).is_zero()
 
     def __pow__(self, n: int):
+        if n > 0:
+            return _power(self, n)
         one = self.field.one()
-        if not n:
-            return one
-        return _power(one / self if n < 0 else self, abs(n))
+        return _power(one / self, -n) if n else one
 
 
 class ExactElement(_Element):
@@ -602,13 +602,19 @@ def field_for(p: int, backend: str = "exact", prec: int = 24):
 def poly_eval(coeffs, x):
     """Evaluate a coefficient list (lowest first) at x by Horner.  At an
     extension point a coefficient from below x's field goes into
-    coordinate 0 alone: its other coordinates are exact zeros.  Over
-    ``ExactField`` at a point of one stage, Horner runs on integers
-    (``_exact_stage_eval``)."""
+    coordinate 0 alone: its other coordinates are exact zeros.  At a
+    point of one stage, with coefficients from its base field, Horner
+    runs on integers (``_exact_stage_eval``, and ``_capped_stage_eval``
+    for two coefficients or more: one is only embedded)."""
     ring = x.field
-    if type(x) is ExtElement and type(ring.subfield) is ExactField and \
-            all(type(c) is ExactElement for c in coeffs):
-        return _exact_stage_eval(coeffs, x)
+    if type(x) is ExtElement:
+        sub = ring.subfield
+        if type(sub) is ExactField and \
+                all(type(c) is ExactElement for c in coeffs):
+            return _exact_stage_eval(coeffs, x)
+        if type(sub) is CappedField and len(coeffs) > 1 and all(
+                type(c) is PadicElement and c.field is sub for c in coeffs):
+            return _capped_stage_eval(coeffs, x)
     acc = ring.embed(coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc = acc * x
@@ -666,6 +672,81 @@ def _exact_stage_eval(coeffs, x):
             acc, den = [v // common for v in acc], den // common
     return ExtElement(E, tuple([ExactElement(sub, Fraction(v, den))
                                 for v in acc]))
+
+
+def _capped_stage_eval(coeffs, x):
+    """``poly_eval`` of CappedField elements at x in a stage E over
+    CappedField, on integers.  The accumulator lists its coordinates that
+    are not exact zeros as (i, r, v, A): coordinate i is r p^e, e one
+    exponent for all, with valuation v and absolute precision A, and r
+    reduced modulo p^(A - e).  Each step multiplies by x at the exponent
+    e plus x's least valuation, a product's precision the least of
+    A_i + v_j and v_i + A_j; adds the next coefficient into slot 0; and
+    folds E's defining polynomial down from the top slot, each slot
+    reduced before it folds.  A slot's precision is the least over its
+    terms, in any order, and exact zeros add nothing, the element rules,
+    so each slot reduced once gives the element the element loop gives,
+    digit for digit."""
+    E = x.field
+    n, sub = E.degree, E.subfield
+    p, top = sub.p, 2 * n - 1
+    # a slot's A - e is rarely above two caps; past the table, p ** d
+    pw = sub.powers(2 * sub.prec)[0]
+    xs = [(j, c.unit, c.v, c.v + c.rel)
+          for j, c in enumerate(x.vec) if c.v is not None]
+    lx = min([v for _, _, v, _ in xs], default=0)
+    xs = [(j, u * p ** (v - lx), v, A) for j, u, v, A in xs]
+    # validation makes every stage coefficient integral: values at p^0
+    gs = [(i, g.unit * p ** g.v, g.v, g.v + g.rel)
+          for i, g in enumerate(E.stage_coeffs) if g.v is not None]
+    c = coeffs[-1]
+    e = 0 if c.v is None else c.v
+    acc = [] if c.v is None else [(0, c.unit, c.v, c.v + c.rel)]
+    for c in reversed(coeffs[:-1]):
+        conv, prec = [0] * top, [None] * top
+        for i, ra, va, Aa in acc:
+            for j, b, vb, Ab in xs:
+                k, t, s = i + j, Aa + vb, va + Ab
+                conv[k] += ra * b
+                if s < t:
+                    t = s
+                if prec[k] is None or t < prec[k]:
+                    prec[k] = t
+        e += lx
+        if c.v is not None:
+            if c.v < e:
+                conv = [v * p ** (e - c.v) for v in conv]
+                e = c.v
+            conv[0] += c.unit * p ** (c.v - e) if c.v > e else c.unit
+            A = c.v + c.rel
+            if prec[0] is None or A < prec[0]:
+                prec[0] = A
+        acc, lo = [], None
+        for k in range(top - 1, -1, -1):
+            A = prec[k]
+            if A is None:
+                continue
+            d = A - e
+            r = conv[k] % (pw[d] if d < len(pw) else p ** d) if d else 0
+            v = A if not r else e if r % p else e + _vp_int(r, p)
+            if k < n:
+                acc.append((k, r, v, A))
+                lo = v if lo is None or v < lo else lo
+                continue
+            for i, g, vg, Ag in gs:
+                t, s = A + vg, v + Ag
+                if s < t:
+                    t = s
+                conv[k - n + i] -= r * g
+                if prec[k - n + i] is None or t < prec[k - n + i]:
+                    prec[k - n + i] = t
+        if lo is not None and lo > e:
+            acc = [(i, r // p ** (lo - e), v, A) for i, r, v, A in acc]
+            e = lo
+    vec = [PadicElement(sub, None, 0, 0)] * n
+    for i, r, v, A in acc:
+        vec[i] = PadicElement(sub, v, r // p ** (v - e), A - v)
+    return ExtElement(E, tuple(vec))
 
 
 def poly_mul(a, b):
@@ -746,7 +827,25 @@ def hensel_lift(g, x0, target_precision):
     ExactField each iterate's rationals are held to
     ``PADICDYN_MAX_COEFF_BITS`` (``config.check_coeff_bits``): past it,
     BudgetError.
+
+    When x0 and every coefficient of g, all in one stage, have exact
+    zeros above coordinate 0, the loop runs in the subfield on
+    coordinate 0 and the root is embedded.  Stage arithmetic on such
+    elements is the subfield's on coordinate 0 (products skip exact
+    zeros, the valuation reads coordinate 0), so the root is the same
+    element.
     """
+    E = x0.field
+    if type(x0) is ExtElement and all(
+            type(c) is ExtElement and c.field is E and
+            all(a.is_exact_zero for a in c.vec[1:]) for c in [x0, *g]):
+        return E.embed(_newton([c.vec[0] for c in g], x0.vec[0],
+                               target_precision))
+    return _newton(g, x0, target_precision)
+
+
+def _newton(g, x0, target_precision):
+    """``hensel_lift``'s Newton loop, in the field of x0."""
     gp = poly_derivative(g)
     fx = poly_eval(g, x0)
     vf = fx.valuation()
@@ -1080,15 +1179,23 @@ class ExtElement(_Element):
         and of v(c_i) on an unramified one; exact for both.  Each v(c_i)
         lies in (1/e)Z, so the minimum is taken over the integers
         v(c_i) e (+ i) and divided by e once, as ``series.gauss_norm``
-        does."""
+        does; a capped coordinate gives its integer v and its exactness
+        directly."""
         e, step = self.field.e, self.field.kind == "eisenstein"
         pairs = []
         for i, c in enumerate(self.vec):
+            if type(c) is PadicElement:
+                if c.v is not None:
+                    pairs.append((c.v * e + i * step, c.unit != 0))
+                continue
             v = c.valuation()
             if v.value is not None:
                 pairs.append((v.value.numerator * (e // v.value.denominator)
                               + i * step, v.exact))
-        return Valuation._least_pairs(pairs) * Fraction(1, e)
+        least = Valuation._least_pairs(pairs)
+        if least.value is None:
+            return least
+        return Valuation(Fraction(least.value.numerator, e), least.exact)
 
     def apply_root_map(self, root: "ExtElement") -> "ExtElement":
         """Image under the automorphism sending the stage generator to root."""
@@ -1110,9 +1217,9 @@ def _generator_images(E: ExtensionField, precision: int) -> tuple:
     generator's residue x, each the p-th power of the one before.
     """
     gen = E.generator()
-    g = [E.embed(c) for c in E.stage_coeffs] + [E.one()]
-    if not poly_eval(g, gen).is_zero():
+    if not poly_eval([*E.stage_coeffs, E.subfield.one()], gen).is_zero():
         raise InternalError("generator does not satisfy its polynomial")
+    g = [E.embed(c) for c in E.stage_coeffs] + [E.one()]
     if E.kind == "eisenstein":
         t, rf = gen, ResidueField(E.p, [0, 1])
     else:
@@ -1147,7 +1254,8 @@ def _generator_images(E: ExtensionField, precision: int) -> tuple:
                         precision)
         images.append(t * y)
         work = _deflate(work, images[-1])
-    images.append(-work[0] / work[1])
+    # each quotient keeps g's leading 1, so the last root is -work[0]
+    images.append(-work[0])
     return tuple(images)
 
 

@@ -524,7 +524,9 @@ def test_conjugates_lift_the_generator_images_once_per_precision(
     x = E.from_vector([F(1, 2), 3, -1])
     first = conjugates(E, pi, precision=20)
     once = len(lifts)
-    assert once > 0
+    # one lift per root between the generator and the last root, which
+    # is -work[0]; a lift in the subfield is still one call
+    assert once == E.degree - 2
     second = conjugates(E, x, precision=20)
     assert len(lifts) == once
     third = conjugates(E, pi, precision=25)
@@ -801,10 +803,13 @@ def test_extension_fast_paths_match_the_element_loops():
             assert _parts(x.apply_root_map(E.generator())) == _parts(x)
 
 
-def test_exact_stage_horner_matches_the_element_loops():
-    """Horner over ExactField at a point of one stage runs on integers.
-    It gives the element the element loops give, on stages whose
-    coefficients have denominators to fold in and on long lists."""
+def test_exact_and_capped_stage_horner_match_the_element_loops():
+    """Horner at a point of one stage, with coefficients from its base
+    field, runs on integers over both backends.  It gives the element
+    the element loops give, in every stored part: on stages whose
+    coefficients have denominators to fold in or nonzero middle terms,
+    on long lists, and over caps small enough that O(p^k) zeros appear
+    partway through, at points with exact and O(p^k) zero coordinates."""
     rng = random.Random(2611)
     stages = [ExtensionField(ExactField(3), [F(-3, 2), 0], "eisenstein"),
               ExtensionField(ExactField(3), [F(-1, 2), 0], "unramified"),
@@ -812,15 +817,30 @@ def test_exact_stage_horner_matches_the_element_loops():
                              "eisenstein"),
               ExtensionField(ExactField(7), [F(-7, 2), 0, 0, F(7, 3)],
                              "eisenstein")]
+    for cap in (1, 2, 3, 24):
+        stages += [ExtensionField(CappedField(5, cap), [5, 0, 0, 5],
+                                  "eisenstein"),
+                   ExtensionField(CappedField(7, cap), [F(-7, 2), 7, 0],
+                                  "eisenstein"),
+                   ExtensionField(CappedField(3, cap), [-1, 3, 1],
+                                  "unramified")]
     stages += [E for E in _fast_path_fields()
-               if isinstance(E.subfield, ExactField)]
+               if not isinstance(E.subfield, ExtensionField)]
     for E in stages:
+        K, n = E.subfield, E.degree
+        points = [_random_entry(rng, E) for _ in range(6)]
+        if isinstance(K, CappedField):
+            # an exact zero and an O(p^k) zero beside units
+            points.append(E.from_vector(
+                [K.zero(), PadicElement._zero(K, 1)] + [F(1, K.p)] * (n - 2)))
+            points.append(E.from_vector(
+                [PadicElement._zero(K, 0)] + [3] * (n - 1)))
         for length in (1, 2, 5, 17):
-            coeffs = [_random_entry(rng, E.base_field)
-                      for _ in range(length)]
-            x = _random_entry(rng, E)
-            assert _parts(poly_eval(coeffs, x)) \
-                == _parts(_oracle_eval(coeffs, x)), (E, coeffs, x)
+            for x in points:
+                coeffs = [_random_entry(rng, E.base_field)
+                          for _ in range(length)]
+                assert _parts(poly_eval(coeffs, x)) \
+                    == _parts(_oracle_eval(coeffs, x)), (E, coeffs, x)
 
 
 def test_first_conjugate_is_the_element_itself():
@@ -839,6 +859,29 @@ def test_first_conjugate_is_the_element_itself():
 
 
 # -- generator images against the general polygon-and-scan route -------------
+
+
+def _oracle_lift(g, x0, target):
+    """``hensel_lift``'s Newton loop in the stage itself, every value by
+    the element loops (``_oracle_eval``, the stage's own division): the
+    stage route, also for the lifts hensel_lift takes in the subfield."""
+    gp = [i * c for i, c in enumerate(g)][1:]
+    fx = _oracle_eval(g, x0)
+    vf, vfp = fx.valuation(), _oracle_eval(gp, x0).valuation()
+    if vf.is_infinite:
+        return x0
+    if vfp.is_infinite or not vfp.exact or not vf > 2 * vfp.as_fraction():
+        raise DomainError("not a simple root at this precision")
+    x = x0
+    for _ in range(64):
+        if vf >= target:
+            return x
+        if not vf.exact:
+            raise PrecisionError("target exceeds the working precision")
+        x = x - fx / _oracle_eval(gp, x)
+        fx = _oracle_eval(g, x)
+        vf = fx.valuation()
+    raise AssertionError("Newton iteration failed to converge")
 
 
 def _reference_images(E, precision):
@@ -875,7 +918,7 @@ def _reference_images(E, precision):
                 if rf.is_zero(rf.poly_eval(hbar_prime, r)):
                     raise DomainError("repeated residue root")
                 y0 = E.from_vector(r + (0,) * (E.degree - len(r)))
-                found = t * hensel_lift(h, y0, precision)
+                found = t * _oracle_lift(h, y0, precision)
                 break
             if found is not None:
                 break
@@ -932,6 +975,73 @@ def test_generator_images_match_the_polygon_and_scan_route():
                     ("eisenstein", DomainError),
                     ("eisenstein", PrecisionError),
                     ("unramified", PrecisionError)}, seen
+
+
+def _in_subfield(x):
+    return all(c.is_exact_zero for c in x.vec[1:])
+
+
+def _recorded_lifts(monkeypatch, E, precision):
+    """The (g, x0, precision) of every lift ``_generator_images`` asks
+    for on E."""
+    from padicdyn import localfield
+
+    lifts = []
+
+    def recorded(*args):
+        lifts.append(args)
+        return hensel_lift(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(localfield, "hensel_lift", recorded)
+        _images_or_error(_generator_images, E, precision)
+    return lifts
+
+
+def test_subfield_lifts_are_the_stage_lifts(monkeypatch):
+    """On pure stages x^e - a (e = 2 to 4, exact and capped) every
+    polynomial with its start in the subfield lifts there: the root of
+    x^e - b from each residue root, and on an Eisenstein stage each
+    generator image's root.  hensel_lift gives the element, or the
+    error, that the stage's own Newton loop gives, in every stored part;
+    so it does where h or the start is not in the subfield: the images
+    of pure unramified stages and of one stage with middle terms."""
+    def outcome(lift, *args):
+        try:
+            return _parts(lift(*args))
+        except PadicDynError as exc:
+            return type(exc)
+
+    inside, outside = [], []
+    for p in (3, 5, 7, 13):
+        for e in (2, 3, 4):
+            units = [u for u in range(2, p)
+                     if _fp_poly_irreducible([-u] + [0] * (e - 1) + [1], p)]
+            for K, precision in ((ExactField(p), 4), (CappedField(p, 12), 12)):
+                stages = [ExtensionField(K, [-p * u] + [0] * (e - 1),
+                                         "eisenstein") for u in (1, -2)]
+                stages += [ExtensionField(K, [-u] + [0] * (e - 1),
+                                          "unramified") for u in units[:1]]
+                for E in stages:
+                    for b in range(1, p):
+                        g = [E.embed(-b)] + [E.zero()] * (e - 1) + [E.one()]
+                        inside += [(g, E.embed(r), precision)
+                                   for r in range(1, p) if (r ** e - b) % p == 0]
+                    lifts = _recorded_lifts(monkeypatch, E, precision)
+                    (inside if E.kind == "eisenstein" else outside).extend(
+                        lifts)
+    coeffs, kind = next(stage for stage in _oracle_stages(3, 4)
+                        if stage == ([-3, 3, 3, 3], "eisenstein"))
+    for K, precision in ((ExactField(3), 4), (CappedField(3, 12), 12)):
+        outside += _recorded_lifts(
+            monkeypatch, ExtensionField(K, coeffs, kind), precision)
+    assert all(_in_subfield(x) for g, x0, _ in inside for x in [x0, *g])
+    assert all(not all(_in_subfield(x) for x in [x0, *g])
+               for g, x0, _ in outside)
+    assert len(inside) > 100 and len(outside) > 10
+    for args in inside + outside:
+        assert outcome(hensel_lift, *args) == outcome(_oracle_lift, *args), \
+            args
 
 
 def test_unramified_images_come_from_frobenius_not_a_scan(monkeypatch):
