@@ -11,8 +11,9 @@ each step taking the known order from t to about d t, and the last
 composition is also the image the build's check of the equation needs,
 which the last root's own check compares with omega^d.  No step redoes
 the one before: the powers of W the compositions sum over are formed
-once per build, and each root's Newton iteration starts from the
-previous omega.  The inverse series needs no reversion: the conjugacy read backwards says
+once per build, and each root's Newton iteration resumes from the state
+the step before reached at a power of two.  The inverse series needs no
+reversion: the conjugacy read backwards says
 that phi = omega^-1 solves phi(u^d) = phi(u)^d / P(phi(u)),
 P(x) = 1 + a_{d-1} x + ... + a_0 x^d, and Newton iteration on that
 equation takes products and one unit inverse per step, no composition.
@@ -269,15 +270,26 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     cut to its own T (``_compose_with``); a cut power is the same
     element, digits and precision alike, as one formed at T, since
     coefficient j of a product or a unit inverse reads only operand
-    coefficients up to j.  The table lives for one build only.  Each
-    root starts from the previous omega / w, known modulo w^(t - 1), and
-    Newton iteration goes from there to twice that truncation and on to
-    T - d (``TailSeries._root_steps``) instead of climbing from 1 modulo
-    w; for d = 2 that is one Newton step per fixed-point step.  Only the
-    last root is checked against its image to full order
-    (``TailSeries._root_from``): each earlier omega only starts the next
-    step, and a wrong one cannot pass, since the last root's check and
-    ``identical_to``, or the fresh composition, bind the build.
+    coefficients up to j.  The table lives for one build only.
+
+    Each root is the one ``nth_root`` gives, digits and precision alike,
+    without climbing from 1 modulo w every time.  Newton iteration from 1
+    (``TailSeries._root_steps``) passes through truncations 1, 2, 4, ...,
+    and its state at a power of two S reads only the target's first S
+    coefficients.  So the fixed point keeps that state from the step
+    before and resumes from it when this step's target has the same
+    first S coefficients (``identical_to``; otherwise from 1), runs it to
+    P, the greatest power of two not above T - d, and takes one more
+    step to T - d.  A warm start off that ladder is not enough: a step
+    from a truncation the ladder skips multiplies the exact zeros of its
+    padding where the ladder has O(p^k) zeros, so over a capped field
+    the claimed precisions can differ.  For d = 2, T - d is a power of
+    two until the last step, so each fixed-point step but the last is
+    one Newton step.  Only the last root is checked against its image to
+    full order (``TailSeries._root_from``): each earlier omega only
+    starts the next step, and a wrong one cannot pass, since the last
+    root's check and ``identical_to``, or the fresh composition, bind
+    the build.
 
     Over a capped field the padding claims exact zeros that omega does
     not have, and no digit or precision comes from them: composing to
@@ -286,11 +298,9 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     of the image, and of its root, is claimed by the precision rules of
     those two operations alone, as if omega had been given to order t
     without padding, and the capped omega claims no digit it does not
-    have.  The warm start claims no more: it carries only the digits
-    the previous omega itself claimed, each Newton step propagates them
-    by the same precision rules as a start from 1, and the last root's
-    check, its d-th power against omega(W) / w^d to full order, binds
-    the result whatever the start was.
+    have.  Each root is the one a start from 1 gives, so it claims no
+    more, and the last root's check, its d-th power against
+    omega(W) / w^d to full order, binds the result.
 
     The image returned encloses omega(W) modulo w^M, for the build's
     check.  The last step's image is omega_prev(W) to order M + d - 1,
@@ -316,13 +326,27 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     powers = _powers(_reciprocal(f, last), _baby_steps(last, d), last)
     omega = TailSeries.w_power(f.field, 1, min(2, M))
     image = None
+    # the Newton ladder's state at a power of two, and a target it serves
+    one = start = TailSeries.one(f.field, 1)
+    seen = None
     while omega.trunc < M:
         T = min(d * omega.trunc, last)
         previous = omega
         image = _compose_with(omega._padded(T), powers, d)
+        target = image.shifted(-d)
+        if seen is not None and not target.identical_to(seen, start.trunc):
+            start = one
+        R = T - d
+        P = 1 << (R.bit_length() - 1)
+        if start.trunc < P < R:
+            start = TailSeries._root_steps(target.truncate(P), d, start)
         # the last step (T = last) is the one whose root is checked
         root = TailSeries._root_from if T == last else TailSeries._root_steps
-        omega = root(image.shifted(-d), d, previous.shifted(-1)).shifted(1)
+        x = root(target, d, start)
+        if P == R:
+            start = x
+        seen = target
+        omega = x.shifted(1)
     if image is not None and previous.identical_to(omega, -(-M // d)):
         return omega, image.truncate(M), M
     image = _compose_with(omega, powers, d)
