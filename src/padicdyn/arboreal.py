@@ -56,7 +56,7 @@ class KummerLevel:
         i, j = g
         if gcd(j, self.modulus) != 1:
             raise UsageError(f"second component {j} is not invertible "
-                             f"mod {self.modulus}")
+                             f"mod {self.d}^{self.N}")
         return i % self.modulus, j % self.modulus
 
     def compose(self, g2, g1):
@@ -94,7 +94,7 @@ def subgroup_orbit_count(generators, L: KummerLevel) -> int:
     gens = [L._check(g) for g in generators]
     m = L.modulus
     if m > config.max_orbit_size():
-        raise BudgetError(f"label set of size {m} exceeds the budget")
+        raise BudgetError(f"label set of size {L.d}^{L.N} exceeds the budget")
     seen = [False] * m
     orbits = 0
     for start in range(m):
@@ -154,7 +154,7 @@ def certify_degree(f: MonicPoly, P, n: int):
         raise UsageError("level must be >= 1")
     deg = f.degree ** n
     if deg > config.max_tree_degree():
-        raise BudgetError(f"tree degree {deg} exceeds the budget")
+        raise BudgetError(f"tree degree {f.degree}^{n} exceeds the budget")
     q = f.field.embed(P).value
     b = q.denominator
     nums, den = f.iterate_flat(n)

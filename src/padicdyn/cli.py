@@ -47,7 +47,13 @@ def is_prime(n: int) -> bool:
 
 
 def frac_str(q) -> str:
-    return str(Fraction(q))
+    """q as "num/den" for the output (JSON and LaTeX); past Python's
+    int-to-str limit (4300 digits by default) it raises BudgetError."""
+    try:
+        return str(Fraction(q))
+    except ValueError:
+        raise BudgetError(f"rational of over {sys.get_int_max_str_digits()}"
+                          f" digits exceeds the print limit") from None
 
 
 def valuation_json(v: Valuation) -> str:
@@ -86,10 +92,9 @@ def series_latex(s: TailSeries, var: str = "z^{-1}") -> str:
             coeff = "c_{%d}" % k
         elif q == 1:
             coeff = ""
-        elif q.denominator == 1:
-            coeff = str(q.numerator)
         else:
-            coeff = r"\frac{%d}{%d}" % (q.numerator, q.denominator)
+            num, _, den = frac_str(q).partition("/")
+            coeff = r"\frac{%s}{%s}" % (num, den) if den else num
         terms.append(f"{coeff}{var}^{{{k}}}" if k != 1
                      else f"{coeff}{var}")
     body = " + ".join(terms).replace("+ -", "- ")

@@ -181,9 +181,9 @@ class Valuation:
 
 
 class _Element:
-    """Subtraction, equality, reflected division and powers as every
-    element class derives them from its own +, unary -, *, / and
-    ``_coerce``; ExactElement overrides some."""
+    """Subtraction, equality, reflected division, inverses and powers as
+    every element class derives them from its own +, unary -, *, / and
+    ``_coerce``; ExactElement and ExtElement override some."""
 
     __slots__ = ()
     __hash__ = None
@@ -209,11 +209,13 @@ class _Element:
             return NotImplemented
         return (self - other).is_zero()
 
+    def inverse(self):
+        return self.field.one() / self
+
     def __pow__(self, n: int):
         if n > 0:
             return _power(self, n)
-        one = self.field.one()
-        return _power(one / self, -n) if n else one
+        return _power(self.inverse(), -n) if n else self.field.one()
 
 
 class ExactElement(_Element):
@@ -603,15 +605,13 @@ def poly_eval(coeffs, x):
     """Evaluate a coefficient list (lowest first) at x by Horner.  At an
     extension point a coefficient from below x's field goes into
     coordinate 0 alone: its other coordinates are exact zeros.  At a
-    point of one stage, with coefficients from its base field, Horner
-    runs on integers (``_exact_stage_eval``, and ``_capped_stage_eval``
-    for two coefficients or more: one is only embedded)."""
+    point of one stage over CappedField, with two coefficients or more
+    from that field, Horner runs on integers (``_capped_stage_eval``);
+    every other point, an exact stage's included, takes the element
+    loop."""
     ring = x.field
     if type(x) is ExtElement:
         sub = ring.subfield
-        if type(sub) is ExactField and \
-                all(type(c) is ExactElement for c in coeffs):
-            return _exact_stage_eval(coeffs, x)
         if type(sub) is CappedField and len(coeffs) > 1 and all(
                 type(c) is PadicElement and c.field is sub for c in coeffs):
             return _capped_stage_eval(coeffs, x)
@@ -632,46 +632,6 @@ def _over_common(values) -> tuple:
     of the denominators (the exact series form at scale 1 is (r, D, 1))."""
     den = math.lcm(*[q.denominator for q in values])
     return [q.numerator * (den // q.denominator) for q in values], den
-
-
-def _exact_stage_eval(coeffs, x):
-    """``poly_eval`` of ExactField elements at x in a stage E over
-    ExactField, on integers.  The accumulator is a coordinate vector A
-    over one denominator; each step multiplies by x, reduces modulo E's
-    defining polynomial t^n + sum g_i t^i (its top coefficients folded
-    down one at a time, each fold putting g's denominator into A's) and
-    adds the next coefficient.  The rationals are exact, so the element
-    is the one the element loop gives."""
-    E = x.field
-    n, sub = E.degree, E.subfield
-    X, dx = _over_common([c.value for c in x.vec])
-    G, dg = _over_common([c.value for c in E.stage_coeffs])
-    top = coeffs[-1].value
-    acc, den = [top.numerator] + [0] * (n - 1), top.denominator
-    for c in reversed(coeffs[:-1]):
-        prod = [0] * (2 * n - 1)
-        for i, a in enumerate(acc):
-            if a:
-                for j, b in enumerate(X):
-                    prod[i + j] += a * b
-        den *= dx
-        for k in range(2 * n - 2, n - 1, -1):
-            lead = prod[k]
-            if lead:
-                if dg != 1:
-                    prod = [v * dg for v in prod[:k]]
-                    den *= dg
-                for i, gi in enumerate(G):
-                    prod[k - n + i] -= lead * gi
-        q = c.value
-        acc = [v * q.denominator for v in prod[:n]]
-        acc[0] += q.numerator * den
-        den *= q.denominator
-        common = math.gcd(den, *acc)
-        if common != 1:
-            acc, den = [v // common for v in acc], den // common
-    return ExtElement(E, tuple([ExactElement(sub, Fraction(v, den))
-                                for v in acc]))
 
 
 def _capped_stage_eval(coeffs, x):

@@ -1204,7 +1204,7 @@ def evaluate(S: TailSeries, z, D: DiskSpec) -> PointValue:
     z = _as_point(S, z)
     if D.center == "inf" and z.is_zero():
         raise DomainError("outside certified domain")
-    w0 = z.field.embed(1) / z if D.center == "inf" else z
+    w0 = z.inverse() if D.center == "inf" else z
     v0 = w0.valuation()
     if v0.is_infinite and v0.exact:
         return PointValue(w0.field.embed(S.coefficient(0)), Valuation(None))

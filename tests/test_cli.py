@@ -492,6 +492,37 @@ def test_exact_transport_lift_stops_at_the_coefficient_budget(
     assert "Traceback" not in err
 
 
+def test_integers_past_the_int_to_str_limit_exit_by_their_budget(capsys):
+    # 2^20000, 2^14300 and the exact omega of z^2 + c, c of 3000 digits,
+    # each pass Python's 4300-digit int-to-str limit: kummer names sizes
+    # as d^N (a non-unit generator stays a usage error over budget), a
+    # degrees level past the degree budget reads "uncertified", and a
+    # rational too long to print is refused, all without a traceback
+    big = f"--poly={'3' * 3000},0,1"
+    for argv, code, message in (
+            (["kummer", "--d", "2", "--N", "20000", "--generators", "1,1"],
+             EXIT_DOMAIN, "label set of size 2^20000 exceeds the budget"),
+            (["kummer", "--d", "2", "--N", "20000", "--generators", "0,2"],
+             EXIT_USAGE, "second component 2 is not invertible mod 2^20000"),
+            (["boettcher", "--prime", "5", big, "--order", "16"],
+             EXIT_DOMAIN, "digits exceeds the print limit"),
+            (["boettcher", "--prime", "5", big, "--order", "16",
+              "--emit-latex"], EXIT_DOMAIN, "digits exceeds the print limit")):
+        assert cli.main(argv) == code, argv[:5]
+        out, err = capsys.readouterr()
+        assert out == "" and message in err and "Traceback" not in err
+    assert cli.main(["degrees", "--prime", "3", "--poly=1,0,1",
+                     "--point=1/3", "--levels", "14300"]) == EXIT_OK
+    levels = json.loads(capsys.readouterr().out)["results"]["levels"]
+    assert [r["certified_degree"] for r in levels[5:7]] == [64, "uncertified"]
+    assert levels[-1] == {"n": 14300, "predicted_step": 2,
+                          "certified_degree": "uncertified"}
+    # the LaTeX form reads each rational through the same refusal
+    f = MonicPoly(ExactField(5), [F(int("3" * 3000)), 0])
+    with pytest.raises(cli.BudgetError, match="print limit"):
+        cli.series_latex(cli.conjugacy(f, 16).omega)
+
+
 def test_transport_with_a_euclid_remainder_lost_to_precision_exits_3(capsys):
     # at 3 digits an inverse in x^4 + 7x - 7 meets a remainder that is
     # indistinguishable from zero; every stage is irreducible, so that

@@ -619,9 +619,10 @@ def _power_or_error(op, *args):
 
 
 def test_element_powers_are_the_chain_of_products():
-    """x ** n is 1 * x * ... * x (or of 1 / x) in every stored part, for
-    capped elements of every precision, O(p^k) and exact zeros included,
-    exact elements and extension elements over both backends."""
+    """x ** n is 1 * x * ... * x (or of 1 / x), and x.inverse() is 1 / x,
+    in every stored part, for capped elements of every precision, O(p^k)
+    and exact zeros included, exact elements, and extension elements over
+    both backends and over a stage."""
     rng = random.Random(1806)
     K, Q = CappedField(5, 8), ExactField(5)
     capped = [PadicElement._make(K, rng.randint(-3, 3),
@@ -638,7 +639,13 @@ def test_element_powers_are_the_chain_of_products():
             ext += [E.from_vector([F(rng.randint(-30, 30), rng.choice([1, 5]))
                                    for _ in range(2)]) for _ in range(4)]
             ext += [E.generator(), E.zero(), E.from_vector([0, 3])]
+    for E in _fast_path_fields():
+        if isinstance(E.subfield, ExtensionField):
+            ext += [_random_entry(rng, E) for _ in range(3)]
+            ext += [E.generator(), E.zero()]
     for x in capped + exact + ext:
+        assert _power_or_error(type(x).inverse, x) \
+            == _power_or_error(truediv, x.field.one(), x), x
         for n in range(-3, 10):
             assert _power_or_error(pow, x, n) \
                 == _power_or_error(_chain_power, x, n), (x, n)
@@ -805,8 +812,9 @@ def test_extension_fast_paths_match_the_element_loops():
 
 def test_exact_and_capped_stage_horner_match_the_element_loops():
     """Horner at a point of one stage, with coefficients from its base
-    field, runs on integers over both backends.  It gives the element
-    the element loops give, in every stored part: on stages whose
+    field, runs on integers over CappedField and in the element loops
+    over ExactField.  It gives the element the element loops give, in
+    every stored part: on stages whose
     coefficients have denominators to fold in or nonzero middle terms,
     on long lists, and over caps small enough that O(p^k) zeros appear
     partway through, at points with exact and O(p^k) zero coordinates."""
