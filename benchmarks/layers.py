@@ -106,10 +106,23 @@ degree chain (z^2 over Q_3, P = 1/3); the job and both degree rows
 take a new polynomial on every run, so no iterate is reused from the
 run before.
 
-Each time is the least of up to five runs that fit in half a second (one
-run when a single run takes longer), in wall-clock seconds.  The script
-prints one JSON document with the machine, the Python version and the
-git commit; each row also goes to stderr as it is done.
+``fresh`` times a CLI job as a user runs it, one job per process, where
+interpreter start and import weigh most: over 11 rounds it gives the
+median and quartiles of the wall time of ``python3 -c pass``
+(``bare_s``), of a fresh ``import padicdyn.cli`` (``import_s``), of a
+fresh ``padicdyn boettcher --prime 5 --poly 3,0,1 --order 8``
+(``job_s``), and of ``-X importtime``'s cumulative time for
+``padicdyn.cli`` (``importtime_s``), each run on a copy of the package
+in a temporary directory: ``source`` without bytecode
+(``PYTHONDONTWRITEBYTECODE=1``, so the package compiles on every run)
+and ``bytecode`` with ``PYTHONPYCACHEPREFIX`` set to a temporary
+directory one run warms, so nothing is written into the checkout.
+
+Except in ``fresh``, each time is the least of up to five runs that fit
+in half a second (one run when a single run takes longer), in wall-clock
+seconds.  The script prints one JSON document with the machine, the
+Python version and the git commit; each row also goes to stderr as it
+is done.
 """
 
 import contextlib
@@ -119,8 +132,11 @@ import json
 import operator
 import os
 import platform
+import shutil
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -165,6 +181,14 @@ KUMMER_JOB = ["kummer", "--d", "2", "--N", "2"]
 TRANSPORT_STAGES = {"x^2 - 5": ([-5, 0], 3), "x^4 - 10": ([-10, 0, 0, 0], 5)}
 DEGREES_JOB = ["degrees", "--prime", "3", "--poly", "1,0,1", "--point", "1/3",
                "--levels", "6", "--order", "8"]
+FRESH_ROUNDS = 11
+FRESH_JOB = ["boettcher", "--prime", "5", "--poly", "3,0,1", "--order", "8"]
+# each a fresh interpreter's arguments; the job runs the body of the
+# ``padicdyn`` console script, padicdyn.cli:main
+FRESH_COMMANDS = {"bare_s": ["-c", "pass"],
+                  "import_s": ["-c", "import padicdyn.cli"],
+                  "job_s": ["-c", "import sys; from padicdyn.cli import main; "
+                            "sys.exit(main())", *FRESH_JOB]}
 
 
 def best_of(fn, budget=0.5, most=5):
@@ -422,6 +446,60 @@ def jobs() -> dict:
     return row
 
 
+def fresh_envs(src: Path, tmp: Path) -> dict:
+    """The ``source`` and ``bytecode`` environments of the ``fresh`` row
+    for a copy in tmp of the package under src; the bytecode cache is
+    warmed by one run."""
+    shutil.copytree(src / "padicdyn", tmp / "src" / "padicdyn",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    base = {key: value for key, value in os.environ.items()
+            if key not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    base["PYTHONPATH"] = str(tmp / "src")
+    envs = {"source": dict(base, PYTHONDONTWRITEBYTECODE="1"),
+            "bytecode": dict(base, PYTHONPYCACHEPREFIX=str(tmp / "cache"))}
+    fresh_round(envs["bytecode"])
+    return envs
+
+
+def fresh_round(env: dict) -> dict:
+    """One run of each fresh-process command under env, in wall seconds,
+    and ``-X importtime``'s cumulative seconds for padicdyn.cli, which
+    holds the package's own import."""
+    row = {}
+    for name, args in FRESH_COMMANDS.items():
+        started = time.perf_counter()
+        subprocess.run([sys.executable, *args], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        row[name] = time.perf_counter() - started
+    report = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import padicdyn.cli"],
+        env=env, check=True, capture_output=True, text=True).stderr
+    row["importtime_s"] = next(
+        int(line.split("|")[1]) for line in report.splitlines()
+        if line.split("|")[-1].strip() == "padicdyn.cli") / 1e6
+    return row
+
+
+def quartiles(xs) -> dict:
+    q1, median, q3 = statistics.quantiles(xs, n=4)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def fresh() -> dict:
+    """The ``fresh`` row, rounds alternating between the two
+    environments."""
+    with tempfile.TemporaryDirectory() as tmp:
+        envs = fresh_envs(ROOT / "src", Path(tmp))
+        rounds = {kind: [] for kind in envs}
+        for _ in range(FRESH_ROUNDS):
+            for kind, env in envs.items():
+                rounds[kind].append(fresh_round(env))
+    return {"rounds": FRESH_ROUNDS, "job": " ".join(["padicdyn", *FRESH_JOB]),
+            **{kind: {name: quartiles([r[name] for r in runs])
+                      for name in runs[0]}
+               for kind, runs in rounds.items()}}
+
+
 def machine() -> dict:
     model = "unknown"
     try:
@@ -481,13 +559,15 @@ def main() -> int:
         print(json.dumps(row), file=sys.stderr)
     job_row = jobs()
     print(json.dumps(job_row), file=sys.stderr)
+    fresh_row = fresh()
+    print(json.dumps(fresh_row), file=sys.stderr)
     doc = {"map": "z^2 + z/5 + 3 over Q_5", "capped_precision": PRECISION,
            "unit": "s", "machine": machine(),
            "python": platform.python_version(), "git": git_sha(),
            "rows": rows, "degrees": degrees, "products": product_rows,
            "inverses": inverse_rows, "transport": transport_rows,
            "elements": element_row,
-           "builds": builds, "jobs": job_row}
+           "builds": builds, "jobs": job_row, "fresh": fresh_row}
     print(json.dumps(doc, indent=1))
     return 0
 

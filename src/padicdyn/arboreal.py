@@ -10,7 +10,7 @@ single-segment polygons; anything else is honestly "uncertified".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from . import config
@@ -22,16 +22,18 @@ from .newton import polygon_of, total_ramification_certificate
 from .series import PointValue
 
 
-@dataclass(frozen=True)
-class KummerLevel:
+class KummerLevel(namedtuple("KummerLevel", "d N")):
     """The group (Z/d^N) x| (Z/d^N)^* with its action on labels Z/d^N."""
 
-    d: int
-    N: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 2 or self.N < 1:
+    def __new__(cls, d, N):
+        if d < 2 or N < 1:
             raise UsageError("need d >= 2 and N >= 1")
+        return super().__new__(cls, d, N)
+
+    # _replace builds through _make: check its fields too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def modulus(self) -> int:
@@ -176,14 +178,10 @@ def certify_degree(f: MonicPoly, P, n: int):
     return cert.degree
 
 
-@dataclass(frozen=True)
-class DegreeChain:
-    """Predicted and certified degree growth along a preimage chain."""
-
-    f: MonicPoly
-    P: object
-    v_q: int
-    levels: tuple  # records {"n", "predicted_step", "certified_degree"}
+DegreeChain = namedtuple("DegreeChain", "f P v_q levels")
+DegreeChain.__doc__ = """Predicted and certified degree growth along a
+preimage chain: ``levels`` holds one {"n", "predicted_step",
+"certified_degree"} record for each level."""
 
 
 def transported_valuation(B: Conjugacy, P) -> int:
@@ -242,18 +240,9 @@ def degree_chain(f: MonicPoly, P, levels: int, order: int = 16) -> DegreeChain:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransportCheck:
-    name: str
-    passed: bool
-    residual: object  # Valuation
-    bound: object     # Valuation
-
-
-@dataclass(frozen=True)
-class TransportReport:
-    passed: bool
-    checks: tuple
+# residual and bound are Valuations
+TransportCheck = namedtuple("TransportCheck", "name passed residual bound")
+TransportReport = namedtuple("TransportReport", "passed checks")
 
 
 def transport_check(B: Conjugacy, E: ExtensionField, Q, P,

@@ -27,7 +27,7 @@ v(omega(z)) = -v(z) on |z| > 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import config, newton
@@ -117,31 +117,27 @@ def _compose_flat(f, g) -> tuple:
     return tuple(x // common for x in acc), E * power // common
 
 
-@dataclass(frozen=True)
-class Conjugacy:
-    """The conjugacy omega for one polynomial, without its inverse.
+Conjugacy = namedtuple("Conjugacy", "f cf_valuation good_reduction omega "
+                       "verified_order domain")
+Conjugacy.__doc__ = """The conjugacy omega for one polynomial, without its
+inverse.
 
-    ``omega`` is the series in w = 1/z with linear coefficient 1,
-    verified against omega(f(z)) = omega(z)^d to ``verified_order``
-    (see ``conjugacy``).  Everything that reads omega alone, pointwise
-    evaluation and the transport checks included, takes this.
-    """
-
-    f: MonicPoly
-    cf_valuation: Fraction
-    good_reduction: bool
-    omega: TailSeries
-    verified_order: int
-    domain: DiskSpec
+``omega`` is the series in w = 1/z with linear coefficient 1, verified
+against omega(f(z)) = omega(z)^d to ``verified_order`` (see
+``conjugacy``), on the disk ``domain``, a DiskSpec.  Everything that
+reads omega alone, pointwise evaluation and the transport checks
+included, takes this.
+"""
 
 
-@dataclass(frozen=True)
-class BoettcherData(Conjugacy):
+class BoettcherData(namedtuple("BoettcherData",
+                               Conjugacy._fields + ("omega_inverse",)),
+                    Conjugacy):
     """The conjugacy and ``omega_inverse``, omega's compositional
     inverse, verified against its own functional equation (see
     ``boettcher_series``)."""
 
-    omega_inverse: TailSeries
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +351,9 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
 
 def check_build(f: MonicPoly, M: int) -> None:
     """Raise what a build to order M refuses before any work: p | d
-    (DomainError), M < 2 (UsageError), M over budget (BudgetError)."""
+    (DomainError), M < 2 (UsageError), M or the degree d over the order
+    budget (BudgetError), since the build forms W = 1/f(1/w) to order
+    M + d - 1."""
     if f.degree % f.field.p == 0:
         raise DomainError(
             "residue characteristic divides the degree; no conjugacy series")
@@ -363,6 +361,8 @@ def check_build(f: MonicPoly, M: int) -> None:
         raise UsageError("truncation order must be at least 2")
     if M > config.max_series_order():
         raise BudgetError(f"truncation order {M} exceeds the budget")
+    if f.degree > config.max_series_order():
+        raise BudgetError(f"degree {f.degree} exceeds the order budget")
 
 
 def conjugacy(f: MonicPoly, M: int) -> Conjugacy:
@@ -411,7 +411,7 @@ def boettcher_series(f: MonicPoly, M: int) -> BoettcherData:
     directly.
     """
     C = conjugacy(f, M)
-    return BoettcherData(**vars(C), omega_inverse=_omega_inverse(f, M))
+    return BoettcherData(*C, _omega_inverse(f, M))
 
 
 def _powers(x: TailSeries, m: int, T: int | None = None) -> list:
@@ -565,14 +565,11 @@ def cauchy_rate_check(f: MonicPoly, N_max: int, trunc: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EscapeResult:
+class EscapeResult(namedtuple("EscapeResult", "status iterations reason")):
     """Outcome of orbit iteration: 'escapes' and 'bounded' are certified;
     'bounded-so-far' is all finite precision can say under bad reduction."""
 
-    status: str
-    iterations: int
-    reason: str
+    __slots__ = ()
 
     @property
     def certified(self) -> bool:

@@ -14,7 +14,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from fractions import Fraction
 
 from .arboreal import (KummerLevel, degree_chain, subgroup_orbit_count,
@@ -106,26 +106,18 @@ def series_latex(s: TailSeries, var: str = "z^{-1}") -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class JobSpec:
-    command: str
-    prime: int = 0
-    backend: str = "exact"
-    precision: int = 24
-    order: int = 16
-    poly: tuple = ()
-    point: str | None = None
-    levels: int = 3
-    max_iter: int = 16
-    d: int = 2
-    N: int = 1
-    generators: tuple = ()
-    ext: tuple = ()
-    ext_kind: str = "eisenstein"
-    ext_point: tuple = ()
-    points: int = 0
-    seed: int = 0
-    emit_latex: bool = False
+_JOB_DEFAULTS = {"prime": 0, "backend": "exact", "precision": 24,
+                 "order": 16, "poly": (), "point": None, "levels": 3,
+                 "max_iter": 16, "d": 2, "N": 1, "generators": (), "ext": (),
+                 "ext_kind": "eisenstein", "ext_point": (), "points": 0,
+                 "seed": 0, "emit_latex": False}
+
+
+class JobSpec(namedtuple("JobSpec", ("command", *_JOB_DEFAULTS),
+                         defaults=_JOB_DEFAULTS.values())):
+    """One job: the subcommand and every flag's value, a flag left out at
+    its default.  Instances keep a dict (no ``__slots__``) for the
+    rationals each job parses once (see ``rationals``)."""
 
     def validate(self):
         if self.command == "kummer":
@@ -169,7 +161,7 @@ class JobSpec:
     def inputs_json(self) -> dict:
         """Every field, tuples as JSON lists."""
         return {name: _nested(list, getattr(self, name))
-                for name in _JOB_FIELDS}
+                for name in self._fields}
 
     @classmethod
     def from_json(cls, doc: dict) -> "JobSpec":
@@ -488,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_JOB_FIELDS = tuple(field.name for field in fields(JobSpec))   # in order
 _LIST_FLAGS = {"poly": 2, "ext": 2, "ext_point": 1}   # least field counts
 
 
@@ -496,7 +487,7 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
     """The job the parsed flags name; a flag left out keeps the field's
     default."""
     kwargs = {name: value for name, value in vars(args).items()
-              if name in _JOB_FIELDS and value is not None}
+              if name in JobSpec._fields and value is not None}
     for name, least in _LIST_FLAGS.items():
         if name in kwargs:
             flag = "--" + name.replace("_", "-")

@@ -10,37 +10,28 @@ be exactly known, so the exact-rational backend is the natural home.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import PrecisionError, UsageError
 
+Segment = namedtuple("Segment", "slope length")
 
-@dataclass(frozen=True)
-class Segment:
-    slope: Fraction
-    length: int
+RamificationCertificate = namedtuple(
+    "RamificationCertificate", "degree ramification_index root_valuation")
+RamificationCertificate.__doc__ = """Witness that a polynomial is
+irreducible and totally ramified.
 
+Holds the degree (= ramification index) and the common valuation of the
+roots.  Never issued unless the polygon is a single segment whose slope
+has exact denominator equal to the degree.
+"""
 
-@dataclass(frozen=True)
-class RamificationCertificate:
-    """Witness that a polynomial is irreducible and totally ramified.
-
-    Holds the degree (= ramification index) and the common valuation of
-    the roots.  Never issued unless the polygon is a single segment whose
-    slope has exact denominator equal to the degree.
-    """
-
-    degree: int
-    ramification_index: int
-    root_valuation: Fraction
-
-
-@dataclass(frozen=True)
-class NewtonPolygon:
-    points: tuple          # (index, valuation) for nonzero coefficients
-    hull: tuple            # vertices of the lower convex hull
-    segments: tuple        # Segment records, slopes strictly increasing
+NewtonPolygon = namedtuple("NewtonPolygon", "points hull segments")
+NewtonPolygon.__doc__ = """A Newton polygon: ``points`` are (index,
+valuation) for the nonzero coefficients, ``hull`` the vertices of their
+lower convex hull and ``segments`` its Segment records, slopes strictly
+increasing."""
 
 
 def build_polygon(coeffs) -> NewtonPolygon:

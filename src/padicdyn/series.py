@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
@@ -79,21 +78,22 @@ from .localfield import (CappedField, ExactElement, ExactField, PadicElement,
                          poly_eval)
 
 
-@dataclass(frozen=True)
-class DiskSpec:
-    """A disk in the w-coordinate: |w| < p^(-eps).
+class DiskSpec(namedtuple("DiskSpec", "center eps")):
+    """A disk in the w-coordinate: |w| < p^(-eps), eps a Fraction.
 
     ``center`` is "inf" (disk about infinity in z, so w = 1/z) or "zero"
     (disk about 0, evaluated at w directly).
     """
 
-    center: str
-    eps: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.center not in ("inf", "zero"):
+    def __new__(cls, center, eps):
+        if center not in ("inf", "zero"):
             raise UsageError("disk center must be 'inf' or 'zero'")
-        object.__setattr__(self, "eps", Fraction(self.eps))
+        return super().__new__(cls, center, Fraction(eps))
+
+    # _replace builds through _make: check its fields too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class TailSeries:
@@ -1149,16 +1149,14 @@ def gauss_norm(S: TailSeries, D: DiskSpec) -> Valuation:
     return norm
 
 
-@dataclass(frozen=True)
-class PointValue:
+class PointValue(namedtuple("PointValue", "value err")):
     """A field element together with a rigorous error-bound valuation.
 
     The true value differs from ``value`` by something of valuation at
-    least ``err``.
+    least ``err``, a Valuation.
     """
 
-    value: object
-    err: Valuation
+    __slots__ = ()
 
     def power(self, d: int) -> "PointValue":
         """d-th power with the propagated binomial error bound."""

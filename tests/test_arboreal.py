@@ -1,6 +1,5 @@
 """Tree automorphism model, degree chains, and transport checks."""
 
-import dataclasses
 import os
 import random
 from fractions import Fraction as F
@@ -106,6 +105,14 @@ def test_non_invertible_generator_rejected():
     L = KummerLevel(2, 2)
     with pytest.raises(UsageError):
         L.act((1, 2), 1)
+
+
+def test_kummer_level_checks_d_and_N():
+    # _replace builds through the same check as the constructor
+    for make in (lambda: KummerLevel(1, 2), lambda: KummerLevel(2, 0),
+                 lambda: KummerLevel(2, 2)._replace(N=0)):
+        with pytest.raises(UsageError, match="need d >= 2 and N >= 1"):
+            make()
 
 
 def test_restriction_tower_compatibility():
@@ -237,7 +244,7 @@ def test_transport_detects_corruption():
     f = mono(p, [0, 0])
     B = boettcher_series(f, 12)
     bad_omega = B.omega.replace_coefficient(3, F(1, 1))
-    corrupted = dataclasses.replace(B, omega=bad_omega)
+    corrupted = B._replace(omega=bad_omega)
     E = ExtensionField(ExactField(p), [-p, 0], "eisenstein")
     Q = E.generator().inverse()
     report = transport_check(corrupted, E, Q, F(1, p))

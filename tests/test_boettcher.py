@@ -1,6 +1,5 @@
 """Escape radius, conjugacy construction, functional equation, escape tests."""
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -21,7 +20,7 @@ from padicdyn import (BudgetError, CappedField, Conjugacy, DomainError,
 from padicdyn.boettcher import (_baby_steps, _beta_series,
                                 _inverse_residual, _omega_inverse,
                                 _omega_series, _powers, _reciprocal,
-                                _xi_series)
+                                _xi_series, check_build)
 from padicdyn.cli import series_json
 from padicdyn.errors import InternalError, PrecisionError, UsageError
 from padicdyn.series import TailSeries, agreement_order
@@ -147,6 +146,15 @@ def test_construction_budget():
             build(f, 100000)
 
 
+def test_degree_budget():
+    # W = 1/f(1/w) is formed to order M + d - 1, so the order budget
+    # (512) bounds d too, and a map past it is refused before any work
+    with pytest.raises(BudgetError, match="degree 3001"):
+        check_build(mono(5, [3] * 3000 + [0]), 16)
+    f = mono(5, [3] * 511 + [0], "capped")
+    assert conjugacy(f, 16).verified_order == 16
+
+
 def test_functional_equation_order_32():
     f = mono(5, [3, 0])
     B = boettcher_series(f, 32)
@@ -160,7 +168,7 @@ def test_functional_equation_detects_corruption():
     for k in (4, 9, 13):
         bad = B.omega.replace_coefficient(
             k, B.omega.coefficient(k) + f.field.embed(1))
-        corrupted = dataclasses.replace(B, omega=bad)
+        corrupted = B._replace(omega=bad)
         got = functional_equation_check(corrupted, 16)
         # the first bad index of the two recomputed sides
         assert got == min(2 * k, k + f.degree - 1)
@@ -190,8 +198,7 @@ def test_equation_check_locates_corruption_like_horner(data):
             k, B.omega.coefficient(k) + F(p) ** place)
         horner = agreement_order(bad.compose(_reciprocal(f, M)).truncate(M),
                                  (bad ** d).truncate(M))
-        assert functional_equation_check(dataclasses.replace(
-            B, omega=bad), M) == horner
+        assert functional_equation_check(B._replace(omega=bad), M) == horner
 
 
 def test_capped_order_256_digest():
@@ -806,9 +813,8 @@ def test_rescaled_integrality_is_a_gauss_norm_bound():
             B = boettcher_series(mono(p, coeffs, backend, prec), 12)
             for shift in (F(-1, 2), 0, F(1, 3), 1):
                 cf = B.cf_valuation + shift
-                moved = dataclasses.replace(
-                    B, cf_valuation=cf,
-                    domain=dataclasses.replace(B.domain, eps=-cf))
+                moved = B._replace(cf_valuation=cf,
+                                   domain=B.domain._replace(eps=-cf))
                 outcomes.add(coefficient_rule(moved))
                 assert rescaled_integrality_ok(moved) == \
                     coefficient_rule(moved), (backend, prec, p, coeffs, shift)

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is referenced in it, every
 module-level ``_name`` function or assignment is read somewhere in the
 package, every entry of the series kernels is called, only ``series.py``
-reads the storage of a ``TailSeries``, and every import sits at module
-level in an acyclic module graph.
+reads the storage of a ``TailSeries``, every import sits at module
+level in an acyclic module graph, and importing the CLI loads neither
+``dataclasses`` nor ``inspect``.
 
 ``__init__.py`` is skipped by the import check, since it imports names
 only to re-export them.  Parsed with ``ast`` alone, so no linter is
@@ -10,7 +11,10 @@ needed.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "padicdyn"
 
@@ -186,3 +190,16 @@ def test_module_import_graph_is_acyclic():
             del left[m]
     assert placed.index("errors") < placed.index("localfield") \
         < placed.index("series") < placed.index("boettcher")
+
+
+def test_cli_import_loads_no_dataclasses():
+    """A CLI job is one process, mostly interpreter start and import:
+    records are named tuples, so ``import padicdyn.cli`` in a fresh
+    interpreter loads neither ``dataclasses`` nor the ``inspect`` it
+    pulls in."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = ("import sys, padicdyn.cli; print(sorted({'dataclasses', "
+             "'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -124,6 +124,16 @@ def test_invert_unit_derived_example():
     assert (a * inv).truncate(6) == TailSeries.one(K5, 6)
 
 
+def test_disk_spec_checks_its_center():
+    # eps is held as a Fraction, and _replace builds through the check
+    D = DiskSpec("inf", 1)
+    assert type(D.eps) is F and type(D._replace(eps=2).eps) is F
+    for make in (lambda: DiskSpec("left", 0),
+                 lambda: D._replace(center="left")):
+        with pytest.raises(UsageError, match="disk center must be"):
+            make()
+
+
 def test_invert_requires_unit_normalization():
     with pytest.raises(UsageError):
         S(K5, 0, [2, 1], 4).invert_unit()

@@ -3,7 +3,8 @@ every function and operator it wraps where it looks for them (each
 counted operator in its own class's ``__dict__``), and ``uninstall``
 must put every patched attribute back.  The harness's own self-test
 (its output gate and traced-count determinism) must pass against this
-checkout.  ``perfbench/`` is only read.
+checkout, and its output gate must fail a corrupted omega on its
+output.  ``perfbench/`` is only read.
 """
 
 import importlib.util
@@ -11,6 +12,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -67,3 +69,30 @@ def test_benchmark_selftest_passes():
                           timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "SELFTEST PASS" in done.stdout
+
+
+def test_output_gate_fails_a_corrupted_omega(monkeypatch):
+    """The self-test's corrupted-omega check, with omega changed by the
+    record's own ``_replace``: ``selftest.corrupted`` calls
+    ``dataclasses.replace``, which raises on a named tuple, so there each
+    op fails by raising.  Here every op builds and fails on its output."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    selftest = importlib.import_module("selftest")
+    wl = selftest.wl
+
+    def corrupted(workload, op):
+        B, order = wl.execute(workload, op)
+        k = B.omega.trunc - 2
+        bad = B.omega.replace_coefficient(k, B.omega.coefficient(k) + 1)
+        return B._replace(omega=bad), order
+
+    shim = types.SimpleNamespace(execute=corrupted, check=wl.check)
+    ops = selftest.tiny_ops()
+    for workload in ("conjugacy-batch", "order-scaling"):
+        expected = selftest.expectations(workload, ops[workload])
+        failures = selftest.run.Pass(shim, workload, ops[workload],
+                                     expected).failures
+        reasons = [reason for _, reason in failures]
+        assert len(reasons) == len(ops[workload]), reasons
+        assert not any(r.startswith("raised") for r in reasons), reasons
