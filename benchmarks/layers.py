@@ -33,7 +33,8 @@ whole build, and general reversion and composition for comparison:
 ``degrees`` times ``roots_s`` and ``build_s`` on both backends at
 M = 32 and 64 for a cubic map, z^3 + z^2 + z/5 + 3 over Q_5, and a
 quintic one, z^5 - z^4 + z^3 + z/7 + 2 over Q_7 (precision 20 when
-capped): the conjugacy-batch workload draws degrees 2 to 5, and above 2
+capped), and gives the digest of their omega and omega^-1 as ``builds``
+does: the conjugacy-batch workload draws degrees 2 to 5, and above 2
 each step of the fixed point takes more than one Newton step for its
 root.
 
@@ -237,8 +238,15 @@ def layers(field, M: int) -> dict:
     return row
 
 
+def digest(omega: TailSeries, omega_inverse: TailSeries) -> str:
+    """The digest of omega and omega^-1 as ``perfbench`` records it."""
+    doc = [series_json(omega), series_json(omega_inverse)]
+    return hashlib.sha256(json.dumps(
+        doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def degree_row(p: int, coeffs, backend: str, M: int) -> dict:
-    """roots_s and build_s of one map of degree above 2."""
+    """roots_s, build_s and the digest of one map of degree above 2."""
     field = ExactField(p) if backend == "exact" else CappedField(
         p, PRECISION)
     f = MonicPoly(field, coeffs)
@@ -247,6 +255,7 @@ def degree_row(p: int, coeffs, backend: str, M: int) -> dict:
     row["build_s"], B = best_of(lambda: boettcher_series(f, M))
     if B.verified_order != M:
         raise SystemExit(f"{field} M={M}: verified to {B.verified_order}")
+    row["digest"] = digest(B.omega, B.omega_inverse)
     return row
 
 
@@ -391,9 +400,7 @@ def build(backend: str, M: int) -> dict:
     field = ExactField(5) if backend == "exact" else CappedField(
         5, PRECISION)
     row, omega, omega_inverse = stages(reference_map(field), M)
-    doc = [series_json(omega), series_json(omega_inverse)]
-    row["digest"] = hashlib.sha256(json.dumps(
-        doc, sort_keys=True).encode()).hexdigest()[:16]
+    row["digest"] = digest(omega, omega_inverse)
     row["widest_bits"] = max(x.bit_length() for S in (omega, omega_inverse)
                              for x in S._flat[0])
     return row

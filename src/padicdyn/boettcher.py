@@ -269,19 +269,11 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     coefficients up to j.  The table lives for one build only.
 
     Each root is the one ``nth_root`` gives, digits and precision alike,
-    without climbing from 1 modulo w every time.  Newton iteration from 1
-    (``TailSeries._root_steps``) passes through truncations 1, 2, 4, ...,
-    and its state at a power of two S reads only the target's first S
-    coefficients.  So the fixed point keeps that state from the step
-    before and resumes from it when this step's target has the same
-    first S coefficients (``identical_to``; otherwise from 1), runs it to
-    P, the greatest power of two not above T - d, and takes one more
-    step to T - d.  A warm start off that ladder is not enough: a step
-    from a truncation the ladder skips multiplies the exact zeros of its
-    padding where the ladder has O(p^k) zeros, so over a capped field
-    the claimed precisions can differ.  For d = 2, T - d is a power of
-    two until the last step, so each fixed-point step but the last is
-    one Newton step.  Only the last root is checked against its image to
+    without climbing from 1 modulo w every time: each step passes the
+    Newton ladder of its root on to the next (``TailSeries._root_steps``
+    says when a ladder is resumed).  For d = 2, T - d is a power of two
+    until the last step, so each fixed-point step but the last is one
+    Newton step.  Only the last root is checked against its image to
     full order (``TailSeries._root_from``): each earlier omega only
     starts the next step, and a wrong one cannot pass, since the last
     root's check and ``identical_to``, or the fresh composition, bind
@@ -321,27 +313,16 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     last = M + d - 1
     powers = _powers(_reciprocal(f, last), _baby_steps(last, d), last)
     omega = TailSeries.w_power(f.field, 1, min(2, M))
-    image = None
-    # the Newton ladder's state at a power of two, and a target it serves
-    one = start = TailSeries.one(f.field, 1)
-    seen = None
+    image = ladder = None
     while omega.trunc < M:
         T = min(d * omega.trunc, last)
         previous = omega
         image = _compose_with(omega._padded(T), powers, d)
         target = image.shifted(-d)
-        if seen is not None and not target.identical_to(seen, start.trunc):
-            start = one
-        R = T - d
-        P = 1 << (R.bit_length() - 1)
-        if start.trunc < P < R:
-            start = TailSeries._root_steps(target.truncate(P), d, start)
-        # the last step (T = last) is the one whose root is checked
-        root = TailSeries._root_from if T == last else TailSeries._root_steps
-        x = root(target, d, start)
-        if P == R:
-            start = x
-        seen = target
+        if T == last:   # the last step's root is the one checked
+            x = target._root_from(d, ladder)
+        else:
+            x, ladder = target._root_steps(d, ladder)
         omega = x.shifted(1)
     if image is not None and previous.identical_to(omega, -(-M // d)):
         return omega, image.truncate(M), M

@@ -116,8 +116,9 @@ _JOB_DEFAULTS = {"prime": 0, "backend": "exact", "precision": 24,
 class JobSpec(namedtuple("JobSpec", ("command", *_JOB_DEFAULTS),
                          defaults=_JOB_DEFAULTS.values())):
     """One job: the subcommand and every flag's value, a flag left out at
-    its default.  Instances keep a dict (no ``__slots__``) for the
-    rationals each job parses once (see ``rationals``)."""
+    its default."""
+
+    __slots__ = ()
 
     def validate(self):
         if self.command == "kummer":
@@ -145,18 +146,13 @@ class JobSpec(namedtuple("JobSpec", ("command", *_JOB_DEFAULTS),
     def rationals(self, name: str) -> tuple:
         """The field ``name`` (poly, point, ext or ext_point) as a tuple of
         Fractions, one for each text (``point`` gives one, or none when it
-        is unset); a malformed text is a usage error naming its flag.
-        Each field is parsed once per job: ``validate`` parses them all,
-        and the runners read what it parsed."""
-        parsed = self.__dict__.setdefault("_rationals", {})
-        if name not in parsed:
-            texts = getattr(self, name)
-            if name == "point":
-                texts = () if texts is None else (texts,)
-            flag = "--" + name.replace("_", "-")
-            parsed[name] = tuple([parse_rational(text, flag)
-                                  for text in texts])
-        return parsed[name]
+        is unset); a malformed text is a usage error naming its flag,
+        which ``validate`` raises before any runner parses a field."""
+        texts = getattr(self, name)
+        if name == "point":
+            texts = () if texts is None else (texts,)
+        flag = "--" + name.replace("_", "-")
+        return tuple([parse_rational(text, flag) for text in texts])
 
     def inputs_json(self) -> dict:
         """Every field, tuples as JSON lists."""

@@ -849,9 +849,6 @@ class ResidueField:
         self.modulus = tuple(m % p for m in modulus)
         self.f = len(modulus) - 1
 
-    def elements(self):
-        return itertools.product(range(self.p), repeat=self.f)
-
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
@@ -1172,23 +1169,31 @@ def _generator_images(E: ExtensionField, precision: int) -> tuple:
     and 0 on an unramified one.  So once g is deflated to degree k, its
     roots are t * y with t the generator or 1 and y a unit root of
     h(y) = g_k(t y) / t^k.  Each y is lifted from the least residue root
-    of h: over F_p by a scan on an Eisenstein stage, and on an
-    unramified stage among the Frobenius images x^(p^i), i < n, of the
-    generator's residue x, each the p-th power of the one before.
+    of h, found among few candidates: on an Eisenstein stage of degree e
+    every root is gen * y with y^e = 1 modulo p, so among the e-th roots
+    of unity of F_p, and on an unramified stage among the Frobenius
+    images x^(p^i), i < n, of the generator's residue x, each the p-th
+    power of the one before.
     """
     gen = E.generator()
     if not poly_eval([*E.stage_coeffs, E.subfield.one()], gen).is_zero():
         raise InternalError("generator does not satisfy its polynomial")
     g = [E.embed(c) for c in E.stage_coeffs] + [E.one()]
     if E.kind == "eisenstein":
-        t, rf = gen, ResidueField(E.p, [0, 1])
+        # the powers of an element of order q = gcd(e, p - 1), the first
+        # ((p - 1) / q)-th power of 1, 2, 3, ... with q distinct powers
+        t, rf, p = gen, ResidueField(E.p, [0, 1]), E.p
+        q = math.gcd(E.degree, p - 1)
+        powers = ({(pow(a, i * (p - 1) // q, p),) for i in range(q)}
+                  for a in itertools.count(1))
+        candidates = sorted(next(c for c in powers if len(c) == q))
     else:
         t, rf = E.one(), ResidueField(E.p, E._reduced_modulus)
-        x, frobenius = E.residue(gen), []
+        x, candidates = E.residue(gen), []
         for _ in range(1, E.degree):
             x = _power(x, E.p, rf.mul)
-            frobenius.append(x)
-        frobenius.sort()
+            candidates.append(x)
+        candidates.sort()
     images, work = [gen], _deflate(g, gen)
     while len(work) > 2:
         h = [c * t ** i for i, c in enumerate(work)]
@@ -1201,9 +1206,7 @@ def _generator_images(E: ExtensionField, precision: int) -> tuple:
         inverse = h[-1].inverse()
         h = [c * inverse for c in h]
         hbar = [E.residue(c) for c in h]
-        residues = (frobenius if E.kind == "unramified"
-                    else filter(any, rf.elements()))
-        r = next((r for r in residues
+        r = next((r for r in candidates
                   if rf.is_zero(rf.poly_eval(hbar, r))), None)
         if r is None:
             raise DomainError("non-normal extension: no root in the field")

@@ -338,35 +338,44 @@ class TailSeries:
         Requires constant term exactly 1 and n not divisible by the
         residue characteristic.
         """
-        return self._root_from(n, TailSeries.one(self.field, 1))
+        return self._root_from(n)
 
-    def _root_from(self, n: int, x: "TailSeries") -> "TailSeries":
-        """The n-th root with constant term 1, by the Newton steps of
-        ``_root_steps`` from x, checked: x^n = self to full order.
+    def _root_from(self, n: int, ladder: tuple = None) -> "TailSeries":
+        """The n-th root with constant term 1 by ``_root_steps``, from
+        ladder where it serves, checked: x^n = self to full order.
 
-        The steps trust their start, so what binds the result is this
-        check: a start wrong below its truncation fails it and raises
-        InternalError.  ``nth_root`` starts from 1 modulo w; the Böttcher
-        fixed point takes its roots by the steps alone and checks only
-        its last one, which is also the build's comparison of omega^d
+        The steps trust a ladder's iterate, so this check binds the
+        result: an iterate wrong below its truncation fails it and raises
+        InternalError.  The Böttcher fixed point checks only its last
+        root, and that check is also the build's comparison of omega^d
         with its last image (``boettcher._omega_series``).
         """
-        x = self._root_steps(n, x)
+        x, _ = self._root_steps(n, ladder)
         if ((x ** n).truncate(self.trunc) - self).is_zero():
             return x
         raise InternalError("series Newton iteration failed to converge")
 
-    def _root_steps(self, n: int, x: "TailSeries") -> "TailSeries":
-        """The Newton steps of ``_root_from`` without its check, from x, a
-        start with constant term 1 taken as known modulo w^x.trunc.
+    def _root_steps(self, n: int, ladder: tuple = None) -> tuple:
+        """The Newton steps of ``_root_from`` without its check: (root,
+        ladder).
 
-        Agreement with the root doubles per step, so x is refined at
-        truncations 2 x.trunc, 4 x.trunc, ... up to self's; cost
-        concentrates in the final full-order step.  Each residual
-        x^(n-1) x - self, the product summed before reduction, and each
-        update x - (residual / x^(n-1)) / n is one ``weighted_sum`` to
-        the step's order, the same elements as the chain of operations
-        and cuts.
+        From 1 modulo w the steps climb truncations 2, 4, 8, ..., each
+        doubling the agreement with the root, and take one last step to
+        self's truncation when it is no power of two; cost concentrates
+        in that full-order step.  The iterate at a power of two S reads
+        only self's first S coefficients, so the ladder returned, (the
+        iterate at the last power of two reached, self), serves a target
+        with the same first S coefficients (``identical_to``): a call
+        given it resumes there, and otherwise starts from 1, so the root
+        is the one from 1, digits and precision alike.  A start off the
+        ladder is not: a step from a truncation the ladder skips
+        multiplies the exact zeros of its padding where the ladder has
+        O(p^k) zeros, and over a capped field claims other precisions.
+
+        Each residual x^(n-1) x - self, the product summed before
+        reduction, and each update x - (residual / x^(n-1)) / n is one
+        ``weighted_sum`` to the step's order, the same elements as the
+        chain of operations and cuts.
         """
         if n <= 0:
             raise UsageError("root index must be positive")
@@ -375,11 +384,14 @@ class TailSeries:
                               "divides index")
         if not self._has_constant_one():
             raise UsageError("n-th roots need constant term 1")
+        M = self.trunc
+        x = TailSeries.one(self.field, 1)
+        if ladder and self.identical_to(ladder[1], ladder[0].trunc):
+            x = ladder[0]
         if not x._has_constant_one():
             raise InternalError("a Newton start needs constant term 1")
-        M = self.trunc
         minus_inv_n = self.field.embed(Fraction(-1, n))
-        t = x.trunc
+        state, t = x, x.trunc
         # a residual that is only indistinguishable from zero still
         # corrects x: it replaces the exact zeros of the padding by O(p^k)
         # zeros; residual and update are one pass each
@@ -391,8 +403,10 @@ class TailSeries:
             if not residual.is_exact_zero:
                 delta = residual * xpow.invert_unit()
                 x = weighted_sum((1, minus_inv_n), (x, delta), t)
+            if t == 2 * state.trunc:
+                state = x
             if t == M:
-                return x
+                return x, (state, self)
 
     def compose(self, inner: "TailSeries") -> "TailSeries":
         """self(inner(w)) for inner with ord >= 1, by Horner on a shrinking

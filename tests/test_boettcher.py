@@ -590,8 +590,7 @@ def cold_roots_give_the_same_build(f, M):
     steps = TailSeries._root_steps
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(TailSeries, "_root_steps",
-                      lambda self, n, start: steps(
-                          self, n, TailSeries.one(self.field, 1)))
+                      lambda self, n, ladder=None: steps(self, n))
         cold = built(f, M)
     assert warm == cold
 
@@ -623,12 +622,12 @@ def test_corrupted_intermediate_root_raises(backend, wrong, monkeypatch):
     third root of z^2 + z/5 + 3 at M = 32, the build raises."""
     steps, calls = TailSeries._root_steps, []
 
-    def corrupted(self, n, start):
-        x = steps(self, n, start)
+    def corrupted(self, n, ladder=None):
+        x, ladder = steps(self, n, ladder)
         calls.append(x)
         if len(calls) == wrong:
             x = x.replace_coefficient(1, x.coefficient(1) + 1)
-        return x
+        return x, ladder
 
     f = mono(5, [3, F(1, 5)], backend)
     conjugacy(f, 32)

@@ -1052,14 +1052,10 @@ def test_subfield_lifts_are_the_stage_lifts(monkeypatch):
             args
 
 
-def test_unramified_images_come_from_frobenius_not_a_scan(monkeypatch):
+def test_unramified_images_come_from_frobenius_not_a_scan():
     """x^3 - 3x + 1 is irreducible mod p = 10037, where a scan of
     F_(p^3) would take p^3 steps.  Its Galois group is cyclic, generated
     by r -> r^2 - 2, so the images are r, r^2 - 2 and (r^2 - 2)^2 - 2."""
-    def refuse(self):
-        raise AssertionError("residue field scanned")
-
-    monkeypatch.setattr(ResidueField, "elements", refuse)
     E = ExtensionField(CappedField(10037, 20), [1, -3, 0], "unramified")
     start = time.perf_counter()
     conj = conjugates(E, E.generator(), precision=20)
@@ -1069,3 +1065,25 @@ def test_unramified_images_come_from_frobenius_not_a_scan(monkeypatch):
     close = [[k for k, s in enumerate(orbit) if (c - s).valuation() >= 19]
              for c in conj]
     assert close[0] == [0] and sorted(close) == [[0], [1], [2]]
+
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 100000007])
+def test_eisenstein_residues_come_from_roots_of_unity_not_a_scan(p):
+    """Every root of x^3 - p is t y with y^3 = 1 modulo p, so its residue
+    roots are read off the cube roots of unity of F_p, where a scan of F_p
+    would take p steps: at p = 2^31 - 1 (p = 1 mod 3) the three roots, at
+    p = 100000007 (p = 2 mod 3) a non-normal stage."""
+    E = ExtensionField(CappedField(p, 8), [-p, 0, 0], "eisenstein")
+    start = time.perf_counter()
+    if p % 3 == 2:
+        with pytest.raises(DomainError, match="no root in the field"):
+            conjugates(E, E.generator(), precision=8)
+        assert time.perf_counter() - start < 5
+        return
+    conj = conjugates(E, E.generator(), precision=8)
+    assert time.perf_counter() - start < 5
+    assert len(conj) == 3
+    for i, c in enumerate(conj):
+        assert (c ** 3 - p).valuation() >= 8
+        assert all((c - other).valuation() == F(1, 3)
+                   for other in conj[i + 1:])

@@ -198,16 +198,67 @@ def test_corrupted_warm_start_raises(field):
                            for _ in range(M - 1)], M)
     root = a.nth_root(3)
     start = root.truncate(known)
-    assert a._root_from(3, start) == root
+    assert a._root_from(3, (start, a)) == root
     for k in range(known):
         bad = start.replace_coefficient(k, start.coefficient(k) + 1)
         with pytest.raises(InternalError):
-            a._root_from(3, bad)
+            a._root_from(3, (bad, a))
     # the same refusals as a start from 1
     with pytest.raises(UsageError):
-        S(field, 0, [2, 1], M)._root_from(3, start)
+        S(field, 0, [2, 1], M)._root_from(3, (start, a))
     with pytest.raises(DomainError):
-        a._root_from(5, start)
+        a._root_from(5, (start, a))
+
+
+def unit_target(field, rng, M, head=()):
+    """1 + ... + O(w^M): the elements of head first (head[0] = 1 when
+    given), random coefficients after."""
+    tail = [F(rng.randrange(-9, 10), rng.choice([1, 2, field.p]))
+            for _ in range(M - max(len(head), 1))]
+    return S(field, 0, (list(head) or [1]) + tail, M)
+
+
+def test_a_ladder_is_resumed_only_where_it_serves():
+    """``_root_steps``' ladder is (its iterate at a power of two S, the
+    target it served).  A target with that target's first S coefficients
+    resumes from it, a target that differs below S starts from 1, and
+    either way the root is the root from 1, digits and precision alike:
+    over both backends, capped at 1 to 4 digits, and orders up to 40."""
+    rng = random.Random(3307)
+    cases = 0
+    for p, n in ((2, 3), (2, 5), (3, 2), (3, 5), (5, 2), (5, 3),
+                 (7, 2), (7, 3), (7, 5)):
+        capped = [CappedField(p, cap) for cap in (1, 2, 3, 4)]
+        for field in [ExactField(p)] + capped:
+            for _ in range(2):
+                a = unit_target(field, rng, rng.randrange(1, 41))
+                _, ladder = a._root_steps(n)
+                start, served = ladder
+                T = start.trunc
+                assert served is a and T & (T - 1) == 0
+                b = unit_target(field, rng, rng.randrange(T, 41),
+                                [a.coefficient(k) for k in range(T)])
+                assert b.identical_to(a, T)
+                targets = [b]
+                if T > 1:   # one coefficient below T changed
+                    k = rng.randrange(1, T)
+                    targets.append(
+                        b.replace_coefficient(k, b.coefficient(k) + 1))
+                for target in targets:
+                    cold, cold_ladder = target._root_steps(n)
+                    warm, warm_ladder = target._root_steps(n, ladder)
+                    assert warm.trunc == target.trunc
+                    assert warm.identical_to(cold, target.trunc)
+                    assert warm_ladder[0].identical_to(
+                        cold_ladder[0], cold_ladder[0].trunc)
+                    assert warm_ladder[1] is target
+                    W = warm_ladder[0].trunc
+                    assert W & (W - 1) == 0
+                    cases += 1
+                # a resumed ladder that takes no doubling step is kept
+                if T < b.trunc < 2 * T:
+                    assert b._root_steps(n, ladder)[1][0] is start
+    assert cases > 150
 
 
 # -- reversion -----------------------------------------------------------------
