@@ -120,9 +120,14 @@ class JobSpec(namedtuple("JobSpec", ("command", *_JOB_DEFAULTS),
 
     __slots__ = ()
 
-    def validate(self):
+    def validate(self) -> dict:
+        """Check every field and parse the rational ones: returns a dict
+        from poly, point, ext and ext_point to a tuple of Fractions, one
+        for each text (``point`` gives one, or none when it is unset); a
+        malformed text is a usage error naming its flag.  A kummer job
+        reads no rationals and gets an empty dict."""
         if self.command == "kummer":
-            return
+            return {}
         if self.prime < 2 or self.prime > 2 ** 31 or not is_prime(self.prime):
             raise UsageError(f"--prime must be a prime below 2^31, "
                              f"got {self.prime}")
@@ -135,24 +140,20 @@ class JobSpec(namedtuple("JobSpec", ("command", *_JOB_DEFAULTS),
                                    ("--levels", self.levels, 1)):
             if value < least:
                 raise UsageError(f"{flag} must be at least {least}")
+        parsed = {}
         for name in ("poly", "point", "ext", "ext_point"):
-            self.rationals(name)
+            texts = getattr(self, name)
+            if name == "point":
+                texts = () if texts is None else (texts,)
+            flag = "--" + name.replace("_", "-")
+            parsed[name] = tuple([parse_rational(text, flag)
+                                  for text in texts])
         if self.ext and self.ext_point and \
                 len(self.ext_point) != len(self.ext) - 1:
             raise UsageError(f"--ext-point needs {len(self.ext) - 1} "
                              f"coordinates (the degree of --ext), got "
                              f"{len(self.ext_point)}")
-
-    def rationals(self, name: str) -> tuple:
-        """The field ``name`` (poly, point, ext or ext_point) as a tuple of
-        Fractions, one for each text (``point`` gives one, or none when it
-        is unset); a malformed text is a usage error naming its flag,
-        which ``validate`` raises before any runner parses a field."""
-        texts = getattr(self, name)
-        if name == "point":
-            texts = () if texts is None else (texts,)
-        flag = "--" + name.replace("_", "-")
-        return tuple([parse_rational(text, flag) for text in texts])
+        return parsed
 
     def inputs_json(self) -> dict:
         """Every field, tuples as JSON lists."""
@@ -202,9 +203,9 @@ def parse_pairs(text: str) -> tuple:
     return tuple(out)
 
 
-def _monic(job: JobSpec) -> MonicPoly:
-    """The job's map over the field of its --prime, --backend, --precision."""
-    coeffs = job.rationals("poly")
+def _monic(job: JobSpec, coeffs: tuple) -> MonicPoly:
+    """The map with the parsed --poly coefficients over the field of the
+    job's --prime, --backend, --precision."""
     if coeffs[-1] != 1:
         raise UsageError("--poly lists a0,...,a_{d-1},1 and must be monic")
     field = field_for(job.prime, job.backend, job.precision)
@@ -212,12 +213,13 @@ def _monic(job: JobSpec) -> MonicPoly:
 
 
 # ---------------------------------------------------------------------------
-# command runners: each returns (results, checks)
+# command runners: each takes the job and its parsed rationals (``validate``)
+# and returns (results, checks)
 # ---------------------------------------------------------------------------
 
 
-def run_cf(job: JobSpec):
-    f = _monic(job)
+def run_cf(job: JobSpec, parsed: dict):
+    f = _monic(job, parsed["poly"])
     vcf = cf_constant(f)
     results = {"cf_valuation": frac_str(vcf),
                "good_reduction": good_reduction(f)}
@@ -225,8 +227,8 @@ def run_cf(job: JobSpec):
     return results, checks
 
 
-def run_boettcher(job: JobSpec):
-    f = _monic(job)
+def run_boettcher(job: JobSpec, parsed: dict):
+    f = _monic(job, parsed["poly"])
     B = boettcher_series(f, job.order)
     results = {
         "cf_valuation": frac_str(B.cf_valuation),
@@ -250,8 +252,8 @@ def run_boettcher(job: JobSpec):
     return results, checks
 
 
-def run_verify(job: JobSpec):
-    f = _monic(job)
+def run_verify(job: JobSpec, parsed: dict):
+    f = _monic(job, parsed["poly"])
     B = conjugacy(f, job.order)
     results = {"verified_order": B.verified_order}
     checks = [{"name": "functional-equation",
@@ -275,9 +277,9 @@ def run_verify(job: JobSpec):
     return results, checks
 
 
-def run_newton_polygon(job: JobSpec):
+def run_newton_polygon(job: JobSpec, parsed: dict):
     field = field_for(job.prime, job.backend, job.precision)
-    coeffs = [field.embed(c) for c in job.rationals("poly")]
+    coeffs = [field.embed(c) for c in parsed["poly"]]
     polygon = build_polygon(coeffs)
     cert = total_ramification_certificate(polygon, coeffs)
     results = {
@@ -294,11 +296,11 @@ def run_newton_polygon(job: JobSpec):
     return results, []
 
 
-def run_escape(job: JobSpec):
-    f = _monic(job)
+def run_escape(job: JobSpec, parsed: dict):
+    f = _monic(job, parsed["poly"])
     if job.point is None:
         raise UsageError("escape needs --point")
-    (point,) = job.rationals("point")
+    (point,) = parsed["point"]
     P = f.field.embed(point)
     res = escape_test(f, P, job.max_iter)
     results = {"status": res.status, "iterations": res.iterations,
@@ -307,13 +309,13 @@ def run_escape(job: JobSpec):
     return results, []
 
 
-def run_degrees(job: JobSpec):
+def run_degrees(job: JobSpec, parsed: dict):
     if job.backend != "exact":
         raise UsageError("degrees needs the exact backend")
-    f = _monic(job)
+    f = _monic(job, parsed["poly"])
     if job.point is None:
         raise UsageError("degrees needs --point")
-    (point,) = job.rationals("point")
+    (point,) = parsed["point"]
     chain = degree_chain(f, point, job.levels, job.order)
     levels = []
     consistent = True
@@ -330,7 +332,7 @@ def run_degrees(job: JobSpec):
     return results, checks
 
 
-def run_kummer(job: JobSpec):
+def run_kummer(job: JobSpec, parsed: dict):
     L = KummerLevel(job.d, job.N)
     gens = list(job.generators)
     orbit_count = subgroup_orbit_count(gens, L)
@@ -347,17 +349,17 @@ def run_kummer(job: JobSpec):
     return results, checks
 
 
-def run_transport(job: JobSpec):
-    f = _monic(job)
+def run_transport(job: JobSpec, parsed: dict):
+    f = _monic(job, parsed["poly"])
     if job.point is None or not job.ext or not job.ext_point:
         raise UsageError("transport needs --point, --ext and --ext-point")
-    ext_coeffs = job.rationals("ext")
+    ext_coeffs = parsed["ext"]
     if ext_coeffs[-1] != 1:
         raise UsageError("--ext lists c0,...,1 and must be monic")
     E = ExtensionField(f.field, ext_coeffs[:-1], job.ext_kind)
-    Q = E.from_vector(job.rationals("ext_point"))
+    Q = E.from_vector(parsed["ext_point"])
     B = conjugacy(f, job.order)
-    (point,) = job.rationals("point")
+    (point,) = parsed["point"]
     report = transport_check(B, E, Q, point,
                              precision=max(job.precision, 16))
     results = {"passed": report.passed,
@@ -383,11 +385,11 @@ _RUNNERS = {
 
 def run(job: JobSpec) -> tuple:
     """Execute a job; returns (document, exit_status)."""
-    job.validate()
+    parsed = job.validate()
     runner = _RUNNERS.get(job.command)
     if runner is None:
         raise UsageError(f"unknown command {job.command!r}")
-    results, checks = runner(job)
+    results, checks = runner(job, parsed)
     doc = {"inputs": job.inputs_json(), "results": results,
            "checks": checks, "seed": job.seed}
     status = EXIT_OK if all(c["passed"] for c in checks) else EXIT_CHECK_FAILED

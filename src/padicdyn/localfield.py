@@ -602,9 +602,7 @@ def field_for(p: int, backend: str = "exact", prec: int = 24):
 
 
 def poly_eval(coeffs, x):
-    """Evaluate a coefficient list (lowest first) at x by Horner.  At an
-    extension point a coefficient from below x's field goes into
-    coordinate 0 alone: its other coordinates are exact zeros.  At a
+    """Evaluate a coefficient list (lowest first) at x by Horner.  At a
     point of one stage over CappedField, with two coefficients or more
     from that field, Horner runs on integers (``_capped_stage_eval``);
     every other point, an exact stage's included, takes the element
@@ -617,13 +615,7 @@ def poly_eval(coeffs, x):
             return _capped_stage_eval(coeffs, x)
     acc = ring.embed(coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        acc = acc * x
-        if isinstance(acc, ExtElement) and not (isinstance(c, ExtElement) and (
-                c.field is ring or c.field == ring)):
-            acc = ExtElement(ring, (acc.vec[0] + ring.subfield.embed(c),)
-                             + acc.vec[1:])
-        else:
-            acc = acc + ring.embed(c)
+        acc = acc * x + ring.embed(c)
     return acc
 
 
@@ -1136,15 +1128,10 @@ class ExtElement(_Element):
         and of v(c_i) on an unramified one; exact for both.  Each v(c_i)
         lies in (1/e)Z, so the minimum is taken over the integers
         v(c_i) e (+ i) and divided by e once, as ``series.gauss_norm``
-        does; a capped coordinate gives its integer v and its exactness
-        directly."""
+        does."""
         e, step = self.field.e, self.field.kind == "eisenstein"
         pairs = []
         for i, c in enumerate(self.vec):
-            if type(c) is PadicElement:
-                if c.v is not None:
-                    pairs.append((c.v * e + i * step, c.unit != 0))
-                continue
             v = c.valuation()
             if v.value is not None:
                 pairs.append((v.value.numerator * (e // v.value.denominator)
@@ -1232,12 +1219,15 @@ def conjugates(E: ExtensionField, a, precision: int = 32):
     every element is its image under one automorphism sigma_i, the
     identity first: ``transport_check`` pairs conjugates by that order.
     The first conjugate is ``a`` itself: Horner at the generator only
-    multiplies by an exact 1 and exact zeros.
+    multiplies by an exact 1 and exact zeros.  Over a CappedField the
+    roots are lifted to at most the cap, the digits its elements hold.
     """
     if isinstance(E.subfield, ExtensionField):
         raise UsageError("conjugates need a single-stage extension")
     if E.degree > 4:
         raise UsageError("conjugates support degree <= 4 only")
+    if type(E.subfield) is CappedField:
+        precision = min(precision, E.subfield.prec)
     a = E.embed(a)
     images = E._images.get(precision)
     if images is None:

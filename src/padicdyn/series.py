@@ -4,8 +4,8 @@ Every series carries an explicit truncation order M ("known modulo w^M"),
 and every ring operation computes the tightest sound truncation for its
 result: min rule for sums, ord-shifted min rule for products.  n-th roots
 of 1-units are taken by Newton iteration in the series ring, from 1 or
-from a start the caller already has, and checked to full order (the
-Böttcher fixed point checks only its last root).  General
+resuming the ladder of an earlier root (``_root_steps``), and checked to
+full order (the Böttcher fixed point checks only its last root).  General
 reversion (``lagrange_invert``) is Newton iteration on the composition
 identity; the Böttcher build does not use it, since its inverse series
 solves a functional equation of its own (``boettcher``).  Disk norms and
@@ -107,12 +107,10 @@ class TailSeries:
     r_i / (D L^i), at a scale p^m or L that costs only speed when it is
     wrong (see the module docstring), and ``_kernel`` the backend's
     functions on that form, which every method calls; ``_coeffs`` caches
-    the elements once ``coeffs`` is read, and ``_norm`` the last disk
-    ``gauss_norm`` was taken on, with the norm.
+    the elements once ``coeffs`` is read.
     """
 
-    __slots__ = ("field", "ord", "trunc", "_kernel", "_flat", "_coeffs",
-                 "_norm")
+    __slots__ = ("field", "ord", "trunc", "_kernel", "_flat", "_coeffs")
 
     def __init__(self, field, ord: int, coeffs, trunc: int):
         if isinstance(field, CappedField):
@@ -138,7 +136,7 @@ class TailSeries:
         self.field, self._kernel, self._flat = field, kernel, flat
         self.ord = ord + lead if flat[0] else trunc
         self.trunc = trunc
-        self._coeffs = self._norm = None
+        self._coeffs = None
 
     def _new(self, ord: int, flat, trunc: int) -> "TailSeries":
         """A series over self's field from the flat form of its trunc - ord
@@ -270,7 +268,7 @@ class TailSeries:
         so the same form, already normal, from w^(ord + k)."""
         out = object.__new__(TailSeries)
         out.field, out._kernel = self.field, self._kernel
-        out._flat, out._coeffs, out._norm = self._flat, None, None
+        out._flat, out._coeffs = self._flat, None
         out.ord, out.trunc = self.ord + k, self.trunc + k
         return out
 
@@ -1149,18 +1147,12 @@ def gauss_norm(S: TailSeries, D: DiskSpec) -> Valuation:
     Only stored coefficients enter; an infinite result means the series
     is zero to its truncation order.  The valuations are read from the
     flat form; with eps = a / b the minimum of v_k b + k a is taken in
-    integers, and divided by b once.  The norm is kept on S with the
-    disk it was taken on, so evaluations of S at many points of one disk
-    take it once.
+    integers, and divided by b once.
     """
-    if S._norm is not None and S._norm[0] is D:
-        return S._norm[1]
     a, b = D.eps.numerator, D.eps.denominator
     vals = S._kernel.valuations(S.field, S._flat)
-    norm = Valuation._least_pairs((v * b + (S.ord + i) * a, exact)
+    return Valuation._least_pairs((v * b + (S.ord + i) * a, exact)
                                   for i, v, exact in vals) * Fraction(1, b)
-    S._norm = (D, norm)
-    return norm
 
 
 class PointValue(namedtuple("PointValue", "value err")):

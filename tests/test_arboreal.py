@@ -289,6 +289,19 @@ def test_transport_pairs_each_conjugate_by_its_automorphism(field):
     assert pairs.residual == F(1, 3) and pairs.bound == 4
 
 
+@pytest.mark.parametrize("cap", [12, 20])
+def test_capped_transport_lifts_to_the_cap_at_the_default_precision(cap):
+    """``transport_check`` asks for 32 digits by default, more than the
+    cap: over t^3 - 7 the generator images are lifted to the cap, the
+    digits a capped element holds, so the check runs instead of raising
+    PrecisionError.  Q = t^2/7 is a preimage of P = 1/7 under z^3."""
+    field = CappedField(7, cap)
+    B = conjugacy(MonicPoly(field, [0, 0, 0]), 12)
+    E = ExtensionField(field, [-7, 0, 0], "eisenstein")
+    Q = E.generator() ** 2 * E.embed(F(1, 7))
+    assert transport_check(B, E, Q, F(1, 7)).passed
+
+
 def test_transport_rejects_wrong_preimage():
     p = 5
     f = mono(p, [0, 0])

@@ -271,7 +271,7 @@ def test_latex_emission():
 
 def test_check_failure_exit_code(monkeypatch):
     # force a failing check through the dispatch table to cover exit 4
-    def broken(job):
+    def broken(job, parsed):
         return {"stub": True}, [{"name": "stub-check", "passed": False}]
 
     monkeypatch.setitem(cli._RUNNERS, "cf", broken)
@@ -455,25 +455,57 @@ def test_shared_parser_leaks_nothing_between_jobs(monkeypatch, capsys):
     assert together[1] == together[12]
 
 
-def test_transport_on_a_too_coarse_capped_field_exits_precision(capsys):
-    # the generator images are lifted to precision 16: below that cap
-    # g(x) becomes an O(p^k) zero short of the target, which Newton steps
-    # cannot refine; that is a precision refusal (exit 3), not a bug
+def test_transport_lifts_a_capped_stage_to_its_cap(capsys):
+    # the generator images are lifted to max(--precision, 16) digits, but
+    # over a capped base never past the cap: a capped element holds no
+    # more, so a pure cubic or quartic stage passes at every cap 5-15
     from padicdyn.cli import main
     stages = (["--prime", "7", "--poly=0,0,0,1", "--point=1/7",
                "--ext=-7,0,0,1", "--ext-point=0,0,1/7"],
               ["--prime", "5", "--poly=0,0,0,0,1", "--point=1/5",
                "--ext=-5,0,0,0,1", "--ext-point=0,0,0,1/5"])
     for stage in stages:
-        for precision, code in ((3, EXIT_DOMAIN), (5, EXIT_DOMAIN),
-                                (15, EXIT_DOMAIN), (16, EXIT_OK)):
-            argv = ["transport", *stage, "--backend", "capped",
-                    "--precision", str(precision)]
-            assert main(argv) == code, argv
-            out, err = capsys.readouterr()
-            assert "Traceback" not in err
-            if code == EXIT_DOMAIN:
-                assert out == "" and "target precision exceeds" in err
+        for precision in range(5, 17):
+            for order in ("8", "12", "16"):
+                argv = ["transport", *stage, "--backend", "capped",
+                        "--precision", str(precision), "--order", order]
+                assert main(argv) == EXIT_OK, argv
+    capsys.readouterr()
+    # where deflating by an approximate root costs digits, a lift to the
+    # cap falls short: that is a precision refusal (exit 3), not a bug
+    argv = ["transport", "--prime", "13", "--poly=0,1/14,1/14,1/14,1",
+            "--point=-1/182", "--ext=182,13,13,13,1",
+            "--ext-point=-1/14,-1/14,-1/14,-1/182", "--order", "8",
+            "--backend", "capped", "--precision", "8"]
+    assert main(argv) == EXIT_DOMAIN
+    out, err = capsys.readouterr()
+    assert out == "" and "target precision exceeds" in err
+    assert "Traceback" not in err
+
+
+def test_each_rational_text_is_parsed_once(monkeypatch, capsys):
+    """``validate`` parses --poly, --point, --ext and --ext-point, and
+    the runners read its tuples: one ``parse_rational`` call per text."""
+    texts = []
+    real = cli.parse_rational
+    monkeypatch.setattr(cli, "parse_rational",
+                        lambda text, flag: texts.append(text) or
+                        real(text, flag))
+    poly = ["--prime", "5", "--poly=3,1/5,1"]
+    jobs = (["cf", *poly], ["boettcher", *poly, "--order", "8"],
+            ["verify", *poly, "--order", "8"], ["newton-polygon", *poly],
+            ["escape", *poly, "--point=1/5"],
+            ["degrees", "--prime", "3", "--poly=1/3,0,1", "--point=1/3",
+             "--levels", "2"],
+            ["transport", "--prime", "7", "--poly=0,0,0,1", "--point=1/7",
+             "--ext=-7,0,0,1", "--ext-point=0,0,1/7", "--order", "8"])
+    for argv in jobs:
+        texts.clear()
+        assert cli.main(argv) == EXIT_OK, argv
+        job = cli.job_from_args(cli.parse_args(argv))
+        point = () if job.point is None else (job.point,)
+        assert texts == [*job.poly, *point, *job.ext, *job.ext_point], argv
+    capsys.readouterr()
 
 
 def test_exact_transport_lift_stops_at_the_coefficient_budget(

@@ -792,9 +792,8 @@ def _random_entry(rng, K):
 
 
 def test_extension_fast_paths_match_the_element_loops():
-    """Products and Horner at extension points skip exact zeros and add a
-    coefficient from below into coordinate 0 alone; each result is the
-    element the full loops give, in every stored part."""
+    """Products and Horner at extension points skip exact zeros; each
+    result is the element the full loops give, in every stored part."""
     rng = random.Random(1907)
     for E in _fast_path_fields():
         for _ in range(12):
