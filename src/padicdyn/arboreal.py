@@ -55,11 +55,13 @@ class KummerLevel(namedtuple("KummerLevel", "d N")):
         return (0, 1)
 
     def _check(self, g):
+        """g itself, unreduced, once j is a unit: gcd(j, d) = 1 is
+        gcd(j, d^N) = 1 for N >= 1, and needs no d^N."""
         i, j = g
-        if gcd(j, self.modulus) != 1:
+        if gcd(j, self.d) != 1:
             raise UsageError(f"second component {j} is not invertible "
                              f"mod {self.d}^{self.N}")
-        return i % self.modulus, j % self.modulus
+        return i, j
 
     def compose(self, g2, g1):
         """g2 after g1: (i2 + j2 i1, j2 j1)."""
@@ -91,12 +93,16 @@ def subgroup_orbit_count(generators, L: KummerLevel) -> int:
     """Orbits of the generated subgroup on the labels Z/d^N.
 
     Exact closure by label BFS (generators have finite order, so their
-    forward action alone connects each orbit).
+    forward action alone connects each orbit).  Units and the budget are
+    checked before d^N is formed.
     """
     gens = [L._check(g) for g in generators]
-    m = L.modulus
-    if m > config.max_orbit_size():
-        raise BudgetError(f"label set of size {L.d}^{L.N} exceeds the budget")
+    m, budget = 1, config.max_orbit_size()
+    for _ in range(L.N):
+        m *= L.d
+        if m > budget:
+            raise BudgetError(f"label set of size {L.d}^{L.N} "
+                              "exceeds the budget")
     seen = [False] * m
     orbits = 0
     for start in range(m):

@@ -181,12 +181,21 @@ class Valuation:
 
 
 class _Element:
-    """Subtraction, equality, reflected division, inverses and powers as
-    every element class derives them from its own +, unary -, *, / and
-    ``_coerce``; ExactElement and ExtElement override some."""
+    """Coercion, subtraction, equality, reflected division, inverses and
+    powers as every element class derives them from its own +, unary -,
+    *, / and its field's ``from_rational``; ExtElement coerces its own."""
 
     __slots__ = ()
     __hash__ = None
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            if other.field is not self.field and other.field != self.field:
+                raise UsageError("operands belong to different fields")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.field.from_rational(other)
+        return None
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -227,15 +236,6 @@ class ExactElement(_Element):
         self.field = field
         self.value = value if type(value) is Fraction else Fraction(value)
 
-    def _coerce(self, other):
-        if isinstance(other, ExactElement):
-            if other.field is not self.field and other.field != self.field:
-                raise UsageError("operands belong to different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExactElement(self.field, other)
-        return None
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -243,12 +243,6 @@ class ExactElement(_Element):
         return ExactElement(self.field, self.value + other.value)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return ExactElement(self.field, self.value - other.value)
 
     def __neg__(self):
         return ExactElement(self.field, -self.value)
@@ -268,9 +262,6 @@ class ExactElement(_Element):
         if other.value == 0:
             raise ZeroDivisionError("division by exact zero")
         return ExactElement(self.field, self.value / other.value)
-
-    def __pow__(self, n: int):
-        return ExactElement(self.field, self.value ** n)
 
     def __hash__(self):
         return hash((self.field, self.value))
@@ -337,13 +328,8 @@ class PadicElement(_Element):
 
     @classmethod
     def from_rational(cls, field, q) -> "PadicElement":
-        """q, an int or anything ``Fraction`` reads, to the field's cap;
-        an int is taken as it is, with no Fraction made."""
-        if type(q) is int:
-            num, den = q, 1
-        else:
-            q = Fraction(q)
-            num, den = q.numerator, q.denominator
+        """q, anything ``Fraction`` reads, to the field's cap."""
+        num, den = Fraction(q).as_integer_ratio()
         if num == 0:
             return cls.exact_zero(field)
         p, rel = field.p, field.prec
@@ -366,15 +352,6 @@ class PadicElement(_Element):
         return self.unit == 0 and self.v is None
 
     # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, PadicElement):
-            if other.field is not self.field and other.field != self.field:
-                raise UsageError("operands belong to different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PadicElement.from_rational(self.field, other)
-        return None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -466,8 +443,8 @@ class PadicElement(_Element):
 
 
 class _BaseField:
-    """Q_p itself: what ExactField and CappedField share.  The hot
-    ``embed``, ``from_rational``, ``zero`` and ``one`` stay in each."""
+    """Q_p itself: what ExactField and CappedField share.  Each gives
+    ``from_rational`` and ``element``, the class of its elements."""
 
     e = 1
     f_res = 1
@@ -480,6 +457,20 @@ class _BaseField:
     @property
     def base_field(self):
         return self
+
+    def zero(self):
+        return self.from_rational(0)
+
+    def one(self):
+        return self.from_rational(1)
+
+    def embed(self, x):
+        if isinstance(x, _Element):
+            if not isinstance(x, self.element) or (
+                    x.field is not self and x.field != self):
+                raise UsageError("element of a different field")
+            return x
+        return self.from_rational(x)
 
     def residue(self, x) -> tuple:
         """Residue of an integral element, as a length-1 tuple."""
@@ -506,27 +497,13 @@ class ExactField(_BaseField):
     """Q_p modelled by exact rationals; valuations are always exact."""
 
     backend = "exact"
+    element = ExactElement
 
     def _key(self):
         return ("exact", self.p)
 
     def from_rational(self, q) -> ExactElement:
         return ExactElement(self, q)
-
-    def zero(self):
-        return ExactElement(self, 0)
-
-    def one(self):
-        return ExactElement(self, 1)
-
-    def embed(self, x):
-        if isinstance(x, ExactElement):
-            if x.field is not self and x.field != self:
-                raise UsageError("element of a different field")
-            return x
-        if isinstance(x, (PadicElement, ExtElement)):
-            raise UsageError("element of a different field")
-        return self.from_rational(x)
 
     def __repr__(self):
         return f"ExactField(p={self.p})"
@@ -536,6 +513,7 @@ class CappedField(_BaseField):
     """Q_p with a relative-precision cap on every element."""
 
     backend = "capped"
+    element = PadicElement
 
     def __init__(self, p: int, prec: int):
         super().__init__(p)
@@ -567,21 +545,6 @@ class CappedField(_BaseField):
 
     def from_rational(self, q) -> PadicElement:
         return PadicElement.from_rational(self, q)
-
-    def zero(self):
-        return PadicElement.exact_zero(self)
-
-    def one(self):
-        return PadicElement.from_rational(self, 1)
-
-    def embed(self, x):
-        if isinstance(x, PadicElement):
-            if x.field is not self and x.field != self:
-                raise UsageError("element of a different field")
-            return x
-        if isinstance(x, (ExactElement, ExtElement)):
-            raise UsageError("element of a different field")
-        return self.from_rational(x)
 
     def __repr__(self):
         return f"CappedField(p={self.p}, prec={self.prec})"

@@ -266,11 +266,7 @@ class TailSeries:
     def shifted(self, k: int) -> "TailSeries":
         """Multiplication by the exact monomial w^k: the same coefficients,
         so the same form, already normal, from w^(ord + k)."""
-        out = object.__new__(TailSeries)
-        out.field, out._kernel = self.field, self._kernel
-        out._flat, out._coeffs = self._flat, None
-        out.ord, out.trunc = self.ord + k, self.trunc + k
-        return out
+        return self._new(self.ord + k, self._flat, self.trunc + k)
 
     def spread(self, d: int) -> "TailSeries":
         """S(w^d): coefficient k moves to index d k, exact zeros between.

@@ -331,6 +331,22 @@ def test_orbit_count_budget():
         subgroup_orbit_count([(1, 1)], KummerLevel(2, 13))
 
 
+def test_orbit_count_checks_before_forming_the_modulus():
+    """The unit condition and the budget need no d^N: at d = 7 and
+    N = 20000000, with ``modulus`` patched to raise, a unit generator
+    meets the budget and a non-unit one stays a usage error."""
+    L = KummerLevel(7, 20000000)
+
+    def unformed(self):
+        raise AssertionError("d^N formed")
+
+    with mock.patch.object(KummerLevel, "modulus", property(unformed)):
+        with pytest.raises(BudgetError):
+            subgroup_orbit_count([(0, 3)], L)
+        with pytest.raises(UsageError):
+            subgroup_orbit_count([(0, 7)], L)
+
+
 # -- flat iterates and the degree chain -----------------------------------------
 
 

@@ -2,12 +2,13 @@
 module-level ``_name`` function or assignment is read somewhere in the
 package, every entry of the series kernels is called, only ``series.py``
 reads the storage of a ``TailSeries``, every import sits at module
-level in an acyclic module graph, and importing the CLI loads neither
-``dataclasses`` nor ``inspect``.
+level in an acyclic module graph, importing the CLI loads neither
+``dataclasses`` nor ``inspect``, and each rule the base-field classes
+share is written once, in ``_Element`` or ``_BaseField``.
 
 ``__init__.py`` is skipped by the import check, since it imports names
-only to re-export them.  Parsed with ``ast`` alone, so no linter is
-needed.
+only to re-export them.  The source checks parse with ``ast`` alone,
+so no linter is needed.
 """
 
 import ast
@@ -15,6 +16,9 @@ import os
 import pathlib
 import subprocess
 import sys
+
+from padicdyn.localfield import (CappedField, ExactElement, ExactField,
+                                 PadicElement, _Element)
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "padicdyn"
 
@@ -203,3 +207,20 @@ def test_cli_import_loads_no_dataclasses():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_base_field_rules_are_written_once():
+    """Coercion, ``-`` and ``**`` come from ``_Element``, and ``embed``,
+    ``zero`` and ``one`` from ``_BaseField``: no base-field class defines
+    its own.  Read from each class's own ``__dict__``, where
+    ``perfbench/tracing.py`` finds the operators it counts; that is why
+    ``PadicElement.__rtruediv__``, the one exception, repeats
+    ``_Element``'s."""
+    own = {cls: set(vars(cls)) for cls in (ExactElement, PadicElement,
+                                           ExactField, CappedField)}
+    assert not {"_coerce"} & (own[ExactElement] | own[PadicElement])
+    assert not {"__sub__", "__pow__"} & own[ExactElement]
+    assert not {"embed", "zero", "one"} & (own[ExactField]
+                                           | own[CappedField])
+    derived = {name for name, f in vars(_Element).items() if callable(f)}
+    assert derived & own[PadicElement] == {"__rtruediv__"}
