@@ -1,7 +1,7 @@
 """Alternating benchmark runs of an earlier commit and this checkout.
 
     python3 benchmarks/ab.py BASE [--workload W] [--pairs N] [--seconds S]
-        [--seed K]
+        [--seed K] [--meter]
 
 Run from anywhere inside a git checkout.  BASE is any commit git names
 (``HEAD``, a hash, a branch); ``git archive BASE`` is unpacked into a
@@ -16,6 +16,20 @@ exclusive), how many pairs the change wins (ties count for neither) and
 whether every run on each side reported ``correct``.  The runs write no
 bytecode, so nothing is written in either tree; ``perfbench/`` is only
 read.
+
+``--meter`` times nothing.  It counts the work of one pass instead: for
+each workload, in a fresh process in each tree, the workload's ops (at
+seed K, else at the workload's default seed) run once to warm caches,
+then once more under ``sys.settrace`` with ``frame.f_trace_opcodes``
+set, and every ``opcode`` trace event of that pass is counted.  It
+prints both counts and their ratio.  The count does not depend on the
+host's speed or load: repeated runs give the same number.  Its limits:
+it counts bytecodes, not C-level work, so a big-integer product, a
+``sum`` or ``min`` builtin or argparse's C parts count as one opcode
+each.  A change that moves a Python loop into a builtin reads as a large
+gain, and one that widens integers reads as no change, so a speed claim
+still needs wall time; the meter settles "no cost" claims and changes
+at small sizes.  A counted pass takes about ten plain ones.
 """
 
 import argparse
@@ -83,18 +97,86 @@ def format_rows(rows: list) -> str:
     return "\n".join(lines)
 
 
+def count_opcodes(fn) -> int:
+    """Opcode trace events while fn() runs, in this thread; the tracer
+    set before, if any, is set again after."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "opcode"
+        return local
+
+    def on_call(frame, event, arg):
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def meter(wl, workload: str, ops) -> int:
+    """``count_opcodes`` of one pass over ops after one warm pass; wl is
+    ``perfbench/workloads.py``.  An op that raises is passed over, its
+    work up to the raise counted (``run.py`` counts it failed)."""
+    def one_pass():
+        for op in ops:
+            try:
+                wl.execute(workload, op)
+            except Exception:
+                pass
+
+    one_pass()
+    return count_opcodes(one_pass)
+
+
+def meter_tree(tree: Path, workload: str, seed) -> int:
+    """``meter`` over the workload's ops at seed (None: its default), in
+    a fresh process with the package and workloads imported from tree."""
+    argv = [sys.executable, str(Path(__file__).resolve()), "--meter-child",
+            workload, "default" if seed is None else str(seed)]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    if proc.returncode:
+        raise SystemExit(f"meter failed in {tree} (exit "
+                         f"{proc.returncode}):\n{proc.stderr}")
+    return int(proc.stdout)
+
+
+def meter_child(workload: str, seed: str) -> int:
+    """The child of ``meter_tree``: prints the count in the working
+    directory's tree."""
+    tree = Path.cwd()
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import workloads as wl
+    seed = wl.DEFAULT_SEEDS[workload] if seed == "default" else int(seed)
+    print(meter(wl, workload, wl.make_ops(workload, seed)))
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("base")
+    parser.add_argument("base", nargs="?")
     parser.add_argument("--workload", default="all")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--meter", action="store_true")
+    parser.add_argument("--meter-child", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.meter_child:
+        return meter_child(*args.meter_child)
+    if args.base is None:
+        parser.error("BASE is required")
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 (quartiles need two runs)")
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())[
-        "end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     archive = subprocess.run(["git", "archive", args.base], cwd=ROOT,
                              capture_output=True)
     if archive.returncode:
@@ -103,6 +185,17 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout,
                        check=True)
+        if args.meter:
+            names = [w["name"] for w in bench["workloads"]]
+            print(f"base {args.base} against this checkout: opcodes of one "
+                  f"pass after a warm one, seed "
+                  f"{'default' if args.seed is None else args.seed}")
+            print(f"{'workload':16} {'base':>12} {'change':>12} {'ratio':>8}")
+            for name in names if args.workload == "all" else [args.workload]:
+                old, new = (meter_tree(tree, name, args.seed)
+                            for tree in (Path(tmp), ROOT))
+                print(f"{name:16} {old:12d} {new:12d} {new / old:8.4f}")
+            return 0
         sides = [(Path(tmp), base), (ROOT, change)]
         for i in range(args.pairs):
             for tree, docs in sides if i % 2 == 0 else sides[::-1]:
@@ -112,7 +205,7 @@ def main() -> int:
     print(f"base {args.base} against this checkout: workload "
           f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s, "
           f"seed {'default' if args.seed is None else args.seed}")
-    print(format_rows(summarize(base, change, end_to_end)))
+    print(format_rows(summarize(base, change, bench["end_to_end"])))
     return 0
 
 

@@ -131,19 +131,18 @@ def predicted_degree_step(v_q: int, d: int, n: int) -> int:
 
     This is the certified growth of the degree chain coming from d^m-th
     roots of an element of valuation v_q; it equals d once d^n absorbs
-    the d-part of v_q.
+    the d-part of v_q.  That happens by n = L, the bit length of |v_q|:
+    each prime r | d divides v_q fewer than L times and d^L at least L
+    times, so gcd(d^m, v_q) = gcd(d^min(m, L), v_q), and the step
+    d gcd(d^n, v_q) / gcd(d^(n+1), v_q) forms no power past d^L.
     """
     if v_q == 0:
         raise DomainError("not applicable: the transported point is a unit")
     if d < 2 or n < 0:
         raise UsageError("need d >= 2 and n >= 0")
     q = abs(v_q)
-
-    def e(m: int) -> int:
-        dm = d ** m
-        return dm // gcd(dm, q)
-
-    return e(n + 1) // e(n)
+    L = q.bit_length()
+    return d * gcd(d ** min(n, L), q) // gcd(d ** min(n + 1, L), q)
 
 
 def certify_degree(f: MonicPoly, P, n: int):
@@ -154,21 +153,49 @@ def certify_degree(f: MonicPoly, P, n: int):
     polygon is read from the integer numerators of f^n - P over one
     denominator (``MonicPoly.iterate_flat``), each point the valuation
     of a numerator less that of the denominator, and each coefficient
-    in lowest terms is held to the coefficient budget.
+    in lowest terms is held to the coefficient budget.  A level over
+    ``PADICDYN_MAX_DEGREE`` raises BudgetError; d^n is formed only for
+    n at most the budget's bit length, since past it d^n >= 2^n exceeds
+    the budget.
+
+    Under good reduction with v(P) = -k < 0 the polygon is forced, and
+    its certificate is read in closed form: f^n(x) - P has constant term
+    of valuation -k, leading coefficient 1 and p-integral middle
+    coefficients, so its polygon is the single segment from (0, -k) to
+    (d^n, 0), of slope k / d^n, whose denominator is d^n exactly when
+    gcd(k, d) = 1.  The closed form answers only where an a-priori bound
+    proves that the polygon route would pass the coefficient budget.
+    Write f = F / E over one denominator (F_d = E), H = sum |F_i| and
+    s_n = (d^n - 1) / (d - 1).  Composing F / E into G / D gives
+    sum F_i G^i D^(d - i) / (E D^d), so f^n = G_n / E^(s_n) with the
+    l1 norm of G_n and E^(s_n) both at most H^(s_n), and the least
+    common denominator only divides them.  So every numerator and
+    denominator the budget reads for P = a / b is below
+    2^(s_n bitlen(H) + bitlen(|a| + b)).  When that exponent is over
+    the cap, the polygon route decides, as it does for bad reduction
+    and for v(P) >= 0.
     """
     if f.field.backend != "exact":
         raise UsageError("degree certification needs the exact backend")
     if n < 1:
         raise UsageError("level must be >= 1")
-    deg = f.degree ** n
-    if deg > config.max_tree_degree():
-        raise BudgetError(f"tree degree {f.degree}^{n} exceeds the budget")
+    budget = config.max_tree_degree()
+    d = f.degree
+    if n > budget.bit_length() or d ** n > budget:
+        raise BudgetError(f"tree degree {d}^{n} exceeds the budget")
+    deg = d ** n
     q = f.field.embed(P).value
-    b = q.denominator
+    a, b = q.numerator, q.denominator
+    k = _vp_int(b, f.field.p)     # v(P) = -k when k > 0 (lowest terms)
+    if k and good_reduction(f):
+        height = sum(abs(x) for x in f.iterate_flat(1)[0])
+        if ((deg - 1) // (d - 1) * height.bit_length()
+                + (abs(a) + b).bit_length() <= config.max_coeff_bits()):
+            return deg if gcd(k, d) == 1 else None
     nums, den = f.iterate_flat(n)
     # f^n - P over one denominator, P = a / b: coefficient 0 is
     # (b N_0 - a D) / (b D), and each coefficient i >= 1 is N_i / D
-    low = b * nums[0] - q.numerator * den
+    low = b * nums[0] - a * den
     config.check_pair_bits([(low, b * den)] + [(x, den) for x in nums[1:]])
     if not low and not any(nums[1:-1]):
         return None   # f^n - P = x^(d^n): every root is 0, none ramifies

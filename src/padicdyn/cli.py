@@ -17,6 +17,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
+from . import config
 from .arboreal import (KummerLevel, degree_chain, subgroup_orbit_count,
                        transport_check)
 from .boettcher import (MonicPoly, boettcher_series, cf_constant,
@@ -319,9 +320,12 @@ def run_degrees(job: JobSpec, parsed: dict):
     chain = degree_chain(f, point, job.levels, job.order)
     levels = []
     consistent = True
-    product = 1
+    # a certified degree is at most the degree budget, so a product past
+    # it differs from every one of them however far it grows
+    product, budget = 1, config.max_tree_degree()
     for record in chain.levels:
-        product *= record["predicted_step"]
+        if product <= budget:
+            product *= record["predicted_step"]
         certified = record["certified_degree"]
         if certified is not None and certified != product:
             consistent = False

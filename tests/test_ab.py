@@ -1,8 +1,9 @@
-"""``benchmarks/ab.py``'s summary of paired benchmark runs, on fixed
-numbers."""
+"""``benchmarks/ab.py``: its summary of paired benchmark runs, on fixed
+numbers, and its opcode meter."""
 
 import importlib.util
 import pathlib
+import sys
 
 AB = pathlib.Path(__file__).parent.parent / "benchmarks" / "ab.py"
 
@@ -43,3 +44,17 @@ def test_summary_of_paired_runs():
     assert all(not r["base_correct"] and r["change_correct"] for r in rows)
     text = ab.format_rows(rows)
     assert "w/wall_s" in text and "3/5" in text and "False/True" in text
+
+
+def test_meter_counts_one_op_list_alike(monkeypatch):
+    ab = _load_ab()
+    path = AB.parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", wl)  # for its dataclass
+    spec.loader.exec_module(wl)
+    ops = wl.make_ops("cli-jobs", 1)[:12]
+    before = sys.gettrace()
+    first, second = (ab.meter(wl, "cli-jobs", ops) for _ in range(2))
+    assert first == second > 0
+    assert sys.gettrace() is before   # a coverage or debugger tracer stays

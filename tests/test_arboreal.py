@@ -419,16 +419,23 @@ def test_degree_chain_builds_no_iterate_past_the_budget(monkeypatch):
         return compose(f, g)
 
     monkeypatch.setattr(boettcher, "_compose_flat", counted)
-    for budget, certified in ((None, 6), ("16", 4)):
+    for budget, within in ((None, 6), ("16", 4)):
         if budget is not None:
             monkeypatch.setenv("PADICDYN_MAX_DEGREE", budget)
+        # z^2 + 1/3 at P = 1/27: bad reduction, so the polygon decides
+        steps.clear()
+        chain = degree_chain(mono(3, [F(1, 3), 0]), F(1, 27), levels=8)
+        assert [r["certified_degree"] for r in chain.levels] == (
+            [2, 4] + [None] * 6)
+        # each of f^2 .. f^within composed once, nothing beyond
+        assert steps == [2 ** n for n in range(1, within)]
+        # z^2 at P = 1/3: good reduction and v(P) = -1, so the closed
+        # form certifies each level within the budget and composes nothing
         steps.clear()
         chain = degree_chain(mono(3, [0, 0]), F(1, 3), levels=8)
         assert [r["certified_degree"] for r in chain.levels] == (
-            [2 ** n for n in range(1, certified + 1)]
-            + [None] * (8 - certified))
-        # each of f^2 .. f^certified composed once, nothing beyond
-        assert steps == [2 ** n for n in range(1, certified)]
+            [2 ** n for n in range(1, within + 1)] + [None] * (8 - within))
+        assert steps == []
 
 
 def test_low_coeff_bits_budget_leaves_the_same_levels_uncertified(
@@ -507,6 +514,22 @@ def degree_cases(draw):
        st.sampled_from([None, None, "4", "16"]))
 # z^2 - 3/49 at P = 1/7: at level 2 only a denominator is over 8 bits
 @example(([0, F(-3, 49)], 7, F(1, 7), 2), "8", None)
+# z^2 + 2z + 2 at P = 1/3, H = 5: the closed form's bound reads
+# 3 (2^n - 1) + 3 bits, over the cap 4 from level 1 and over the cap 12
+# from level 3, so those levels go the polygon route; level 2 at the
+# cap 12 is in closed form
+@example(([2, 2], 3, F(1, 3), 1), "4", None)
+@example(([2, 2], 3, F(1, 3), 2), "4", None)
+@example(([2, 2], 3, F(1, 3), 2), "12", None)
+@example(([2, 2], 3, F(1, 3), 3), "12", None)
+# z^2 + z/2 + 1 over Q_3: p-integral, not integral
+@example(([1, F(1, 2)], 3, F(1, 3), 3), None, None)
+# k = 2: gcd(k, d) = 2 for d = 2 and 4 (uncertified), 1 for d = 3
+@example(([1, 0], 3, F(1, 9), 3), None, None)
+@example(([2, 0, 1, 0], 3, F(-2, 9), 2), None, None)
+@example(([1, 2, 0], 5, F(1, 25), 2), None, None)
+# a level over PADICDYN_MAX_DEGREE
+@example(([1, 0], 3, F(1, 3), 5), None, "16")
 def test_integer_certificates_match_the_element_polygon(case, bits, degree):
     coeffs, p, P, n = case
     env = {"PADICDYN_MAX_COEFF_BITS": bits, "PADICDYN_MAX_DEGREE": degree}

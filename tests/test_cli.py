@@ -396,6 +396,49 @@ def test_degrees_at_point_zero_exits_domain(capsys):
         assert "Traceback" not in err
 
 
+def test_closed_form_degrees_jobs_build_no_iterate_and_no_polygon(
+        monkeypatch, capsys):
+    """Under good reduction with v(P) < 0 a level within the budgets is
+    certified in closed form: with the composition of iterates and the
+    polygon patched to raise, a job still prints the bytes it printed
+    when both ran (sha256 of the stdout of the polygon route), and 60000
+    levels print theirs within 5 s."""
+    import hashlib
+
+    import padicdyn.arboreal as arboreal
+    import padicdyn.boettcher as boettcher
+    from padicdyn.cli import main
+
+    def unbuilt(*args):
+        raise AssertionError("iterate or polygon built")
+
+    monkeypatch.setattr(boettcher, "_compose_flat", unbuilt)
+    monkeypatch.setattr(arboreal, "polygon_of", unbuilt)
+    jobs = [  # argv, certified degrees, sha256 of stdout
+        (["--prime", "5", "--poly=1,1/2,0,1", "--point=1/5", "--levels",
+          "5"], [3, 9, 27, "uncertified", "uncertified"],
+         "35c9f17121019e1c0daef37d968bc32c5a1e1236e5b0c727adfa4892f6b61f94"),
+        (["--prime", "3", "--poly=1,0,1", "--point=2/9", "--levels", "4"],
+         ["uncertified"] * 4,    # k = 2 shares a factor with d = 2
+         "47f713a2124abe67540512958b11082503c022593bec0cb411b22fd0abddbbeb"),
+    ]
+    for argv, degrees, digest in jobs:
+        assert main(["degrees", *argv]) == EXIT_OK, argv
+        out = capsys.readouterr().out
+        assert [r["certified_degree"] for r in json.loads(out)["results"][
+            "levels"]] == degrees
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicdyn.cli", "degrees", "--prime", "3",
+         "--poly=1,0,1", "--point=1/3", "--levels", "60000"],
+        env=env, capture_output=True, timeout=5)
+    assert proc.returncode == EXIT_OK
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "31e78ffc9dce2979120288fe67972ca0cd2e81e08a888e505f96b4c01be5009f")
+
+
 def test_parser_is_built_once_and_not_at_import():
     assert build_parser() is build_parser()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
