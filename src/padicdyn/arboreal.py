@@ -41,8 +41,9 @@ class KummerLevel(namedtuple("KummerLevel", "d N")):
 
     @property
     def order(self) -> int:
-        m = self.modulus
-        return m * sum(1 for j in range(1, m + 1) if gcd(j, m) == 1)
+        """d^N phi(d^N) with phi(d^N) = d^(N-1) phi(d): no label scanned."""
+        d, m = self.d, self.modulus
+        return m * (m // d) * sum(1 for j in range(1, d) if gcd(j, d) == 1)
 
     def elements(self):
         m = self.modulus

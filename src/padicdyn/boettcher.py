@@ -274,7 +274,7 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
     says when a ladder is resumed).  For d = 2, T - d is a power of two
     until the last step, so each fixed-point step but the last is one
     Newton step.  Only the last root is checked against its image to
-    full order (``TailSeries._root_from``): each earlier omega only
+    full order (``TailSeries.nth_root``): each earlier omega only
     starts the next step, and a wrong one cannot pass, since the last
     root's check and ``identical_to``, or the fresh composition, bind
     the build.
@@ -320,7 +320,7 @@ def _omega_series(f: MonicPoly, M: int) -> tuple:
         image = _compose_with(omega._padded(T), powers, d)
         target = image.shifted(-d)
         if T == last:   # the last step's root is the one checked
-            x = target._root_from(d, ladder)
+            x = target.nth_root(d, ladder)
         else:
             x, ladder = target._root_steps(d, ladder)
         omega = x.shifted(1)

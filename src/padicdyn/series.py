@@ -113,13 +113,7 @@ class TailSeries:
     __slots__ = ("field", "ord", "trunc", "_kernel", "_flat", "_coeffs")
 
     def __init__(self, field, ord: int, coeffs, trunc: int):
-        if isinstance(field, CappedField):
-            kernel = _CAPPED
-        elif isinstance(field, ExactField):
-            kernel = _EXACT
-        else:
-            raise UsageError("series coefficients must lie in an "
-                             "ExactField or a CappedField")
+        kernel = _kernel_of(field)
         coeffs = [field.embed(c) for c in coeffs]
         n = max(trunc - ord, 0)
         if len(coeffs) > n:
@@ -149,7 +143,7 @@ class TailSeries:
 
     @classmethod
     def zero(cls, field, trunc: int):
-        return cls(field, trunc, [], trunc)
+        return cls.w_power(field, trunc, trunc)
 
     @classmethod
     def one(cls, field, trunc: int):
@@ -157,10 +151,12 @@ class TailSeries:
 
     @classmethod
     def w_power(cls, field, k: int, trunc: int):
-        zero = cls.zero(field, trunc)
-        kernel = zero._kernel
-        return zero._new(min(k, trunc), kernel.window(
+        """w^k + O(w^trunc) from the kernel's 1 (O(w^trunc) if k >= trunc)."""
+        kernel = _kernel_of(field)
+        out = object.__new__(cls)
+        out._set(kernel, field, min(k, trunc), kernel.window(
             field, kernel.one(field), 0, max(trunc - k, 0)), trunc)
+        return out
 
     @classmethod
     def from_polynomial(cls, field, coeffs, trunc: int):
@@ -325,24 +321,18 @@ class TailSeries:
         return self._new(0, self._kernel.inverse(self.field, self._flat),
                          self.trunc)
 
-    def nth_root(self, n: int) -> "TailSeries":
-        """The unique n-th root with constant term 1, by Newton iteration
-        from 1 (``_root_from``).
+    def nth_root(self, n: int, ladder: tuple = None) -> "TailSeries":
+        """The unique n-th root with constant term 1, by the Newton steps
+        of ``_root_steps`` from 1, or from ladder where it serves, checked:
+        x^n = self to full order.
 
         Requires constant term exactly 1 and n not divisible by the
-        residue characteristic.
-        """
-        return self._root_from(n)
-
-    def _root_from(self, n: int, ladder: tuple = None) -> "TailSeries":
-        """The n-th root with constant term 1 by ``_root_steps``, from
-        ladder where it serves, checked: x^n = self to full order.
-
-        The steps trust a ladder's iterate, so this check binds the
-        result: an iterate wrong below its truncation fails it and raises
-        InternalError.  The Böttcher fixed point checks only its last
-        root, and that check is also the build's comparison of omega^d
-        with its last image (``boettcher._omega_series``).
+        residue characteristic.  The steps trust a ladder's iterate, so
+        the check binds the result: an iterate wrong below its truncation
+        fails it and raises InternalError.  The Böttcher fixed point
+        checks only its last root, and that check is also the build's
+        comparison of omega^d with its last image
+        (``boettcher._omega_series``).
         """
         x, _ = self._root_steps(n, ladder)
         if ((x ** n).truncate(self.trunc) - self).is_zero():
@@ -350,7 +340,7 @@ class TailSeries:
         raise InternalError("series Newton iteration failed to converge")
 
     def _root_steps(self, n: int, ladder: tuple = None) -> tuple:
-        """The Newton steps of ``_root_from`` without its check: (root,
+        """The Newton steps of ``nth_root`` without its check: (root,
         ladder).
 
         From 1 modulo w the steps climb truncations 2, 4, 8, ..., each
@@ -464,21 +454,26 @@ def _scaled(field, xs, e: int, t: int) -> list:
     return [x * pw[k] if k >= 0 else x // pw[-k] for x, k in zip(xs, ks)]
 
 
-def _reduced(field, s, m, values, precs):
-    """The capped form at scale p^m of the cosets
-    values[k] p^(s - k m) + O(p^precs[k]).
+def _reduced(field, s, m, pairs, r=None, f=None):
+    """The capped form at scale p^m of the cosets x_k p^(s - k m) +
+    O(p^(A_k)), for the pairs (x_k, A_k) in order.  Given the lists r
+    and f of a form's first coefficients, it appends to them, k counting
+    on from len(r) (``_capped_inverse``).
 
     Each value is reduced mod p^(A - s_k), s_k = s - k m its shift, and
     its valuation found; a value that vanishes there is an O(p^A) zero,
     and an infinite precision (whose value is always 0) an exact zero.
-    This is what ``PadicElement._make`` does per element.  A reduced
-    value x != 0 has valuation below A - s_k, so gcd(x, p^(A - s_k)) is
+    This is what ``PadicElement._make`` does per element, and the only
+    place a capped series coefficient is reduced.  A reduced value
+    x != 0 has valuation below A - s_k, so gcd(x, p^(A - s_k)) is
     p^v(x), and its bit length gives v(x) (``CappedField.powers``).
     """
     p = field.p
     pw, logs = field.powers(0)
-    r, f, sk = [], [], s + m
-    for x, A in zip(values, precs):
+    if r is None:
+        r, f = [], []
+    sk = s - (len(r) - 1) * m
+    for x, A in pairs:
         sk -= m
         if A != _INF and A > sk:
             e = A - sk
@@ -589,7 +584,7 @@ def _capped_linear(field, terms, n: int):
             precs[k:] = [x if x < y else y for x, y in zip(precs[k:], known)]
         else:       # the first term: below it, exact zeros
             values, precs = [0] * k + scaled, [_INF] * k + known
-    return _reduced(field, shift, m, values, precs)
+    return _reduced(field, shift, m, zip(values, precs))
 
 
 def _capped_sign(field, n: int):
@@ -819,7 +814,8 @@ def _capped_sums(field, a, b, n):
 def _capped_product(field, a, b, n):
     """The form of the first n coefficients of a * b: ``_capped_sums``
     reduced."""
-    return _reduced(field, *_capped_sums(field, a, b, n))
+    s, m, values, precs = _capped_sums(field, a, b, n)
+    return _reduced(field, s, m, zip(values, precs))
 
 
 def _capped_unreduced(field, a, b, n):
@@ -854,10 +850,10 @@ def _capped_inverse(field, a):
     The recurrence runs on integers at a scale m' with
     v(a_j) >= -j m' for j >= 1: there a_j = x_j p^(-j m'), so
     inv_k = y_k p^(-k m') with y_k = -sum x_j y_{k-j}, and the inverse is
-    (y, 0, f, m').  Each y_k is reduced as it is found, in this loop, as
-    ``_reduced`` would reduce it at the shift -k m'.  m' is the steepest
-    line under the valuations (``_slope``), never below the form's own m,
-    not the line m - s, whose representatives would grow quadratically.
+    (y, 0, f, m').  Each y_k is reduced as it is found, by ``_reduced``
+    at the shift -k m'.  m' is the steepest line under the valuations
+    (``_slope``), never below the form's own m, not the line m - s,
+    whose representatives would grow quadratically.
     """
     r, s, f_a, m = a
     M = len(r)
@@ -868,30 +864,20 @@ def _capped_inverse(field, a):
     # a_J .. a_1 as x_j = r_j p^(s + j (m' - m)), and v_J, A_J .. v_1, A_1
     xs = _scaled(field, r[1:J + 1], s + step - m, step - m)[::-1]
     flat = f_a[2 * J + 1:1:-1]
-    p = field.p
-    pw, logs = field.powers(0)
     ys, f = [1], [field.prec, 0]              # inv_0 .. inv_{k-1}
-    for k in range(1, M):
-        if k <= J:
-            y = -sum(map(mul, xs[J - k:], ys))
-            A = min(map(add, flat[2 * (J - k):], f))
-        else:       # a_J .. a_1 against inv_{k-J} .. inv_{k-1}
-            y = -sum(map(mul, xs, ys[k - J:]))
-            A = min(map(add, flat, f[2 * (k - J):]), default=_INF)
-        sk = -k * step
-        if A != _INF and A > sk:
-            e = A - sk
-            if e >= len(pw):
-                pw, logs = field.powers(e)
-            y %= pw[e]
-            if y:
-                ys.append(y)
-                f += (A, sk + logs[gcd(y, pw[e]).bit_length()] if y % p == 0
-                      else sk)
-                continue
-        ys.append(0)
-        f += (A, A)
-    return ys, 0, f, step
+
+    def sums():
+        # _reduced reduces each inv_k and appends it to ys and f before
+        # this generator resumes, so the sum for inv_{k+1} reads it
+        for k in range(1, M):
+            if k <= J:
+                yield (-sum(map(mul, xs[J - k:], ys)),
+                       min(map(add, flat[2 * (J - k):], f)))
+            else:   # a_J .. a_1 against inv_{k-J} .. inv_{k-1}
+                yield (-sum(map(mul, xs, ys[k - J:])),
+                       min(map(add, flat, f[2 * (k - J):]), default=_INF))
+
+    return _reduced(field, 0, step, sums(), ys, f)
 
 
 def _exact_element(field, flat, i):
@@ -916,8 +902,6 @@ def _least_den(r, den, L):
 
 def _geometric(r, m) -> list:
     """[r_i m^i]; no power of m past the last nonzero r_i is formed."""
-    if m == 1:
-        return r
     k = len(r)
     while k and not r[k - 1]:
         k -= 1
@@ -1042,6 +1026,16 @@ _EXACT = _Kernel(
     product=_exact_product, sums=_exact_product, inverse=_exact_inverse,
     at=lambda field, flat, L: _exact_at(flat, L),
     scale=lambda field, flat: flat[2])
+
+
+def _kernel_of(field) -> _Kernel:
+    """The kernel of field's backend; series refuse any other field."""
+    if isinstance(field, CappedField):
+        return _CAPPED
+    if isinstance(field, ExactField):
+        return _EXACT
+    raise UsageError("series coefficients must lie in an ExactField or a "
+                     "CappedField")
 
 
 # ---------------------------------------------------------------------------

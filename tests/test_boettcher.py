@@ -637,6 +637,37 @@ def test_corrupted_intermediate_root_raises(backend, wrong, monkeypatch):
     assert len(calls) >= wrong
 
 
+@pytest.mark.parametrize("backend, p, coeffs, M, digest", [
+    ("exact", 5, [3, F(1, 5)], 2, "f5f971132412b3b5"),
+    ("exact", 5, [3, F(1, 5)], 3, "69ecf329dd3c3064"),
+    ("exact", 5, [3, F(1, 5)], 32, "064d275789fdf33c"),
+    ("exact", 7, [F(2, 7), 0, 1], 17, "e0d9a6e41124f625"),
+    ("capped", 5, [3, F(1, 5)], 2, "0cd7c6f4133b4aca"),
+    ("capped", 5, [3, F(1, 5)], 3, "90fe23cc82fa929b"),
+    ("capped", 5, [3, F(1, 5)], 32, "f1b8f3763e4e142f"),
+    ("capped", 7, [F(2, 7), 0, 1], 17, "321cac0514b8495f"),
+])
+def test_a_build_takes_one_checked_root(backend, p, coeffs, M, digest,
+                                        monkeypatch):
+    """The fixed point's last root is ``nth_root``'s, the one checked
+    root of a build: a build with M > 2 calls it once, at the map's
+    degree, one with M = 2 (no fixed-point step) not at all, and omega
+    and the verified order keep their recorded digests."""
+    nth_root, calls = TailSeries.nth_root, []
+
+    def counted(self, n, ladder=None):
+        calls.append(n)
+        return nth_root(self, n, ladder)
+
+    monkeypatch.setattr(TailSeries, "nth_root", counted)
+    f = mono(p, coeffs, backend)
+    C = conjugacy(f, M)
+    assert calls == ([f.degree] if M > 2 else [])
+    doc = json.dumps([series_json(C.omega), C.verified_order],
+                     sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest
+
+
 def test_shared_image_serves_the_reference_builds(monkeypatch):
     """The shared image, not a composition of the final omega, is what
     the reference map's builds check: each build's last comparison, of

@@ -262,6 +262,32 @@ def test_every_parser_flag_is_a_job_field():
         assert job_from_args(parser.parse_args(argv)) == want, argv
 
 
+def test_small_flag_values_exit_with_a_documented_code(capsys):
+    """Each flag of each subcommand that takes a value (all but --help,
+    --output and the switches) set to 0, 1, 2, -1 and a non-number, the
+    required flags from one sample: every job exits 0, 2, 3 or 4 and
+    none raises."""
+    sample = {"--prime": "5", "--poly": "3,1/5,1", "--point": "1/5",
+              "--d": "2", "--N": "2", "--ext": "-5,0,1",
+              "--ext-point": "0,1/5"}
+    codes = []
+    for command, sp in build_parser().commands.items():
+        flags = [action for action in sp._actions if action.option_strings
+                 and action.nargs != 0 and action.dest != "output"]
+        required = [action.option_strings[0] for action in flags
+                    if action.required]
+        for action in flags:
+            flag = action.option_strings[0]
+            for value in ("0", "1", "2", "-1", "x"):
+                argv = [command] + [f"{other}={sample[other]}"
+                                    for other in required if other != flag]
+                codes.append(cli.main(argv + [f"{flag}={value}"]))
+                capsys.readouterr()
+    assert len(codes) == 250
+    assert set(codes) <= {EXIT_OK, EXIT_USAGE, EXIT_DOMAIN,
+                          EXIT_CHECK_FAILED}, sorted(set(codes))
+
+
 def test_latex_emission():
     doc, _ = run_cli(["boettcher", "--prime", "5", "--poly", "3,0,1",
                       "--order", "6", "--emit-latex"])

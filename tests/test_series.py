@@ -67,6 +67,34 @@ def test_series_refuse_extension_fields():
             TailSeries.zero(E, 4)
         with pytest.raises(UsageError):
             TailSeries.one(E, 4)
+        with pytest.raises(UsageError, match="ExactField or a CappedField"):
+            TailSeries.w_power(E, 1, 4)
+
+
+@pytest.mark.parametrize("field", [K5, CappedField(5, 20)],
+                         ids=["exact", "capped"])
+def test_constants_are_built_from_the_kernel(field, monkeypatch):
+    """``zero``, ``one`` and ``w_power`` build their forms from the
+    kernel's 1, with no series built from elements on the way, and give
+    the series built from elements, digits and precision alike: k below,
+    at and past trunc, and trunc = 0."""
+    cases = [(k, trunc) for trunc in (0, 1, 5) for k in (0, 1, trunc, 7)]
+    refs = {(k, trunc): S(field, min(k, trunc), [1] if k < trunc else [],
+                          trunc) for k, trunc in cases}
+
+    def refused(self, *args):
+        raise AssertionError("a series built from elements")
+
+    monkeypatch.setattr(TailSeries, "__init__", refused)
+    for (k, trunc), ref in refs.items():
+        built = [TailSeries.w_power(field, k, trunc)]
+        if k == 0:
+            built.append(TailSeries.one(field, trunc))
+        if k >= trunc:
+            built.append(TailSeries.zero(field, trunc))
+        for x in built:
+            assert (x.ord, x.trunc) == (ref.ord, ref.trunc)
+            assert x.identical_to(ref, trunc)
 
 
 def test_spread_examples():
@@ -198,16 +226,16 @@ def test_corrupted_warm_start_raises(field):
                            for _ in range(M - 1)], M)
     root = a.nth_root(3)
     start = root.truncate(known)
-    assert a._root_from(3, (start, a)) == root
+    assert a.nth_root(3, (start, a)) == root
     for k in range(known):
         bad = start.replace_coefficient(k, start.coefficient(k) + 1)
         with pytest.raises(InternalError):
-            a._root_from(3, (bad, a))
+            a.nth_root(3, (bad, a))
     # the same refusals as a start from 1
     with pytest.raises(UsageError):
-        S(field, 0, [2, 1], M)._root_from(3, (start, a))
+        S(field, 0, [2, 1], M).nth_root(3, (start, a))
     with pytest.raises(DomainError):
-        a._root_from(5, (start, a))
+        a.nth_root(5, (start, a))
 
 
 def unit_target(field, rng, M, head=()):
@@ -222,8 +250,9 @@ def test_a_ladder_is_resumed_only_where_it_serves():
     """``_root_steps``' ladder is (its iterate at a power of two S, the
     target it served).  A target with that target's first S coefficients
     resumes from it, a target that differs below S starts from 1, and
-    either way the root is the root from 1, digits and precision alike:
-    over both backends, capped at 1 to 4 digits, and orders up to 40."""
+    either way the root is the root from 1, digits and precision alike,
+    checked (``nth_root``) or not: over both backends, capped at 1 to 4
+    digits, and orders up to 40."""
     rng = random.Random(3307)
     cases = 0
     for p, n in ((2, 3), (2, 5), (3, 2), (3, 5), (5, 2), (5, 3),
@@ -249,6 +278,8 @@ def test_a_ladder_is_resumed_only_where_it_serves():
                     warm, warm_ladder = target._root_steps(n, ladder)
                     assert warm.trunc == target.trunc
                     assert warm.identical_to(cold, target.trunc)
+                    assert target.nth_root(n, ladder).identical_to(
+                        target.nth_root(n), target.trunc)
                     assert warm_ladder[0].identical_to(
                         cold_ladder[0], cold_ladder[0].trunc)
                     assert warm_ladder[1] is target
