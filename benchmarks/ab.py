@@ -5,17 +5,20 @@
 
 Run from anywhere inside a git checkout.  BASE is any commit git names
 (``HEAD``, a hash, a branch); ``git archive BASE`` is unpacked into a
-temporary directory, and ``perfbench/run.py --workload W --seconds S
---trace 0`` (with ``--seed K`` when given) runs there and in this
-checkout, N times each, alternating which side runs first.  W is a
-workload of ``perfbench/run.py`` or ``all`` (the default).
+temporary directory, and the files of this checkout's working tree that
+``git ls-files --cached --others --exclude-standard`` lists (tracked
+ones as they are on disk, deleted ones skipped, untracked ones that are
+not ignored) are copied into a second, so both sides run from a fresh
+tree that holds nothing else.  ``perfbench/run.py --workload W
+--seconds S --trace 0`` (with ``--seed K`` when given) runs in each, N
+times, alternating which side runs first.  W is a workload of
+``perfbench/run.py`` or ``all`` (the default).
 
 For each ``end_to_end`` metric of ``BENCHMARK.json`` and each workload it
 prints both medians, the base's quartiles (``statistics.quantiles``,
 exclusive), how many pairs the change wins (ties count for neither) and
 whether every run on each side reported ``correct``.  The runs write no
-bytecode, so nothing is written in either tree; ``perfbench/`` is only
-read.
+bytecode, and the checkout itself is only read.
 
 ``--meter`` times nothing.  It counts the work of one pass instead: for
 each workload, in a fresh process in each tree, the workload's ops (at
@@ -35,6 +38,7 @@ at small sizes.  A counted pass takes about ten plain ones.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -42,6 +46,20 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def copy_working_tree(root: Path, dest: Path) -> None:
+    """Copy into dest the files git lists in root's working tree: tracked
+    ones as they are on disk, skipping deleted ones, and untracked ones
+    that are not ignored."""
+    listing = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], cwd=root, capture_output=True, check=True)
+    for name in os.fsdecode(listing.stdout).split("\0"):
+        source = root / name
+        if name and source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def run_once(tree: Path, workload: str, seconds: float, seed) -> dict:
@@ -182,9 +200,12 @@ def main() -> int:
     if archive.returncode:
         raise SystemExit(archive.stderr.decode())
     base, change = [], []
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            tempfile.TemporaryDirectory() as work:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout,
                        check=True)
+        copy_working_tree(ROOT, Path(work))
+        trees = (Path(tmp), Path(work))
         if args.meter:
             names = [w["name"] for w in bench["workloads"]]
             print(f"base {args.base} against this checkout: opcodes of one "
@@ -193,10 +214,10 @@ def main() -> int:
             print(f"{'workload':16} {'base':>12} {'change':>12} {'ratio':>8}")
             for name in names if args.workload == "all" else [args.workload]:
                 old, new = (meter_tree(tree, name, args.seed)
-                            for tree in (Path(tmp), ROOT))
+                            for tree in trees)
                 print(f"{name:16} {old:12d} {new:12d} {new / old:8.4f}")
             return 0
-        sides = [(Path(tmp), base), (ROOT, change)]
+        sides = list(zip(trees, (base, change)))
         for i in range(args.pairs):
             for tree, docs in sides if i % 2 == 0 else sides[::-1]:
                 docs.append(run_once(tree, args.workload, args.seconds,

@@ -22,13 +22,15 @@ values are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from fractions import Fraction
 
 from . import config
-from .errors import DomainError, InternalError, PrecisionError, UsageError
+from .errors import (BudgetError, DomainError, InternalError, PrecisionError,
+                     UsageError)
 
 MAX_TOWER_DEGREE = 8
 
@@ -180,6 +182,22 @@ class Valuation:
 # ---------------------------------------------------------------------------
 
 
+def _coerced(op):
+    """A binary operator op(self, other) that first brings other into
+    self's field: an element of self's class over the same field object
+    goes straight to op, anything else through ``self._coerce``, and
+    NotImplemented is returned where that gives None."""
+    @functools.wraps(op)
+    def coerced(self, other):
+        if type(other) is not type(self) or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return op(self, other)
+
+    return coerced
+
+
 class _Element:
     """Coercion, subtraction, equality, reflected division, inverses and
     powers as every element class derives them from its own +, unary -,
@@ -197,25 +215,19 @@ class _Element:
             return self.field.from_rational(other)
         return None
 
+    @_coerced
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    @_coerced
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other / self
 
+    @_coerced
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return (self - other).is_zero()
 
     def inverse(self):
@@ -236,10 +248,8 @@ class ExactElement(_Element):
         self.field = field
         self.value = value if type(value) is Fraction else Fraction(value)
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return ExactElement(self.field, self.value + other.value)
 
     __radd__ = __add__
@@ -247,18 +257,14 @@ class ExactElement(_Element):
     def __neg__(self):
         return ExactElement(self.field, -self.value)
 
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return ExactElement(self.field, self.value * other.value)
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if other.value == 0:
             raise ZeroDivisionError("division by exact zero")
         return ExactElement(self.field, self.value / other.value)
@@ -353,10 +359,8 @@ class PadicElement(_Element):
 
     # -- arithmetic --------------------------------------------------------
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         a, b = self, other
         if a.is_exact_zero:
             return b
@@ -377,10 +381,8 @@ class PadicElement(_Element):
         return PadicElement(self.field, self.v,
                             self.field.p ** self.rel - self.unit, self.rel)
 
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         a, b = self, other
         if a.is_exact_zero or b.is_exact_zero:
             return PadicElement.exact_zero(self.field)
@@ -389,10 +391,8 @@ class PadicElement(_Element):
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if other.is_exact_zero:
             raise ZeroDivisionError("division by exact zero")
         if other.unit == 0:
@@ -405,12 +405,8 @@ class PadicElement(_Element):
             self.field, self.v - other.v,
             self.unit * pow(other.unit, -1, self.field.p ** rel), rel)
 
-    # _Element's, repeated here for ``perfbench/tracing.py`` to count
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+    # bound here too, for ``perfbench/tracing.py`` to count
+    __rtruediv__ = _Element.__rtruediv__
 
     # -- inspection --------------------------------------------------------
 
@@ -519,6 +515,9 @@ class CappedField(_BaseField):
         super().__init__(p)
         if prec < 1:
             raise UsageError("precision cap must be >= 1")
+        if prec * p.bit_length() > config.max_coeff_bits():
+            raise BudgetError(f"precision cap {prec} at p = {p} exceeds "
+                              "the coefficient budget")
         self.prec = prec
         self._powers = [1]
         self._logs = {1: 0}     # bit length of p^k -> k
@@ -961,9 +960,6 @@ class ExtensionField:
     def generator(self):
         return self.from_vector([0, 1] + [0] * (self.degree - 2))
 
-    def from_rational(self, q):
-        return self.embed(q)
-
     def embed(self, x):
         if isinstance(x, ExtElement) and (x.field is self or x.field == self):
             return x
@@ -1013,10 +1009,8 @@ class ExtElement(_Element):
             return self.field.embed(other)
         return None
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return ExtElement(self.field,
                           tuple(a + b for a, b in zip(self.vec, other.vec)))
 
@@ -1037,10 +1031,8 @@ class ExtElement(_Element):
                     conv[k - n + i] = conv[k - n + i] - c * gi
         return conv[:n]
 
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         conv = poly_mul(self.vec, other.vec)
         return ExtElement(self.field, tuple(self._reduce(conv)))
 
@@ -1073,10 +1065,8 @@ class ExtElement(_Element):
         scaled += [zero] * max(0, n - len(scaled))
         return ExtElement(self.field, tuple(self._reduce(scaled)[:n]))
 
+    @_coerced
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self * other.inverse()
 
     def is_zero(self) -> bool:

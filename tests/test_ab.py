@@ -1,8 +1,9 @@
 """``benchmarks/ab.py``: its summary of paired benchmark runs, on fixed
-numbers, and its opcode meter."""
+numbers, its opcode meter and the copy of the working tree it runs."""
 
 import importlib.util
 import pathlib
+import subprocess
 import sys
 
 AB = pathlib.Path(__file__).parent.parent / "benchmarks" / "ab.py"
@@ -58,3 +59,26 @@ def test_meter_counts_one_op_list_alike(monkeypatch):
     first, second = (ab.meter(wl, "cli-jobs", ops) for _ in range(2))
     assert first == second > 0
     assert sys.gettrace() is before   # a coverage or debugger tracer stays
+
+
+def test_working_tree_copy_holds_what_git_lists(tmp_path):
+    ab = _load_ab()
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    (repo / "pkg").mkdir(parents=True)
+    files = {".gitignore": "ignored.txt\n", "pkg/mod.py": "x = 1\n",
+             "gone.txt": "deleted in the working tree\n"}
+    for name, text in files.items():
+        (repo / name).write_text(text)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.invalid"]
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "c"]):
+        subprocess.run(git + argv, cwd=repo, check=True, capture_output=True)
+    (repo / "pkg" / "mod.py").write_text("x = 2\n")      # modified
+    (repo / "gone.txt").unlink()                          # deleted
+    (repo / "pkg" / "new.py").write_text("y = 3\n")      # untracked
+    (repo / "ignored.txt").write_text("not copied\n")    # ignored
+    dest.mkdir()
+    ab.copy_working_tree(repo, dest)
+    copied = {path.relative_to(dest).as_posix(): path.read_text()
+              for path in dest.rglob("*") if path.is_file()}
+    assert copied == {".gitignore": "ignored.txt\n", "pkg/mod.py": "x = 2\n",
+                      "pkg/new.py": "y = 3\n"}

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import padicdyn.cli as cli
-from padicdyn import ExactField, MonicPoly
+from padicdyn import CappedField, ExactField, MonicPoly
 from padicdyn.cli import (EXIT_CHECK_FAILED, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE,
                           JobSpec, build_parser, is_prime, job_from_args, run)
 
@@ -304,6 +304,69 @@ def test_check_failure_exit_code(monkeypatch):
     doc, status = run(JobSpec(command="cf", prime=5, poly=("1", "0", "1")))
     assert status == EXIT_CHECK_FAILED
     assert doc["checks"][0]["passed"] is False
+
+
+def test_internal_error_exits_4_with_a_check_failure(monkeypatch, capsys):
+    # a guarantee the library breaks is a check failure, never a traceback
+    def broken(job, parsed):
+        raise cli.InternalError("stub guarantee broken")
+
+    monkeypatch.setitem(cli._RUNNERS, "cf", broken)
+    assert cli.main(["cf", "--prime", "5", "--poly", "1,0,1"]) == \
+        EXIT_CHECK_FAILED
+    out, err = capsys.readouterr()
+    assert out == "" and err == "check failure: stub guarantee broken\n"
+
+
+def test_degrees_certificate_off_the_predicted_product_exits_4(
+        monkeypatch, capsys):
+    # levels 1 and 2 certify 3 and 9, the products of the predicted steps;
+    # a certificate off that product fails the check, and the job exits 4
+    argv = ["degrees", "--prime", "5", "--poly=1,1/2,0,1", "--point=1/5",
+            "--levels", "2"]
+    chain_of = cli.degree_chain
+
+    def skewed(*args):
+        chain = chain_of(*args)
+        last = {**chain.levels[-1], "certified_degree": 27}
+        return chain._replace(levels=(*chain.levels[:-1], last))
+
+    for chain, degrees, passed in ((chain_of, [3, 9], True),
+                                   (skewed, [3, 27], False)):
+        monkeypatch.setattr(cli, "degree_chain", chain)
+        assert cli.main(argv) == (EXIT_OK if passed else EXIT_CHECK_FAILED)
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert [r["certified_degree"]
+                for r in doc["results"]["levels"]] == degrees
+        assert doc["checks"] == [{"name": "certified-matches-predicted",
+                                  "passed": passed}]
+        assert err == ("" if passed else "one or more checks failed\n")
+
+
+def test_a_capped_cap_past_the_coefficient_budget_exits_3():
+    # the cap is checked against PADICDYN_MAX_COEFF_BITS (200000) before
+    # any table of powers of p is built: a cap of 10^7 digits of 5 would
+    # otherwise allocate until memory runs out, and one of 10^5 would run
+    # for most of a minute and print megabytes
+    with pytest.raises(cli.BudgetError, match="coefficient budget"):
+        CappedField(5, 10 ** 7)
+    assert CappedField(5, 200000 // 3).prec == 66666
+    with pytest.raises(cli.BudgetError, match="coefficient budget"):
+        CappedField(5, 200000 // 3 + 1)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PADICDYN_MAX_COEFF_BITS", None)
+    for precision in ("10000000", "100000"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "padicdyn.cli", "boettcher", "--prime",
+             "5", "--poly=3,1/5,1", "--order", "8", "--backend", "capped",
+             "--precision", precision],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == EXIT_DOMAIN, precision
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr == (f"domain error: precision cap {precision} at "
+                               "p = 5 exceeds the coefficient budget\n")
 
 
 def test_degrees_single_term_polygon_reads_uncertified():

@@ -3,8 +3,9 @@ module-level ``_name`` function or assignment is read somewhere in the
 package, every entry of the series kernels is called, only ``series.py``
 reads the storage of a ``TailSeries``, every import sits at module
 level in an acyclic module graph, importing the CLI loads neither
-``dataclasses`` nor ``inspect``, and each rule the base-field classes
-share is written once, in ``_Element`` or ``_BaseField``.
+``dataclasses`` nor ``inspect``, each rule the base-field classes
+share is written once, in ``_Element`` or ``_BaseField``, and element
+operators coerce their operands in one place, ``_coerced``.
 
 ``__init__.py`` is skipped by the import check, since it imports names
 only to re-export them.  The source checks parse with ``ast`` alone,
@@ -18,7 +19,7 @@ import subprocess
 import sys
 
 from padicdyn.localfield import (CappedField, ExactElement, ExactField,
-                                 PadicElement, _Element)
+                                 ExtensionField, PadicElement, _Element)
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "padicdyn"
 
@@ -214,7 +215,7 @@ def test_base_field_rules_are_written_once():
     ``zero`` and ``one`` from ``_BaseField``: no base-field class defines
     its own.  Read from each class's own ``__dict__``, where
     ``perfbench/tracing.py`` finds the operators it counts; that is why
-    ``PadicElement.__rtruediv__``, the one exception, repeats
+    ``PadicElement.__rtruediv__``, the one exception, binds
     ``_Element``'s."""
     own = {cls: set(vars(cls)) for cls in (ExactElement, PadicElement,
                                            ExactField, CappedField)}
@@ -224,3 +225,27 @@ def test_base_field_rules_are_written_once():
                                            | own[CappedField])
     derived = {name for name, f in vars(_Element).items() if callable(f)}
     assert derived & own[PadicElement] == {"__rtruediv__"}
+    assert vars(PadicElement)["__rtruediv__"] is vars(_Element)["__rtruediv__"]
+
+
+def _coerce_calls(tree):
+    """The module-level definitions in which ``self._coerce(...)`` is
+    called."""
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Attribute) and func.attr == "_coerce" \
+                    and getattr(func.value, "id", None) == "self":
+                yield stmt.name
+
+
+def test_operators_coerce_in_one_place():
+    """Every element operator brings its operand into the field through
+    the ``_coerced`` decorator, the one caller of ``self._coerce``;
+    ``ExtElement`` coerces through ``ExtensionField.embed``, which has
+    no ``from_rational`` beside it."""
+    calls = {path.name: sorted(_coerce_calls(ast.parse(path.read_text())))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: defs for name, defs in calls.items() if defs} == {
+        "localfield.py": ["_coerced"]}
+    assert "from_rational" not in vars(ExtensionField)

@@ -5,9 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from padicdyn import (ExactField, PrecisionError, UsageError, build_polygon,
-                      root_valuations, total_ramification_certificate)
+from padicdyn import (ExactField, ExtensionField, PrecisionError, UsageError,
+                      build_polygon, root_valuations,
+                      total_ramification_certificate)
 from padicdyn.localfield import CappedField, Valuation
+from padicdyn.newton import polygon_of
 
 
 def poly(field, rationals):
@@ -69,6 +71,31 @@ def test_certificate_negative_constant_valuation():
     cert = total_ramification_certificate(build_polygon(g), g)
     assert cert is not None
     assert cert.root_valuation == F(-1, 2)
+
+
+def test_certificate_strips_zero_top_coefficients():
+    # x^2 - 5 with two zero tops is still Eisenstein of degree 2
+    g = poly(K5, [-5, 0, 1, 0, 0])
+    cert = total_ramification_certificate(build_polygon(g), g)
+    assert (cert.degree, cert.root_valuation) == (2, F(1, 2))
+    # nothing but a constant is left: no degree to certify
+    polygon = polygon_of([(0, F(1)), (2, F(0))])
+    for coeffs in ([5, 0, 0], [0, 0, 0]):
+        assert total_ramification_certificate(polygon, coeffs) is None
+
+
+def test_certificate_inconclusive_on_a_non_integral_point():
+    # over Q_5(pi), pi^2 = 5: pi x^3 - pi^3 has points (0, 3/2) and
+    # (3, 1/2), one segment of slope -1/3, but its value group is not Z
+    E = ExtensionField(K5, [-5, 0], "eisenstein")
+    pi = E.generator()
+    g = [-(pi ** 3), E.zero(), E.zero(), pi]
+    polygon = build_polygon(g)
+    assert [v for _, v in polygon.points] == [F(3, 2), F(1, 2)]
+    assert total_ramification_certificate(polygon, g) is None
+    # the same slope through integral points is certified
+    shifted = polygon_of([(0, F(2)), (3, F(1))])
+    assert total_ramification_certificate(shifted, [1, 0, 0, 1]).degree == 3
 
 
 def test_polygon_needs_two_nonzero_coefficients():

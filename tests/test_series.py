@@ -6,10 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from padicdyn import (CappedField, DiskSpec, DomainError, ExactField,
-                      ExtensionField, TailSeries, UsageError, agreement_order,
-                      evaluate, gauss_norm, lagrange_invert)
+                      ExtensionField, PrecisionError, TailSeries, UsageError,
+                      agreement_order, evaluate, gauss_norm, lagrange_invert)
 from padicdyn.errors import InternalError
 from padicdyn.localfield import PadicElement, Valuation
+from padicdyn.series import PointValue
 from test_series_kernel import known_modulo_precision
 
 
@@ -504,6 +505,33 @@ def test_evaluate_at_the_center_of_a_disk_about_zero():
         if not fuzzy.is_exact_zero:
             with pytest.raises(DomainError, match="valuation unknown"):
                 evaluate(S(field, 1, [3, 2], 4), fuzzy, disk)
+
+
+def test_evaluate_refuses_a_gauss_norm_known_only_as_a_lower_bound():
+    # the O(5^-2) coefficient is below the exact one on the disk, so the
+    # Gauss norm, and with it the tail bound, is only a floor
+    K = CappedField(5, 4)
+    fuzzy = K.embed(F(1, 5 ** 6)) - K.embed(F(1, 5 ** 6))
+    assert fuzzy.valuation() == -2 and not fuzzy.valuation().exact
+    s = S(K, 0, [1, fuzzy], 2)
+    disk = DiskSpec("zero", F(0))
+    assert gauss_norm(s, disk) == -2 and not gauss_norm(s, disk).exact
+    with pytest.raises(PrecisionError, match="only a lower bound"):
+        evaluate(s, K.embed(5), disk)
+
+
+def test_point_value_power_with_an_infinite_error_or_a_zero_value():
+    for field in (K5, CappedField(5, 10)):
+        # an exact value stays exact: the error stays infinite
+        pv = PointValue(field.embed(3), Valuation(None)).power(3)
+        assert pv.value == 27 and pv.err.is_infinite
+        # at an exactly zero value only the error's d-th power is left:
+        # (0 + e)^d has valuation d v(e), with the error's exactness
+        for exact in (True, False):
+            pv = PointValue(field.embed(0), Valuation(F(1, 2), exact))
+            pv = pv.power(3)
+            assert pv.value.is_exact_zero
+            assert pv.err == F(3, 2) and pv.err.exact is exact
 
 
 def test_evaluate_embeds_int_and_fraction_points():
